@@ -229,8 +229,6 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 			s := plan.Stats()
 			fmt.Fprintf(statsW, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits\n",
 				s.Points, s.TableCells, s.GraySteps, s.BlockInits)
-			fmt.Fprintf(statsW, "table layout: %d B resident as columns (%d B as struct rows), %d column folds\n",
-				s.TableSoABytes, s.TableAoSBytes, s.ColumnFolds)
 			fmt.Fprintf(statsW, "point memo: %d hits, %d misses (%d collision recomputes), %d fills, %d forced evictions\n",
 				s.PkgMemo.Hits, s.PkgMemo.Misses, s.PkgMemo.Collisions, s.PkgMemo.Fills, s.PkgMemo.Evictions)
 			if fp := s.Floorplan; fp.Plans() > 0 {

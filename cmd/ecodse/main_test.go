@@ -60,10 +60,6 @@ func TestRunSweepProgressStats(t *testing.T) {
 	if !strings.Contains(stats.String(), "compiled plan:") {
 		t.Errorf("progress run missing compiled-plan statistics:\n%s", stats.String())
 	}
-	if !strings.Contains(stats.String(), "table layout:") ||
-		!strings.Contains(stats.String(), "column folds") {
-		t.Errorf("progress run missing table-layout statistics:\n%s", stats.String())
-	}
 
 	cfg.uncompiled = true
 	var out2, stats2 strings.Builder

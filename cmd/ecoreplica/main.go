@@ -13,10 +13,10 @@
 // recompile on the next lease).
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: it stops accepting,
-// refuses new leases, answers liveness pings with the draining flag,
-// finishes streaming the in-flight ones (bounded by -drain /
-// -drain-timeout, abandoned leases logged), and exits. -auth-token
-// sets a shared secret every coordinator must present at registration.
+// refuses new leases, finishes streaming the in-flight ones (bounded by
+// -drain / -drain-timeout, abandoned leases logged), and exits.
+// -auth-token sets a shared secret every coordinator must present at
+// registration.
 package main
 
 import (

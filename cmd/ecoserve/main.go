@@ -13,14 +13,17 @@
 //	                       parameter plan
 //	POST /v1/disaggregate  greedy disaggregation of the posted system
 //	POST /v1/sweep/stream  front mode as NDJSON: one line per
-//	                       tightening front snapshot, then the result
+//	                       tightening front snapshot (every 512
+//	                       points the warm plan's walk covers), then
+//	                       the result
 //	GET  /v1/stats         plan-cache counters
 //
 // The first request for a (system, db-version) shape compiles its plan
 // — once, however many clients race for it — and every later request
 // with the same content hash runs warm, bit-identical to the cold
 // path. -plan-cache bounds the resident plans per family; evicted
-// shapes recompile on demand.
+// shapes recompile on demand. -workers caps the evaluation workers of
+// one request, streamed fronts included.
 //
 // Each request family admits at most -max-inflight concurrent requests;
 // arrivals past the bound queue for -queue-timeout, then are shed with
@@ -48,19 +51,15 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	planCache := flag.Int("plan-cache", 0, "resident compiled plans per family (0 = default 64, negative = unbounded)")
 	workers := flag.Int("workers", 0, "evaluation workers per request (0 = all CPUs)")
-	streamReplicas := flag.Int("stream-replicas", 0, "loopback shard replicas per streamed front run (0 = default 2)")
-	streamBlock := flag.Int("stream-block", 0, "points per streamed front block (0 = protocol default)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent requests admitted per family before shedding with 429 (0 = default 64, negative = unbounded)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "how long an over-bound request may queue for a slot before shedding (0 = default 100ms)")
 	flag.Parse()
 
 	cfg := serve.Config{
-		PlanCacheSize:   *planCache,
-		Workers:         *workers,
-		StreamReplicas:  *streamReplicas,
-		StreamBlockSize: *streamBlock,
-		MaxInflight:     *maxInflight,
-		QueueTimeout:    *queueTimeout,
+		PlanCacheSize: *planCache,
+		Workers:       *workers,
+		MaxInflight:   *maxInflight,
+		QueueTimeout:  *queueTimeout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

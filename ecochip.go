@@ -296,6 +296,10 @@ type (
 	// including the incremental-floorplan reuse counters in its
 	// Floorplan field.
 	SweepPlanStats = explore.SweepStats
+	// SweepFrontSnapshot is one emission of a streamed Pareto front
+	// (SweepPlan.ParetoFrontStream, CarbonServer.StreamFront): the front
+	// of every point walked so far, with progress in 512-point blocks.
+	SweepFrontSnapshot = explore.FrontSnapshot
 	// FloorplanTreeStats counts the work of a retained incremental
 	// floorplan tree: fast-path relayouts vs full rebuilds, topology
 	// fallbacks, and the mean relayout depth.
@@ -311,7 +315,8 @@ var ErrNoSweepFastPath = explore.ErrNoFastPath
 // under every combination of the candidate nodes. Compile once, then
 // plan.RunCtx per run, plan.Walk to stream points without materializing
 // the result slice, or plan.ParetoFrontCtx for a front folded into the
-// sweep walk (front-only callers never allocate the full point slice).
+// sweep walk (front-only callers never allocate the full point slice);
+// plan.ParetoFrontStream also emits the front as the walk tightens it.
 func CompileNodeSweep(base *System, db *TechDB, nodes []int, cp cost.Params) (*SweepPlan, error) {
 	return explore.Compile(base, db, nodes, cp)
 }
@@ -340,10 +345,8 @@ type (
 	// ShardStats is a coordinator's protocol-counter snapshot (leases
 	// granted/expired, blocks re-leased/deduped/local, replicas lost).
 	ShardStats = shard.Stats
-	// ShardPlanSource resolves plan keys to compiled plans on a replica.
-	ShardPlanSource = shard.PlanSource
-	// ShardCatalog is the in-process ShardPlanSource: sweeps registered
-	// under their derived key, compiled lazily per replica.
+	// ShardCatalog resolves plan keys to compiled plans on a replica:
+	// sweeps registered under their derived key, compiled lazily.
 	ShardCatalog = shard.Catalog
 	// ShardReplica executes leases against locally compiled plans; it is
 	// also the in-process loopback ShardTransport.
@@ -386,9 +389,9 @@ func SweepPlanKey(base *System, db *TechDB, nodes []int, cp cost.Params) (string
 // NewShardCatalog returns an empty in-process plan catalog.
 func NewShardCatalog() *ShardCatalog { return shard.NewCatalog() }
 
-// NewShardReplica builds a replica over a plan source; the returned
+// NewShardReplica builds a replica over a plan catalog; the returned
 // value is also the loopback transport for that replica.
-func NewShardReplica(source ShardPlanSource) *ShardReplica { return shard.NewReplica(source) }
+func NewShardReplica(cat *ShardCatalog) *ShardReplica { return shard.NewReplica(cat) }
 
 // NewShardCoordinator builds a coordinator for a compiled plan
 // (identified by its SweepPlanKey) over the given replica transports.
@@ -462,9 +465,8 @@ func ParseShardFaultSpec(s string) (ShardFaultSpec, error) { return shard.ParseF
 // receive single half-open probes on a doubling schedule instead of
 // leases; straggling leases are speculatively re-leased to healthy
 // replicas once their age passes an adaptive threshold (hedging —
-// first-write-wins dedup keeps it bit-exact); draining replicas are
-// skipped. ShardConfig.Health tunes the breaker, HedgeFactor/HedgeMin
-// the hedging.
+// first-write-wins dedup keeps it bit-exact). ShardConfig.Health tunes
+// the breaker, HedgeFactor/HedgeMin the hedging.
 type (
 	// ShardHealthConfig tunes a replica's circuit breaker and probe
 	// schedule (ShardConfig.Health; the zero value derives defaults
@@ -476,10 +478,6 @@ type (
 	// ShardHealthCounters snapshots one replica's breaker activity
 	// (trips, probes, closes).
 	ShardHealthCounters = health.Counters
-	// ShardDrainingTransport is the optional transport interface that
-	// reports a replica's graceful drain; the coordinator stops leasing
-	// to draining replicas.
-	ShardDrainingTransport = shard.DrainingTransport
 )
 
 // ErrShardAuthFailed is the typed rejection of a coordinator whose
@@ -584,7 +582,7 @@ type (
 	// ServeHandler.
 	CarbonServer = serve.Server
 	// ServeConfig tunes a CarbonServer (plan-cache bound, engine
-	// workers, stream replica fan-out); the zero value has production
+	// workers, admission limits); the zero value has production
 	// defaults.
 	ServeConfig = serve.Config
 	// ServeStats snapshots a server's three plan caches (sweep,
@@ -603,9 +601,6 @@ type (
 	// PlanCacheStats counts one plan cache's hits, misses, coalesced
 	// waits, builds and capacity evictions.
 	PlanCacheStats = lru.Stats
-	// ShardFrontSnapshot is one emission of a streamed Pareto front: the
-	// front over every block folded so far, with run progress.
-	ShardFrontSnapshot = shard.FrontSnapshot
 	// DisaggregationSearch is a retained greedy disaggregation search:
 	// compiled once per (system, db) with CompileDisaggregation, Run any
 	// number of times — warm runs revisit the memoized candidate tables

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -61,15 +60,8 @@ type SweepStats struct {
 	// GraySteps is the number of incremental single-chiplet steps; all
 	// other scratch state was reused from the previous point.
 	GraySteps uint64
-	// ColumnFolds is the number of per-point metric folds served from
-	// the table's struct-of-arrays columns (every compiled point).
-	ColumnFolds uint64
 	// TableCells is the size of the precomputed die table.
 	TableCells int
-	// TableAoSBytes and TableSoABytes are the resident bytes of the
-	// table's array-of-structs view (DieCell rows plus dollar rows) and
-	// of the flat struct-of-arrays columns the folds actually read.
-	TableAoSBytes, TableSoABytes int
 	// Floorplan aggregates the per-worker incremental-floorplan
 	// counters: how many packaging estimates were served by a retained-
 	// tree fast path versus a full rebuild, and the mean relayout depth.
@@ -169,20 +161,13 @@ func (p *CompiledPlan) Stats() SweepStats {
 	fp := p.fpTotals
 	pm := p.pmTotals
 	p.fpMu.Unlock()
-	aos, soa := p.tbl.LayoutBytes()
-	pts := p.points.Load()
 	return SweepStats{
-		Points:     pts,
+		Points:     p.points.Load(),
 		BlockInits: p.blockInits.Load(),
 		GraySteps:  p.graySteps.Load(),
-		// Every compiled point reduces through the SoA row buffers, so
-		// the fold count is the point count by construction.
-		ColumnFolds:   pts,
-		TableCells:    len(p.tbl.Cells) * p.r,
-		TableAoSBytes: aos,
-		TableSoABytes: soa,
-		Floorplan:     fp,
-		PkgMemo:       pm,
+		TableCells: len(p.tbl.Cells) * p.r,
+		Floorplan:  fp,
+		PkgMemo:    pm,
 	}
 }
 
@@ -248,117 +233,6 @@ func (p *CompiledPlan) WalkRange(ctx context.Context, lo, hi int, visit func(idx
 	return p.walkBlock(ctx, lo, hi, visit, func() {})
 }
 
-// ParetoFrontCtx runs the plan and reduces the sweep to its Pareto front
-// under the given objectives, returning the front and the total number
-// of evaluated points. The reduction is folded into the sweep walk: each
-// worker block maintains its own skyline front over the points it
-// streams (storing objective values and output slots, not points), the
-// block fronts are merged at the barrier, and only then are the
-// surviving points materialized — front-only callers never allocate the
-// full point slice. The returned front is identical to
-// ParetoFront(RunCtx(...), objectives...).
-func (p *CompiledPlan) ParetoFrontCtx(ctx context.Context, objectives []Metric, opts ...engine.Option) ([]Point, int, error) {
-	if len(objectives) == 0 {
-		panic("explore: ParetoFront needs at least one objective")
-	}
-	var mu sync.Mutex
-	var merged []frontEntry
-	err := engine.RunBlocks(ctx, p.combos, func(ctx context.Context, lo, hi int, tick func()) error {
-		local := newBlockFront(len(objectives))
-		err := p.walkBlock(ctx, lo, hi, func(idx int, pt *Point) error {
-			local.add(idx, pt, objectives)
-			return nil
-		}, tick)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		merged = append(merged, local.entries...)
-		mu.Unlock()
-		return nil
-	}, opts...)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Globally dominated survivors of one block are eliminated by the
-	// final ParetoFront pass; restoring output-slot order first makes the
-	// pass see candidates exactly as the materializing path would, so
-	// ties and duplicates resolve identically.
-	sort.Slice(merged, func(a, b int) bool { return merged[a].idx < merged[b].idx })
-	points := make([]Point, len(merged))
-	for i, e := range merged {
-		points[i] = e.pt
-		points[i].Nodes = p.nodesFor(e.idx)
-	}
-	return ParetoFront(points, objectives...), p.combos, nil
-}
-
-// frontEntry is one block-front survivor: the point's scalar fields plus
-// its output slot, from which the Nodes slice is reconstructed only if
-// the point survives the final merge.
-type frontEntry struct {
-	idx int
-	pt  Point // Nodes nil until materialized
-}
-
-// blockFront is one worker block's incremental skyline: the mutually
-// non-dominated subset of the points streamed so far. Objective values
-// are computed once per point and stored in a flat arena, so membership
-// checks are branch-light float compares and the only growth is the
-// entry/value slices themselves — no per-point allocations.
-type blockFront struct {
-	k       int
-	entries []frontEntry
-	objs    []float64 // len(entries)*k objective values
-	vals    []float64 // candidate scratch, len k
-}
-
-func newBlockFront(k int) *blockFront {
-	return &blockFront{k: k, vals: make([]float64, k)}
-}
-
-// add folds one point into the front: rejected if any member dominates
-// it, otherwise inserted after evicting the members it dominates. Equal
-// points do not dominate each other (matching ParetoFront), so exact
-// duplicates coexist. The front invariant (mutual non-dominance) makes
-// the two outcomes exclusive, so a single pass suffices.
-func (f *blockFront) add(idx int, pt *Point, objectives []Metric) {
-	vals := f.vals
-	for j, m := range objectives {
-		vals[j] = m(*pt)
-	}
-	for e := 0; e < len(f.entries); {
-		ov := f.objs[e*f.k : (e+1)*f.k]
-		memberBetter, candidateBetter := false, false
-		for j := 0; j < f.k; j++ {
-			switch {
-			case ov[j] < vals[j]:
-				memberBetter = true
-			case ov[j] > vals[j]:
-				candidateBetter = true
-			}
-		}
-		if memberBetter && !candidateBetter {
-			return // dominated by a member
-		}
-		if candidateBetter && !memberBetter {
-			// Candidate dominates the member: swap-delete (order is
-			// restored by the merge sort).
-			last := len(f.entries) - 1
-			f.entries[e] = f.entries[last]
-			f.entries = f.entries[:last]
-			copy(f.objs[e*f.k:(e+1)*f.k], f.objs[last*f.k:(last+1)*f.k])
-			f.objs = f.objs[:last*f.k]
-			continue
-		}
-		e++
-	}
-	cp := *pt
-	cp.Nodes = nil
-	f.entries = append(f.entries, frontEntry{idx: idx, pt: cp})
-	f.objs = append(f.objs, vals...)
-}
-
 // nodesFor decodes an output slot back into its per-chiplet node
 // assignment, sharing the standard mixed-radix decode with the
 // reference path so the two can never order nodes differently.
@@ -379,13 +253,11 @@ type blockScratch struct {
 	par    []int // parity of the standard value of the digits above i
 	picked []int // reusable Point.Nodes buffer
 	// rows is the current point's per-chiplet metric entries, gathered
-	// from the table's SoA columns: five dense nc-length slices packed
-	// in one backing array (mfg, design, NRE kg, die USD, NRE USD). A
-	// block init fills every row; a Gray step refreshes only the changed
-	// chiplet's five entries, and evalInto reduces the slices
-	// sequentially in chiplet order — the same additions in the same
-	// order as the old Cells walk, over memory that is contiguous
-	// instead of strided through 8-field structs.
+	// from the table's Cells and dollar rows: five dense nc-length slices
+	// packed in one backing array (mfg, design, NRE kg, die USD, NRE
+	// USD). A block init fills every row; a Gray step refreshes only the
+	// changed chiplet's five entries, and evalInto reduces the slices
+	// sequentially in chiplet order.
 	rows                           []float64
 	rowMfg, rowDes, rowNre, rowUSD []float64
 	rowNREUSD                      []float64
@@ -405,14 +277,14 @@ type blockScratch struct {
 }
 
 // refreshRow regathers chiplet row i's five metric entries for node
-// digit d from the table columns.
-func (sc *blockScratch) refreshRow(c *kernel.Cols, i, d int) {
-	k := i*c.Stride + d
-	sc.rowMfg[i] = c.MfgKg[k]
-	sc.rowDes[i] = c.DesignKg[k]
-	sc.rowNre[i] = c.NREKg[k]
-	sc.rowUSD[i] = c.DieUSD[k]
-	sc.rowNREUSD[i] = c.NREUSD[d]
+// digit d from the table.
+func (sc *blockScratch) refreshRow(t *kernel.Table, i, d int) {
+	cell := &t.Cells[i][d]
+	sc.rowMfg[i] = cell.MfgKg
+	sc.rowDes[i] = cell.DesignKgAmortized
+	sc.rowNre[i] = cell.NREKg
+	sc.rowUSD[i] = t.DieUSD[i][d]
+	sc.rowNREUSD[i] = t.NREUSD[d]
 }
 
 // getScratch takes a pooled worker scratch or builds a fresh one.
@@ -470,13 +342,13 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 
 	p.grayInit(lo, sc)
 	pkgCh := sc.sc.Chiplets()
-	cols := p.tbl.Cols()
 	out := 0
 	for i, d := range sc.digits {
 		out += d * p.weight[i]
-		sc.refreshRow(cols, i, d)
+		sc.refreshRow(p.tbl, i, d)
 		if !p.monolith {
-			pkgCh[i] = pkgcarbon.Chiplet{Name: p.tbl.Names[i], AreaMM2: cols.AreaMM2[i*cols.Stride+d], Node: p.tbl.Cells[i][d].Node}
+			cell := &p.tbl.Cells[i][d]
+			pkgCh[i] = pkgcarbon.Chiplet{Name: p.tbl.Names[i], AreaMM2: cell.AreaMM2, Node: cell.Node}
 		}
 	}
 	p.blockInits.Add(1)
@@ -490,9 +362,10 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 			// only that chiplet's scratch state and output weight.
 			j, old, d := p.grayStep(sc)
 			out += (d - old) * p.weight[j]
-			sc.refreshRow(cols, j, d)
+			sc.refreshRow(p.tbl, j, d)
 			if !p.monolith {
-				pkgCh[j].AreaMM2, pkgCh[j].Node = cols.AreaMM2[j*cols.Stride+d], p.tbl.Cells[j][d].Node
+				cell := &p.tbl.Cells[j][d]
+				pkgCh[j].AreaMM2, pkgCh[j].Node = cell.AreaMM2, cell.Node
 			}
 			changed = j
 			steps++
@@ -520,10 +393,8 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 // evalInto assembles one design point from the scratch's gathered row
 // buffers into out. Per-chiplet contributions are reduced in chiplet
 // order (see the file comment on why the totals are not running sums) as
-// a sequential fold over the five dense row slices — the walk already
-// gathered the current digits' entries from the table's SoA columns, so
-// the fold's additions are the Cells walk's additions in the Cells
-// walk's order, bit for bit. Whole-package terms come from the scratch
+// a sequential fold over the five dense row slices the walk gathered
+// from the table for the current digits. Whole-package terms come from the scratch
 // estimator — through its single-changed-chiplet delta path when changed
 // names the Gray step's chiplet (changed < 0 runs the full estimate) —
 // and out.Nodes aliases the scratch's reusable buffer: callers that
@@ -551,7 +422,7 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx 
 	var hiKg, area, powerW float64
 	assemblyYield := 1.0
 	if p.monolith {
-		area = t.Cols().AreaMM2[sc.digits[0]]
+		area = t.Cells[0][sc.digits[0]].AreaMM2
 	} else if v, ok := sc.sc.LoadPackagePoint(uint64(pointIdx), uint64(p.combos)); ok {
 		hiKg, area, assemblyYield, powerW = v.HIKg, v.AreaMM2, v.AssemblyYield, v.RouterPowerW
 		desKg += t.CommShare[sc.digits[0]]

@@ -160,13 +160,12 @@ func TestCompiledSweepMatchesReferenceRandomized(t *testing.T) {
 	}
 }
 
-// --- randomized SoA-vs-AoS layout parity ------------------------------
+// --- randomized table parity ------------------------------------------
 
-// The table's struct-of-arrays column view must carry the exact bits of
-// the kept Cells rows: across random systems, node sets, packaging
-// archetypes and NRE/reuse flags, every point's column fold (FoldCols)
-// is byte-identical to the Cells-based fold (FoldAoS), and the compiled
-// sweep built on the columns stays byte-identical to NodeSweepReference.
+// Across random systems, node sets, packaging archetypes and NRE/reuse
+// flags, every table that builds drives a compiled sweep byte-identical
+// to NodeSweepReference. (The name is kept from when the table also
+// carried a struct-of-arrays copy of its Cells rows.)
 func TestSoAColumnsMatchAoSRandomized(t *testing.T) {
 	d := db()
 	cp := cost.DefaultParams()
@@ -180,40 +179,12 @@ func TestSoAColumnsMatchAoSRandomized(t *testing.T) {
 		label := fmt.Sprintf("trial %d (arch %v, %d chiplets, nodes %v, nre=%v)",
 			trial, base.Packaging.Arch, len(base.Chiplets), nodes, base.IncludeNRE)
 
-		tbl, err := kernel.BuildTable(base, d, nodes, cp)
-		if err != nil {
+		if _, err := kernel.BuildTable(base, d, nodes, cp); err != nil {
 			// The compiled-vs-reference suite pins error parity; here we
 			// only care about tables that build.
 			continue
 		}
 		evaluated++
-
-		rows := len(tbl.Cells)
-		digits := make([]int, rows)
-		check := func() {
-			am, ad, an, au, anre := tbl.FoldAoS(digits)
-			cm, cd, cn, cu, cnre := tbl.FoldCols(digits)
-			if math.Float64bits(am) != math.Float64bits(cm) ||
-				math.Float64bits(ad) != math.Float64bits(cd) ||
-				math.Float64bits(an) != math.Float64bits(cn) ||
-				math.Float64bits(au) != math.Float64bits(cu) ||
-				math.Float64bits(anre) != math.Float64bits(cnre) {
-				t.Fatalf("%s: digits %v: column fold diverges from Cells fold\nAoS %v %v %v %v %v\nSoA %v %v %v %v %v",
-					label, digits, am, ad, an, au, anre, cm, cd, cn, cu, cnre)
-			}
-		}
-		// The two extreme corners plus a random sample of the point space.
-		check()
-		for i := range digits {
-			digits[i] = len(nodes) - 1
-		}
-		check()
-		for s := 0; s < 100; s++ {
-			for i := range digits {
-				digits[i] = rng.Intn(len(nodes))
-			}
-			check()
-		}
 
 		want, refErr := NodeSweepReference(ctx, base, d, nodes, cp)
 		got, err := NodeSweepCtx(ctx, base, d, nodes, cp)

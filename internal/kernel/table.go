@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"unsafe"
 
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
@@ -40,90 +39,11 @@ type Table struct {
 	NREUSD    []float64
 	CommShare []float64
 
-	// cols is the struct-of-arrays view of the hot metric columns,
-	// copied bit-for-bit out of Cells/DieUSD by BuildTable (see Cols).
-	cols Cols
-
 	// Names are the chiplet names for packaging descriptors (nil for
 	// monolith tables).
 	Names []string
 	// Asm prices assembly for the fixed (architecture, die count) pair.
 	Asm cost.Assembler
-}
-
-// Cols is the struct-of-arrays view of a table's hot metric columns:
-// one flat row-major float64 slice per metric, indexed [i*Stride+j] for
-// chiplet row i and node column j. The values are the exact float bits
-// of the corresponding Cells/DieUSD entries — BuildTable copies them out
-// of the cells it just computed — so a fold over the columns in chiplet
-// order reproduces the AoS fold bit for bit while touching only the
-// bytes it sums (a DieCell row drags eight fields through the cache to
-// add four). Sweep, ParamPlan and Disaggregate walks gather per-chiplet
-// strides from here into dense per-point buffers refreshed one row per
-// Gray step. The slices are owned by the table and must not be written.
-type Cols struct {
-	// Stride is the row length (the candidate node count).
-	Stride int
-	// MfgKg, DesignKg, NREKg, AreaMM2 mirror the DieCell fields MfgKg,
-	// DesignKgAmortized, NREKg and AreaMM2 (the operational term's
-	// monolith input); DieUSD mirrors Table.DieUSD.
-	MfgKg, DesignKg, NREKg, AreaMM2, DieUSD []float64
-	// NREUSD is the per-node single row, indexed by node column alone.
-	NREUSD []float64
-}
-
-// Row returns column col's contiguous stride for chiplet row i.
-func (c *Cols) Row(col []float64, i int) []float64 {
-	return col[i*c.Stride : (i+1)*c.Stride]
-}
-
-// Cols returns the table's struct-of-arrays column view.
-func (t *Table) Cols() *Cols { return &t.cols }
-
-// FoldAoS reduces the hot metric terms of the point selected by digits
-// (digits[i] = node column of chiplet row i) straight off the Cells
-// rows — the array-of-structs layout the compiled walks used before the
-// column view existed. Kept as the parity oracle and micro-benchmark
-// baseline for FoldCols; the reduction order is chiplet-major, exactly
-// the order every compiled walk sums in.
-func (t *Table) FoldAoS(digits []int) (mfgKg, desKg, nreKg, diesUSD, nreUSD float64) {
-	for i, d := range digits {
-		cell := &t.Cells[i][d]
-		mfgKg += cell.MfgKg
-		desKg += cell.DesignKgAmortized
-		nreKg += cell.NREKg
-		diesUSD += t.DieUSD[i][d]
-		nreUSD += t.NREUSD[d]
-	}
-	return
-}
-
-// FoldCols is FoldAoS off the flat column view: same terms, same
-// chiplet-major order, so the result is byte-identical by construction
-// (the randomized SoA parity test pins this).
-func (t *Table) FoldCols(digits []int) (mfgKg, desKg, nreKg, diesUSD, nreUSD float64) {
-	c := &t.cols
-	for i, d := range digits {
-		k := i*c.Stride + d
-		mfgKg += c.MfgKg[k]
-		desKg += c.DesignKg[k]
-		nreKg += c.NREKg[k]
-		diesUSD += c.DieUSD[k]
-		nreUSD += c.NREUSD[d]
-	}
-	return
-}
-
-// LayoutBytes reports the resident bytes of the two table layouts: the
-// array-of-structs view (DieCell rows plus the DieUSD rows) and the
-// struct-of-arrays columns. Surfaced by ecodse -progress next to the
-// plan statistics.
-func (t *Table) LayoutBytes() (aosBytes, soaBytes int) {
-	cells := len(t.Cells) * len(t.Nodes)
-	const dieCellBytes = int(unsafe.Sizeof(core.DieCell{}))
-	aosBytes = cells*dieCellBytes + cells*8 + len(t.NREUSD)*8
-	soaBytes = 5*cells*8 + len(t.cols.NREUSD)*8
-	return
 }
 
 // BuildTable validates the base system and precomputes the dense
@@ -163,18 +83,6 @@ func BuildTable(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*T
 	}
 	t.Cells = make([][]core.DieCell, rows)
 	t.DieUSD = make([][]float64, rows)
-	// The five hot columns share one backing array: they are read
-	// together, stride for stride, by every per-point fold.
-	colBuf := make([]float64, 5*rows*len(nodes))
-	t.cols = Cols{
-		Stride:   len(nodes),
-		MfgKg:    colBuf[0*rows*len(nodes) : 1*rows*len(nodes)],
-		DesignKg: colBuf[1*rows*len(nodes) : 2*rows*len(nodes)],
-		NREKg:    colBuf[2*rows*len(nodes) : 3*rows*len(nodes)],
-		AreaMM2:  colBuf[3*rows*len(nodes) : 4*rows*len(nodes)],
-		DieUSD:   colBuf[4*rows*len(nodes) : 5*rows*len(nodes)],
-		NREUSD:   t.NREUSD,
-	}
 	for i := 0; i < rows; i++ {
 		t.Cells[i] = make([]core.DieCell, len(nodes))
 		t.DieUSD[i] = make([]float64, len(nodes))
@@ -195,12 +103,6 @@ func BuildTable(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*T
 				return nil, err
 			}
 			t.DieUSD[i][j] = usd
-			k := i*len(nodes) + j
-			t.cols.MfgKg[k] = cell.MfgKg
-			t.cols.DesignKg[k] = cell.DesignKgAmortized
-			t.cols.NREKg[k] = cell.NREKg
-			t.cols.AreaMM2[k] = cell.AreaMM2
-			t.cols.DieUSD[k] = usd
 		}
 	}
 	for j, nm := range nodes {

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"ecochip/internal/shard"
+	"ecochip/internal/explore"
 	"ecochip/internal/tech"
 )
 
@@ -25,7 +25,7 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	unblock := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.StreamFront(context.Background(), req, func(shard.FrontSnapshot) error {
+		_, err := srv.StreamFront(context.Background(), req, func(explore.FrontSnapshot) error {
 			<-unblock
 			return nil
 		})
@@ -42,7 +42,7 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	_, err := srv.StreamFront(context.Background(), req, func(shard.FrontSnapshot) error { return nil })
+	_, err := srv.StreamFront(context.Background(), req, func(explore.FrontSnapshot) error { return nil })
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated stream = %v, want ErrOverloaded", err)
 	}

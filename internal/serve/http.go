@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ecochip/internal/explore"
-	"ecochip/internal/shard"
 )
 
 // Handler exposes a Server over HTTP/JSON:
@@ -72,16 +71,9 @@ func Handler(s *Server) http.Handler {
 // Snapshot, the terminal line carries Result (exactly one of the two is
 // set; an Error line aborts the stream).
 type StreamLine struct {
-	Snapshot *Snapshot      `json:"snapshot,omitempty"`
-	Result   *SweepResponse `json:"result,omitempty"`
-	Error    string         `json:"error,omitempty"`
-}
-
-// Snapshot is the wire shape of a shard.FrontSnapshot.
-type Snapshot struct {
-	Front       []explore.Point `json:"front"`
-	BlocksDone  int             `json:"blocksDone"`
-	TotalBlocks int             `json:"totalBlocks"`
+	Snapshot *explore.FrontSnapshot `json:"snapshot,omitempty"`
+	Result   *SweepResponse         `json:"result,omitempty"`
+	Error    string                 `json:"error,omitempty"`
 }
 
 func streamFront(w http.ResponseWriter, r *http.Request, s *Server, req *SweepRequest) {
@@ -99,12 +91,8 @@ func streamFront(w http.ResponseWriter, r *http.Request, s *Server, req *SweepRe
 		}
 		return nil
 	}
-	resp, err := s.StreamFront(r.Context(), req, func(snap shard.FrontSnapshot) error {
-		return emit(StreamLine{Snapshot: &Snapshot{
-			Front:       snap.Front,
-			BlocksDone:  snap.BlocksDone,
-			TotalBlocks: snap.TotalBlocks,
-		}})
+	resp, err := s.StreamFront(r.Context(), req, func(snap explore.FrontSnapshot) error {
+		return emit(StreamLine{Snapshot: &snap})
 	})
 	if err != nil {
 		if !wrote {

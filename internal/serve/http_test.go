@@ -42,7 +42,7 @@ func decodeBody[T any](t *testing.T, resp *http.Response) *T {
 func TestHandlerEndpoints(t *testing.T) {
 	db := tech.Default()
 	sys := ga102(t, db)
-	srv := NewServer(db, Config{StreamBlockSize: 4})
+	srv := NewServer(db, Config{})
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()
 
@@ -106,7 +106,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestHandlerStream(t *testing.T) {
 	db := tech.Default()
 	sys := ga102(t, db)
-	srv := NewServer(db, Config{StreamBlockSize: 4})
+	srv := NewServer(db, Config{})
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()
 

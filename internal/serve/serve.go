@@ -21,7 +21,6 @@ import (
 	"ecochip/internal/explore"
 	"ecochip/internal/kernel"
 	"ecochip/internal/lru"
-	"ecochip/internal/shard"
 	"ecochip/internal/tech"
 )
 
@@ -41,14 +40,6 @@ type Config struct {
 	// fronts, disaggregation steps). 0 = the engine default
 	// (GOMAXPROCS). Results never depend on it.
 	Workers int
-	// StreamReplicas is the number of in-process shard replicas a
-	// streamed front run fans blocks across (default 2). All replicas
-	// share the server's warm plan — the loopback serving shape of the
-	// shard lease protocol.
-	StreamReplicas int
-	// StreamBlockSize is the per-block quantum of streamed front runs
-	// (default: the shard protocol default, 512 points).
-	StreamBlockSize int
 	// MaxInflight bounds concurrently admitted requests per family
 	// (sweep, what-if, disaggregate, stream): 0 selects
 	// DefaultMaxInflight, negative disables admission control entirely.
@@ -66,9 +57,6 @@ func (c Config) withDefaults() Config {
 		c.PlanCacheSize = DefaultPlanCacheSize
 	case c.PlanCacheSize < 0:
 		c.PlanCacheSize = 0 // lru: unbounded
-	}
-	if c.StreamReplicas <= 0 {
-		c.StreamReplicas = 2
 	}
 	return c
 }
@@ -149,20 +137,20 @@ func (s *Server) sweepPlan(sys *core.System, nodes []int, cp cost.Params) (strin
 	return key, plan, err
 }
 
-// ParseObjectives maps request objective names to shard objectives:
+// ParseObjectives maps request objective names to explore metrics:
 // "embodied", "total", "cost", "area".
-func ParseObjectives(names []string) ([]shard.Objective, error) {
-	objs := make([]shard.Objective, len(names))
+func ParseObjectives(names []string) ([]explore.Metric, error) {
+	objs := make([]explore.Metric, len(names))
 	for i, n := range names {
 		switch n {
 		case "embodied":
-			objs[i] = shard.ObjEmbodied
+			objs[i] = explore.ByEmbodied
 		case "total":
-			objs[i] = shard.ObjTotal
+			objs[i] = explore.ByTotal
 		case "cost":
-			objs[i] = shard.ObjCost
+			objs[i] = explore.ByCost
 		case "area":
-			objs[i] = shard.ObjArea
+			objs[i] = explore.ByArea
 		default:
 			return nil, fmt.Errorf(`serve: unknown objective %q (want "embodied", "total", "cost" or "area")`, n)
 		}
@@ -225,11 +213,7 @@ func (s *Server) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, 
 	}
 	resp := &SweepResponse{Key: key, Total: plan.Combos()}
 	if len(req.Objectives) > 0 {
-		objs, err := ParseObjectives(req.Objectives)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := shard.ObjectiveMetrics(objs)
+		ms, err := ParseObjectives(req.Objectives)
 		if err != nil {
 			return nil, err
 		}
@@ -479,12 +463,10 @@ func (s *Server) Disaggregate(ctx context.Context, req *DisaggregateRequest) (*D
 }
 
 // StreamFront runs a sweep in streaming front mode: snapshots of the
-// monotonically tightening Pareto front go to emit as lease blocks
-// land, and the exact final front is returned. The run fans blocks
-// across StreamReplicas in-process shard replicas that all share the
-// server's warm plan — the serving embodiment of the lease protocol's
-// incremental front consumption.
-func (s *Server) StreamFront(ctx context.Context, req *SweepRequest, emit func(shard.FrontSnapshot) error) (*SweepResponse, error) {
+// monotonically tightening Pareto front go to emit as the warm plan's
+// walk covers each 512-point block, and the exact final front — the
+// bits of Sweep with the same objectives — is returned.
+func (s *Server) StreamFront(ctx context.Context, req *SweepRequest, emit func(explore.FrontSnapshot) error) (*SweepResponse, error) {
 	release, err := s.admit.stream.acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -496,7 +478,7 @@ func (s *Server) StreamFront(ctx context.Context, req *SweepRequest, emit func(s
 	if len(req.Objectives) == 0 {
 		return nil, fmt.Errorf("serve: a streamed front needs objectives")
 	}
-	objs, err := ParseObjectives(req.Objectives)
+	ms, err := ParseObjectives(req.Objectives)
 	if err != nil {
 		return nil, err
 	}
@@ -504,31 +486,9 @@ func (s *Server) StreamFront(ctx context.Context, req *SweepRequest, emit func(s
 	if err != nil {
 		return nil, err
 	}
-	src := &planSource{key: key, plan: plan}
-	transports := make([]shard.Transport, s.cfg.StreamReplicas)
-	for i := range transports {
-		transports[i] = shard.NewReplica(src)
-	}
-	co := shard.NewCoordinator(plan, key, transports, shard.Config{BlockSize: s.cfg.StreamBlockSize})
-	front, total, err := co.ParetoFrontStream(ctx, objs, emit)
+	front, total, err := plan.ParetoFrontStream(ctx, ms, emit, s.engineOpts()...)
 	if err != nil {
 		return nil, err
 	}
 	return &SweepResponse{Key: key, Total: total, Front: true, Points: front}, nil
-}
-
-// planSource is the server-side shard.PlanSource: it resolves exactly
-// the one warm plan a stream run was built around, so every loopback
-// replica shares the server's compiled plan (and its pooled scratches)
-// instead of compiling its own.
-type planSource struct {
-	key  string
-	plan *explore.CompiledPlan
-}
-
-func (p *planSource) Plan(key string) (*explore.CompiledPlan, error) {
-	if key != p.key {
-		return nil, fmt.Errorf("%w: %s", shard.ErrPlanUnknown, key)
-	}
-	return p.plan, nil
 }

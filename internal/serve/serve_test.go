@@ -10,7 +10,6 @@ import (
 	"ecochip/internal/cost"
 	"ecochip/internal/explore"
 	"ecochip/internal/kernel"
-	"ecochip/internal/shard"
 	"ecochip/internal/tech"
 	"ecochip/internal/testcases"
 )
@@ -339,12 +338,12 @@ func TestStreamFrontParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := NewServer(db, Config{StreamBlockSize: 4})
+	srv := NewServer(db, Config{})
 	var snaps int
 	var lastDone int
 	resp, err := srv.StreamFront(context.Background(), &SweepRequest{
 		System: sys, Nodes: ga102Nodes, Objectives: []string{"embodied", "cost"},
-	}, func(s shard.FrontSnapshot) error {
+	}, func(s explore.FrontSnapshot) error {
 		snaps++
 		lastDone = s.BlocksDone
 		return nil

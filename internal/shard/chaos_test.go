@@ -2,7 +2,9 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,13 +24,74 @@ func chaosSchedules(rng *rand.Rand) []FaultSpec {
 	}
 }
 
+// firstCrash kills whichever of its replicas delivers the run's first
+// block, mid-block: the result is lost, the lease fails with
+// ErrReplicaDown, and every later Execute on that replica fails too.
+// The per-replica CrashAfter schedule only fires if the lease pattern
+// happens to reach that replica, which a sweep of a few blocks often
+// does not; this crash lands in every run that delivers a block.
+type firstCrash struct {
+	mu      sync.Mutex
+	crashed Transport
+}
+
+func (f *firstCrash) wrap(inner Transport) Transport {
+	return &firstCrashTransport{f: f, inner: inner}
+}
+
+type firstCrashTransport struct {
+	f     *firstCrash
+	inner Transport
+}
+
+// claim crashes t if no replica has crashed yet, and reports whether t
+// is the crashed replica.
+func (f *firstCrash) claim(t Transport) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.crashed == nil {
+		f.crashed = t
+	}
+	return f.crashed == t
+}
+
+func (f *firstCrash) isCrashed(t Transport) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.crashed == t
+}
+
+func (t *firstCrashTransport) Execute(ctx context.Context, lease Lease, emit func(BlockResult) error) error {
+	if t.f.isCrashed(t) {
+		return ErrReplicaDown
+	}
+	return t.inner.Execute(ctx, lease, func(res BlockResult) error {
+		if t.f.claim(t) {
+			return fmt.Errorf("%w: crashed mid-block %d", ErrReplicaDown, res.Block)
+		}
+		return emit(res)
+	})
+}
+
+// chaosTransports wraps one trial's fault schedules around loopback
+// replicas, behind one firstCrash.
+func chaosTransports(rng *rand.Rand, cat *Catalog) []Transport {
+	crash := &firstCrash{}
+	var transports []Transport
+	for _, spec := range chaosSchedules(rng) {
+		transports = append(transports, crash.wrap(Fault(NewReplica(cat), spec)))
+	}
+	return transports
+}
+
 // The chaos parity suite: random systems × random fault schedules
 // (crash-mid-block, duplicates, drops, transient errors, delays, lease
 // expiry) must leave both the full sweep and the Pareto front
-// bit-identical to the single-process plan. Runs under -race in CI.
+// bit-identical to the single-process plan, and every run must count
+// its injected crash as a lost replica. Runs under -race in CI.
 func TestChaosParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	var sawCrash, sawDup, sawRequeue bool
+	var sawDup, sawRequeue bool
 	trials := 6
 	if testing.Short() {
 		trials = 2
@@ -48,12 +111,7 @@ func TestChaosParity(t *testing.T) {
 			// Half the trials also force lease expiry on the delayed replica.
 			cfg.LeaseTimeout = 10 * time.Millisecond
 		}
-		var transports []Transport
-		for _, spec := range chaosSchedules(rng) {
-			transports = append(transports, Fault(NewReplica(cat), spec))
-		}
-
-		co := NewCoordinator(plan, key, transports, cfg)
+		co := NewCoordinator(plan, key, chaosTransports(rng, cat), cfg)
 		got, err := co.Sweep(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -70,11 +128,7 @@ func TestChaosParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var frontTransports []Transport
-		for _, spec := range chaosSchedules(rng) {
-			frontTransports = append(frontTransports, Fault(NewReplica(cat), spec))
-		}
-		cof := NewCoordinator(plan, key, frontTransports, cfg)
+		cof := NewCoordinator(plan, key, chaosTransports(rng, cat), cfg)
 		gotFront, gotTotal, err := cof.ParetoFront(context.Background(), objectives)
 		if err != nil {
 			t.Fatalf("trial %d front: %v", trial, err)
@@ -86,15 +140,15 @@ func TestChaosParity(t *testing.T) {
 
 		st := co.Stats()
 		sf := cof.Stats()
-		sawCrash = sawCrash || st.ReplicasLost > 0 || sf.ReplicasLost > 0
+		if st.ReplicasLost == 0 || sf.ReplicasLost == 0 {
+			t.Errorf("trial %d: an injected crash was not counted as a lost replica (sweep %d, front %d lost)",
+				trial, st.ReplicasLost, sf.ReplicasLost)
+		}
 		sawDup = sawDup || st.BlocksDeduped > 0 || sf.BlocksDeduped > 0
 		sawRequeue = sawRequeue || st.BlocksRequeued > 0 || sf.BlocksRequeued > 0
 	}
 	// The suite's guarantees are only meaningful if the schedules
 	// actually exercised the recovery paths.
-	if !sawCrash {
-		t.Error("no trial lost a replica to a crash")
-	}
 	if !sawDup {
 		t.Error("no trial deduplicated a double delivery")
 	}

@@ -138,8 +138,6 @@ type Stats struct {
 	// transitions across the replica set: openings (→ quarantined),
 	// half-open probe entries, and probe successes closing the breaker.
 	BreakerTrips, BreakerProbes, BreakerCloses uint64
-	// DrainSkips counts lease grants withheld from draining replicas.
-	DrainSkips uint64
 	// Wire aggregates the wire-level counters of the coordinator's
 	// counted transports (zero for pure loopback runs).
 	Wire TransportCounters
@@ -149,9 +147,9 @@ func (s Stats) String() string {
 	out := fmt.Sprintf("shard: %d leases granted (%d expired), %d blocks re-leased, %d completed (%d deduped, %d local), %d replica failures (%d replicas lost), %d fallbacks",
 		s.LeasesGranted, s.LeasesExpired, s.BlocksRequeued, s.BlocksCompleted, s.BlocksDeduped, s.BlocksLocal,
 		s.ReplicaFailures, s.ReplicasLost, s.Fallbacks)
-	if s.HedgesFired+s.HedgesWon+s.HedgesCancelled+s.BreakerTrips+s.BreakerProbes+s.BreakerCloses+s.DrainSkips > 0 {
-		out += fmt.Sprintf("\nhealth: %d hedges fired (%d blocks won, %d leases cancelled), breaker %d trips / %d probes / %d closes, %d drain skips",
-			s.HedgesFired, s.HedgesWon, s.HedgesCancelled, s.BreakerTrips, s.BreakerProbes, s.BreakerCloses, s.DrainSkips)
+	if s.HedgesFired+s.HedgesWon+s.HedgesCancelled+s.BreakerTrips+s.BreakerProbes+s.BreakerCloses > 0 {
+		out += fmt.Sprintf("\nhealth: %d hedges fired (%d blocks won, %d leases cancelled), breaker %d trips / %d probes / %d closes",
+			s.HedgesFired, s.HedgesWon, s.HedgesCancelled, s.BreakerTrips, s.BreakerProbes, s.BreakerCloses)
 	}
 	if !s.Wire.IsZero() {
 		out += "\n" + s.Wire.String()
@@ -164,20 +162,17 @@ func (s Stats) String() string {
 // reuse (Sweep / ParetoFront any number of times); stats accumulate,
 // and per-replica health state (breakers, latency EWMAs) carries
 // across runs so a replica quarantined in one run is probed — not
-// blindly trusted — by the next. AddTransport / RemoveTransport adjust
-// the replica set at any time, including mid-run.
+// blindly trusted — by the next.
 type Coordinator struct {
-	plan      *explore.CompiledPlan
-	key       string
-	cfg       Config
-	healthCfg health.Config
-	leaseEwma *health.Ewma
-
-	mu         sync.Mutex
+	plan       *explore.CompiledPlan
+	key        string
 	transports []Transport
-	removed    map[Transport]bool
-	trackers   map[Transport]*health.Tracker
-	active     *runState
+	cfg        Config
+	healthCfg  health.Config
+	leaseEwma  *health.Ewma
+
+	mu       sync.Mutex
+	trackers map[Transport]*health.Tracker
 
 	driveSeq atomic.Int64
 
@@ -185,15 +180,13 @@ type Coordinator struct {
 	blocksCompleted, blocksDeduped, blocksLocal   atomic.Uint64
 	replicaFailures, replicasLost, fallbacksTotal atomic.Uint64
 	hedgesFired, hedgesWon, hedgesCancelled       atomic.Uint64
-	drainSkips                                    atomic.Uint64
 }
 
 // NewCoordinator builds a coordinator for the plan (compiled by the
 // caller — the coordinator needs it for geometry, result assembly and
 // the degradation path) identified by key (explore.PlanKey of the same
 // inputs) over the given replica transports. An empty transport list
-// is legal: every run degrades to the local walk (or use AddTransport
-// before running).
+// is legal: every run degrades to the local walk.
 func NewCoordinator(plan *explore.CompiledPlan, key string, transports []Transport, cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	return &Coordinator{
@@ -203,73 +196,8 @@ func NewCoordinator(plan *explore.CompiledPlan, key string, transports []Transpo
 		cfg:        cfg,
 		healthCfg:  cfg.healthConfig(),
 		leaseEwma:  health.NewEwma(cfg.Health.Alpha),
-		removed:    make(map[Transport]bool),
 		trackers:   make(map[Transport]*health.Tracker),
 	}
-}
-
-// AddTransport adds a replica transport to the set at runtime: it
-// joins the current run (if one is live) immediately, and every later
-// run. Adding a transport that was removed earlier clears its removal.
-func (c *Coordinator) AddTransport(t Transport) {
-	c.mu.Lock()
-	c.transports = append(c.transports, t)
-	delete(c.removed, t)
-	r := c.active
-	c.mu.Unlock()
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if !r.driversGone {
-		r.spawnDriveLocked(r.ctx, t)
-	}
-	r.mu.Unlock()
-}
-
-// RemoveTransport removes every entry of t from the replica set (a
-// pipelined transport appears once per lease slot) and stops its lease
-// goroutines at their next acquire — an in-flight lease finishes or
-// fails normally first, and its late results deduplicate as usual.
-// Reports whether t was present.
-func (c *Coordinator) RemoveTransport(t Transport) bool {
-	c.mu.Lock()
-	kept := c.transports[:0]
-	found := false
-	for _, x := range c.transports {
-		if x == t {
-			found = true
-			continue
-		}
-		kept = append(kept, x)
-	}
-	c.transports = kept
-	if found {
-		c.removed[t] = true
-	}
-	r := c.active
-	c.mu.Unlock()
-	if found && r != nil {
-		// Wake acquire waiters so the removed transport's parked
-		// drivers observe the tombstone and exit.
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
-	return found
-}
-
-// Transports snapshots the current replica set.
-func (c *Coordinator) Transports() []Transport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Transport(nil), c.transports...)
-}
-
-func (c *Coordinator) isRemoved(t Transport) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.removed[t]
 }
 
 // tracker returns t's health tracker, creating it on first use.
@@ -295,10 +223,7 @@ func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
 	if c.cfg.DisableHedging {
 		return 0, false
 	}
-	c.mu.Lock()
-	n := len(c.transports)
-	c.mu.Unlock()
-	if n < 2 {
+	if len(c.transports) < 2 {
 		return 0, false
 	}
 	e := c.leaseEwma.Value()
@@ -354,7 +279,6 @@ func (c *Coordinator) Stats() Stats {
 		BreakerTrips:    hc.Trips,
 		BreakerProbes:   hc.Probes,
 		BreakerCloses:   hc.Closes,
-		DrainSkips:      c.drainSkips.Load(),
 	}
 }
 
@@ -411,114 +335,10 @@ func (c *Coordinator) ParetoFront(ctx context.Context, objectives []Objective) (
 	return explore.ParetoFront(points, ms...), c.plan.Combos(), nil
 }
 
-// FrontSnapshot is one incremental view of a streaming front run: the
-// Pareto front over every block delivered so far, with the run's block
-// progress. Front entries are owned by the receiver (points are copied
-// out of the fold).
-type FrontSnapshot struct {
-	// Front is the skyline of all points delivered so far, in the same
-	// canonical order ParetoFront returns.
-	Front []explore.Point
-	// BlocksDone / TotalBlocks is the run's progress; the last snapshot
-	// always has BlocksDone == TotalBlocks.
-	BlocksDone, TotalBlocks int
-}
-
-// ParetoFrontStream is ParetoFront without the barrier: as blocks land
-// (in whatever order leases complete), the coordinator folds them into
-// a running skyline and streams snapshots to emit — a serving client
-// watches the front tighten monotonically instead of waiting for the
-// whole sweep. Snapshots coalesce under load (emit is never called
-// concurrently, and a slow consumer sees fewer, fresher snapshots, not
-// a backlog); every snapshot is the exact Pareto front of the blocks
-// it covers, so each front is a superset-refinement of the last: a
-// point leaves only when a newly landed point dominates it. The final
-// snapshot — and the returned front — carry the exact float bits of
-// ParetoFront over the same plan: cross-block folding eliminates only
-// points the barrier's final pass would eliminate too (dominance is
-// transitive), duplicates coexist, and slot order is restored before
-// the final pass. An emit error cancels the run and is returned.
-func (c *Coordinator) ParetoFrontStream(ctx context.Context, objectives []Objective, emit func(FrontSnapshot) error) ([]explore.Point, int, error) {
-	if len(objectives) == 0 {
-		return nil, 0, fmt.Errorf("shard: ParetoFrontStream needs at least one objective")
-	}
-	ms, err := ObjectiveMetrics(objectives)
-	if err != nil {
-		return nil, 0, err
-	}
-	nb := blockCount(c.plan.Combos(), c.cfg.BlockSize)
-	fold := newFrontFold(len(objectives))
-	var foldMu sync.Mutex
-	blocksDone := 0
-	// snapshot materializes the current front; callers hold foldMu.
-	snapshot := func() FrontSnapshot {
-		_, pts := fold.sorted()
-		return FrontSnapshot{Front: explore.ParetoFront(pts, ms...), BlocksDone: blocksDone, TotalBlocks: nb}
-	}
-
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	// The sink runs under the protocol lock, so it only folds and nudges
-	// the notifier; the notifier goroutine does the emitting. A buffered
-	// single-slot channel coalesces bursts: a queued nudge covers every
-	// block folded before the notifier gets to it.
-	updates := make(chan struct{}, 1)
-	var emitMu sync.Mutex
-	var emitErr error
-	lastDone := -1
-	notifierDone := make(chan struct{})
-	go func() {
-		defer close(notifierDone)
-		for range updates {
-			foldMu.Lock()
-			snap := snapshot()
-			foldMu.Unlock()
-			if err := emit(snap); err != nil {
-				emitMu.Lock()
-				emitErr = err
-				emitMu.Unlock()
-				cancelRun()
-				return
-			}
-			emitMu.Lock()
-			lastDone = snap.BlocksDone
-			emitMu.Unlock()
-		}
-	}()
-
-	sink := func(res BlockResult) {
-		foldMu.Lock()
-		for i, slot := range res.Slots {
-			fold.add(slot, &res.Points[i], ms)
-		}
-		blocksDone++
-		foldMu.Unlock()
-		select {
-		case updates <- struct{}{}:
-		default:
-		}
-	}
-	runErr := c.run(runCtx, ModeFront, objectives, sink)
-	close(updates)
-	<-notifierDone
-	if emitErr != nil {
-		return nil, 0, emitErr
-	}
-	if runErr != nil {
-		return nil, 0, runErr
-	}
-	foldMu.Lock()
-	snap := snapshot()
-	foldMu.Unlock()
-	// Guarantee the consumer saw the complete front exactly once at the
-	// end (the notifier may already have delivered it).
-	if lastDone != snap.BlocksDone {
-		if err := emit(snap); err != nil {
-			return nil, 0, err
-		}
-	}
-	return snap.Front, c.plan.Combos(), nil
-}
+// FrontSnapshot is explore.FrontSnapshot, kept under its shard name
+// so callers that typed their stream emitters against this package
+// still compile after streamed fronts moved into the plan's own walk.
+type FrontSnapshot = explore.FrontSnapshot
 
 // leaseRec is the coordinator-side state of one outstanding lease.
 type leaseRec struct {
@@ -540,11 +360,9 @@ type leaseRec struct {
 
 // runState is the mutable state of one coordinator run. All fields are
 // guarded by mu; cond broadcasts wake acquire waiters on every state
-// change that could unblock them (requeue, completion, cancellation,
-// membership changes).
+// change that could unblock them (requeue, completion, cancellation).
 type runState struct {
 	c          *Coordinator
-	ctx        context.Context
 	mode       Mode
 	objectives []Objective
 
@@ -560,28 +378,6 @@ type runState struct {
 	hedgeBlocks map[int]uint64    // hedged block -> straggler lease seq
 	sink        func(BlockResult) // called under mu; slots pre-validated
 	complete    chan struct{}
-
-	drivers     int
-	driversGone bool
-	driversDone chan struct{}
-}
-
-// spawnDriveLocked starts one lease goroutine for t on this run.
-// Caller holds r.mu.
-func (r *runState) spawnDriveLocked(ctx context.Context, t Transport) {
-	r.drivers++
-	go func() {
-		defer func() {
-			r.mu.Lock()
-			r.drivers--
-			if r.drivers == 0 && !r.driversGone {
-				r.driversGone = true
-				close(r.driversDone)
-			}
-			r.mu.Unlock()
-		}()
-		r.drive(ctx, t)
-	}()
 }
 
 func (c *Coordinator) run(ctx context.Context, mode Mode, objectives []Objective, sink func(BlockResult)) error {
@@ -590,7 +386,7 @@ func (c *Coordinator) run(ctx context.Context, mode Mode, objectives []Objective
 	r := &runState{c: c, mode: mode, objectives: objectives, nb: nb, sink: sink,
 		done: make([]bool, nb), queued: make([]bool, nb), pending: make([]int, nb),
 		outstanding: make(map[*leaseRec]struct{}), hedgeBlocks: make(map[int]uint64),
-		complete: make(chan struct{}), driversDone: make(chan struct{})}
+		complete: make(chan struct{})}
 	r.cond = sync.NewCond(&r.mu)
 	for b := range r.pending {
 		r.pending[b] = b
@@ -602,7 +398,6 @@ func (c *Coordinator) run(ctx context.Context, mode Mode, objectives []Objective
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r.ctx = runCtx
 	// cond.Wait cannot watch a context; wake every waiter when the run
 	// context dies so acquire loops can observe it.
 	stopWake := context.AfterFunc(runCtx, func() {
@@ -613,36 +408,37 @@ func (c *Coordinator) run(ctx context.Context, mode Mode, objectives []Objective
 	defer stopWake()
 
 	c.mu.Lock()
-	snapshot := append([]Transport(nil), c.transports...)
 	// A fresh run grants every quarantined replica a fresh probe
 	// budget: retirement is per run, rejoining is the default.
 	for _, tr := range c.trackers {
 		tr.Reset()
 	}
-	c.active = r
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		if c.active == r {
-			c.active = nil
-		}
-		c.mu.Unlock()
-	}()
 
+	// One lease goroutine per transport entry; driversDone closes once
+	// every one has returned (all retired, or the run is over). They are
+	// spawned under r.mu, so no lease is granted before every driver
+	// exists.
+	var drivers sync.WaitGroup
 	r.mu.Lock()
-	for _, t := range snapshot {
-		r.spawnDriveLocked(runCtx, t)
-	}
-	if r.drivers == 0 {
-		r.driversGone = true
-		close(r.driversDone)
+	for _, t := range c.transports {
+		drivers.Add(1)
+		go func() {
+			defer drivers.Done()
+			r.drive(runCtx, t)
+		}()
 	}
 	r.mu.Unlock()
+	driversDone := make(chan struct{})
+	go func() {
+		drivers.Wait()
+		close(driversDone)
+	}()
 
 	select {
 	case <-r.complete:
 		cancel() // release straggler leases promptly; their late results dedup
-	case <-r.driversDone:
+	case <-driversDone:
 		// Every replica retired (or the run completed and they drained).
 	case <-ctx.Done():
 		cancel()
@@ -716,9 +512,6 @@ func (r *runState) drive(ctx context.Context, t Transport) {
 	rng := rand.New(rand.NewSource(cfg.Seed + r.c.driveSeq.Add(1)*0x9e3779b9))
 	tr := r.c.tracker(t)
 	for {
-		if r.c.isRemoved(t) {
-			return
-		}
 		if tr.Exhausted() {
 			// The quarantine probe budget is spent: retire the replica
 			// for this run (counted once however many lease slots share
@@ -737,22 +530,8 @@ func (r *runState) drive(ctx context.Context, t Transport) {
 			}
 			continue
 		}
-		if dt, ok := t.(DrainingTransport); ok && dt.Draining() {
-			// The replica announced a graceful drain (liveness pong or
-			// refused lease): stop leasing to it. Draining is
-			// unavailability, so it feeds the breaker — a peer that
-			// drains forever quarantines and eventually retires instead
-			// of stalling the run. This also resolves a claimed
-			// half-open probe (as a failed one).
-			r.c.drainSkips.Add(1)
-			tr.Failure(time.Now())
-			if !sleepCtx(ctx, backoff(rng, cfg, tr.ConsecutiveFailures())) {
-				return
-			}
-			continue
-		}
 		lctx, lcancel := context.WithCancel(ctx)
-		lease, rec, ok := r.acquire(ctx, t, lcancel)
+		lease, rec, ok := r.acquire(ctx, lcancel)
 		if !ok {
 			lcancel()
 			tr.AbandonProbe(time.Now())
@@ -768,6 +547,13 @@ func (r *runState) drive(ctx context.Context, t Transport) {
 		start := time.Now()
 		err := t.Execute(lctx, lease, func(res BlockResult) error { return r.deliver(rec, res) })
 		expired, satisfied := r.release(rec, lcancel)
+		if errors.Is(err, ErrReplicaDown) || errors.Is(err, ErrAuthFailed) {
+			// The replica is lost whether or not the run finished
+			// meanwhile. Credentials do not heal mid-run; retrying would
+			// hammer the replica with doomed registrations.
+			r.c.replicasLost.Add(1)
+			return
+		}
 		if ctx.Err() != nil {
 			return
 		}
@@ -781,14 +567,6 @@ func (r *runState) drive(ctx context.Context, t Transport) {
 			lat := time.Since(start)
 			tr.Success(time.Now(), lat)
 			r.c.leaseEwma.Observe(lat)
-		case errors.Is(err, ErrReplicaDown):
-			r.c.replicasLost.Add(1)
-			return
-		case errors.Is(err, ErrAuthFailed):
-			// Credentials do not heal mid-run; retrying would hammer
-			// the replica with doomed registrations.
-			r.c.replicasLost.Add(1)
-			return
 		default:
 			// Expiry (with or without an error from the cancelled lease
 			// context), or a transient Execute failure.
@@ -828,18 +606,18 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// acquire blocks until a block span is available (or the run is over,
-// or t was removed from the replica set) and grants a lease over it.
+// acquire blocks until a block span is available (or the run is over)
+// and grants a lease over it.
 // Pending blocks are kept sorted; a lease takes the longest contiguous
 // run from the head, capped at LeaseBlocks, so re-leased stragglers
 // coalesce back into spans. The returned rec carries cancel so a
 // hedge-satisfied lease can be cancelled the moment its last block
 // completes elsewhere.
-func (r *runState) acquire(ctx context.Context, t Transport, cancel context.CancelFunc) (Lease, *leaseRec, bool) {
+func (r *runState) acquire(ctx context.Context, cancel context.CancelFunc) (Lease, *leaseRec, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.doneCount == r.nb || ctx.Err() != nil || r.c.isRemoved(t) {
+		if r.doneCount == r.nb || ctx.Err() != nil {
 			return Lease{}, nil, false
 		}
 		// Drop blocks a straggler completed while they sat pending.

@@ -84,11 +84,6 @@ type Client struct {
 	cc     *clientConn
 	nextID atomic.Uint64
 
-	// draining mirrors the replica's last announced drain state (from a
-	// liveness pong flag or a refused lease); the coordinator reads it
-	// through shard.DrainingTransport and stops granting leases here.
-	draining atomic.Bool
-
 	dials, reconnects   atomic.Uint64
 	framesIn, framesOut atomic.Uint64
 	bytesIn, bytesOut   atomic.Uint64
@@ -96,15 +91,9 @@ type Client struct {
 }
 
 var (
-	_ shard.Transport         = (*Client)(nil)
-	_ shard.CountedTransport  = (*Client)(nil)
-	_ shard.DrainingTransport = (*Client)(nil)
+	_ shard.Transport        = (*Client)(nil)
+	_ shard.CountedTransport = (*Client)(nil)
 )
-
-// Draining reports whether the replica announced a graceful drain on
-// the current connection. A successful redial clears it — a restarted
-// replica is a fresh one.
-func (c *Client) Draining() bool { return c.draining.Load() }
 
 // DialTransport returns a Client for addr. Dialing is lazy — the first
 // Execute connects — so construction succeeds even while the replica
@@ -154,12 +143,11 @@ func putResult(r *shard.BlockResult) {
 
 // event is one routed frame outcome for a pending request.
 type event struct {
-	m     wire.Msg
-	res   *shard.BlockResult // MsgBlockResult
-	code  wire.ErrCode       // MsgLeaseError
-	msg   string             // MsgLeaseError
-	key   string             // MsgRegistered
-	flags uint64             // MsgPong
+	m    wire.Msg
+	res  *shard.BlockResult // MsgBlockResult
+	code wire.ErrCode       // MsgLeaseError
+	msg  string             // MsgLeaseError
+	key  string             // MsgRegistered
 }
 
 // pend is one in-flight request (lease or registration) awaiting
@@ -241,66 +229,9 @@ func (c *Client) ensure(ctx context.Context) (*clientConn, error) {
 	if c.dials.Add(1) > 1 {
 		c.reconnects.Add(1)
 	}
-	c.draining.Store(false)
 	c.cc = cc
 	go cc.readLoop(r)
-	if c.opts.IdleProbe > 0 {
-		go cc.probeLoop(c.opts.IdleProbe)
-	}
 	return cc, nil
-}
-
-// probeLoop pings the connection whenever it has sat idle for a probe
-// interval: lease traffic is its own liveness signal, so probes only
-// fire when nothing is pending. A failed or silent probe declares the
-// connection dead (the read-deadline machinery turns a missing pong
-// into a read error); a pong refreshes the replica's drain state.
-func (cc *clientConn) probeLoop(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-cc.done:
-			return
-		case <-tick.C:
-		}
-		cc.mu.Lock()
-		idle := len(cc.pending) == 0
-		cc.mu.Unlock()
-		if !idle {
-			continue
-		}
-		if err := cc.ping(); err != nil {
-			cc.fail(fmt.Errorf("netx: %s: liveness probe: %w", cc.cl.addr, err))
-			return
-		}
-	}
-}
-
-// ping sends one MsgPing and waits for the pong, folding its drain
-// flag into the client's state.
-func (cc *clientConn) ping() error {
-	id := cc.cl.nextID.Add(1)
-	deadline := time.Now().Add(cc.cl.opts.Slack)
-	pd := &pend{ch: make(chan event, 1), gone: make(chan struct{}), deadline: deadline}
-	cc.add(id, pd)
-	defer func() {
-		cc.remove(id)
-		close(pd.gone)
-	}()
-	if err := cc.write(wire.MsgPing, id, nil, deadline); err != nil {
-		return err
-	}
-	select {
-	case <-cc.done:
-		return cc.cause()
-	case ev := <-pd.ch:
-		if ev.m != wire.MsgPong {
-			return fmt.Errorf("unexpected probe reply %d", ev.m)
-		}
-		cc.cl.draining.Store(ev.flags&wire.PongDraining != 0)
-		return nil
-	}
 }
 
 // fail tears the connection down once: records the cause, closes the
@@ -422,13 +353,6 @@ func (cc *clientConn) readLoop(r *wire.Reader) {
 				return
 			}
 			ev.key = key
-		case wire.MsgPong:
-			flags, err := wire.DecodePong(p)
-			if err != nil {
-				cc.fail(fmt.Errorf("netx: %s: corrupt pong: %w", cc.cl.addr, err))
-				return
-			}
-			ev.flags = flags
 		default:
 			cc.fail(fmt.Errorf("netx: %s: unexpected frame type %d", cc.cl.addr, m))
 			return
@@ -509,9 +433,6 @@ func (c *Client) register(ctx context.Context, cc *clientConn, key string) error
 			cc.mu.Unlock()
 			return nil
 		case wire.MsgLeaseError:
-			if ev.code == wire.CodeShuttingDown {
-				c.draining.Store(true)
-			}
 			return remoteError(c.addr, ev.code, ev.msg)
 		default:
 			return fmt.Errorf("netx: register on %s: unexpected reply %d", c.addr, ev.m)
@@ -581,9 +502,6 @@ func (c *Client) Execute(ctx context.Context, lease shard.Lease, emit func(shard
 			case wire.MsgLeaseDone:
 				return nil
 			case wire.MsgLeaseError:
-				if ev.code == wire.CodeShuttingDown {
-					c.draining.Store(true)
-				}
 				return remoteError(c.addr, ev.code, ev.msg)
 			default:
 				cancelRemote()

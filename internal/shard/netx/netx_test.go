@@ -3,7 +3,6 @@ package netx
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -713,57 +712,6 @@ func TestTCPAuthFailureRetiresTransport(t *testing.T) {
 	st := co.Stats()
 	if st.ReplicasLost != 1 {
 		t.Fatalf("stats = %+v, want exactly the rejected transport retired", st)
-	}
-}
-
-// Liveness pongs carry the drain flag, and the client folds it into
-// Draining() — including via the idle probe loop, with no lease
-// traffic at all.
-func TestTCPPingDraining(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	_, reg, _, newCat := testSweep(t, rng)
-	addr, srv, stop := startServer(t, newCat(), testOpts())
-	defer stop()
-
-	opts := testOpts()
-	opts.IdleProbe = 10 * time.Millisecond
-	cl := DialTransport(addr, reg, opts)
-	defer cl.Close()
-
-	cc, err := cl.ensure(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.ping(); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	if cl.Draining() {
-		t.Fatal("fresh server reported draining")
-	}
-
-	// Flip the server into drain (white-box, same flag the Serve ctx
-	// path sets) and let the idle probe loop discover it.
-	srv.mu.Lock()
-	srv.draining = true
-	srv.mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cl.Draining() {
-		if time.Now().After(deadline) {
-			t.Fatal("idle probes never surfaced the drain flag")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// A redial is a fresh replica: the flag must clear.
-	srv.mu.Lock()
-	srv.draining = false
-	srv.mu.Unlock()
-	cc.fail(fmt.Errorf("test: force redial"))
-	if _, err := cl.ensure(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Draining() {
-		t.Fatal("draining flag survived a reconnect")
 	}
 }
 

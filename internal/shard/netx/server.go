@@ -66,13 +66,6 @@ type Options struct {
 	// token set ships it in every registration frame. The token is
 	// connection metadata — it never enters plan content keys.
 	AuthToken string
-	// IdleProbe, when positive, has the client ping an idle connection
-	// at this interval: a dead peer is detected (and the connection
-	// failed into the coordinator's retry machinery) before the next
-	// lease wastes its deadline on it, and a draining peer's pong flag
-	// stops the coordinator leasing to it. Lease traffic suppresses
-	// probes — an active connection proves itself. Zero disables.
-	IdleProbe time.Duration
 	// Logf, when set, receives transport events worth operator eyes
 	// (accept errors, protocol violations, drain progress).
 	Logf func(format string, args ...any)
@@ -364,20 +357,6 @@ func (s *Server) serveConn(nc net.Conn) {
 				al.cancel()
 			}
 			sc.mu.Unlock()
-		case wire.MsgPing:
-			// Liveness probe. Answered even while draining — especially
-			// while draining: the pong's flag is how a coordinator learns
-			// to stop leasing here before burning a refused round-trip.
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			var flags uint64
-			if draining {
-				flags |= wire.PongDraining
-			}
-			if err := s.write(sc, wire.MsgPong, id, wire.AppendPong(nil, flags), time.Now().Add(s.opts.Slack)); err != nil {
-				return
-			}
 		default:
 			s.opts.logf("netx: %s: unexpected frame type %d", nc.RemoteAddr(), m)
 			return

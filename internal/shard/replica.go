@@ -12,18 +12,9 @@ import (
 	"ecochip/internal/tech"
 )
 
-// PlanSource resolves plan keys to compiled plans — the replica-local
-// "compile from the (system, db-version) key" seam. A networked
-// deployment backs this with a plan cache keyed by the wire key; the
-// in-process loopback uses a Catalog.
-type PlanSource interface {
-	// Plan returns the compiled plan for key, compiling (and caching)
-	// it on first use; ErrPlanUnknown if the key is not registered.
-	Plan(key string) (*explore.CompiledPlan, error)
-}
-
-// Catalog is an in-process PlanSource: sweep descriptions are
-// registered under their derived plan key and compiled lazily —
+// Catalog resolves plan keys to compiled plans — the replica-local
+// "compile from the (system, db-version) key" seam. Sweep descriptions
+// are registered under their derived plan key and compiled lazily —
 // single-flight, so concurrent leases for one key share a compile — on
 // the replica that first executes a lease for them. Each replica owns
 // its own Catalog: compilation is local by design, the point of keying
@@ -69,7 +60,8 @@ func (c *Catalog) RegisterSweep(base *core.System, db *tech.DB, nodes []int, cp 
 	return key, nil
 }
 
-// Plan implements PlanSource.
+// Plan returns the compiled plan for key, compiling (and caching) it on
+// first use; ErrPlanUnknown if the key is not registered.
 func (c *Catalog) Plan(key string) (*explore.CompiledPlan, error) {
 	c.mu.Lock()
 	build, ok := c.build[key]
@@ -90,16 +82,16 @@ func (c *Catalog) Resident() int { return c.plans.Len() }
 // Replica executes leases against locally compiled plans. It is
 // stateless between leases (all retained state lives in the plan's own
 // pooled scratches), so any replica can execute any lease of any plan
-// its source resolves — the property re-leasing depends on. Replica
+// its catalog resolves — the property re-leasing depends on. Replica
 // implements Transport directly; that IS the in-process loopback.
 type Replica struct {
-	source PlanSource
+	cat *Catalog
 }
 
-// NewReplica builds a replica over a plan source. The returned value
+// NewReplica builds a replica over a plan catalog. The returned value
 // is also the loopback Transport for that replica.
-func NewReplica(source PlanSource) *Replica {
-	return &Replica{source: source}
+func NewReplica(cat *Catalog) *Replica {
+	return &Replica{cat: cat}
 }
 
 // Execute implements Transport: compile-or-fetch the lease's plan,
@@ -107,7 +99,7 @@ func NewReplica(source PlanSource) *Replica {
 // emitted in span order; ctx is polled between blocks (and inside the
 // walk) so expired leases stop promptly.
 func (r *Replica) Execute(ctx context.Context, lease Lease, emit func(BlockResult) error) error {
-	plan, err := r.source.Plan(lease.Key)
+	plan, err := r.cat.Plan(lease.Key)
 	if err != nil {
 		return err
 	}

@@ -116,7 +116,7 @@ func ObjectiveMetrics(objs []Objective) ([]explore.Metric, error) {
 // the span's incomplete blocks are re-leased and late results
 // deduplicate harmlessly.
 type Lease struct {
-	// Key identifies the plan; replicas compile it locally (PlanSource).
+	// Key identifies the plan; replicas compile it locally (Catalog).
 	Key string
 	// Seq is the grant sequence number.
 	Seq uint64
@@ -161,14 +161,6 @@ type BlockResult struct {
 // context of expired leases and of completed runs.
 type Transport interface {
 	Execute(ctx context.Context, lease Lease, emit func(BlockResult) error) error
-}
-
-// DrainingTransport is optionally implemented by transports that learn
-// (from liveness pongs or refused leases) that their replica is in
-// graceful drain. The coordinator stops granting leases to a draining
-// transport instead of paying one refused round-trip per attempt.
-type DrainingTransport interface {
-	Draining() bool
 }
 
 // Typed failure classes of the shard layer.
@@ -254,15 +246,10 @@ func computeBlock(ctx context.Context, plan *explore.CompiledPlan, mode Mode, ob
 		if len(objectives) == 0 {
 			return BlockResult{}, fmt.Errorf("shard: ModeFront block with no objectives")
 		}
-		fold := newFrontFold(len(objectives))
-		err := plan.WalkRange(ctx, lo, hi, func(idx int, pt *explore.Point) error {
-			fold.add(idx, pt, objectives)
-			return nil
-		})
-		if err != nil {
+		var err error
+		if res.Slots, res.Points, err = plan.WalkRangeFront(ctx, lo, hi, objectives); err != nil {
 			return BlockResult{}, err
 		}
-		res.Slots, res.Points = fold.sorted()
 	default:
 		return BlockResult{}, fmt.Errorf("shard: unknown mode %d", mode)
 	}

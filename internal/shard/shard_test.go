@@ -325,3 +325,31 @@ func TestParetoFrontParity(t *testing.T) {
 	}
 	assertSamePoints(t, want, got, "sharded front")
 }
+
+// Front mode must survive the chaos transports like the points mode:
+// whatever the fault pattern, the barrier front is exact.
+func TestParetoFrontUnderFaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	plan, cat, key := testSweep(t, rng)
+	objectives := []Objective{ObjEmbodied, ObjTotal}
+	ms, err := ObjectiveMetrics(objectives)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := plan.ParetoFrontCtx(context.Background(), ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := FaultSpec{Drop: 0.2, Dup: 0.2, Err: 0.2, Seed: 5}
+	transports := []Transport{
+		Fault(NewReplica(cat), spec),
+		Fault(NewReplica(cat), spec),
+		NewReplica(cat),
+	}
+	co := NewCoordinator(plan, key, transports, fastCfg())
+	got, _, err := co.ParetoFront(context.Background(), objectives)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamePoints(t, want, got, "front under faults")
+}

@@ -49,8 +49,7 @@ import (
 
 // ProtoVersion is the handshake version; both ends of a connection
 // must agree (MsgHello exchange) before any lease traffic. Version 2
-// added ping/pong liveness frames and the auth token field of the
-// register payload.
+// added the auth token field of the register payload.
 const ProtoVersion = 2
 
 // MaxFrame caps a frame's body length. A peer announcing a longer
@@ -84,21 +83,6 @@ const (
 	// MsgCancel asks the replica to stop a lease (no payload); sent on
 	// coordinator-side expiry so the replica stops burning cycles.
 	MsgCancel
-	// MsgPing probes a connection's liveness (no payload); clients send
-	// it on idle connections so a silently dead peer is detected before
-	// the next lease pays for the discovery.
-	MsgPing
-	// MsgPong answers a ping: payload is a uvarint flag word
-	// (PongDraining marks a replica in graceful drain, so the
-	// coordinator stops leasing to it before the first refusal).
-	MsgPong
-)
-
-// Pong flag bits.
-const (
-	// PongDraining marks the replica as draining: it answers pings and
-	// finishes in-flight leases but refuses new ones.
-	PongDraining uint64 = 1 << 0
 )
 
 // ErrCode classifies a MsgLeaseError so typed shard errors survive the
@@ -582,13 +566,6 @@ func DecodeString(p []byte) (string, error) {
 	}
 	return s, d.finish()
 }
-
-// AppendPong appends a pong payload: the uvarint flag word (see
-// PongDraining). A ping carries no payload at all.
-func AppendPong(dst []byte, flags uint64) []byte { return appendUvarint(dst, flags) }
-
-// DecodePong parses a pong payload back into its flag word.
-func DecodePong(p []byte) (uint64, error) { return DecodeUvarint(p) }
 
 // AppendUvarint / DecodeUvarint carry bare-integer payloads
 // (MsgHello's version).

@@ -161,19 +161,6 @@ func TestRegistrationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPongRoundTrip(t *testing.T) {
-	for _, flags := range []uint64{0, PongDraining, PongDraining | 1<<5} {
-		p := AppendPong(nil, flags)
-		got, err := DecodePong(p)
-		if err != nil || got != flags {
-			t.Fatalf("pong flags %#x round-tripped to (%#x, %v)", flags, got, err)
-		}
-	}
-	if _, err := DecodePong(nil); err == nil {
-		t.Fatalf("empty pong payload decoded without error")
-	}
-}
-
 func TestErrorRoundTrip(t *testing.T) {
 	p := AppendError(nil, CodeLeaseMismatch, "geometry")
 	code, msg, err := DecodeError(p)
