@@ -465,9 +465,12 @@ func BenchmarkNodeSweepIncremental(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	// Shape-memo hits count: they are the retained tree serving a step
+	// without a rebuild, and after one the stale tree rebuilds on its
+	// next miss, so a short walk may take no relayout at all.
 	s := plan.Stats()
-	if s.Floorplan.FastPath+s.Floorplan.Unchanged == 0 {
-		b.Fatal("incremental sweep never hit the retained-tree fast path")
+	if s.Floorplan.FastPath+s.Floorplan.MemoHits+s.Floorplan.Unchanged == 0 {
+		b.Fatalf("incremental sweep never hit the retained-tree fast path or shape memo: %v", s.Floorplan)
 	}
 }
 
@@ -499,6 +502,35 @@ func BenchmarkFloorplanIncremental(b *testing.B) {
 	b.StopTimer()
 	if s := tr.Stats(); s.Fallbacks > 0 {
 		b.Fatalf("update benchmark fell back to rebuilds: %+v", s)
+	}
+}
+
+// BenchmarkFloorplanUpdateSortFlip measures the dims-only single-area
+// update on the step shape that defeats the topology guard: eight
+// identical CCDs beside an IO die, each step moving one CCD between two
+// node areas, so the changed CCD swaps sort positions with its twins on
+// every step. After the first cycle every step is served by the exact
+// shape memo (nine distinct sorted sequences recur).
+func BenchmarkFloorplanUpdateSortFlip(b *testing.B) {
+	blocks := make([]floorplan.Block, 0, 9)
+	for i := 0; i < 8; i++ {
+		blocks = append(blocks, floorplan.Block{Name: fmt.Sprintf("ccd%d", i), AreaMM2: 74})
+	}
+	blocks = append(blocks, floorplan.Block{Name: "io", AreaMM2: 416})
+	var tr floorplan.Tree
+	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
+		b.Fatal(err)
+	}
+	areas := [2]float64{52.5, 74}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Update(i%8, areas[i/8%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if s := tr.Stats(); b.N > 16 && s.MemoHits == 0 {
+		b.Fatalf("sort-flip benchmark never hit the shape memo: %+v", s)
 	}
 }
 

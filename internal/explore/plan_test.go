@@ -160,6 +160,51 @@ func TestCompiledSweepMatchesReferenceRandomized(t *testing.T) {
 	}
 }
 
+// An EPYC-style sweep over identical CCDs is the shape-memo workload:
+// every Gray step moves one CCD between node areas, the identical CCDs
+// swap sort positions, and most points are served from the floorplan
+// tree's shape memo. The compiled sweep must stay bit-identical to the
+// reference at any worker count, and again on re-runs over the pooled
+// scratches: a scratch's second walk fills the per-point package memo
+// and its third is served from it.
+func TestCompiledSweepIdenticalCCDsMatchesReference(t *testing.T) {
+	d := db()
+	base, err := testcases.EPYC(d, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []int{7, 10, 14, 22}
+	cp := cost.DefaultParams()
+	ctx := context.Background()
+	want, err := NodeSweepReference(ctx, base, d, nodes, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		plan, err := Compile(base, d, nodes, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			got, err := plan.RunCtx(ctx, engine.WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d run %d: %d points, want %d", workers, run, len(got), len(want))
+			}
+			for i := range want {
+				if !pointsBitIdentical(got[i], want[i]) {
+					t.Fatalf("workers=%d run %d: point %d differs\nwant %+v\ngot  %+v", workers, run, i, want[i], got[i])
+				}
+			}
+		}
+		if s := plan.Stats(); s.Floorplan.MemoHits == 0 {
+			t.Errorf("workers=%d: no shape-memo hits: %v", workers, s.Floorplan)
+		}
+	}
+}
+
 // --- randomized table parity ------------------------------------------
 
 // Across random systems, node sets, packaging archetypes and NRE/reuse
@@ -324,6 +369,19 @@ func TestPlanStatsAndReuse(t *testing.T) {
 	if s.TableCells != 9 {
 		t.Errorf("TableCells = %d, want 3 chiplets x 3 nodes = 9", s.TableCells)
 	}
+	// A fresh scratch's first walk can never revisit a point: the
+	// per-point package memo is neither read nor filled. (A serial run
+	// is one walk; parallel workers may hand a scratch on mid-run.)
+	serial, err := Compile(base, d, []int{7, 10, 14}, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serial.RunCtx(context.Background(), engine.WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	if pm := serial.Stats().PkgMemo; pm != (kernel.PkgMemoStats{}) {
+		t.Errorf("a first walk touched the point memo: %+v", pm)
+	}
 	// A plan is reusable: a second run returns identical points.
 	second, err := plan.RunCtx(context.Background(), engine.WithWorkers(5))
 	if err != nil {
@@ -332,6 +390,40 @@ func TestPlanStatsAndReuse(t *testing.T) {
 	for i := range first {
 		if !pointsBitIdentical(first[i], second[i]) {
 			t.Fatalf("rerun point %d differs", i)
+		}
+	}
+}
+
+// RunCtx hands out each point's Nodes as a capped window of a shared
+// chunk: appending to one point's Nodes must copy, never overwrite the
+// next point's assignment.
+func TestRunCtxNodesAreCappedWindows(t *testing.T) {
+	d := db()
+	base := testcases.GA102(d, 7, 14, 10, false)
+	plan, err := Compile(base, d, []int{7, 10, 14}, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := plan.RunCtx(context.Background(), engine.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range pts {
+		if len(pt.Nodes) != 3 || cap(pt.Nodes) != 3 {
+			t.Fatalf("point %d: Nodes len %d cap %d, want 3 and 3", i, len(pt.Nodes), cap(pt.Nodes))
+		}
+		want := plan.nodesFor(i)
+		for j := range want {
+			if pt.Nodes[j] != want[j] {
+				t.Fatalf("point %d: Nodes %v, want %v", i, pt.Nodes, want)
+			}
+		}
+	}
+	next := append([]int(nil), pts[1].Nodes...)
+	_ = append(pts[0].Nodes, 99)
+	for j := range next {
+		if pts[1].Nodes[j] != next[j] {
+			t.Fatalf("appending to point 0's Nodes overwrote point 1's: %v, was %v", pts[1].Nodes, next)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func (ft *FlexTree) Plan(blocks []Block, spacingMM float64, aspects []float64) (
 	}
 	total := 0.0
 	for _, b := range blocks {
-		if b.AreaMM2 <= 0 {
+		if !(b.AreaMM2 > 0) {
 			return nil, errBlockArea(b)
 		}
 		total += b.AreaMM2
@@ -149,7 +149,7 @@ func (ft *FlexTree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 	if blockIdx < 0 || blockIdx >= len(ft.blocks) {
 		return nil, fmt.Errorf("floorplan: FlexTree.Update block index %d outside [0, %d)", blockIdx, len(ft.blocks))
 	}
-	if areaMM2 <= 0 {
+	if !(areaMM2 > 0) {
 		b := ft.blocks[blockIdx]
 		b.AreaMM2 = areaMM2
 		return nil, errBlockArea(b)

@@ -98,8 +98,9 @@ type node struct {
 }
 
 // Plan floorplans the blocks with the given chiplet spacing (mm). It
-// returns an error for an empty block list, non-positive areas, or a
-// spacing outside the Table I range [0.1, 1] mm (0 selects the default).
+// returns an error for an empty block list, non-positive or NaN areas,
+// or a spacing outside the Table I range [0.1, 1] mm (0 selects the
+// default).
 func Plan(blocks []Block, spacingMM float64) (*Result, error) {
 	// A fresh scratch per call keeps the returned Result independent;
 	// hot loops use Scratch.Plan to amortize the buffers.
@@ -121,7 +122,7 @@ func errSpacing(spacingMM float64) error {
 }
 
 func errBlockArea(b Block) error {
-	return fmt.Errorf("floorplan: block %q has non-positive area %g", b.Name, b.AreaMM2)
+	return fmt.Errorf("floorplan: block %q has non-positive or NaN area %g", b.Name, b.AreaMM2)
 }
 
 // buildTree performs the recursive area-balanced bi-partition. blocks must

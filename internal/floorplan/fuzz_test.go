@@ -26,7 +26,11 @@ import (
 //  5. after a remove/insert delta (one block dropped, one fresh block
 //     appended — the Disaggregate candidate shape), the tree's
 //     name-keyed diff plan is bit-identical to a from-scratch plan and
-//     the invariants still hold.
+//     the invariants still hold;
+//  6. a dims-only tree driven through a sequence of single-block
+//     Updates (areas drawn from the input's own areas, so identical
+//     blocks swap sort positions and shapes recur in the shape memo)
+//     returns the from-scratch bounding box after every step.
 
 // chipletAreas extracts the per-chiplet die areas of a testcase system.
 func chipletAreas(t interface{ Fatal(...any) }, ccds int) (epyc, ga102 []float64) {
@@ -59,16 +63,18 @@ func FuzzFloorplanInvariants(f *testing.F) {
 	// The trailing (removeIdx, insertArea) pair seeds the remove/insert
 	// delta: drop one block, append a fresh one — the merge shape of a
 	// Disaggregate candidate.
-	f.Add(uint8(len(epyc)), 0.5, e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7], uint8(0), 2*e[0], uint8(3), e[0]+e[1])
-	f.Add(uint8(len(epyc)), 0.1, e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7], uint8(7), e[7]/3, uint8(0), e[6]+e[7])
-	f.Add(uint8(len(ga102)), 0.5, g[0], g[1], g[2], 0.0, 0.0, 0.0, 0.0, 0.0, uint8(1), g[2], uint8(2), g[0]+g[1])
-	f.Add(uint8(len(ga102)), 1.0, g[0], g[1], g[2], 0.0, 0.0, 0.0, 0.0, 0.0, uint8(2), g[0], uint8(1), g[1]/2)
-	f.Add(uint8(2), 0.5, 100.0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 100.0, uint8(1), 100.0)
-	f.Add(uint8(1), 0.3, 42.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 7.0, uint8(0), 13.0)
+	// The trailing uint64 packs the dims-only Update sequence, one step
+	// per byte (see dimsSteps).
+	f.Add(uint8(len(epyc)), 0.5, e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7], uint8(0), 2*e[0], uint8(3), e[0]+e[1], uint64(0x0a1b2c3d4e5f6071))
+	f.Add(uint8(len(epyc)), 0.1, e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7], uint8(7), e[7]/3, uint8(0), e[6]+e[7], uint64(0x3f01873f01873f01))
+	f.Add(uint8(len(ga102)), 0.5, g[0], g[1], g[2], 0.0, 0.0, 0.0, 0.0, 0.0, uint8(1), g[2], uint8(2), g[0]+g[1], uint64(0x8811228811228811))
+	f.Add(uint8(len(ga102)), 1.0, g[0], g[1], g[2], 0.0, 0.0, 0.0, 0.0, 0.0, uint8(2), g[0], uint8(1), g[1]/2, uint64(0xffeeddccbbaa9988))
+	f.Add(uint8(2), 0.5, 100.0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 100.0, uint8(1), 100.0, uint64(0x0809080908090809))
+	f.Add(uint8(1), 0.3, 42.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 7.0, uint8(0), 13.0, uint64(0x8080808080808080))
 
 	f.Fuzz(func(t *testing.T, n uint8, spacing float64,
 		a0, a1, a2, a3, a4, a5, a6, a7 float64, idx uint8, newArea float64,
-		removeIdx uint8, insertArea float64) {
+		removeIdx uint8, insertArea float64, steps uint64) {
 		areas := [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 		if n < 1 || n > 8 {
 			return
@@ -84,6 +90,7 @@ func FuzzFloorplanInvariants(f *testing.F) {
 			}
 			blocks[i] = floorplan.Block{Name: fmt.Sprintf("b%d", i), AreaMM2: a}
 		}
+		dimsSteps(t, blocks, spacing, steps)
 
 		res, err := floorplan.Plan(blocks, spacing)
 		if err != nil {
@@ -135,6 +142,44 @@ func FuzzFloorplanInvariants(f *testing.F) {
 		checkInvariants(t, "diff", edited, got, spacing)
 		comparePlans(t, "tree diff", want, got)
 	})
+}
+
+// dimsSteps drives a dims-only tree over blocks through the Update
+// sequence packed in steps, twice over so that shapes recur: byte k
+// moves block (b & 7) % n to the initial area of block (b>>3 & 7) % n,
+// scaled by 1.5 when the top bit is set. Every step must return the
+// from-scratch bounding box.
+func dimsSteps(t *testing.T, blocks []floorplan.Block, spacing float64, steps uint64) {
+	t.Helper()
+	n := len(blocks)
+	cur := append([]floorplan.Block(nil), blocks...)
+	var tr floorplan.Tree
+	if _, err := tr.PlanDims(cur, spacing); err != nil {
+		t.Fatalf("dims-only tree rejected input the planner accepted: %v", err)
+	}
+	for k := 0; k < 16; k++ {
+		b := steps >> (8 * (k % 8))
+		j := int(b&7) % n
+		a := blocks[int(b>>3&7)%n].AreaMM2
+		if b&0x80 != 0 {
+			a *= 1.5
+		}
+		cur[j].AreaMM2 = a
+		got, err := tr.Update(j, a)
+		if err != nil {
+			t.Fatalf("dims-only update %d rejected a valid area: %v", k, err)
+		}
+		want, err := floorplan.Plan(cur, spacing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(want.WidthMM) != math.Float64bits(got.WidthMM) ||
+			math.Float64bits(want.HeightMM) != math.Float64bits(got.HeightMM) ||
+			math.Float64bits(want.ChipletAreaMM2) != math.Float64bits(got.ChipletAreaMM2) {
+			t.Fatalf("dims-only update %d: box %g x %g (total %g), want %g x %g (total %g)", k,
+				got.WidthMM, got.HeightMM, got.ChipletAreaMM2, want.WidthMM, want.HeightMM, want.ChipletAreaMM2)
+		}
+	}
 }
 
 func checkInvariants(t *testing.T, label string, blocks []floorplan.Block, res *floorplan.Result, spacing float64) {

@@ -93,7 +93,7 @@ func validateBlocks(blocks []Block, spacingMM float64) (float64, error) {
 	}
 	total := 0.0
 	for _, b := range blocks {
-		if b.AreaMM2 <= 0 {
+		if !(b.AreaMM2 > 0) {
 			return 0, errBlockArea(b)
 		}
 		total += b.AreaMM2

@@ -50,8 +50,8 @@ func PlanFlexible(blocks []Block, spacingMM float64, aspects []float64) (*Result
 	}
 	total := 0.0
 	for _, b := range blocks {
-		if b.AreaMM2 <= 0 {
-			return nil, fmt.Errorf("floorplan: block %q has non-positive area %g", b.Name, b.AreaMM2)
+		if !(b.AreaMM2 > 0) {
+			return nil, errBlockArea(b)
 		}
 		total += b.AreaMM2
 	}

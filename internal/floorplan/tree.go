@@ -46,6 +46,19 @@ import (
 // what the recursion would recompute — bit-identity again holds by
 // construction, and a segment that matches nothing simply runs the
 // from-scratch math.
+//
+// Dims-only Updates (the Gray-step shape of every non-bridge, fixed-
+// shape package estimate) also consult an exact shape memo. In that
+// mode the bounding box is a pure function of the spacing and the sorted
+// (area, aspect ratio) sequence — block names and caller order only
+// decide which block sits where — so the tree repairs its sorted order
+// in O(n) after the area change and looks the sequence up, keyed by its
+// Float64bits. A hit serves the W/H the from-scratch algorithm produced
+// for the same sequence earlier, bit-identical by construction. It does
+// not touch the retained slicing nodes, which are then stale: the next
+// miss rebuilds them from the (current) sorted order, and every entry
+// point that reads them (Plan, the name-keyed diff, ForkDims) rebuilds
+// first.
 
 // TreeStats counts the work a retained tree performed across Plan and
 // Update calls. The counters separate plans where reuse was impossible
@@ -67,8 +80,15 @@ type TreeStats struct {
 	// subtree of clean surviving blocks are spliced in instead of
 	// recomputed.
 	DiffFastPath uint64
-	// Fallbacks counts same-shape incremental attempts that hit a
-	// sort-order or partition flip and rebuilt from scratch instead.
+	// MemoHits counts dims-only Updates served from the exact shape
+	// memo: the sorted (area, aspect ratio) sequence was planned before,
+	// so the stored bounding box is returned and no slicing node is
+	// touched. A memo hit is neither FastPath nor Unchanged.
+	MemoHits uint64
+	// Fallbacks counts same-shape plans that rebuilt the slicing tree
+	// from scratch: the incremental attempt hit a sort-order or
+	// partition flip, or (dims-only Updates) a memo miss found the tree
+	// stale after earlier memo hits.
 	Fallbacks uint64
 	// DiffFallbacks counts shape-changed plans the name-keyed diff
 	// declined (no retained block survives by name), which rebuilt from
@@ -101,6 +121,7 @@ func (s *TreeStats) Add(o TreeStats) {
 	s.Rebuilds += o.Rebuilds
 	s.FastPath += o.FastPath
 	s.DiffFastPath += o.DiffFastPath
+	s.MemoHits += o.MemoHits
 	s.Fallbacks += o.Fallbacks
 	s.DiffFallbacks += o.DiffFallbacks
 	s.Unchanged += o.Unchanged
@@ -110,7 +131,7 @@ func (s *TreeStats) Add(o TreeStats) {
 
 // Plans returns the total number of Plan/Update calls the counters cover.
 func (s TreeStats) Plans() uint64 {
-	return s.FastPath + s.DiffFastPath + s.Unchanged + s.Fallbacks + s.DiffFallbacks + s.Rebuilds
+	return s.FastPath + s.DiffFastPath + s.MemoHits + s.Unchanged + s.Fallbacks + s.DiffFallbacks + s.Rebuilds
 }
 
 // ReuseRate returns the fraction of reuse-eligible plans (every plan
@@ -119,18 +140,19 @@ func (s TreeStats) Plans() uint64 {
 // counting first builds and spacing/mode changes in the denominator
 // would conflate "the guard declined" with "reuse was never possible".
 func (s TreeStats) ReuseRate() float64 {
-	eligible := s.FastPath + s.DiffFastPath + s.Unchanged + s.Fallbacks + s.DiffFallbacks
+	served := s.FastPath + s.DiffFastPath + s.MemoHits + s.Unchanged
+	eligible := served + s.Fallbacks + s.DiffFallbacks
 	if eligible == 0 {
 		return 0
 	}
-	return float64(s.FastPath+s.DiffFastPath+s.Unchanged) / float64(eligible)
+	return float64(served) / float64(eligible)
 }
 
 // String renders the one-line summary CLIs print under -progress (the
 // single source of the format, so surfaces cannot drift).
 func (s TreeStats) String() string {
-	return fmt.Sprintf("incremental floorplan: %d fast-path / %d diff (%d splices) / %d unchanged / %d+%d fallbacks / %d rebuilds (%.1f%% reuse), mean relayout depth %.1f",
-		s.FastPath, s.DiffFastPath, s.Splices, s.Unchanged, s.Fallbacks, s.DiffFallbacks, s.Rebuilds,
+	return fmt.Sprintf("incremental floorplan: %d fast-path / %d memo / %d diff (%d splices) / %d unchanged / %d+%d fallbacks / %d rebuilds (%.1f%% reuse), mean relayout depth %.1f",
+		s.FastPath, s.MemoHits, s.DiffFastPath, s.Splices, s.Unchanged, s.Fallbacks, s.DiffFallbacks, s.Rebuilds,
 		100*s.ReuseRate(), s.MeanRelayoutDepth())
 }
 
@@ -142,6 +164,7 @@ func (s TreeStats) Delta(prev TreeStats) TreeStats {
 		Rebuilds:        s.Rebuilds - prev.Rebuilds,
 		FastPath:        s.FastPath - prev.FastPath,
 		DiffFastPath:    s.DiffFastPath - prev.DiffFastPath,
+		MemoHits:        s.MemoHits - prev.MemoHits,
 		Fallbacks:       s.Fallbacks - prev.Fallbacks,
 		DiffFallbacks:   s.DiffFallbacks - prev.DiffFallbacks,
 		Unchanged:       s.Unchanged - prev.Unchanged,
@@ -217,6 +240,12 @@ type Tree struct {
 	pairVal   []Adjacency
 	adj       []Adjacency
 
+	// Dims-only shape memo. stale reports that memo hits left the
+	// slicing nodes and the leaf maps (leafOf, leafPos) behind the
+	// sorted permutation and areas, which are always current.
+	memo  shapeMemo
+	stale bool
+
 	res   Result
 	stats TreeStats
 }
@@ -264,6 +293,7 @@ func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (
 		t.rebuild(blocks, spacingMM, needAdj, dimsOnly, total)
 		return &t.res, nil
 	}
+	t.refresh()
 	if !t.sameShape(blocks) {
 		// The block set itself changed (removed, inserted or renamed
 		// blocks): the name-keyed diff splices surviving subtrees; when
@@ -293,16 +323,19 @@ func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (
 		return &t.res, nil
 	}
 	t.stats.Fallbacks++
-	t.rebuild(t.blocks, spacingMM, needAdj, dimsOnly, total)
+	t.resort(len(t.blocks))
+	t.buildNodes(total)
 	return &t.res, nil
 }
 
 // Update re-plans after a single block's area change — the Gray-step
 // shape of a compiled sweep walk. blockIdx indexes the caller-order
-// block list of the last Plan call. It verifies the retained topology
-// still holds (falling back to a full rebuild when the new area flips
-// the sorted order or a partition decision) and otherwise relayouts
-// only the dirty leaf-to-root path.
+// block list of the last Plan call. It repairs the sorted order, then
+// verifies the retained topology still holds (rebuilding the nodes from
+// the repaired order when the new area moved the block or flips a
+// partition decision) and otherwise relayouts only the dirty
+// leaf-to-root path. After a PlanDims it first consults the exact shape
+// memo (see the file comment).
 func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 	if !t.built {
 		return nil, fmt.Errorf("floorplan: Tree.Update before Plan")
@@ -310,7 +343,7 @@ func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 	if blockIdx < 0 || blockIdx >= len(t.blocks) {
 		return nil, fmt.Errorf("floorplan: Tree.Update block index %d outside [0, %d)", blockIdx, len(t.blocks))
 	}
-	if areaMM2 <= 0 {
+	if !(areaMM2 > 0) {
 		b := t.blocks[blockIdx]
 		b.AreaMM2 = areaMM2
 		return nil, errBlockArea(b)
@@ -320,21 +353,77 @@ func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 		return &t.res, nil
 	}
 	t.blocks[blockIdx].AreaMM2 = areaMM2
-	sp := t.posOf[blockIdx]
-	t.sorted[sp].AreaMM2 = areaMM2
-	t.areas[sp] = areaMM2
 	// Re-sum the total in caller order: patching it by the area delta
 	// would not carry the bits of the fresh in-order sum.
 	total := 0.0
 	for i := range t.blocks {
 		total += t.blocks[i].AreaMM2
 	}
-	if t.updateOne(sp, total) {
-		return &t.res, nil
+	sp := t.posOf[blockIdx]
+	t.sorted[sp].AreaMM2 = areaMM2
+	t.areas[sp] = areaMM2
+	sp, moved := t.repairOrder(sp)
+	var h uint64
+	if t.dimsOnly {
+		h = t.shapeHash()
+		if w, hgt, hit := t.memoLookup(h); hit {
+			t.stale = true
+			t.res.WidthMM, t.res.HeightMM, t.res.ChipletAreaMM2 = w, hgt, total
+			t.stats.MemoHits++
+			return &t.res, nil
+		}
 	}
-	t.stats.Fallbacks++
-	t.rebuild(t.blocks, t.spacing, t.needAdj, t.dimsOnly, total)
+	// A moved block invalidates the leaf maps, and memo hits leave the
+	// whole tree stale: both rebuild the nodes from the repaired order.
+	if t.stale || moved || !t.updateOne(sp, total) {
+		t.stats.Fallbacks++
+		t.buildNodes(total)
+	}
+	if t.dimsOnly {
+		t.memoStore(h, t.res.WidthMM, t.res.HeightMM)
+	}
 	return &t.res, nil
+}
+
+// repairOrder moves the block at sorted position sp, whose area just
+// changed, to its stable-sort position by adjacent swaps — area
+// descending, ties by ascending caller index, the order resort derives —
+// and returns the new position and whether it moved. Every other block
+// is already in order, so this is resort's permutation in O(n).
+func (t *Tree) repairOrder(sp int) (int, bool) {
+	start := sp
+	a, src := t.areas[sp], t.srcIdx[sp]
+	for sp > 0 && (t.areas[sp-1] < a || (t.areas[sp-1] == a && t.srcIdx[sp-1] > src)) {
+		t.swapSorted(sp-1, sp)
+		sp--
+	}
+	if sp == start {
+		for sp < len(t.areas)-1 && (t.areas[sp+1] > a || (t.areas[sp+1] == a && t.srcIdx[sp+1] < src)) {
+			t.swapSorted(sp, sp+1)
+			sp++
+		}
+	}
+	return sp, sp != start
+}
+
+// swapSorted exchanges sorted positions i and j, keeping the sorted
+// blocks, their areas, srcIdx and posOf in step. The leaf maps are left
+// behind: a moved block means the slicing nodes must be rebuilt.
+func (t *Tree) swapSorted(i, j int) {
+	t.sorted[i], t.sorted[j] = t.sorted[j], t.sorted[i]
+	t.areas[i], t.areas[j] = t.areas[j], t.areas[i]
+	t.srcIdx[i], t.srcIdx[j] = t.srcIdx[j], t.srcIdx[i]
+	t.posOf[t.srcIdx[i]] = i
+	t.posOf[t.srcIdx[j]] = j
+}
+
+// refresh rebuilds the slicing nodes from the current sorted order if
+// memo hits left them stale. Entry points that read retained nodes call
+// it first; the rebuilt box carries the bits the memo served.
+func (t *Tree) refresh() {
+	if t.stale {
+		t.buildNodes(t.res.ChipletAreaMM2)
+	}
 }
 
 // sameShape reports whether blocks matches the retained set in
@@ -352,16 +441,10 @@ func (t *Tree) sameShape(blocks []Block) bool {
 }
 
 // sortedOrderOK reports whether the retained permutation is still what
-// the stable sort by decreasing area would produce at positions
-// [lo, hi): ties must order by ascending caller index.
-func (t *Tree) sortedOrderOK(lo, hi int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(t.sorted)-1 {
-		hi = len(t.sorted) - 1
-	}
-	for k := lo; k < hi; k++ {
+// the stable sort by decreasing area would produce: ties must order by
+// ascending caller index.
+func (t *Tree) sortedOrderOK() bool {
+	for k := 0; k < len(t.sorted)-1; k++ {
 		a, b := t.areas[k], t.areas[k+1]
 		if a < b || (a == b && t.srcIdx[k] > t.srcIdx[k+1]) {
 			return false
@@ -370,14 +453,12 @@ func (t *Tree) sortedOrderOK(lo, hi int) bool {
 	return true
 }
 
-// updateOne is the single-changed-block incremental re-plan: an O(1)
-// sorted-order check around the changed position, one partition-guard
-// descent along the dirty root-to-leaf path, a bottom-up recompose of
-// that path, and the placement replay. Returns false on any flip.
+// updateOne is the single-changed-block incremental re-plan of the
+// block at sorted position sp, whose sorted order repairOrder left
+// unchanged: one partition-guard descent along the dirty root-to-leaf
+// path, a bottom-up recompose of that path, and the placement replay.
+// Returns false on any partition flip.
 func (t *Tree) updateOne(sp int, total float64) bool {
-	if !t.sortedOrderOK(sp-1, sp+1) {
-		return false
-	}
 	if t.needAdj {
 		t.prevPlace = append(t.prevPlace[:0], t.place...)
 	}
@@ -439,7 +520,7 @@ func (t *Tree) updateOne(sp int, total float64) bool {
 // Plan diff: a full sorted-order check and a recursive guard walk over
 // the union of dirty paths.
 func (t *Tree) update(total float64) bool {
-	if !t.sortedOrderOK(0, len(t.sorted)-1) {
+	if !t.sortedOrderOK() {
 		return false
 	}
 	if t.needAdj {
@@ -595,17 +676,24 @@ func (t *Tree) allocNode(parent int) int {
 	return ni
 }
 
-// rebuild runs the from-scratch algorithm and repopulates every retained
-// cache. blocks may alias t.blocks (the fallback path).
+// rebuild runs the from-scratch algorithm on a new block set, spacing
+// or mode: it repopulates every retained cache and resets the shape
+// memo.
 func (t *Tree) rebuild(blocks []Block, spacing float64, needAdj, dimsOnly bool, total float64) {
 	n := len(blocks)
 	t.spacing, t.needAdj, t.dimsOnly = spacing, needAdj, dimsOnly
-	if len(t.blocks) != n || &t.blocks[0] != &blocks[0] {
-		t.blocks = append(t.blocks[:0], blocks...)
-	}
+	t.blocks = append(t.blocks[:0], blocks...)
 	t.sizeBuffers(n)
 	t.resort(n)
+	t.buildNodes(total)
+	t.resetMemo()
+}
 
+// buildNodes rebuilds the slicing tree and the leaf maps from the
+// current sorted order — the from-scratch partition and layout — and
+// refreshes the Result.
+func (t *Tree) buildNodes(total float64) {
+	n := len(t.sorted)
 	t.nused = 0
 	order := t.walkOrder[:n]
 	for i := range order {
@@ -615,7 +703,7 @@ func (t *Tree) rebuild(blocks []Block, spacing float64, needAdj, dimsOnly bool, 
 	t.root = t.build(order, -1, &nextLeaf)
 	t.fillLeafMeta()
 
-	if needAdj {
+	if t.needAdj {
 		t.sizeAdj(n)
 		moved := t.moved[:n]
 		for i := range moved {
@@ -626,6 +714,7 @@ func (t *Tree) rebuild(blocks []Block, spacing float64, needAdj, dimsOnly bool, 
 		t.prevPlace = t.prevPlace[:0]
 	}
 	t.built = true
+	t.stale = false
 	t.res = Result{}
 	if !t.dimsOnly {
 		t.res.Placements = t.place
@@ -947,6 +1036,7 @@ func (t *Tree) rebuildDiff(blocks []Block, total float64) {
 		t.res.Placements = t.place
 	}
 	t.finishResult(total)
+	t.resetMemo()
 }
 
 // buildDiff is build with subtree grafting: before partitioning a
@@ -1075,9 +1165,10 @@ func (t *Tree) ForkDims(r1, r2 int, extra Block) (wMM, hMM, totalMM2 float64, er
 	if r1 < 0 || r2 >= n || r1 == r2 {
 		return 0, 0, 0, fmt.Errorf("floorplan: Tree.ForkDims removed indices (%d, %d) invalid for %d blocks", r1, r2, n)
 	}
-	if extra.AreaMM2 <= 0 {
+	if !(extra.AreaMM2 > 0) {
 		return 0, 0, 0, errBlockArea(extra)
 	}
+	t.refresh()
 	// The candidate's block-area total, in its caller order (survivors
 	// first, extra appended) — the exact bits of the from-scratch sum.
 	total := 0.0

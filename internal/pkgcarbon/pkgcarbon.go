@@ -367,8 +367,10 @@ func (e *Estimator) Estimate(chiplets []Chiplet) (*Result, error) {
 // EstimateDelta is Estimate when only chiplets[changed] differs (in
 // area and/or node) from the chiplet set of the previous call on this
 // estimator — the Gray-step shape of a compiled sweep walk. The
-// floorplan goes through the retained tree's single-block update (the
-// shape-curve FlexTree for flexible floorplans), the adjacency scan
+// floorplan goes through the retained tree's single-block update
+// (served from its exact shape memo when the sorted area sequence
+// recurs; the shape-curve FlexTree for flexible floorplans), the
+// adjacency scan
 // (bridge architectures) is restricted to moved rectangles, and the
 // communication cells of unchanged chiplets are served from the
 // per-chiplet cache; everything is bit-identical to a full Estimate by
