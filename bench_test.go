@@ -16,7 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"ecochip/internal/explore"
 	"ecochip/internal/floorplan"
+	"ecochip/internal/sensitivity"
+	"ecochip/internal/serve"
+	"ecochip/internal/shard"
+	"ecochip/internal/shard/netx"
+	"ecochip/internal/uncertainty"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -233,7 +239,7 @@ func BenchmarkNodeSweepParallel(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := NodeSweepReference(ctx, base, db, sweepBenchNodes, cp)
+		points, err := explore.NodeSweepReference(ctx, base, db, sweepBenchNodes, cp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,7 +301,7 @@ func BenchmarkNodeSweepCompiledReuse(b *testing.B) {
 func BenchmarkShardLoopback(b *testing.B) {
 	db := DefaultDB()
 	base := GA102(db, 7, 14, 10, false)
-	cat := NewShardCatalog()
+	cat := shard.NewCatalog()
 	key, err := cat.RegisterSweep(base, db, sweepBenchNodes, DefaultCostParams())
 	if err != nil {
 		b.Fatal(err)
@@ -304,14 +310,14 @@ func BenchmarkShardLoopback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	transports := []ShardTransport{NewShardReplica(cat), NewShardReplica(cat), NewShardReplica(cat)}
+	transports := []shard.Transport{shard.NewReplica(cat), shard.NewReplica(cat), shard.NewReplica(cat)}
 	ctx := context.Background()
 	// LeaseBlocks 8 lets one lease span the sweep's 8 blocks, so the
 	// TCP twin below (same config) measures framing cost rather than
 	// lease round-trip count.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		co := NewShardCoordinator(plan, key, transports, ShardConfig{BlockSize: 16, LeaseBlocks: 8})
+		co := shard.NewCoordinator(plan, key, transports, shard.Config{BlockSize: 16, LeaseBlocks: 8})
 		points, err := co.Sweep(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -332,7 +338,7 @@ func BenchmarkShardLoopback(b *testing.B) {
 func BenchmarkShardTCPLoopback(b *testing.B) {
 	db := DefaultDB()
 	base := GA102(db, 7, 14, 10, false)
-	cat := NewShardCatalog()
+	cat := shard.NewCatalog()
 	key, err := cat.RegisterSweep(base, db, sweepBenchNodes, DefaultCostParams())
 	if err != nil {
 		b.Fatal(err)
@@ -341,28 +347,28 @@ func BenchmarkShardTCPLoopback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := NewShardNetRegistry()
+	reg := netx.NewRegistry()
 	if _, err := reg.AddSweep(base, db, sweepBenchNodes, DefaultCostParams()); err != nil {
 		b.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	transports := make([]ShardTransport, 3)
+	transports := make([]shard.Transport, 3)
 	for i := range transports {
 		ready := make(chan string, 1)
 		go func() {
-			err := ListenAndServeShard(ctx, "127.0.0.1:0", NewShardCatalog(), db, ShardNetOptions{}, func(addr string) { ready <- addr })
+			err := netx.ListenAndServe(ctx, "127.0.0.1:0", shard.NewCatalog(), db, netx.Options{}, func(addr string) { ready <- addr })
 			if err != nil {
 				b.Error(err)
 			}
 		}()
-		cl := DialShardTransport(<-ready, reg, ShardNetOptions{})
+		cl := netx.DialTransport(<-ready, reg, netx.Options{})
 		defer cl.Close()
 		transports[i] = cl
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		co := NewShardCoordinator(plan, key, transports, ShardConfig{BlockSize: 16, LeaseBlocks: 8})
+		co := shard.NewCoordinator(plan, key, transports, shard.Config{BlockSize: 16, LeaseBlocks: 8})
 		points, err := co.Sweep(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -383,7 +389,7 @@ func BenchmarkShardTCPLoopback(b *testing.B) {
 func BenchmarkShardHedgedSweep(b *testing.B) {
 	db := DefaultDB()
 	base := GA102(db, 7, 14, 10, false)
-	cat := NewShardCatalog()
+	cat := shard.NewCatalog()
 	key, err := cat.RegisterSweep(base, db, sweepBenchNodes, DefaultCostParams())
 	if err != nil {
 		b.Fatal(err)
@@ -392,14 +398,14 @@ func BenchmarkShardHedgedSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	transports := []ShardTransport{NewShardReplica(cat), NewShardReplica(cat), NewShardReplica(cat)}
+	transports := []shard.Transport{shard.NewReplica(cat), shard.NewReplica(cat), shard.NewReplica(cat)}
 	// LeaseBlocks 1 arms one hedge timer per block — the worst case for
 	// the hedging machinery's bookkeeping.
-	cfg := ShardConfig{BlockSize: 16, LeaseBlocks: 1, HedgeMin: time.Millisecond, Seed: 1}
+	cfg := shard.Config{BlockSize: 16, LeaseBlocks: 1, HedgeMin: time.Millisecond, Seed: 1}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		co := NewShardCoordinator(plan, key, transports, cfg)
+		co := shard.NewCoordinator(plan, key, transports, cfg)
 		points, err := co.Sweep(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -587,7 +593,7 @@ func BenchmarkDisaggregateReference(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DisaggregateReference(ctx, base, db); err != nil {
+		if _, err := explore.DisaggregateReference(ctx, base, db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -645,7 +651,7 @@ func BenchmarkTornadoUncompiled(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := TornadoReference(ctx, base, db, 0.25)
+		results, err := sensitivity.TornadoReference(ctx, base, db, 0.25)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -688,7 +694,7 @@ func BenchmarkMonteCarloUncompiled(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := UncertaintyReference(ctx, base, db, mcBenchSamples, 2024)
+		d, err := uncertainty.RunReference(ctx, base, db, uncertainty.DefaultSpread(), mcBenchSamples, 2024)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -751,7 +757,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // serveBenchSetup builds the EPYC-scale what-if workload: the full
 // 8-CCD system and a 3-node candidate list (3^9 = 19683 combos), plus
 // the swap request the serve benchmarks answer.
-func serveBenchSetup(b *testing.B) (*TechDB, *ServeSweepRequest, *ServeWhatIfRequest) {
+func serveBenchSetup(b *testing.B) (*TechDB, *serve.SweepRequest, *serve.WhatIfRequest) {
 	b.Helper()
 	db := DefaultDB()
 	sys, err := EPYC(db, 8)
@@ -759,8 +765,8 @@ func serveBenchSetup(b *testing.B) (*TechDB, *ServeSweepRequest, *ServeWhatIfReq
 		b.Fatal(err)
 	}
 	nodes := []int{7, 10, 14}
-	sweep := &ServeSweepRequest{System: sys, Nodes: nodes}
-	whatIf := &ServeWhatIfRequest{
+	sweep := &serve.SweepRequest{System: sys, Nodes: nodes}
+	whatIf := &serve.WhatIfRequest{
 		System: sys,
 		Nodes:  nodes,
 		Swap:   map[string]int{"iod": 10, "ccd0": 10},
@@ -774,7 +780,7 @@ func serveBenchSetup(b *testing.B) (*TechDB, *ServeSweepRequest, *ServeWhatIfReq
 // per-request cost of the serving layer.
 func BenchmarkServeWarmWhatIf(b *testing.B) {
 	db, _, whatIf := serveBenchSetup(b)
-	srv := NewCarbonServer(db, ServeConfig{})
+	srv := serve.NewServer(db, serve.Config{})
 	ctx := context.Background()
 	if _, err := srv.WhatIf(ctx, whatIf); err != nil {
 		b.Fatal(err)
@@ -796,7 +802,7 @@ func BenchmarkServeColdWhatIf(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv := NewCarbonServer(db, ServeConfig{})
+		srv := serve.NewServer(db, serve.Config{})
 		if _, err := srv.WhatIf(ctx, whatIf); err != nil {
 			b.Fatal(err)
 		}
@@ -809,7 +815,7 @@ func BenchmarkServeColdWhatIf(b *testing.B) {
 // recompile.
 func BenchmarkCatalogEviction(b *testing.B) {
 	db := DefaultDB()
-	cat := NewShardCatalogCap(2)
+	cat := shard.NewCatalogCap(2)
 	keys := make([]string, 4)
 	for i := range keys {
 		base := GA102(db, 7, 14, 10, false)

@@ -46,8 +46,8 @@ func startReplica(t *testing.T) (string, func()) {
 
 // The TCP-sharded sweep path (-shard-connect against in-process
 // replica daemons, pipelined leases) must print the exact table of the
-// in-process engine path, and -progress must surface both the shard
-// protocol counters and the wire counters.
+// in-process engine path, and -progress must surface the shard
+// protocol, wire and point-memo counters.
 func TestRunSweepConnectedMatchesEngine(t *testing.T) {
 	dir := exampleDir(t)
 	var plain strings.Builder
@@ -77,34 +77,16 @@ func TestRunSweepConnectedMatchesEngine(t *testing.T) {
 	if !strings.Contains(stats.String(), "wire:") || !strings.Contains(stats.String(), "dials") {
 		t.Errorf("connected progress run missing wire statistics:\n%s", stats.String())
 	}
+	if !strings.Contains(stats.String(), "point memo:") {
+		t.Errorf("connected progress run missing point-memo statistics:\n%s", stats.String())
+	}
 }
 
-// The flag conflicts around -shard-connect must be rejected up front.
+// An empty -shard-connect address list must be rejected up front.
 func TestRunSweepConnectedFlagConflicts(t *testing.T) {
 	dir := exampleDir(t)
 
 	cfg := cfgFor("sweep")
-	cfg.shardConnect = "127.0.0.1:1"
-	cfg.uncompiled = true
-	if err := run(dir, cfg, nil, nil); err == nil || !strings.Contains(err.Error(), "-shard-connect") {
-		t.Errorf("-shard-connect -uncompiled: err = %v, want the flag conflict", err)
-	}
-
-	cfg = cfgFor("sweep")
-	cfg.shardConnect = "127.0.0.1:1"
-	cfg.shardReplicas = 2
-	if err := run(dir, cfg, nil, nil); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("-shard-connect -shard-replicas: err = %v, want the flag conflict", err)
-	}
-
-	cfg = cfgFor("sweep")
-	cfg.shardConnect = "127.0.0.1:1"
-	cfg.shardFaults = "dup=0.5"
-	if err := run(dir, cfg, nil, nil); err == nil || !strings.Contains(err.Error(), "-shard-faults") {
-		t.Errorf("-shard-connect -shard-faults: err = %v, want the flag conflict", err)
-	}
-
-	cfg = cfgFor("sweep")
 	cfg.shardConnect = " , "
 	if err := run(dir, cfg, nil, nil); err == nil || !strings.Contains(err.Error(), "no replica addresses") {
 		t.Errorf("empty -shard-connect: err = %v, want the empty-list error", err)

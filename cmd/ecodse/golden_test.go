@@ -52,17 +52,6 @@ func TestRunGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, c.name+".txt", out.String())
-
-			// The per-evaluation reference path prints the same bytes.
-			cfg := cfgFor(c.mode)
-			cfg.uncompiled = true
-			var ref strings.Builder
-			if err := run(c.dir, cfg, &ref, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !*update {
-				checkGolden(t, c.name+".txt", ref.String())
-			}
 		})
 	}
 }

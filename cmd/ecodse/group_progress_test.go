@@ -75,29 +75,3 @@ func TestRunGroupProgressDisaggregateStats(t *testing.T) {
 		t.Errorf("name-keyed diff hit rate %.1f%% not above 50%%:\n%s", rate, s)
 	}
 }
-
-// The compiled and reference group paths must print identical plans,
-// and -uncompiled under -progress reports cache statistics instead.
-func TestRunGroupUncompiledMatchesCompiled(t *testing.T) {
-	dir := epycDir(t)
-	var compiled, reference strings.Builder
-	if err := run(dir, cfgFor("group"), &compiled, nil); err != nil {
-		t.Fatal(err)
-	}
-	cfg := cfgFor("group")
-	cfg.uncompiled = true
-	cfg.progress = true
-	var stats strings.Builder
-	if err := run(dir, cfg, &reference, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if compiled.String() != reference.String() {
-		t.Errorf("compiled and uncompiled group outputs diverge:\n%s\nvs\n%s", compiled.String(), reference.String())
-	}
-	if !strings.Contains(stats.String(), "reference path:") {
-		t.Errorf("uncompiled group progress run should say the reference path has no plan statistics:\n%s", stats.String())
-	}
-	if strings.Contains(stats.String(), "memo cache:") {
-		t.Errorf("uncompiled group progress run must not print a cache the reference never touches:\n%s", stats.String())
-	}
-}

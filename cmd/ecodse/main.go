@@ -12,10 +12,10 @@
 // tabulated once, perturbations recomputing only their dirty
 // sub-models), and the group mode runs the greedy disaggregation search
 // on step-spanning retained state (memoized merged-die cells, pooled
-// scratches, floorplan forks against each step's pinned base), unless
-// -uncompiled forces the per-evaluation reference path. -cpuprofile /
-// -memprofile write pprof profiles of the run, and -progress reports
-// compiled-plan or memo-cache statistics after the result.
+// scratches, floorplan forks against each step's pinned base).
+// -shard-connect shards the sweep across ecoreplica daemons over TCP.
+// -cpuprofile / -memprofile write pprof profiles of the run, and
+// -progress reports compiled-plan statistics after the result.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"ecochip/internal/cost"
 	"ecochip/internal/engine"
 	"ecochip/internal/explore"
-	"ecochip/internal/kernel"
 	"ecochip/internal/report"
 	"ecochip/internal/sensitivity"
 	"ecochip/internal/shard"
@@ -50,9 +49,6 @@ func main() {
 	seed := flag.Int64("seed", 2024, "mc: random seed")
 	parallel := flag.Int("parallel", 0, "evaluation workers (0 = all CPUs, 1 = serial)")
 	progress := flag.Bool("progress", false, "print sweep progress and evaluation statistics to stderr")
-	uncompiled := flag.Bool("uncompiled", false, "sweep/tornado/mc/group: force the per-evaluation reference path instead of the compiled plan")
-	shardReplicas := flag.Int("shard-replicas", 0, "sweep: run the compiled plan through N loopback shard replicas under the lease protocol (0 = in-process engine)")
-	shardFaults := flag.String("shard-faults", "", "sweep: fault schedule injected into every shard replica, e.g. drop=0.1,dup=0.05,err=0.05,crash-after=7,delay=2ms,seed=42")
 	shardConnect := flag.String("shard-connect", "", "sweep: comma-separated ecoreplica addresses (host:port,...) to shard the compiled plan across over TCP")
 	shardPipeline := flag.Int("shard-pipeline", 1, "sweep: leases kept in flight per -shard-connect replica connection")
 	authToken := flag.String("auth-token", "", "sweep: shared secret presented to -shard-connect replicas at registration")
@@ -77,16 +73,13 @@ func main() {
 	}
 
 	cfg := runConfig{
-		mode:       *mode,
-		rel:        *rel,
-		samples:    *samples,
-		seed:       *seed,
-		workers:    *parallel,
-		progress:   *progress,
-		uncompiled: *uncompiled,
+		mode:     *mode,
+		rel:      *rel,
+		samples:  *samples,
+		seed:     *seed,
+		workers:  *parallel,
+		progress: *progress,
 
-		shardReplicas: *shardReplicas,
-		shardFaults:   *shardFaults,
 		shardConnect:  *shardConnect,
 		shardPipeline: *shardPipeline,
 		authToken:     *authToken,
@@ -119,21 +112,15 @@ func writeHeapProfile(path string) error {
 
 // runConfig bundles the CLI knobs of one invocation.
 type runConfig struct {
-	mode       string
-	rel        float64
-	samples    int
-	seed       int64
-	workers    int
-	progress   bool
-	uncompiled bool
+	mode     string
+	rel      float64
+	samples  int
+	seed     int64
+	workers  int
+	progress bool
 
-	// shardReplicas > 0 routes the sweep through the fault-tolerant
-	// shard coordinator over that many loopback replicas; shardFaults
-	// optionally injects a seeded fault schedule into each of them.
-	shardReplicas int
-	shardFaults   string
 	// shardConnect routes the sweep over TCP to remote ecoreplica
-	// daemons instead; shardPipeline is the number of lease slots per
+	// daemons; shardPipeline is the number of lease slots per
 	// connection (in-flight leases multiplexed over one socket).
 	shardConnect  string
 	shardPipeline int
@@ -149,10 +136,7 @@ func run(designDir string, cfg runConfig, w, statsW io.Writer) error {
 		return err
 	}
 
-	// The cache is created here (not inside the engine) so its hit
-	// statistics can be reported after the run.
-	cache := engine.NewCache()
-	opts := []engine.Option{engine.WithWorkers(cfg.workers), engine.WithCache(cache)}
+	opts := []engine.Option{engine.WithWorkers(cfg.workers)}
 	if cfg.progress {
 		opts = append(opts, engine.WithProgress(func(done, total int) {
 			if done%1000 == 0 || done == total {
@@ -167,11 +151,11 @@ func run(designDir string, cfg runConfig, w, statsW io.Writer) error {
 	ctx := context.Background()
 	switch cfg.mode {
 	case "sweep":
-		return runSweep(ctx, w, statsW, system, db, nodes, cfg, cache, opts)
+		return runSweep(ctx, w, statsW, system, db, nodes, cfg, opts)
 	case "tornado":
-		return runTornado(ctx, w, statsW, system, db, cfg, cache, opts)
+		return runTornado(ctx, w, statsW, system, db, cfg, opts)
 	case "mc":
-		return runMC(ctx, w, statsW, system, db, cfg, cache, opts)
+		return runMC(ctx, w, statsW, system, db, cfg, opts)
 	case "group":
 		return runGroup(ctx, w, statsW, system, db, cfg, opts)
 	default:
@@ -179,7 +163,7 @@ func run(designDir string, cfg runConfig, w, statsW io.Writer) error {
 	}
 }
 
-func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, nodes []int, cfg runConfig, cache *engine.Cache, opts []engine.Option) error {
+func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, nodes []int, cfg runConfig, opts []engine.Option) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("sweep mode needs node_list.txt in the design directory")
 	}
@@ -189,26 +173,9 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 	var plan *explore.CompiledPlan
 	var co *shard.Coordinator
 	var err error
-	switch {
-	case cfg.shardConnect != "":
-		if cfg.uncompiled {
-			return fmt.Errorf("-shard-connect runs the compiled plan; drop -uncompiled")
-		}
-		if cfg.shardReplicas > 0 {
-			return fmt.Errorf("-shard-connect and -shard-replicas are mutually exclusive")
-		}
-		if cfg.shardFaults != "" {
-			return fmt.Errorf("-shard-faults injects loopback faults; it does not apply to -shard-connect")
-		}
+	if cfg.shardConnect != "" {
 		points, plan, co, err = runConnectedSweep(ctx, statsW, system, db, nodes, cp, cfg)
-	case cfg.shardReplicas > 0:
-		if cfg.uncompiled {
-			return fmt.Errorf("-shard-replicas runs the compiled plan; drop -uncompiled")
-		}
-		points, plan, co, err = runShardedSweep(ctx, statsW, system, db, nodes, cp, cfg)
-	case cfg.uncompiled:
-		points, err = explore.NodeSweepReference(ctx, system, db, nodes, cp, opts...)
-	default:
+	} else {
 		points, plan, err = explore.NodeSweepPlanned(ctx, system, db, nodes, cp, opts...)
 	}
 	if err != nil {
@@ -224,63 +191,22 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 	if err := t.Fprint(w); err != nil {
 		return err
 	}
-	if cfg.progress {
-		if plan != nil {
-			s := plan.Stats()
-			fmt.Fprintf(statsW, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits\n",
-				s.Points, s.TableCells, s.GraySteps, s.BlockInits)
-			fmt.Fprintf(statsW, "point memo: %d hits, %d misses (%d collision recomputes), %d fills, %d forced evictions\n",
-				s.PkgMemo.Hits, s.PkgMemo.Misses, s.PkgMemo.Collisions, s.PkgMemo.Fills, s.PkgMemo.Evictions)
-			if fp := s.Floorplan; fp.Plans() > 0 {
-				fmt.Fprintln(statsW, fp)
-			}
-			if co != nil {
-				fmt.Fprintln(statsW, co.Stats())
-			}
-		} else {
-			printCacheStats(statsW, cache)
+	// plan is nil only on NodeSweepPlanned's reference fallback, which
+	// keeps no statistics.
+	if cfg.progress && plan != nil {
+		s := plan.Stats()
+		fmt.Fprintf(statsW, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits\n",
+			s.Points, s.TableCells, s.GraySteps, s.BlockInits)
+		fmt.Fprintf(statsW, "point memo: %d hits, %d misses (%d collision recomputes), %d fills, %d forced evictions\n",
+			s.PkgMemo.Hits, s.PkgMemo.Misses, s.PkgMemo.Collisions, s.PkgMemo.Fills, s.PkgMemo.Evictions)
+		if fp := s.Floorplan; fp.Plans() > 0 {
+			fmt.Fprintln(statsW, fp)
+		}
+		if co != nil {
+			fmt.Fprintln(statsW, co.Stats())
 		}
 	}
 	return nil
-}
-
-// runShardedSweep routes the compiled sweep through the fault-tolerant
-// shard coordinator: the sweep is registered in an in-process catalog
-// under its content key, cfg.shardReplicas loopback replicas compile it
-// from that key and execute leased block ranges (each wrapped in the
-// -shard-faults schedule, re-seeded per replica), and the coordinator
-// reassembles the exact mixed-radix point order.
-func runShardedSweep(ctx context.Context, statsW io.Writer, system *core.System, db *tech.DB, nodes []int, cp cost.Params, cfg runConfig) ([]explore.Point, *explore.CompiledPlan, *shard.Coordinator, error) {
-	spec, err := shard.ParseFaultSpec(cfg.shardFaults)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cat := shard.NewCatalog()
-	key, err := cat.RegisterSweep(system, db, nodes, cp)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	plan, err := cat.Plan(key)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	transports := make([]shard.Transport, cfg.shardReplicas)
-	for i := range transports {
-		var t shard.Transport = shard.NewReplica(cat)
-		if cfg.shardFaults != "" {
-			s := spec
-			s.Seed += int64(i)
-			t = shard.Fault(t, s)
-		}
-		transports[i] = t
-	}
-	sc := shard.Config{Seed: cfg.seed}
-	if statsW != nil {
-		sc.Logf = func(format string, args ...any) { fmt.Fprintf(statsW, format+"\n", args...) }
-	}
-	co := shard.NewCoordinator(plan, key, transports, sc)
-	points, err := co.Sweep(ctx)
-	return points, plan, co, err
 }
 
 // runConnectedSweep shards the compiled sweep across remote ecoreplica
@@ -334,25 +260,8 @@ func runConnectedSweep(ctx context.Context, statsW io.Writer, system *core.Syste
 	return points, plan, co, err
 }
 
-func printCacheStats(w io.Writer, cache *engine.Cache) {
-	s := cache.Stats()
-	fmt.Fprintf(w, "memo cache: %d die hits / %d misses, %d design hits / %d misses (%.1f%% hit rate)\n",
-		s.DieHits, s.DieMisses, s.DesignHits, s.DesignMisses, 100*s.HitRate())
-}
-
-func printParamStats(w io.Writer, plan *kernel.ParamPlan) {
-	fmt.Fprintln(w, plan.Stats())
-}
-
-func runTornado(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, cache *engine.Cache, opts []engine.Option) error {
-	var results []sensitivity.Result
-	var plan *kernel.ParamPlan
-	var err error
-	if cfg.uncompiled {
-		results, err = sensitivity.TornadoReference(ctx, system, db, cfg.rel, opts...)
-	} else {
-		results, plan, err = sensitivity.TornadoPlanned(ctx, system, db, cfg.rel, opts...)
-	}
+func runTornado(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, opts []engine.Option) error {
+	results, plan, err := sensitivity.TornadoPlanned(ctx, system, db, cfg.rel, opts...)
 	if err != nil {
 		return err
 	}
@@ -365,23 +274,13 @@ func runTornado(ctx context.Context, w, statsW io.Writer, system *core.System, d
 		return err
 	}
 	if cfg.progress {
-		if plan != nil {
-			printParamStats(statsW, plan)
-		} else {
-			printCacheStats(statsW, cache)
-		}
+		fmt.Fprintln(statsW, plan.Stats())
 	}
 	return nil
 }
 
 func runGroup(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, opts []engine.Option) error {
-	var plan *explore.Plan
-	var err error
-	if cfg.uncompiled {
-		plan, err = explore.DisaggregateReference(ctx, system, db)
-	} else {
-		plan, err = explore.DisaggregateCtx(ctx, system, db, opts...)
-	}
+	plan, err := explore.DisaggregateCtx(ctx, system, db, opts...)
 	if err != nil {
 		return err
 	}
@@ -397,28 +296,13 @@ func runGroup(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 		return err
 	}
 	if cfg.progress {
-		if cfg.uncompiled {
-			// The reference search evaluates every candidate directly —
-			// no memo cache, no compiled plan — so there are no
-			// statistics to report (and printing the run cache's zeros
-			// would suggest it was active).
-			fmt.Fprintln(statsW, "reference path: evaluate-per-candidate, no plan statistics")
-		} else {
-			fmt.Fprintln(statsW, plan.Stats)
-		}
+		fmt.Fprintln(statsW, plan.Stats)
 	}
 	return nil
 }
 
-func runMC(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, cache *engine.Cache, opts []engine.Option) error {
-	var d uncertainty.Distribution
-	var plan *kernel.ParamPlan
-	var err error
-	if cfg.uncompiled {
-		d, err = uncertainty.RunReference(ctx, system, db, uncertainty.DefaultSpread(), cfg.samples, cfg.seed, opts...)
-	} else {
-		d, plan, err = uncertainty.RunPlanned(ctx, system, db, uncertainty.DefaultSpread(), cfg.samples, cfg.seed, opts...)
-	}
+func runMC(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, opts []engine.Option) error {
+	d, plan, err := uncertainty.RunPlanned(ctx, system, db, uncertainty.DefaultSpread(), cfg.samples, cfg.seed, opts...)
 	if err != nil {
 		return err
 	}
@@ -429,11 +313,7 @@ func runMC(ctx context.Context, w, statsW io.Writer, system *core.System, db *te
 		return err
 	}
 	if cfg.progress {
-		if plan != nil {
-			printParamStats(statsW, plan)
-		} else {
-			printCacheStats(statsW, cache)
-		}
+		fmt.Fprintln(statsW, plan.Stats())
 	}
 	return nil
 }

@@ -42,13 +42,4 @@ func TestRunAllGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "all.txt", out.String())
-
-	// The per-evaluation reference path prints the same bytes.
-	var ref strings.Builder
-	if err := run("", "", experiments.Options{Uncompiled: true}, &ref); err != nil {
-		t.Fatal(err)
-	}
-	if !*update {
-		checkGolden(t, "all.txt", ref.String())
-	}
 }

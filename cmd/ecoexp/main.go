@@ -7,8 +7,7 @@
 //	ecoexp -csv results/    # also write one CSV per experiment
 //
 // Analysis-backed experiments (ext-tornado, ext-uncertainty) run on
-// compiled parameter plans; -uncompiled forces their per-evaluation
-// reference path, and -progress reports evaluation ticks and
+// compiled parameter plans; -progress reports their evaluation ticks and
 // compiled-plan statistics to stderr.
 package main
 
@@ -28,7 +27,6 @@ func main() {
 	exp := flag.String("exp", "", "run a single experiment id (default: all)")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	uncompiled := flag.Bool("uncompiled", false, "analysis experiments: force the per-evaluation reference path instead of compiled parameter plans")
 	progress := flag.Bool("progress", false, "print analysis progress and compiled-plan statistics to stderr")
 	flag.Parse()
 
@@ -39,7 +37,7 @@ func main() {
 		return
 	}
 
-	opt := experiments.Options{Uncompiled: *uncompiled}
+	var opt experiments.Options
 	if *progress {
 		opt.StatsTo = os.Stderr
 		opt.Progress = func(done, total int) {
@@ -58,10 +56,10 @@ func main() {
 
 // run executes one or all experiments, printing tables to w and
 // optionally writing CSVs into csvDir. A zero Options runs every
-// experiment exactly as experiments.Run would; analysis knobs
-// (uncompiled path, progress) are honored by the experiments that
-// support them, which also forces the run-all fan-out serial so the
-// progress stream stays readable.
+// experiment exactly as experiments.Run would; the progress and
+// statistics sinks are honored by the experiments that support them,
+// which also forces the run-all fan-out serial so the progress stream
+// stays readable.
 func run(exp, csvDir string, opt experiments.Options, w io.Writer) error {
 	db := tech.Default()
 	var tables []*report.Table
@@ -71,7 +69,7 @@ func run(exp, csvDir string, opt experiments.Options, w io.Writer) error {
 			return err
 		}
 		tables = []*report.Table{t}
-	} else if opt.Uncompiled || opt.Progress != nil || opt.StatsTo != nil {
+	} else if opt.Progress != nil || opt.StatsTo != nil {
 		for _, id := range experiments.IDs() {
 			t, err := experiments.RunWith(id, db, opt)
 			if err != nil {

@@ -29,6 +29,9 @@
 // arrivals past the bound queue for -queue-timeout, then are shed with
 // a 429 and a Retry-After header, so a thundering herd degrades into
 // bounded latency plus explicit backpressure instead of memory growth.
+// Request bodies over 1 MiB are refused with a 413, a client that has
+// not sent its request headers within 5s is disconnected, and keep-alive
+// connections idle for 60s are closed.
 package main
 
 import (
@@ -69,6 +72,12 @@ func main() {
 	}
 }
 
+// Connection timeouts of the HTTP server.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // run binds addr, announces the bound address on out (and via ready,
 // when non-nil), and serves until ctx is cancelled — then shuts down
 // gracefully. Split from main so tests drive the full binary path
@@ -85,7 +94,11 @@ func run(ctx context.Context, addr string, cfg serve.Config, out io.Writer, read
 	}
 
 	srv := serve.NewServer(tech.Default(), cfg)
-	hs := &http.Server{Handler: serve.Handler(srv)}
+	hs := &http.Server{
+		Handler:           serve.Handler(srv),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

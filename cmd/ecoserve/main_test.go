@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -161,5 +163,30 @@ func TestEcoserveBadAddr(t *testing.T) {
 	err := run(context.Background(), "256.256.256.256:99999", serve.Config{}, &bytes.Buffer{}, nil)
 	if err == nil {
 		t.Fatal("bad address accepted")
+	}
+}
+
+// A client that stalls mid-header is disconnected once
+// readHeaderTimeout passes, not held open indefinitely.
+func TestEcoserveStalledHeaderCutOff(t *testing.T) {
+	t.Parallel()
+	base := startServer(t, serve.Config{})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/sweep HTTP/1.1\r\nHost: ecoserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept the stalled connection open: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout-time.Second {
+		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }

@@ -20,12 +20,13 @@
 // The subpackages under internal/ hold the individual models (technology
 // database, yield, wafer geometry, floorplanning, packaging, NoC, design
 // and operational carbon, ACT baseline, dollar cost); this package
-// re-exports the surface a downstream user needs.
+// re-exports their model and analysis surface. The serving and sharding
+// layers behind ecoserve and ecoreplica live in internal/serve and
+// internal/shard.
 package ecochip
 
 import (
 	"context"
-	"net/http"
 
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
@@ -34,17 +35,11 @@ import (
 	"ecochip/internal/experiments"
 	"ecochip/internal/explore"
 	"ecochip/internal/floorplan"
-	"ecochip/internal/kernel"
-	"ecochip/internal/lru"
 	"ecochip/internal/mfg"
 	"ecochip/internal/pkgcarbon"
 	"ecochip/internal/report"
 	"ecochip/internal/roadmap"
 	"ecochip/internal/sensitivity"
-	"ecochip/internal/serve"
-	"ecochip/internal/shard"
-	"ecochip/internal/shard/health"
-	"ecochip/internal/shard/netx"
 	"ecochip/internal/tech"
 	"ecochip/internal/testcases"
 	"ecochip/internal/uncertainty"
@@ -194,7 +189,8 @@ type DisaggregationStats = explore.DisaggregateStats
 // their packaging estimators and retained floorplan trees) are pooled
 // across the whole search, and each candidate's floorplan is a
 // name-keyed remove/insert fork of the step's pinned base tree. The
-// trajectory is bit-identical to DisaggregateReference.
+// trajectory is bit-identical to the evaluate-per-candidate search
+// (explore.DisaggregateReference).
 func Disaggregate(base *System, db *TechDB) (*DisaggregationPlan, error) {
 	return explore.Disaggregate(base, db)
 }
@@ -202,13 +198,6 @@ func Disaggregate(base *System, db *TechDB) (*DisaggregationPlan, error) {
 // DisaggregateCtx is Disaggregate with cancellation and engine options.
 func DisaggregateCtx(ctx context.Context, base *System, db *TechDB, opts ...EngineOption) (*DisaggregationPlan, error) {
 	return explore.DisaggregateCtx(ctx, base, db, opts...)
-}
-
-// DisaggregateReference is the uncompiled evaluate-per-candidate greedy
-// search: the oracle and baseline the compiled search is tested and
-// benchmarked against.
-func DisaggregateReference(ctx context.Context, base *System, db *TechDB) (*DisaggregationPlan, error) {
-	return explore.DisaggregateReference(ctx, base, db)
 }
 
 // Tornado runs a one-at-a-time sensitivity analysis at +/- rel.
@@ -279,7 +268,7 @@ func EvaluateBatch(ctx context.Context, db *TechDB, systems []*System, opts ...E
 // NodeSweepCtx is NodeSweep with cancellation and engine options. It
 // compiles the sweep into a dense per-(chiplet, node) table first (see
 // CompileNodeSweep); systems without a compiled fast path fall back to
-// NodeSweepReference. Both paths return bit-identical points.
+// the uncompiled per-point sweep. Both paths return bit-identical points.
 func NodeSweepCtx(ctx context.Context, base *System, db *TechDB, nodes []int, cp cost.Params, opts ...EngineOption) ([]DesignPoint, error) {
 	return explore.NodeSweepCtx(ctx, base, db, nodes, cp, opts...)
 }
@@ -297,8 +286,8 @@ type (
 	// Floorplan field.
 	SweepPlanStats = explore.SweepStats
 	// SweepFrontSnapshot is one emission of a streamed Pareto front
-	// (SweepPlan.ParetoFrontStream, CarbonServer.StreamFront): the front
-	// of every point walked so far, with progress in 512-point blocks.
+	// (SweepPlan.ParetoFrontStream): the front of every point walked so
+	// far, with progress in 512-point blocks.
 	SweepFrontSnapshot = explore.FrontSnapshot
 	// FloorplanTreeStats counts the work of a retained incremental
 	// floorplan tree: fast-path relayouts vs full rebuilds, topology
@@ -307,8 +296,8 @@ type (
 )
 
 // ErrNoSweepFastPath reports that a system cannot be compiled into a
-// dense sweep plan (multi-chiplet monolithic bases); use
-// NodeSweepReference instead.
+// dense sweep plan (multi-chiplet monolithic bases); NodeSweepCtx falls
+// back to the uncompiled per-point sweep for such systems.
 var ErrNoSweepFastPath = explore.ErrNoFastPath
 
 // CompileNodeSweep builds the compiled sweep plan for evaluating base
@@ -321,324 +310,17 @@ func CompileNodeSweep(base *System, db *TechDB, nodes []int, cp cost.Params) (*S
 	return explore.Compile(base, db, nodes, cp)
 }
 
-// NodeSweepReference is the uncompiled per-point sweep (clone, validate,
-// memo-cached sub-models for every point): the oracle and baseline the
-// compiled plan is tested and benchmarked against.
-func NodeSweepReference(ctx context.Context, base *System, db *TechDB, nodes []int, cp cost.Params, opts ...EngineOption) ([]DesignPoint, error) {
-	return explore.NodeSweepReference(ctx, base, db, nodes, cp, opts...)
-}
-
-// Fault-tolerant distributed sweep sharding (see internal/shard): a
-// coordinator hands out leased block ranges of a compiled plan to
-// stateless replicas that compile the plan locally from its content key
-// and stream per-block results back; lost, late, duplicated or crashed
-// work is re-leased and deduplicated, and the output stays bit-identical
-// to the single-process plan.
-type (
-	// ShardCoordinator drives one compiled plan across replica
-	// transports under the lease protocol (NewShardCoordinator).
-	ShardCoordinator = shard.Coordinator
-	// ShardConfig tunes block size, lease span and timeout, retry
-	// backoff and the fallback policy; the zero value has production
-	// defaults.
-	ShardConfig = shard.Config
-	// ShardStats is a coordinator's protocol-counter snapshot (leases
-	// granted/expired, blocks re-leased/deduped/local, replicas lost).
-	ShardStats = shard.Stats
-	// ShardCatalog resolves plan keys to compiled plans on a replica:
-	// sweeps registered under their derived key, compiled lazily.
-	ShardCatalog = shard.Catalog
-	// ShardReplica executes leases against locally compiled plans; it is
-	// also the in-process loopback ShardTransport.
-	ShardReplica = shard.Replica
-	// ShardTransport carries leases to one replica endpoint and streams
-	// its per-block results back.
-	ShardTransport = shard.Transport
-	// ShardFaultSpec is a seeded fault schedule for ShardFault (drops,
-	// duplicates, transient errors, crashes, delivery delays).
-	ShardFaultSpec = shard.FaultSpec
-	// ShardObjective names a sweep metric in wire-encodable form for
-	// front-mode leases.
-	ShardObjective = shard.Objective
-	// ShardExhaustedError reports total replica loss under
-	// ShardConfig.DisableFallback.
-	ShardExhaustedError = shard.ExhaustedError
-)
-
-// Front-mode shard objectives (wire-encodable SweepMetric names).
-const (
-	// ShardByEmbodied minimizes embodied carbon (SweepByEmbodied).
-	ShardByEmbodied = shard.ObjEmbodied
-	// ShardByTotal minimizes total lifetime carbon (SweepByTotal).
-	ShardByTotal = shard.ObjTotal
-	// ShardByCost minimizes dollar cost (SweepByCost).
-	ShardByCost = shard.ObjCost
-	// ShardByArea minimizes package footprint (SweepByArea).
-	ShardByArea = shard.ObjArea
-)
-
-// SweepPlanKey derives the content key of a sweep: a stable hash of the
-// base system, candidate nodes, cost parameters and the technology
-// database records they reach. Coordinator and replicas derive the same
-// key from the same inputs, which is how replicas compile plans locally
-// instead of receiving them over the wire.
-func SweepPlanKey(base *System, db *TechDB, nodes []int, cp cost.Params) (string, error) {
-	return explore.PlanKey(base, db, nodes, cp)
-}
-
-// NewShardCatalog returns an empty in-process plan catalog.
-func NewShardCatalog() *ShardCatalog { return shard.NewCatalog() }
-
-// NewShardReplica builds a replica over a plan catalog; the returned
-// value is also the loopback transport for that replica.
-func NewShardReplica(cat *ShardCatalog) *ShardReplica { return shard.NewReplica(cat) }
-
-// NewShardCoordinator builds a coordinator for a compiled plan
-// (identified by its SweepPlanKey) over the given replica transports.
-// An empty transport list is legal: every run degrades to the local
-// single-process walk.
-func NewShardCoordinator(plan *SweepPlan, key string, transports []ShardTransport, cfg ShardConfig) *ShardCoordinator {
-	return shard.NewCoordinator(plan, key, transports, cfg)
-}
-
-// ShardFault wraps a transport with a seeded fault schedule — the
-// chaos-testing harness of the shard layer.
-func ShardFault(inner ShardTransport, spec ShardFaultSpec) ShardTransport {
-	return shard.Fault(inner, spec)
-}
-
-// The shard network transport: the lease protocol over persistent TCP
-// connections in a binary frame format, with leases multiplexed (and
-// pipelined) per connection and plans resolved from content keys on
-// the replica side.
-type (
-	// ShardTransportCounters is the wire-level counter snapshot of a
-	// networked transport; ShardStats.Wire folds these across a
-	// coordinator's counted transports.
-	ShardTransportCounters = shard.TransportCounters
-	// ShardNetOptions tunes timeouts and frame limits on both ends of
-	// the network transport; the zero value is usable.
-	ShardNetOptions = netx.Options
-	// ShardNetRegistry holds the shippable content of registered
-	// sweeps, keyed by plan content key (NewShardNetRegistry).
-	ShardNetRegistry = netx.Registry
-	// ShardNetClient is a ShardTransport over one persistent TCP
-	// connection to a replica server (DialShardTransport); passing the
-	// same client to the coordinator several times pipelines that many
-	// leases over the one socket.
-	ShardNetClient = netx.Client
-	// ShardNetServer is the replica daemon: it compiles plans from
-	// shipped sweep content and executes leases for remote
-	// coordinators (NewShardNetServer, ListenAndServeShard).
-	ShardNetServer = netx.Server
-)
-
-// NewShardNetRegistry returns an empty sweep-content registry.
-func NewShardNetRegistry() *ShardNetRegistry { return netx.NewRegistry() }
-
-// DialShardTransport returns a lazily connecting network transport for
-// one replica address.
-func DialShardTransport(addr string, reg *ShardNetRegistry, opts ShardNetOptions) *ShardNetClient {
-	return netx.DialTransport(addr, reg, opts)
-}
-
-// NewShardNetServer builds a replica server over a catalog and the
-// tech database new registrations compile against.
-func NewShardNetServer(cat *ShardCatalog, db *TechDB, opts ShardNetOptions) *ShardNetServer {
-	return netx.NewServer(cat, db, opts)
-}
-
-// ListenAndServeShard binds addr and serves replica leases until ctx
-// is cancelled, then drains gracefully. ready, when non-nil, receives
-// the bound address once listening.
-func ListenAndServeShard(ctx context.Context, addr string, cat *ShardCatalog, db *TechDB, opts ShardNetOptions, ready func(addr string)) error {
-	return netx.ListenAndServe(ctx, addr, cat, db, opts, ready)
-}
-
-// ParseShardFaultSpec parses the textual fault-schedule syntax, e.g.
-// "drop=0.1,dup=0.05,err=0.05,crash-after=7,delay=2ms,slow=40ms,flap=4,seed=42".
-func ParseShardFaultSpec(s string) (ShardFaultSpec, error) { return shard.ParseFaultSpec(s) }
-
-// The replica health fabric (see internal/shard/health): every
-// transport is scored by a circuit breaker (consecutive failures plus a
-// windowed error rate) and a lease-latency EWMA. Quarantined replicas
-// receive single half-open probes on a doubling schedule instead of
-// leases; straggling leases are speculatively re-leased to healthy
-// replicas once their age passes an adaptive threshold (hedging —
-// first-write-wins dedup keeps it bit-exact). ShardConfig.Health tunes
-// the breaker, HedgeFactor/HedgeMin the hedging.
-type (
-	// ShardHealthConfig tunes a replica's circuit breaker and probe
-	// schedule (ShardConfig.Health; the zero value derives defaults
-	// from the retry policy).
-	ShardHealthConfig = health.Config
-	// ShardHealthState is a position in the replica health state
-	// machine: Healthy, Degraded, Quarantined, HalfOpen.
-	ShardHealthState = health.State
-	// ShardHealthCounters snapshots one replica's breaker activity
-	// (trips, probes, closes).
-	ShardHealthCounters = health.Counters
-)
-
-// ErrShardAuthFailed is the typed rejection of a coordinator whose
-// auth token a replica refused (ecoreplica -auth-token).
-var ErrShardAuthFailed = shard.ErrAuthFailed
-
 // TornadoCtx is Tornado with cancellation and engine options. It runs on
-// a compiled parameter plan (see ParamPlan) and is bit-identical to
-// TornadoReference.
+// a compiled parameter plan (see internal/kernel) and is bit-identical
+// to a full evaluation per perturbed point.
 func TornadoCtx(ctx context.Context, base *System, db *TechDB, rel float64, opts ...EngineOption) ([]SensitivityResult, error) {
 	return sensitivity.TornadoCtx(ctx, base, db, rel, opts...)
 }
 
-// TornadoReference is the uncompiled tornado (a full memo-cached
-// evaluation per perturbed point): the oracle and baseline the compiled
-// path is tested and benchmarked against.
-func TornadoReference(ctx context.Context, base *System, db *TechDB, rel float64, opts ...EngineOption) ([]SensitivityResult, error) {
-	return sensitivity.TornadoReference(ctx, base, db, rel, opts...)
-}
-
 // UncertaintyCtx is Uncertainty with cancellation and engine options;
 // the fixed-seed distribution is bit-identical at any worker count. It
-// runs on a compiled parameter plan and is bit-identical to
-// UncertaintyReference.
+// runs on a compiled parameter plan and is bit-identical to a per-sample
+// database clone and full evaluation.
 func UncertaintyCtx(ctx context.Context, base *System, db *TechDB, n int, seed int64, opts ...EngineOption) (CarbonDistribution, error) {
 	return uncertainty.RunCtx(ctx, base, db, uncertainty.DefaultSpread(), n, seed, opts...)
-}
-
-// UncertaintyReference is the uncompiled Monte Carlo (per-sample
-// database clone and full memo-cached evaluation): the oracle and
-// baseline the compiled path is tested and benchmarked against.
-func UncertaintyReference(ctx context.Context, base *System, db *TechDB, n int, seed int64, opts ...EngineOption) (CarbonDistribution, error) {
-	return uncertainty.RunReference(ctx, base, db, uncertainty.DefaultSpread(), n, seed, opts...)
-}
-
-// Compiled parameter plans (the kernel under sensitivity/uncertainty;
-// see internal/kernel for the full evaluation-kernel architecture).
-type (
-	// ParamPlan is a compiled parameter-perturbation plan: the base
-	// system validated and tabulated once, perturbed evaluations
-	// recomputing only the sub-models their dirty set invalidates.
-	// Compile once with CompileParamPlan, evaluate any number of times;
-	// a plan is immutable and safe for concurrent use.
-	ParamPlan = kernel.ParamPlan
-	// ParamPlanStats counts the work a parameter plan performed
-	// (table hits vs recomputes, packaging re-estimates).
-	ParamPlanStats = kernel.ParamStats
-	// ParamScratch is one worker's reusable evaluation arena for a
-	// parameter plan (build with ParamPlan.NewScratch; not safe for
-	// concurrent use).
-	ParamScratch = kernel.Scratch
-	// ParamDirty flags the parameter groups a perturbed evaluation
-	// touched (the fourth argument of ParamPlan.Eval).
-	ParamDirty = kernel.Dirty
-	// ParamTotals is one evaluated point's carbon/cost terms, as
-	// returned by ParamPlan.Eval and ParamPlan.Walk (bit-identical to
-	// the corresponding Report terms of a direct evaluation).
-	ParamTotals = kernel.Totals
-)
-
-// ParamDirty flags (see kernel.Dirty for the recompute semantics).
-const (
-	// ParamDirtyNodes marks a perturbed technology database.
-	ParamDirtyNodes = kernel.DirtyNodes
-	// ParamDirtyMfg marks a changed System.Mfg.
-	ParamDirtyMfg = kernel.DirtyMfg
-	// ParamDirtyDesign marks a changed System.Design.
-	ParamDirtyDesign = kernel.DirtyDesign
-	// ParamDirtyPackaging marks a changed System.Packaging; when the
-	// floorplan-shaping inputs (spacing, flexible shapes) are untouched
-	// the evaluation reuses the base point's floorplan.
-	ParamDirtyPackaging = kernel.DirtyPackaging
-	// ParamDirtyAreas marks changed chiplet areas (transistor budgets or
-	// node density tables): every per-chiplet sub-model and the whole
-	// packaging estimate, floorplan included, recompute.
-	ParamDirtyAreas = kernel.DirtyAreas
-	// ParamDirtyOperation marks a changed (possibly in-place mutated)
-	// System.Operation.
-	ParamDirtyOperation = kernel.DirtyOperation
-	// ParamDirtyVolume marks changed amortization volumes.
-	ParamDirtyVolume = kernel.DirtyVolume
-)
-
-// CompileParamPlan builds the compiled parameter-perturbation plan of a
-// base (system, database) pair — the shared fast path under TornadoCtx
-// and UncertaintyCtx, exposed for servers that evaluate many what-if
-// perturbations of one design. Batch studies should drive the plan
-// through ParamPlan.Walk, which owns the per-worker scratch reuse and
-// the tabulated column folds; ParamPlan.Eval is the single-point seam
-// underneath it.
-func CompileParamPlan(base *System, db *TechDB) (*ParamPlan, error) {
-	return kernel.CompileParams(base, db)
-}
-
-// Serving layer (the ecoserve surface).
-type (
-	// CarbonServer answers concurrent what-if requests (node swaps,
-	// area/volume perturbations, disaggregation searches, sweep fronts)
-	// off content-keyed compiled-plan caches with single-flight
-	// compilation. Warm answers are bit-identical to a cold
-	// compile-and-run. Build with NewCarbonServer; expose over HTTP with
-	// ServeHandler.
-	CarbonServer = serve.Server
-	// ServeConfig tunes a CarbonServer (plan-cache bound, engine
-	// workers, admission limits); the zero value has production
-	// defaults.
-	ServeConfig = serve.Config
-	// ServeStats snapshots a server's three plan caches (sweep,
-	// parameter, disaggregation).
-	ServeStats = serve.Stats
-	// ServeSweepRequest asks for a node sweep (or its Pareto front) of
-	// one system.
-	ServeSweepRequest = serve.SweepRequest
-	// ServeWhatIfRequest poses one what-if question: a node swap served
-	// off the warm sweep plan, or an area/volume perturbation served off
-	// the warm parameter plan.
-	ServeWhatIfRequest = serve.WhatIfRequest
-	// ServeDisaggregateRequest asks for the greedy disaggregation of a
-	// system.
-	ServeDisaggregateRequest = serve.DisaggregateRequest
-	// PlanCacheStats counts one plan cache's hits, misses, coalesced
-	// waits, builds and capacity evictions.
-	PlanCacheStats = lru.Stats
-	// DisaggregationSearch is a retained greedy disaggregation search:
-	// compiled once per (system, db) with CompileDisaggregation, Run any
-	// number of times — warm runs revisit the memoized candidate tables
-	// and return bit-identical plans at a fraction of the cold cost.
-	DisaggregationSearch = explore.DisaggregateSearch
-)
-
-// NewCarbonServer builds a what-if server over one technology database
-// version. The database fixes every plan key, so a db upgrade is a new
-// server whose keys all differ.
-func NewCarbonServer(db *TechDB, cfg ServeConfig) *CarbonServer { return serve.NewServer(db, cfg) }
-
-// ServeHandler exposes a CarbonServer over HTTP/JSON (POST /v1/sweep,
-// /v1/whatif, /v1/disaggregate, /v1/sweep/stream NDJSON; GET /v1/stats).
-func ServeHandler(s *CarbonServer) http.Handler { return serve.Handler(s) }
-
-// NewShardCatalogCap returns an in-process plan catalog holding at most
-// capacity compiled plans resident (capacity <= 0 means unbounded);
-// evicted keys recompile on demand, bit-identically, from their
-// registered constructors.
-func NewShardCatalogCap(capacity int) *ShardCatalog { return shard.NewCatalogCap(capacity) }
-
-// ParamPlanKey derives the content key of a parameter plan: a stable
-// hash of the base system and the technology database. It is the cache
-// identity CarbonServer uses for perturbation what-ifs.
-func ParamPlanKey(base *System, db *TechDB) (string, error) { return explore.ParamKey(base, db) }
-
-// DisaggregationKey derives the content key of a disaggregation search
-// over (base, db) — the cache identity CarbonServer uses for
-// disaggregation requests.
-func DisaggregationKey(base *System, db *TechDB) (string, error) {
-	return explore.DisaggregateKey(base, db)
-}
-
-// CompileDisaggregation builds the retained disaggregation search of a
-// block-level system description. The search is safe for concurrent Run
-// calls (runs serialize internally) and every run returns the same
-// bits.
-func CompileDisaggregation(base *System, db *TechDB) (*DisaggregationSearch, error) {
-	return explore.CompileDisaggregate(base, db)
 }

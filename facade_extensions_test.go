@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ecochip/internal/explore"
 )
 
 func TestFacadeNodeSweepAndPareto(t *testing.T) {
@@ -110,7 +112,7 @@ func TestFacadeDisaggregateCtxAndReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DisaggregateReference(ctx, base, db)
+	want, err := explore.DisaggregateReference(ctx, base, db)
 	if err != nil {
 		t.Fatal(err)
 	}

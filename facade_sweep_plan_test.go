@@ -1,7 +1,8 @@
 package ecochip
 
 // Facade coverage of compiled sweep plans: CompileNodeSweep /
-// SweepPlan.RunCtx must agree bit for bit with NodeSweepReference, and
+// SweepPlan.RunCtx must agree bit for bit with the uncompiled
+// explore.NodeSweepReference, and
 // NodeSweepCtx must route through the compiled path transparently.
 
 import (
@@ -9,6 +10,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"ecochip/internal/explore"
 )
 
 func TestFacadeCompiledSweepMatchesReference(t *testing.T) {
@@ -17,7 +20,7 @@ func TestFacadeCompiledSweepMatchesReference(t *testing.T) {
 	nodes := []int{7, 10, 14}
 	cp := DefaultCostParams()
 
-	want, err := NodeSweepReference(context.Background(), base, db, nodes, cp)
+	want, err := explore.NodeSweepReference(context.Background(), base, db, nodes, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

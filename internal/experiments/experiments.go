@@ -54,15 +54,12 @@ func Run(id string, db *tech.DB) (*report.Table, error) {
 // Options tunes how analysis-engine-backed experiments evaluate; the
 // zero value reproduces Run exactly.
 type Options struct {
-	// Uncompiled forces the per-evaluation reference path instead of the
-	// compiled parameter plans the analyses default to.
-	Uncompiled bool
 	// Workers caps the evaluation workers (0 = GOMAXPROCS).
 	Workers int
 	// Progress, when non-nil, receives (done, total) evaluation ticks.
 	Progress func(done, total int)
-	// StatsTo, when non-nil, receives one line of compiled-plan (or, for
-	// uncompiled runs, memo-cache) statistics after each analysis run.
+	// StatsTo, when non-nil, receives one line of compiled-plan
+	// statistics after each analysis run.
 	StatsTo io.Writer
 }
 

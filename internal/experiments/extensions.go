@@ -7,7 +7,6 @@ import (
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
 	"ecochip/internal/explore"
-	"ecochip/internal/kernel"
 	"ecochip/internal/mfg"
 	"ecochip/internal/noc"
 	"ecochip/internal/report"
@@ -34,9 +33,9 @@ func init() {
 
 // ExtUncertainty propagates Table I input uncertainty through the model
 // (Section VII discussion): embodied-carbon percentiles for the three
-// main testcases under the default parameter spreads. The options select
-// the evaluation path (compiled parameter plan vs per-sample reference)
-// and receive progress/statistics; the table is identical either way.
+// main testcases under the default parameter spreads. The options tune
+// the workers and receive progress/statistics; the table is identical
+// either way.
 func ExtUncertainty(db *tech.DB, o Options) (*report.Table, error) {
 	t := report.New("ext-uncertainty",
 		"embodied-carbon distribution under +/-20% input uncertainty (500 Monte Carlo samples)",
@@ -51,19 +50,12 @@ func ExtUncertainty(db *tech.DB, o Options) (*report.Table, error) {
 	}
 	ctx := context.Background()
 	for _, c := range cases {
-		var d uncertainty.Distribution
-		var err error
-		if o.Uncompiled {
-			d, err = uncertainty.RunReference(ctx, c.sys, db, uncertainty.DefaultSpread(), 500, 2024, o.engineOpts()...)
-		} else {
-			var plan *kernel.ParamPlan
-			d, plan, err = uncertainty.RunPlanned(ctx, c.sys, db, uncertainty.DefaultSpread(), 500, 2024, o.engineOpts()...)
-			if err == nil && o.StatsTo != nil {
-				fmt.Fprintf(o.StatsTo, "ext-uncertainty %s: %v\n", c.name, plan.Stats())
-			}
-		}
+		d, plan, err := uncertainty.RunPlanned(ctx, c.sys, db, uncertainty.DefaultSpread(), 500, 2024, o.engineOpts()...)
 		if err != nil {
 			return nil, err
+		}
+		if o.StatsTo != nil {
+			fmt.Fprintf(o.StatsTo, "ext-uncertainty %s: %v\n", c.name, plan.Stats())
 		}
 		t.AddRow(c.name, report.F(d.P5Kg), report.F(d.P50Kg), report.F(d.P95Kg), report.F(d.RelativeSpread()))
 	}
@@ -71,26 +63,19 @@ func ExtUncertainty(db *tech.DB, o Options) (*report.Table, error) {
 }
 
 // ExtTornado ranks the model inputs by their command over the GA102's
-// total carbon under a ±25% perturbation. The options select the
-// evaluation path and receive progress/statistics.
+// total carbon under a ±25% perturbation. The options tune the workers
+// and receive progress/statistics.
 func ExtTornado(db *tech.DB, o Options) (*report.Table, error) {
 	t := report.New("ext-tornado", "GA102 (7,14,10) C_tot sensitivity, +/-25% per factor",
 		"factor", "low_kg", "base_kg", "high_kg", "swing_kg")
 	base := testcases.GA102(db, 7, 14, 10, false)
 	ctx := context.Background()
-	var results []sensitivity.Result
-	var err error
-	if o.Uncompiled {
-		results, err = sensitivity.TornadoReference(ctx, base, db, 0.25, o.engineOpts()...)
-	} else {
-		var plan *kernel.ParamPlan
-		results, plan, err = sensitivity.TornadoPlanned(ctx, base, db, 0.25, o.engineOpts()...)
-		if err == nil && o.StatsTo != nil {
-			fmt.Fprintf(o.StatsTo, "ext-tornado: %v\n", plan.Stats())
-		}
-	}
+	results, plan, err := sensitivity.TornadoPlanned(ctx, base, db, 0.25, o.engineOpts()...)
 	if err != nil {
 		return nil, err
+	}
+	if o.StatsTo != nil {
+		fmt.Fprintf(o.StatsTo, "ext-tornado: %v\n", plan.Stats())
 	}
 	for _, r := range results {
 		t.AddRow(r.Factor, report.F(r.LowKg), report.F(r.BaseKg), report.F(r.HighKg), report.F(r.Swing()))

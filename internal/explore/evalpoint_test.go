@@ -12,7 +12,7 @@ import (
 
 // EvalPoint must invert the Gray code exactly: for every output slot of
 // a full run, evaluating that slot's node assignment returns the same
-// float bits. The second pass re-asks every point so the pooled scratch
+// float bits. The second pass re-asks every point so the scratch
 // serves the package term from the per-point memo — the serving-layer
 // warm path — and must stay bit-identical.
 func TestEvalPointMatchesRunSlots(t *testing.T) {
@@ -27,9 +27,16 @@ func TestEvalPointMatchesRunSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both passes run on one pinned scratch: a pooled scratch may be
+	// dropped between calls (sync.Pool does so at random under -race),
+	// and only a scratch's repeat walks read the per-point memo.
+	sc, err := plan.getScratch()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for pass := 0; pass < 2; pass++ {
 		for idx, want := range ref {
-			got, err := plan.EvalPoint(context.Background(), want.Nodes)
+			got, err := plan.evalPoint(context.Background(), sc, want.Nodes)
 			if err != nil {
 				t.Fatalf("pass %d slot %d: %v", pass, idx, err)
 			}
@@ -54,6 +61,7 @@ func TestEvalPointMatchesRunSlots(t *testing.T) {
 		}
 	}
 	// The memo must actually be carrying the second pass.
+	plan.putScratch(sc)
 	if s := plan.Stats(); s.PkgMemo.Hits == 0 {
 		t.Errorf("no package-memo hits across repeated EvalPoint calls: %+v", s.PkgMemo)
 	}

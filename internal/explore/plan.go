@@ -363,6 +363,11 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 		return err
 	}
 	defer p.putScratch(sc)
+	return p.walkScratch(ctx, sc, lo, hi, visit, tick)
+}
+
+// walkScratch is walkBlock on a caller-held scratch.
+func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi int, visit func(idx int, pt *Point) error, tick func()) error {
 	sc.walks++
 
 	p.grayInit(lo, sc)
@@ -541,6 +546,16 @@ func (p *CompiledPlan) grayInit(k int, sc *blockScratch) {
 // the package term straight from the per-point memo, skipping the
 // estimator entirely on repeat requests.
 func (p *CompiledPlan) EvalPoint(ctx context.Context, nodes []int) (Point, error) {
+	sc, err := p.getScratch()
+	if err != nil {
+		return Point{}, err
+	}
+	defer p.putScratch(sc)
+	return p.evalPoint(ctx, sc, nodes)
+}
+
+// evalPoint is EvalPoint on a caller-held scratch.
+func (p *CompiledPlan) evalPoint(ctx context.Context, sc *blockScratch, nodes []int) (Point, error) {
 	if len(nodes) != p.nc {
 		return Point{}, fmt.Errorf("explore: EvalPoint got %d nodes for a %d-chiplet plan", len(nodes), p.nc)
 	}
@@ -567,11 +582,11 @@ func (p *CompiledPlan) EvalPoint(ctx context.Context, nodes []int) (Point, error
 		b = b*p.r + a
 	}
 	var out Point
-	err := p.WalkRange(ctx, k, k+1, func(idx int, pt *Point) error {
+	err := p.walkScratch(ctx, sc, k, k+1, func(idx int, pt *Point) error {
 		out = *pt
 		out.Nodes = append([]int(nil), pt.Nodes...)
 		return nil
-	})
+	}, func() {})
 	if err != nil {
 		return Point{}, err
 	}

@@ -22,7 +22,8 @@ import (
 //	GET  /v1/stats                            -> Stats
 //
 // Request validation failures are 400s with an {"error": ...} body;
-// everything downstream of a valid request is a 500. A request shed by
+// everything downstream of a valid request is a 500. A body over
+// maxBodyBytes is a 413. A request shed by
 // the per-family admission gates is a 429 with a Retry-After header
 // (whole seconds). Handlers are
 // concurrency-safe (the server's caches single-flight compiles), so the
@@ -106,11 +107,20 @@ func streamFront(w http.ResponseWriter, r *http.Request, s *Server, req *SweepRe
 	emit(StreamLine{Result: resp})
 }
 
+// maxBodyBytes bounds a request body. The largest real request, an
+// EPYC-class system description, is about 2 KiB.
+const maxBodyBytes = 1 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true

@@ -200,3 +200,21 @@ func TestHandlerErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// A body past maxBodyBytes is refused with 413 on every POST endpoint,
+// before it is decoded in full.
+func TestHandlerOversizeBody(t *testing.T) {
+	ts := httptest.NewServer(Handler(NewServer(tech.Default(), Config{})))
+	defer ts.Close()
+	body := `{"system": {"name": "` + strings.Repeat("x", maxBodyBytes) + `"}}`
+	for _, path := range []string{"/v1/sweep", "/v1/whatif", "/v1/disaggregate", "/v1/sweep/stream"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversize body status %d, want 413", path, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -50,67 +48,6 @@ type FaultSpec struct {
 	// outage, not a crash) — the deterministic lever for driving a
 	// breaker through open → half-open → close.
 	FlapEvery int
-}
-
-// ParseFaultSpec parses the ecodse -shard-faults syntax: a
-// comma-separated key=value list, e.g.
-//
-//	drop=0.1,dup=0.05,err=0.05,crash-after=7,delay=2ms,seed=42
-//
-// Keys: drop, dup, err, crash, slow-prob (probabilities in [0,1]),
-// crash-after, flap (counts), delay, slow (Go durations), seed (int64).
-// An empty string is the zero spec.
-func ParseFaultSpec(s string) (FaultSpec, error) {
-	var spec FaultSpec
-	if strings.TrimSpace(s) == "" {
-		return spec, nil
-	}
-	for _, field := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return FaultSpec{}, fmt.Errorf("shard: fault spec field %q is not key=value", field)
-		}
-		var err error
-		switch key {
-		case "drop":
-			spec.Drop, err = parseProb(key, val)
-		case "dup":
-			spec.Dup, err = parseProb(key, val)
-		case "err":
-			spec.Err, err = parseProb(key, val)
-		case "crash":
-			spec.Crash, err = parseProb(key, val)
-		case "crash-after":
-			spec.CrashAfter, err = strconv.Atoi(val)
-		case "delay":
-			spec.Delay, err = time.ParseDuration(val)
-		case "slow":
-			spec.Slow, err = time.ParseDuration(val)
-		case "slow-prob":
-			spec.SlowProb, err = parseProb(key, val)
-		case "flap":
-			spec.FlapEvery, err = strconv.Atoi(val)
-		case "seed":
-			spec.Seed, err = strconv.ParseInt(val, 10, 64)
-		default:
-			return FaultSpec{}, fmt.Errorf("shard: unknown fault spec key %q", key)
-		}
-		if err != nil {
-			return FaultSpec{}, fmt.Errorf("shard: fault spec %s: %w", key, err)
-		}
-	}
-	return spec, nil
-}
-
-func parseProb(key, val string) (float64, error) {
-	p, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, err
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("%s=%v outside [0,1]", key, p)
-	}
-	return p, nil
 }
 
 // Fault wraps a transport with a seeded fault schedule: dropped,

@@ -281,26 +281,6 @@ func TestReplicaRejectsBadLeases(t *testing.T) {
 	}
 }
 
-func TestParseFaultSpec(t *testing.T) {
-	spec, err := ParseFaultSpec("drop=0.1,dup=0.05,err=0.2,crash=0.01,crash-after=7,delay=2ms,slow=40ms,slow-prob=0.5,flap=3,seed=42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FaultSpec{Seed: 42, Drop: 0.1, Dup: 0.05, Err: 0.2, Crash: 0.01, CrashAfter: 7, Delay: 2 * time.Millisecond,
-		Slow: 40 * time.Millisecond, SlowProb: 0.5, FlapEvery: 3}
-	if spec != want {
-		t.Errorf("spec = %+v, want %+v", spec, want)
-	}
-	if spec, err := ParseFaultSpec("  "); err != nil || spec != (FaultSpec{}) {
-		t.Errorf("blank spec: %+v, %v", spec, err)
-	}
-	for _, bad := range []string{"drop", "drop=1.5", "nope=1", "delay=fast", "crash-after=x", "slow=never", "slow-prob=2", "flap=x"} {
-		if _, err := ParseFaultSpec(bad); err == nil {
-			t.Errorf("%q parsed without error", bad)
-		}
-	}
-}
-
 // Front mode: per-block skylines merged at the coordinator must match
 // the single-process multi-objective front bit-for-bit.
 func TestParetoFrontParity(t *testing.T) {
