@@ -1,0 +1,119 @@
+package explore
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ecochip/internal/core"
+	"ecochip/internal/cost"
+	"ecochip/internal/pkgcarbon"
+	"ecochip/internal/testcases"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current output")
+
+// checkGolden compares got with the committed golden file, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// hexf renders a float as its exact bits.
+func hexf(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
+
+// The packaging paths that do not plan through the dims-only retained
+// tree — silicon bridges (which read adjacencies) and flexible shape
+// curves — must keep the exact bits of every compiled sweep point and
+// of the Disaggregate result on the EPYC and GA102 testcases, and of
+// the merge trajectory on a six-way GA102 split (where the greedy
+// search does merge). The goldens store Float64bits hex, so any change
+// in a float operation on these paths fails here.
+func TestPackagingPathsGolden(t *testing.T) {
+	d := db()
+	epyc, err := testcases.EPYC(d, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := testcases.GA102Split(d, 6, pkgcarbon.RDLFanout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []struct {
+		name  string
+		sys   *core.System
+		sweep bool
+	}{
+		{"epyc4", epyc, true},
+		{"ga102", testcases.GA102(d, 7, 14, 10, false), true},
+		{"ga102split6", split, false},
+	}
+	packagings := []struct {
+		name     string
+		arch     pkgcarbon.Architecture
+		flexible bool
+	}{
+		{"emib", pkgcarbon.SiliconBridge, false},
+		{"rdl-flex", pkgcarbon.RDLFanout, true},
+		{"passive-flex", pkgcarbon.PassiveInterposer, true},
+	}
+	nodes := []int{7, 10, 14}
+	ctx := context.Background()
+	for _, s := range systems {
+		for _, pk := range packagings {
+			name := s.name + "-" + pk.name
+			t.Run(name, func(t *testing.T) {
+				base := *s.sys
+				base.Packaging = pkgcarbon.DefaultParams(pk.arch)
+				base.Packaging.FlexibleFloorplan = pk.flexible
+				var out strings.Builder
+				if s.sweep {
+					points, err := NodeSweepCtx(ctx, &base, d, nodes, cost.DefaultParams())
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&out, "sweep %d points\n", len(points))
+					for _, p := range points {
+						fmt.Fprintf(&out, "%v embodied=%s total=%s cost=%s pkg=%s\n", p.Nodes,
+							hexf(p.EmbodiedKg), hexf(p.TotalKg), hexf(p.CostUSD), hexf(p.PackageAreaMM2))
+					}
+				}
+				plan, err := Disaggregate(&base, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&out, "disaggregate steps=%d initial=%s embodied=%s\n",
+					plan.Steps, hexf(plan.InitialKg), hexf(plan.EmbodiedKg))
+				for _, c := range plan.System.Chiplets {
+					fmt.Fprintf(&out, "chiplet %s node=%d transistors=%s\n", c.Name, c.NodeNm, hexf(c.Transistors))
+				}
+				for _, g := range plan.Groups {
+					fmt.Fprintf(&out, "group %v\n", g)
+				}
+				checkGolden(t, name+".txt", out.String())
+			})
+		}
+	}
+}
