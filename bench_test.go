@@ -13,6 +13,7 @@ package ecochip
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,16 +459,17 @@ func BenchmarkNodeSweepIncremental(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points := 0
+		// Walk calls visit from every worker at once.
+		var points atomic.Int64
 		err := plan.Walk(ctx, func(idx int, pt *DesignPoint) error {
-			points++
+			points.Add(1)
 			return nil
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if points != 625 {
-			b.Fatalf("expected 625 points, got %d", points)
+		if n := points.Load(); n != 625 {
+			b.Fatalf("expected 625 points, got %d", n)
 		}
 	}
 	b.StopTimer()
@@ -481,9 +483,9 @@ func BenchmarkNodeSweepIncremental(b *testing.B) {
 }
 
 // BenchmarkFloorplanIncremental measures the retained slicing tree's
-// single-area update against re-planning from scratch, at the EPYC
-// chiplet count (9 dies): the per-Gray-step floorplan cost a compiled
-// sweep pays after this PR versus before it.
+// single-area update at the EPYC chiplet count (9 dies): the per-Gray-
+// step floorplan cost of a compiled sweep whose step misses the shape
+// memo.
 func BenchmarkFloorplanIncremental(b *testing.B) {
 	areas := []float64{512, 300, 200, 140, 100, 70, 50, 35, 25}
 	blocks := make([]floorplan.Block, len(areas))
@@ -491,23 +493,24 @@ func BenchmarkFloorplanIncremental(b *testing.B) {
 		blocks[i] = floorplan.Block{Name: fmt.Sprintf("d%d", i), AreaMM2: a}
 	}
 	var tr floorplan.Tree
-	if _, err := tr.PlanNoAdjacencies(blocks, 0.5); err != nil {
+	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 		b.Fatal(err)
 	}
 	// Perturbing the smallest block keeps the sorted order and every
 	// partition decision provably stable (it is last in each decision
-	// sequence), so each iteration measures the incremental relayout.
+	// sequence), and an area that never recurs misses the shape memo,
+	// so each iteration measures the incremental relayout.
 	last := len(areas) - 1
 	base := areas[last]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Update(last, base+float64(i&1)); err != nil {
+		if _, err := tr.Update(last, base+float64(i+1)*1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats(); s.Fallbacks > 0 {
-		b.Fatalf("update benchmark fell back to rebuilds: %+v", s)
+	if s := tr.Stats(); s.Fallbacks > 0 || s.MemoHits > 0 || s.FastPath == 0 {
+		b.Fatalf("update benchmark left the relayout fast path: %+v", s)
 	}
 }
 
@@ -596,35 +599,6 @@ func BenchmarkDisaggregateReference(b *testing.B) {
 		if _, err := explore.DisaggregateReference(ctx, base, db); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPlanFlexibleIncremental measures the retained shape-curve
-// tree's single-area update at the EPYC chiplet count — the per-step
-// floorplan cost of a compiled sweep over a flexible-floorplan system —
-// against the from-scratch PlanFlexible it replaces (the
-// BenchmarkFloorplanIncremental counterpart for shape curves).
-func BenchmarkPlanFlexibleIncremental(b *testing.B) {
-	areas := []float64{512, 300, 200, 140, 100, 70, 50, 35, 25}
-	blocks := make([]floorplan.Block, len(areas))
-	for i, a := range areas {
-		blocks[i] = floorplan.Block{Name: fmt.Sprintf("d%d", i), AreaMM2: a}
-	}
-	var ft floorplan.FlexTree
-	if _, err := ft.Plan(blocks, 0.5, nil); err != nil {
-		b.Fatal(err)
-	}
-	last := len(areas) - 1
-	base := areas[last]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ft.Update(last, base+float64(i&1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if s := ft.Stats(); s.Fallbacks > 0 {
-		b.Fatalf("flexible update benchmark fell back to rebuilds: %+v", s)
 	}
 }
 

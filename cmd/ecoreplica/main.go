@@ -14,7 +14,7 @@
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: it stops accepting,
 // refuses new leases, finishes streaming the in-flight ones (bounded by
-// -drain / -drain-timeout, abandoned leases logged), and exits.
+// -drain, abandoned leases logged), and exits.
 // -auth-token sets a shared secret every coordinator must present at
 // registration.
 package main
@@ -39,7 +39,6 @@ func main() {
 	addr := flag.String("listen", "127.0.0.1:9444", "listen address (host:port; port 0 picks a free port)")
 	plans := flag.Int("plans", 0, "resident compiled plans (0 = unbounded, else LRU-evicted)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight leases")
-	flag.DurationVar(drain, "drain-timeout", *drain, "alias for -drain")
 	token := flag.String("auth-token", "", "shared secret coordinators must present to register (empty = no auth)")
 	verbose := flag.Bool("verbose", false, "log transport events to stderr")
 	flag.Parse()

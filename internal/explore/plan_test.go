@@ -116,47 +116,48 @@ func pointsBitIdentical(a, b Point) bool {
 // The compiled/incremental sweep must be byte-identical — same order,
 // same float bits — to the per-point EvaluateWith path across random
 // systems, node sets, packaging archetypes and NRE/reuse flags, at any
-// worker count.
+// worker count, under two independent generator seeds.
 func TestCompiledSweepMatchesReferenceRandomized(t *testing.T) {
 	d := db()
 	cp := cost.DefaultParams()
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(20240731))
+	for _, seed := range []int64{20240731, 20260808} {
+		rng := rand.New(rand.NewSource(seed))
+		evaluated := 0
+		for trial := 0; trial < 40; trial++ {
+			base := randomSystem(rng, d)
+			nodes := randomNodeSet(rng)
+			label := fmt.Sprintf("seed %d trial %d (arch %v, %d chiplets, nodes %v, nre=%v)",
+				seed, trial, base.Packaging.Arch, len(base.Chiplets), nodes, base.IncludeNRE)
 
-	evaluated := 0
-	for trial := 0; trial < 40; trial++ {
-		base := randomSystem(rng, d)
-		nodes := randomNodeSet(rng)
-		label := fmt.Sprintf("trial %d (arch %v, %d chiplets, nodes %v, nre=%v)",
-			trial, base.Packaging.Arch, len(base.Chiplets), nodes, base.IncludeNRE)
-
-		want, refErr := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(2))
-		for _, workers := range []int{1, 3} {
-			got, err := NodeSweepCtx(ctx, base, d, nodes, cp, engine.WithWorkers(workers))
-			if refErr != nil {
-				if err == nil {
-					t.Fatalf("%s: reference failed (%v) but compiled sweep succeeded", label, refErr)
+			want, refErr := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(2))
+			for _, workers := range []int{1, 3} {
+				got, err := NodeSweepCtx(ctx, base, d, nodes, cp, engine.WithWorkers(workers))
+				if refErr != nil {
+					if err == nil {
+						t.Fatalf("%s: reference failed (%v) but compiled sweep succeeded", label, refErr)
+					}
+					continue
 				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: compiled sweep failed: %v", label, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
-			}
-			for i := range want {
-				if !pointsBitIdentical(got[i], want[i]) {
-					t.Fatalf("%s: workers=%d point %d differs\nwant %+v\ngot  %+v", label, workers, i, want[i], got[i])
+				if err != nil {
+					t.Fatalf("%s: compiled sweep failed: %v", label, err)
 				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
+				}
+				for i := range want {
+					if !pointsBitIdentical(got[i], want[i]) {
+						t.Fatalf("%s: workers=%d point %d differs\nwant %+v\ngot  %+v", label, workers, i, want[i], got[i])
+					}
+				}
+			}
+			if refErr == nil {
+				evaluated++
 			}
 		}
-		if refErr == nil {
-			evaluated++
+		if evaluated < 20 {
+			t.Fatalf("seed %d: only %d of 40 random trials evaluated cleanly; generator too error-prone", seed, evaluated)
 		}
-	}
-	if evaluated < 20 {
-		t.Fatalf("only %d of 40 random trials evaluated cleanly; generator too error-prone", evaluated)
 	}
 }
 
@@ -202,54 +203,6 @@ func TestCompiledSweepIdenticalCCDsMatchesReference(t *testing.T) {
 		if s := plan.Stats(); s.Floorplan.MemoHits == 0 {
 			t.Errorf("workers=%d: no shape-memo hits: %v", workers, s.Floorplan)
 		}
-	}
-}
-
-// --- randomized table parity ------------------------------------------
-
-// Across random systems, node sets, packaging archetypes and NRE/reuse
-// flags, every table that builds drives a compiled sweep byte-identical
-// to NodeSweepReference. (The name is kept from when the table also
-// carried a struct-of-arrays copy of its Cells rows.)
-func TestSoAColumnsMatchAoSRandomized(t *testing.T) {
-	d := db()
-	cp := cost.DefaultParams()
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(20260808))
-
-	evaluated := 0
-	for trial := 0; trial < 30; trial++ {
-		base := randomSystem(rng, d)
-		nodes := randomNodeSet(rng)
-		label := fmt.Sprintf("trial %d (arch %v, %d chiplets, nodes %v, nre=%v)",
-			trial, base.Packaging.Arch, len(base.Chiplets), nodes, base.IncludeNRE)
-
-		if _, err := kernel.BuildTable(base, d, nodes, cp); err != nil {
-			// The compiled-vs-reference suite pins error parity; here we
-			// only care about tables that build.
-			continue
-		}
-		evaluated++
-
-		want, refErr := NodeSweepReference(ctx, base, d, nodes, cp)
-		got, err := NodeSweepCtx(ctx, base, d, nodes, cp)
-		if refErr != nil {
-			if err == nil {
-				t.Fatalf("%s: reference failed (%v) but compiled sweep succeeded", label, refErr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: compiled sweep failed: %v", label, err)
-		}
-		for i := range want {
-			if !pointsBitIdentical(got[i], want[i]) {
-				t.Fatalf("%s: point %d differs from reference\nwant %+v\ngot  %+v", label, i, want[i], got[i])
-			}
-		}
-	}
-	if evaluated < 15 {
-		t.Fatalf("only %d of 30 random trials built tables; generator too error-prone", evaluated)
 	}
 }
 
@@ -563,7 +516,7 @@ func TestDisaggregateMatchesReferenceRandomized(t *testing.T) {
 			Design:    descarbon.DefaultParams(),
 		}
 		// Flexible shape curves take the non-fork candidate path (full
-		// estimates through the retained FlexTree); cover it too.
+		// estimates through PlanFlexible); cover it too.
 		if trial%3 == 0 {
 			base.Packaging.FlexibleFloorplan = true
 		}

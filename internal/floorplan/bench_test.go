@@ -44,11 +44,12 @@ func BenchmarkPlanFlexible8(b *testing.B) {
 }
 
 // benchTreeUpdate measures the retained-tree single-area fast path: the
-// per-Gray-step floorplan cost of a compiled sweep. Perturbing the
-// globally smallest block keeps the topology provably stable — it is
-// last in every partition sequence, so every decision depends only on
-// the unchanged predecessors — and the benchmark asserts no rebuild
-// sneaked in.
+// per-Gray-step floorplan cost of a compiled sweep whose step misses the
+// shape memo. Perturbing the globally smallest block keeps the topology
+// provably stable — it is last in every partition sequence, so every
+// decision depends only on the unchanged predecessors — areas that
+// never recur keep the memo from serving a step, and the benchmark
+// asserts every step took the relayout.
 func benchTreeUpdate(b *testing.B, n int) {
 	b.Helper()
 	blocks := benchBlocks(n)
@@ -59,19 +60,19 @@ func benchTreeUpdate(b *testing.B, n int) {
 		}
 	}
 	var tr Tree
-	if _, err := tr.PlanNoAdjacencies(blocks, 0.5); err != nil {
+	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 		b.Fatal(err)
 	}
 	base := blocks[smallest].AreaMM2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Update(smallest, base-float64(i&1)); err != nil {
+		if _, err := tr.Update(smallest, base-float64(i+1)*1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats(); s.Fallbacks > 0 {
-		b.Fatalf("update benchmark fell back to rebuilds: %+v", s)
+	if s := tr.Stats(); s.Fallbacks > 0 || s.MemoHits > 0 || s.FastPath == 0 {
+		b.Fatalf("update benchmark left the relayout fast path: %+v", s)
 	}
 }
 
@@ -81,8 +82,9 @@ func BenchmarkTreeUpdate32(b *testing.B) { benchTreeUpdate(b, 32) }
 // benchTreeDiff measures the name-keyed remove/insert diff on the
 // Disaggregate candidate shape — two survivors removed, one merged die
 // appended — alternating between two candidate sets so every plan is a
-// shape change. The baseline is the same alternation through a Scratch
-// (the from-scratch planner the diff replaces).
+// shape change (which never reads the shape memo). The baseline is the
+// same alternation through a full rebuild of the tree (the from-scratch
+// plan the diff falls back to).
 func benchTreeDiff(b *testing.B, n int, scratch bool) {
 	b.Helper()
 	base := benchBlocks(n)
@@ -100,20 +102,21 @@ func benchTreeDiff(b *testing.B, n int, scratch bool) {
 			AreaMM2: base[i].AreaMM2 + base[j].AreaMM2,
 		})
 	}
+	var totals [2]float64
+	for c, cand := range cands {
+		for _, blk := range cand {
+			totals[c] += blk.AreaMM2
+		}
+	}
 	var tr Tree
-	var sc Scratch
-	if _, err := tr.PlanNoAdjacencies(base, 0.5); err != nil {
+	if _, err := tr.PlanDims(base, 0.5); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
 		if scratch {
-			_, err = sc.PlanNoAdjacencies(cands[i&1], 0.5)
-		} else {
-			_, err = tr.PlanNoAdjacencies(cands[i&1], 0.5)
-		}
-		if err != nil {
+			tr.rebuild(cands[i&1], 0.5, totals[i&1])
+		} else if _, err := tr.PlanDims(cands[i&1], 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,35 +125,6 @@ func benchTreeDiff(b *testing.B, n int, scratch bool) {
 		if s := tr.Stats(); s.DiffFastPath == 0 || s.Splices == 0 {
 			b.Fatalf("diff benchmark never spliced: %+v", s)
 		}
-	}
-}
-
-// BenchmarkFlexTreeUpdate8 measures the retained shape-curve tree's
-// single-area update — the per-Gray-step floorplan cost of a compiled
-// sweep over a flexible-floorplan system — against BenchmarkPlanFlexible8,
-// the from-scratch cost it replaces.
-func BenchmarkFlexTreeUpdate8(b *testing.B) {
-	blocks := benchBlocks(8)
-	smallest := 0
-	for i, blk := range blocks {
-		if blk.AreaMM2 < blocks[smallest].AreaMM2 {
-			smallest = i
-		}
-	}
-	var ft FlexTree
-	if _, err := ft.Plan(blocks, 0.5, nil); err != nil {
-		b.Fatal(err)
-	}
-	base := blocks[smallest].AreaMM2
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ft.Update(smallest, base-float64(i&1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if s := ft.Stats(); s.Fallbacks > 0 {
-		b.Fatalf("flex update benchmark fell back to rebuilds: %+v", s)
 	}
 }
 

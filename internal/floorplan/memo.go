@@ -11,11 +11,11 @@ const (
 	memoMaxSlots = 2048
 )
 
-// shapeMemo maps a dims-only plan's sorted (area, aspect ratio) sequence
-// to the bounding box the from-scratch algorithm produced for it. The
-// key is exact: the Float64bits of the sorted areas, followed by the
-// sorted aspect ratios unless every block of the set shares one (then
-// the aspects add nothing and keyWords is n). Entries are stored in
+// shapeMemo maps a plan's sorted (area, aspect ratio) sequence to the
+// bounding box the from-scratch algorithm produced for it. The key is
+// exact: the Float64bits of the sorted areas, followed by the sorted
+// aspect ratios unless every block of the set shares one (then the
+// aspects add nothing and keyWords is n). Entries are stored in
 // insertion order in flat slices; slots is an open-addressed index into
 // them with linear probing.
 type shapeMemo struct {
@@ -27,9 +27,8 @@ type shapeMemo struct {
 }
 
 // resetMemo empties the shape memo and sizes its key for the current
-// block set. rebuild and rebuildDiff call it, since the block set,
-// spacing or mode changed — the stored boxes are valid only under all
-// three.
+// block set. rebuild and rebuildDiff call it, since the block set or
+// spacing changed — the stored boxes are valid only under both.
 func (t *Tree) resetMemo() {
 	m := &t.memo
 	clear(m.slots)

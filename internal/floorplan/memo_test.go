@@ -8,29 +8,21 @@ import (
 	"testing"
 )
 
-// Tests of the dims-only shape memo behind Tree.Update: every served
+// Tests of the shape memo behind Tree.Update: every served
 // bounding box must carry the from-scratch planner's bits, whatever mix
 // of memo hits, sort-order repairs, stale-tree rebuilds and incremental
 // relayouts produced it.
 
-// dimsIdentical checks a dims-only result against a from-scratch plan of
+// dimsIdentical checks a tree result against a from-scratch plan of
 // blocks at float-bit granularity.
 func dimsIdentical(t *testing.T, label string, blocks []Block, spacing float64, got *Result) {
 	t.Helper()
 	var sc Scratch
-	want, err := sc.PlanNoAdjacencies(blocks, spacing)
+	want, err := sc.Plan(blocks, spacing)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if math.Float64bits(want.WidthMM) != math.Float64bits(got.WidthMM) ||
-		math.Float64bits(want.HeightMM) != math.Float64bits(got.HeightMM) ||
-		math.Float64bits(want.ChipletAreaMM2) != math.Float64bits(got.ChipletAreaMM2) {
-		t.Fatalf("%s: box differs: want %g x %g (total %g), got %g x %g (total %g)", label,
-			want.WidthMM, want.HeightMM, want.ChipletAreaMM2, got.WidthMM, got.HeightMM, got.ChipletAreaMM2)
-	}
-	if got.Placements != nil || got.Adjacencies != nil {
-		t.Fatalf("%s: dims-only result carries placements or adjacencies", label)
-	}
+	boxBitIdentical(t, label, want, got)
 }
 
 // sweepBlocks builds k identical CCD-style blocks plus odd ones, each
@@ -265,7 +257,7 @@ func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 
 // The memo starts at memoMinSlots, doubles at half load, stops storing
 // at memoMaxSlots/2 entries (stored shapes keep hitting), and resets on
-// a spacing, mode or block-set change.
+// a spacing or block-set change.
 func TestTreeMemoGrowthAndReset(t *testing.T) {
 	blocks := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 30}}
 	var tr Tree
@@ -316,7 +308,7 @@ func TestTreeMemoGrowthAndReset(t *testing.T) {
 		}
 	}
 
-	// Resets: spacing, mode and block-set changes each empty the memo.
+	// Resets: spacing and block-set changes each empty the memo.
 	if _, err := tr.PlanDims(blocks, 0.8); err != nil {
 		t.Fatal(err)
 	}
@@ -324,21 +316,6 @@ func TestTreeMemoGrowthAndReset(t *testing.T) {
 		t.Errorf("spacing change kept %d memo entries", len(tr.memo.hash))
 	}
 	for _, v := range []float64{12, 13} {
-		blocks[2].AreaMM2 = v
-		if _, err := tr.Update(2, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tr.PlanNoAdjacencies(blocks, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.memo.hash) != 0 {
-		t.Errorf("mode change kept %d memo entries", len(tr.memo.hash))
-	}
-	if _, err := tr.PlanDims(blocks, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{14, 15} {
 		blocks[2].AreaMM2 = v
 		if _, err := tr.Update(2, v); err != nil {
 			t.Fatal(err)
@@ -367,10 +344,6 @@ func TestNaNAreasRejected(t *testing.T) {
 	if _, err := PlanFlexible(blocks, 0.5, nil); err == nil {
 		t.Error("PlanFlexible accepted a NaN area")
 	}
-	var ft FlexTree
-	if _, err := ft.Plan(blocks, 0.5, nil); err == nil {
-		t.Error("FlexTree.Plan accepted a NaN area")
-	}
 	var tr Tree
 	if _, err := tr.PlanDims(blocks, 0.5); err == nil {
 		t.Error("Tree.PlanDims accepted a NaN area")
@@ -379,17 +352,11 @@ func TestNaNAreasRejected(t *testing.T) {
 	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ft.Plan(blocks, 0.5, nil); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := tr.Update(1, nan); err == nil {
 		t.Error("Tree.Update accepted a NaN area")
 	}
 	if _, _, _, err := tr.ForkDims(0, 1, Block{Name: "m", AreaMM2: nan}); err == nil {
 		t.Error("Tree.ForkDims accepted a NaN area")
-	}
-	if _, err := ft.Update(1, nan); err == nil {
-		t.Error("FlexTree.Update accepted a NaN area")
 	}
 	got, err := tr.Update(1, 6)
 	if err != nil {
@@ -399,7 +366,7 @@ func TestNaNAreasRejected(t *testing.T) {
 	dimsIdentical(t, "after rejected NaN", blocks, 0.5, got)
 }
 
-// Pin what MemoHits counts: one per dims-only Update served from the
+// Pin what MemoHits counts: one per Update served from the
 // memo, disjoint from FastPath and Unchanged, counted as reuse, carried
 // by Add/Delta/Plans and printed by String.
 func TestTreeStatsMemoHits(t *testing.T) {

@@ -35,18 +35,6 @@ type Scratch struct {
 // Plan is exactly floorplan.Plan with scratch-backed storage. See the
 // Scratch doc comment for the result-ownership caveat.
 func (s *Scratch) Plan(blocks []Block, spacingMM float64) (*Result, error) {
-	return s.plan(blocks, spacingMM, true)
-}
-
-// PlanNoAdjacencies is Plan skipping the pairwise adjacency scan; the
-// returned Result has nil Adjacencies. Packaging models that only need
-// the bounding box (every architecture except silicon bridges) use it to
-// keep the per-point cost flat in the chiplet count.
-func (s *Scratch) PlanNoAdjacencies(blocks []Block, spacingMM float64) (*Result, error) {
-	return s.plan(blocks, spacingMM, false)
-}
-
-func (s *Scratch) plan(blocks []Block, spacingMM float64, needAdjacencies bool) (*Result, error) {
 	if spacingMM == 0 {
 		spacingMM = DefaultSpacingMM
 	}
@@ -69,15 +57,13 @@ func (s *Scratch) plan(blocks []Block, spacingMM float64, needAdjacencies bool) 
 	place := s.place[:n]
 	w, h := s.layoutSeg(sorted, place, spacingMM)
 
+	s.adj = appendAdjacencies(s.adj[:0], place, spacingMM)
 	s.res = Result{
 		WidthMM:        w,
 		HeightMM:       h,
 		Placements:     place,
+		Adjacencies:    s.adj,
 		ChipletAreaMM2: total,
-	}
-	if needAdjacencies {
-		s.adj = appendAdjacencies(s.adj[:0], place, spacingMM)
-		s.res.Adjacencies = s.adj
 	}
 	return &s.res, nil
 }
@@ -194,9 +180,7 @@ func appendAdjacencies(out []Adjacency, ps []Placement, spacing float64) []Adjac
 	return sortAdjacencies(out)
 }
 
-// sortAdjacencies orders an adjacency list by (A, B) name — the single
-// comparator shared by the full scan and the Tree's restricted rescan,
-// so the two paths cannot order their (identical) pair sets differently.
+// sortAdjacencies orders an adjacency list by (A, B) name.
 func sortAdjacencies(out []Adjacency) []Adjacency {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].A != out[j].A {

@@ -73,25 +73,6 @@ func TestScratchPlanMatchesPlan(t *testing.T) {
 	}
 }
 
-func TestScratchPlanNoAdjacencies(t *testing.T) {
-	var sc Scratch
-	blocks := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 30}}
-	got, err := sc.PlanNoAdjacencies(blocks, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Adjacencies != nil {
-		t.Error("PlanNoAdjacencies should not compute adjacencies")
-	}
-	want, err := Plan(blocks, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(want.AreaMM2()) != math.Float64bits(got.AreaMM2()) {
-		t.Errorf("bounding box differs: %g vs %g", want.AreaMM2(), got.AreaMM2())
-	}
-}
-
 func TestScratchPlanValidates(t *testing.T) {
 	var sc Scratch
 	if _, err := sc.Plan(nil, 0.5); err == nil {

@@ -1,36 +1,22 @@
 package floorplan
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file is the retained-mode incremental planner. A Tree caches the
 // outcome of one fixed-shape plan — the sorted order, the recursive
-// area-balanced partition and every subtree's composed dimensions,
-// orientation and sibling shift — so that re-planning after a small
-// area change costs a cheap O(n) topology guard plus a relayout of the
-// dirty leaf-to-root path instead of a full sort + partition + layout +
-// adjacency scan.
+// area-balanced partition and every subtree's composed dimensions — so
+// that re-planning after a small area change costs a cheap O(n)
+// topology guard plus a recompose of the dirty leaf-to-root path
+// instead of a full sort + partition + layout. It computes the bounding
+// box only: no placements and no adjacencies, which only the silicon-
+// bridge model reads (it plans from scratch with Scratch.Plan).
 //
-// The contract is bit-identity with Scratch.Plan on the same blocks, by
-// construction:
-//
-//   - The guard proves the sorted permutation and every partition
-//     decision are unchanged, so the slicing topology (and with it the
-//     leaf order) is exactly what a fresh plan would rebuild.
-//   - A leaf's final coordinates in layoutSeg are a fold of its
-//     ancestors' right-subtree shifts, applied leaf-to-root, each shift
-//     being the single addition (lw + spacing) or (lh + spacing). The
-//     tree caches exactly those shift values per node and replays the
-//     fold per leaf, so every coordinate is produced by the same float
-//     additions in the same order as the from-scratch layout.
-//   - The adjacency rescan re-runs facing() only for pairs where a
-//     rectangle moved; facing is pure per pair, so unmoved pairs keep
-//     verdicts a full scan would reproduce, and the shared final sort
-//     restores the full-scan output order (block names must be unique
-//     for that order to be well defined — the same caveat the full
-//     scan's sort carries).
+// The contract is bit-identity with Scratch.Plan's bounding box on the
+// same blocks, by construction: the guard proves the sorted permutation
+// and every partition decision are unchanged, so the slicing topology is
+// exactly what a fresh plan would rebuild, and each node's dims are
+// recomposed by the same float expressions as layoutSeg's, in the same
+// order.
 //
 // Any guard failure falls back to a full rebuild, which is the
 // from-scratch algorithm itself, so no input can make the incremental
@@ -47,29 +33,29 @@ import (
 // construction, and a segment that matches nothing simply runs the
 // from-scratch math.
 //
-// Dims-only Updates (the Gray-step shape of every non-bridge, fixed-
-// shape package estimate) also consult an exact shape memo. In that
-// mode the bounding box is a pure function of the spacing and the sorted
-// (area, aspect ratio) sequence — block names and caller order only
-// decide which block sits where — so the tree repairs its sorted order
-// in O(n) after the area change and looks the sequence up, keyed by its
-// Float64bits. A hit serves the W/H the from-scratch algorithm produced
-// for the same sequence earlier, bit-identical by construction. It does
-// not touch the retained slicing nodes, which are then stale: the next
-// miss rebuilds them from the (current) sorted order, and every entry
-// point that reads them (Plan, the name-keyed diff, ForkDims) rebuilds
+// Updates (the Gray-step shape of every non-bridge, fixed-shape package
+// estimate) also consult an exact shape memo. The bounding box is a
+// pure function of the spacing and the sorted (area, aspect ratio)
+// sequence — block names and caller order only decide which block sits
+// where — so the tree repairs its sorted order in O(n) after the area
+// change and looks the sequence up, keyed by its Float64bits. A hit
+// serves the W/H the from-scratch algorithm produced for the same
+// sequence earlier, bit-identical by construction. It does not touch
+// the retained slicing nodes, which are then stale: the next miss
+// rebuilds them from the (current) sorted order, and every entry point
+// that reads them (PlanDims, the name-keyed diff, ForkDims) rebuilds
 // first.
 
-// TreeStats counts the work a retained tree performed across Plan and
-// Update calls. The counters separate plans where reuse was impossible
-// by contract (Rebuilds: the first plan, spacing or adjacency-mode
-// changes) from plans where reuse was attempted and declined (Fallbacks,
+// TreeStats counts the work a retained tree performed across PlanDims
+// and Update calls. The counters separate plans where reuse was
+// impossible by contract (Rebuilds: the first plan, spacing changes)
+// from plans where reuse was attempted and declined (Fallbacks,
 // DiffFallbacks), so reuse-rate reporting is not deflated by plans the
 // tree never had a chance to serve incrementally.
 type TreeStats struct {
 	// Rebuilds counts deliberate full from-scratch builds: the first
-	// plan and any plan whose spacing or adjacency mode changed, where
-	// no retained state could apply by contract.
+	// plan and any plan whose spacing changed, where no retained state
+	// could apply by contract.
 	Rebuilds uint64
 	// FastPath counts same-shape plans served by an incremental relayout
 	// of the dirty paths with the retained topology.
@@ -80,15 +66,15 @@ type TreeStats struct {
 	// subtree of clean surviving blocks are spliced in instead of
 	// recomputed.
 	DiffFastPath uint64
-	// MemoHits counts dims-only Updates served from the exact shape
-	// memo: the sorted (area, aspect ratio) sequence was planned before,
-	// so the stored bounding box is returned and no slicing node is
-	// touched. A memo hit is neither FastPath nor Unchanged.
+	// MemoHits counts Updates served from the exact shape memo: the
+	// sorted (area, aspect ratio) sequence was planned before, so the
+	// stored bounding box is returned and no slicing node is touched. A
+	// memo hit is neither FastPath nor Unchanged.
 	MemoHits uint64
 	// Fallbacks counts same-shape plans that rebuilt the slicing tree
 	// from scratch: the incremental attempt hit a sort-order or
-	// partition flip, or (dims-only Updates) a memo miss found the tree
-	// stale after earlier memo hits.
+	// partition flip, or (Updates) a memo miss found the tree stale
+	// after earlier memo hits.
 	Fallbacks uint64
 	// DiffFallbacks counts shape-changed plans the name-keyed diff
 	// declined (no retained block survives by name), which rebuilt from
@@ -129,7 +115,8 @@ func (s *TreeStats) Add(o TreeStats) {
 	s.Splices += o.Splices
 }
 
-// Plans returns the total number of Plan/Update calls the counters cover.
+// Plans returns the total number of PlanDims/Update calls the counters
+// cover.
 func (s TreeStats) Plans() uint64 {
 	return s.FastPath + s.DiffFastPath + s.MemoHits + s.Unchanged + s.Fallbacks + s.DiffFallbacks + s.Rebuilds
 }
@@ -137,7 +124,7 @@ func (s TreeStats) Plans() uint64 {
 // ReuseRate returns the fraction of reuse-eligible plans (every plan
 // except the deliberate Rebuilds, which could never reuse retained
 // state) that were served incrementally. This is the accurate hit rate:
-// counting first builds and spacing/mode changes in the denominator
+// counting first builds and spacing changes in the denominator
 // would conflate "the guard declined" with "reuse was never possible".
 func (s TreeStats) ReuseRate() float64 {
 	served := s.FastPath + s.DiffFastPath + s.MemoHits + s.Unchanged
@@ -174,29 +161,23 @@ func (s TreeStats) Delta(prev TreeStats) TreeStats {
 }
 
 // tnode is one slicing-tree node. Leaves hold a single block; internal
-// nodes compose their two children either side by side (horiz) or
-// stacked, separated by the spacing constraint. Placements are not
-// stored per node: a leaf's coordinates are replayed from the shift
-// chain on demand.
+// nodes compose their two children either side by side or stacked,
+// separated by the spacing constraint, whichever box is smaller.
 type tnode struct {
-	parent, left, right int // node indices; left/right are -1 for leaves
-	lo, hi              int // leaf-order segment [lo, hi) of the subtree
-	w, h                float64
-	horiz               bool    // orientation of the chosen composition
-	shift               float64 // lw+spacing (horiz) or lh+spacing (vert), applied to the right subtree
+	left, right int // child node indices, -1 for leaves
+	lo, hi      int // leaf-order segment [lo, hi) of the subtree
+	w, h        float64
 }
 
-// Tree is a retained-mode incremental floorplanner. The zero value is
-// ready to use: the first Plan call builds the retained state, and
-// subsequent Plan or Update calls reuse every part of it the new areas
-// leave valid. A Tree is NOT safe for concurrent use, and the Result it
-// returns (including Placements and Adjacencies) is owned by the Tree
-// and overwritten by the next call.
+// Tree is a retained-mode incremental floorplanner of bounding boxes.
+// The zero value is ready to use: the first PlanDims call builds the
+// retained state, and subsequent PlanDims or Update calls reuse every
+// part of it the new areas leave valid. A Tree is NOT safe for
+// concurrent use, and the Result it returns is owned by the Tree and
+// overwritten by the next call.
 type Tree struct {
-	spacing  float64
-	needAdj  bool
-	dimsOnly bool
-	built    bool
+	spacing float64
+	built   bool
 
 	blocks []Block // caller order, current areas
 	sorted []Block // sorted (pre-partition) order
@@ -208,12 +189,11 @@ type Tree struct {
 	nodes   []tnode
 	nused   int
 	root    int
-	leafOf  []int       // sorted position -> leaf node index
-	leafPos []int       // sorted position -> leaf-order position
-	areas   []float64   // current areas in sorted order (flat guard-loop copy)
-	place   []Placement // final placements in leaf order (the replayed fold)
-	path    []int       // dirty root-to-leaf path of the last update
-	changed []int       // sorted positions whose area changed this round
+	leafOf  []int     // sorted position -> leaf node index
+	leafPos []int     // sorted position -> leaf-order position
+	areas   []float64 // current areas in sorted order (flat guard-loop copy)
+	path    []int     // dirty root-to-leaf path of the last update
+	changed []int     // sorted positions whose area changed this round
 
 	// Scratch buffers of the partition walks (build and guard share
 	// them; both consume a buffer fully before recursing or descending,
@@ -231,18 +211,9 @@ type Tree struct {
 	survBuf     []int   // merge-repair scratch: clean survivors in old sorted order
 	freshBuf    []int   // merge-repair scratch: inserted/dirty blocks by area
 
-	// Adjacency state (needAdj mode only): the final placements of the
-	// previous plan, per-leaf moved flags, and the pairwise verdict
-	// cache indexed i*n+j in leaf order (i < j).
-	prevPlace []Placement
-	moved     []bool
-	pairOK    []bool
-	pairVal   []Adjacency
-	adj       []Adjacency
-
-	// Dims-only shape memo. stale reports that memo hits left the
-	// slicing nodes and the leaf maps (leafOf, leafPos) behind the
-	// sorted permutation and areas, which are always current.
+	// Shape memo. stale reports that memo hits left the slicing nodes
+	// and the leaf maps (leafOf, leafPos) behind the sorted permutation
+	// and areas, which are always current.
 	memo  shapeMemo
 	stale bool
 
@@ -253,34 +224,15 @@ type Tree struct {
 // Stats snapshots the tree's work counters.
 func (t *Tree) Stats() TreeStats { return t.stats }
 
-// Plan floorplans the blocks, reusing the retained tree when only block
-// areas changed since the previous call (the dirty-path relayout) or
-// when blocks were removed, inserted or renamed but some survive by
-// name (the name-keyed diff, which splices the surviving subtrees). It
-// is bit-identical to Scratch.Plan on every input.
-func (t *Tree) Plan(blocks []Block, spacingMM float64) (*Result, error) {
-	return t.plan(blocks, spacingMM, true, false)
-}
-
-// PlanNoAdjacencies is Plan skipping the adjacency scan (the returned
-// Result has nil Adjacencies), mirroring Scratch.PlanNoAdjacencies.
-func (t *Tree) PlanNoAdjacencies(blocks []Block, spacingMM float64) (*Result, error) {
-	return t.plan(blocks, spacingMM, false, false)
-}
-
-// PlanDims is PlanNoAdjacencies skipping the placement replay too: the
+// PlanDims floorplans the blocks, reusing the retained tree when only
+// block areas changed since the previous call (the dirty-path relayout)
+// or when blocks were removed, inserted or renamed but some survive by
+// name (the name-keyed diff, which splices the surviving subtrees). The
 // returned Result carries only the bounding box (WidthMM, HeightMM) and
-// ChipletAreaMM2 — nil Placements, nil Adjacencies. The bounding box is
-// composed by the identical float operations, so it is bit-identical to
-// Plan's. Packaging models that consume only the package area (every
-// architecture except silicon bridges) run on this mode: the placement
-// fold and its per-leaf bookkeeping are the bulk of a retained plan's
-// cost once the topology is reused.
+// ChipletAreaMM2 — nil Placements, nil Adjacencies — bit-identical to
+// Scratch.Plan's on every input. Packaging models that consume only the
+// package area (every architecture except silicon bridges) run on it.
 func (t *Tree) PlanDims(blocks []Block, spacingMM float64) (*Result, error) {
-	return t.plan(blocks, spacingMM, false, true)
-}
-
-func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (*Result, error) {
 	if spacingMM == 0 {
 		spacingMM = DefaultSpacingMM
 	}
@@ -288,9 +240,9 @@ func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (
 	if err != nil {
 		return nil, err
 	}
-	if !t.built || t.spacing != spacingMM || t.needAdj != needAdj || t.dimsOnly != dimsOnly {
+	if !t.built || t.spacing != spacingMM {
 		t.stats.Rebuilds++
-		t.rebuild(blocks, spacingMM, needAdj, dimsOnly, total)
+		t.rebuild(blocks, spacingMM, total)
 		return &t.res, nil
 	}
 	t.refresh()
@@ -302,7 +254,7 @@ func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (
 			return &t.res, nil
 		}
 		t.stats.DiffFallbacks++
-		t.rebuild(blocks, spacingMM, needAdj, dimsOnly, total)
+		t.rebuild(blocks, spacingMM, total)
 		return &t.res, nil
 	}
 	t.changed = t.changed[:0]
@@ -324,21 +276,21 @@ func (t *Tree) plan(blocks []Block, spacingMM float64, needAdj, dimsOnly bool) (
 	}
 	t.stats.Fallbacks++
 	t.resort(len(t.blocks))
-	t.buildNodes(total)
+	t.buildNodes(total, -1)
 	return &t.res, nil
 }
 
 // Update re-plans after a single block's area change — the Gray-step
 // shape of a compiled sweep walk. blockIdx indexes the caller-order
-// block list of the last Plan call. It repairs the sorted order, then
+// block list of the last PlanDims call. It repairs the sorted order and
+// consults the exact shape memo (see the file comment); on a miss it
 // verifies the retained topology still holds (rebuilding the nodes from
 // the repaired order when the new area moved the block or flips a
-// partition decision) and otherwise relayouts only the dirty
-// leaf-to-root path. After a PlanDims it first consults the exact shape
-// memo (see the file comment).
+// partition decision) and otherwise recomposes only the dirty
+// leaf-to-root path.
 func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 	if !t.built {
-		return nil, fmt.Errorf("floorplan: Tree.Update before Plan")
+		return nil, fmt.Errorf("floorplan: Tree.Update before PlanDims")
 	}
 	if blockIdx < 0 || blockIdx >= len(t.blocks) {
 		return nil, fmt.Errorf("floorplan: Tree.Update block index %d outside [0, %d)", blockIdx, len(t.blocks))
@@ -363,25 +315,20 @@ func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 	t.sorted[sp].AreaMM2 = areaMM2
 	t.areas[sp] = areaMM2
 	sp, moved := t.repairOrder(sp)
-	var h uint64
-	if t.dimsOnly {
-		h = t.shapeHash()
-		if w, hgt, hit := t.memoLookup(h); hit {
-			t.stale = true
-			t.res.WidthMM, t.res.HeightMM, t.res.ChipletAreaMM2 = w, hgt, total
-			t.stats.MemoHits++
-			return &t.res, nil
-		}
+	h := t.shapeHash()
+	if w, hgt, hit := t.memoLookup(h); hit {
+		t.stale = true
+		t.res.WidthMM, t.res.HeightMM, t.res.ChipletAreaMM2 = w, hgt, total
+		t.stats.MemoHits++
+		return &t.res, nil
 	}
 	// A moved block invalidates the leaf maps, and memo hits leave the
 	// whole tree stale: both rebuild the nodes from the repaired order.
 	if t.stale || moved || !t.updateOne(sp, total) {
 		t.stats.Fallbacks++
-		t.buildNodes(total)
+		t.buildNodes(total, -1)
 	}
-	if t.dimsOnly {
-		t.memoStore(h, t.res.WidthMM, t.res.HeightMM)
-	}
+	t.memoStore(h, t.res.WidthMM, t.res.HeightMM)
 	return &t.res, nil
 }
 
@@ -422,7 +369,7 @@ func (t *Tree) swapSorted(i, j int) {
 // it first; the rebuilt box carries the bits the memo served.
 func (t *Tree) refresh() {
 	if t.stale {
-		t.buildNodes(t.res.ChipletAreaMM2)
+		t.buildNodes(t.res.ChipletAreaMM2, -1)
 	}
 }
 
@@ -456,12 +403,9 @@ func (t *Tree) sortedOrderOK() bool {
 // updateOne is the single-changed-block incremental re-plan of the
 // block at sorted position sp, whose sorted order repairOrder left
 // unchanged: one partition-guard descent along the dirty root-to-leaf
-// path, a bottom-up recompose of that path, and the placement replay.
-// Returns false on any partition flip.
+// path and a bottom-up recompose of that path. Returns false on any
+// partition flip.
 func (t *Tree) updateOne(sp int, total float64) bool {
-	if t.needAdj {
-		t.prevPlace = append(t.prevPlace[:0], t.place...)
-	}
 	n := len(t.sorted)
 	members := t.walkOrder[:n]
 	for i := range members {
@@ -516,15 +460,12 @@ func (t *Tree) updateOne(sp int, total float64) bool {
 	return true
 }
 
-// update is the general multi-change incremental re-plan used by the
-// Plan diff: a full sorted-order check and a recursive guard walk over
-// the union of dirty paths.
+// update is the general multi-change incremental re-plan of PlanDims:
+// a full sorted-order check and a recursive guard walk over the union of
+// dirty paths.
 func (t *Tree) update(total float64) bool {
 	if !t.sortedOrderOK() {
 		return false
-	}
-	if t.needAdj {
-		t.prevPlace = append(t.prevPlace[:0], t.place...)
 	}
 	order := t.walkOrder[:len(t.sorted)]
 	for i := range order {
@@ -606,9 +547,9 @@ func (t *Tree) rangeDirty(lo, hi int) bool {
 	return false
 }
 
-// compose recomputes an internal node's dimensions, orientation and
-// shift from its children — the exact float expressions of layoutSeg's
-// composition step, in the same order.
+// compose recomputes an internal node's dimensions from its children —
+// the exact float expressions of layoutSeg's composition step, in the
+// same order.
 func (t *Tree) compose(ni int) {
 	nd := &t.nodes[ni]
 	l, r := &t.nodes[nd.left], &t.nodes[nd.right]
@@ -628,71 +569,41 @@ func (t *Tree) compose(ni int) {
 	}
 	vh := lh + t.spacing + rh
 	if hw*hh <= vw*vh {
-		nd.horiz = true
-		nd.shift = lw + t.spacing
 		nd.w, nd.h = hw, hh
 	} else {
-		nd.horiz = false
-		nd.shift = lh + t.spacing
 		nd.w, nd.h = vw, vh
 	}
 }
 
-// replayPlacements derives every leaf's final placement by folding its
-// ancestors' shifts in leaf-to-root order — the exact addition sequence
-// the in-place layout applies as its recursion unwinds. Names are
-// pre-filled at rebuild (the leaf order is fixed until then), so the
-// hot path writes only the four coordinate fields.
-func (t *Tree) replayPlacements() {
-	for sp := range t.sorted {
-		li := t.leafOf[sp]
-		nd := &t.nodes[li]
-		x, y := 0.0, 0.0
-		cur := li
-		for a := nd.parent; a >= 0; a = t.nodes[a].parent {
-			pa := &t.nodes[a]
-			if pa.right == cur {
-				if pa.horiz {
-					x += pa.shift
-				} else {
-					y += pa.shift
-				}
-			}
-			cur = a
-		}
-		pl := &t.place[t.leafPos[sp]]
-		pl.X, pl.Y, pl.Width, pl.Height = x, y, nd.w, nd.h
-	}
-}
-
 // allocNode takes the next recycled tree-node slot.
-func (t *Tree) allocNode(parent int) int {
+func (t *Tree) allocNode() int {
 	if t.nused == len(t.nodes) {
 		t.nodes = append(t.nodes, tnode{})
 	}
 	ni := t.nused
 	t.nused++
-	t.nodes[ni] = tnode{parent: parent, left: -1, right: -1}
+	t.nodes[ni] = tnode{left: -1, right: -1}
 	return ni
 }
 
-// rebuild runs the from-scratch algorithm on a new block set, spacing
-// or mode: it repopulates every retained cache and resets the shape
+// rebuild runs the from-scratch algorithm on a new block set or
+// spacing: it repopulates every retained cache and resets the shape
 // memo.
-func (t *Tree) rebuild(blocks []Block, spacing float64, needAdj, dimsOnly bool, total float64) {
+func (t *Tree) rebuild(blocks []Block, spacing, total float64) {
 	n := len(blocks)
-	t.spacing, t.needAdj, t.dimsOnly = spacing, needAdj, dimsOnly
+	t.spacing = spacing
 	t.blocks = append(t.blocks[:0], blocks...)
 	t.sizeBuffers(n)
 	t.resort(n)
-	t.buildNodes(total)
+	t.buildNodes(total, -1)
 	t.resetMemo()
 }
 
 // buildNodes rebuilds the slicing tree and the leaf maps from the
-// current sorted order — the from-scratch partition and layout — and
-// refreshes the Result.
-func (t *Tree) buildNodes(total float64) {
+// current sorted order — the from-scratch partition and composition,
+// grafting from the previous generation when prevRoot >= 0 (see build)
+// — and refreshes the Result.
+func (t *Tree) buildNodes(total float64, prevRoot int) {
 	n := len(t.sorted)
 	t.nused = 0
 	order := t.walkOrder[:n]
@@ -700,25 +611,9 @@ func (t *Tree) buildNodes(total float64) {
 		order[i] = i
 	}
 	nextLeaf := 0
-	t.root = t.build(order, -1, &nextLeaf)
-	t.fillLeafMeta()
-
-	if t.needAdj {
-		t.sizeAdj(n)
-		moved := t.moved[:n]
-		for i := range moved {
-			moved[i] = true // every pair rescans on a rebuild
-		}
-		// A stale snapshot must not mark rebuilt leaves unmoved: the
-		// leaf order may have changed, so the pair cache is void.
-		t.prevPlace = t.prevPlace[:0]
-	}
+	t.root = t.build(order, &nextLeaf, prevRoot)
 	t.built = true
 	t.stale = false
-	t.res = Result{}
-	if !t.dimsOnly {
-		t.res.Placements = t.place
-	}
 	t.finishResult(total)
 }
 
@@ -731,7 +626,6 @@ func (t *Tree) sizeBuffers(n int) {
 		t.leafOf = make([]int, n)
 		t.leafPos = make([]int, n)
 		t.areas = make([]float64, n)
-		t.place = make([]Placement, n)
 		t.walkOrder = make([]int, n)
 		t.walkTmp = make([]int, n)
 		t.walkToA = make([]bool, n)
@@ -744,7 +638,6 @@ func (t *Tree) sizeBuffers(n int) {
 	if cap(t.nodesPrev) < 2*n-1 {
 		t.nodesPrev = append(make([]tnode, 0, 2*n-1), t.nodesPrev...)
 	}
-	t.place = t.place[:n]
 	t.leafPos = t.leafPos[:n]
 	t.areas = t.areas[:n]
 }
@@ -777,93 +670,13 @@ func (t *Tree) resort(n int) {
 	}
 }
 
-// fillLeafMeta derives the sorted-pos -> leaf-order map from the built
-// tree and pre-fills the placement names in leaf order (dims-only
-// plans keep just the map — they never materialize placements).
-func (t *Tree) fillLeafMeta() {
-	if t.dimsOnly {
-		for sp := range t.sorted {
-			t.leafPos[sp] = t.nodes[t.leafOf[sp]].lo
-		}
-		return
-	}
-	for sp := range t.sorted {
-		pos := t.nodes[t.leafOf[sp]].lo
-		t.leafPos[sp] = pos
-		t.place[pos].Name = t.sorted[sp].Name
-	}
-}
-
-// sizeAdj grows the adjacency pair cache to n leaves.
-func (t *Tree) sizeAdj(n int) {
-	if cap(t.pairOK) < n*n {
-		t.pairOK = make([]bool, n*n)
-		t.pairVal = make([]Adjacency, n*n)
-	}
-	if cap(t.moved) < n {
-		t.moved = make([]bool, n)
-	}
-}
-
-// build constructs the subtree over seg (members as sorted positions in
-// pre-partition order; permuted in place exactly like layoutSeg) and
-// returns its node index. Leaf-order positions are assigned in DFS
-// order, matching the in-place permutation of the fused layout.
-func (t *Tree) build(seg []int, parent int, nextLeaf *int) int {
-	ni := t.allocNode(parent)
-	if len(seg) == 1 {
-		sp := seg[0]
-		lo := *nextLeaf
-		*nextLeaf = lo + 1
-		b := &t.sorted[sp]
-		w, h := b.dims()
-		nd := &t.nodes[ni]
-		nd.lo, nd.hi = lo, lo+1
-		nd.w, nd.h = w, h
-		t.leafOf[sp] = ni
-		return ni
-	}
-	na := 0
-	var areaA, areaB float64
-	toA := t.walkToA[:len(seg)]
-	for i, sp := range seg {
-		if areaA <= areaB {
-			toA[i] = true
-			areaA += t.sorted[sp].AreaMM2
-			na++
-		} else {
-			toA[i] = false
-			areaB += t.sorted[sp].AreaMM2
-		}
-	}
-	tmp := t.walkTmp[:len(seg)]
-	copy(tmp, seg)
-	ia, ib := 0, na
-	for i, sp := range tmp {
-		if toA[i] {
-			seg[ia] = sp
-			ia++
-		} else {
-			seg[ib] = sp
-			ib++
-		}
-	}
-	left := t.build(seg[:na], ni, nextLeaf)
-	right := t.build(seg[na:], ni, nextLeaf)
-	nd := &t.nodes[ni] // re-take: t.nodes may have grown
-	nd.left, nd.right = left, right
-	nd.lo, nd.hi = t.nodes[left].lo, t.nodes[right].hi
-	t.compose(ni)
-	return ni
-}
-
-// planDiff serves a shape-changed Plan through the name-keyed diff. The
-// new tree is constructed by the from-scratch recursion — fresh stable
-// sort, fresh area-balanced partition decisions — but any segment whose
-// members are all clean survivors of the retained plan (same name, area
-// and aspect ratio) occupying, in order, a contiguous retained leaf
+// planDiff serves a shape-changed PlanDims through the name-keyed diff.
+// The new tree is constructed by the from-scratch recursion — fresh
+// stable sort, fresh area-balanced partition decisions — but any segment
+// whose members are all clean survivors of the retained plan (same name,
+// area and aspect ratio) occupying, in order, a contiguous retained leaf
 // interval that is exactly a retained subtree is grafted: the subtree's
-// node structs (leaf dims, orientations, shifts) are copied instead of
+// node structs (leaf and composed dims) are copied instead of
 // recomputed. A grafted segment holds the identical ordered block list
 // the retained recursion partitioned, so re-running the recursion would
 // reproduce the copied values float for float — the result is
@@ -923,20 +736,10 @@ func (t *Tree) planDiff(blocks []Block, total float64) bool {
 
 // rebuildDiff is the diff-plan body: the rebuild scaffolding with the
 // node array double-buffered (grafts read the previous generation) and
-// the build recursion replaced by the grafting buildDiff. matchOld must
+// the build recursion grafting from it. matchOld must
 // already hold the per-new-caller-index retained leaf positions.
 func (t *Tree) rebuildDiff(blocks []Block, total float64) {
 	n := len(blocks)
-	if t.needAdj {
-		// With an unchanged leaf count the moved-rectangle detection can
-		// keep verdicts of pairs whose placements (and names) survive; a
-		// changed count shifts the pair indexing, voiding the cache.
-		if n == len(t.place) {
-			t.prevPlace = append(t.prevPlace[:0], t.place...)
-		} else {
-			t.prevPlace = t.prevPlace[:0]
-		}
-	}
 	prevRoot := t.root
 	t.nodes, t.nodesPrev = t.nodesPrev, t.nodes
 
@@ -1012,43 +815,30 @@ func (t *Tree) rebuildDiff(blocks []Block, total float64) {
 	for pos, i := range src {
 		diffOldLeaf[pos] = t.matchOld[i]
 	}
-
-	t.nused = 0
-	order := t.walkOrder[:n]
-	for i := range order {
-		order[i] = i
-	}
-	nextLeaf := 0
-	t.root = t.buildDiff(order, -1, &nextLeaf, prevRoot)
-	t.fillLeafMeta()
-
-	if t.needAdj {
-		t.sizeAdj(n)
-		if len(t.prevPlace) != n {
-			moved := t.moved[:n]
-			for i := range moved {
-				moved[i] = true
-			}
-		}
-	}
-	t.res = Result{}
-	if !t.dimsOnly {
-		t.res.Placements = t.place
-	}
-	t.finishResult(total)
+	t.buildNodes(total, prevRoot)
 	t.resetMemo()
 }
 
-// buildDiff is build with subtree grafting: before partitioning a
-// segment it checks whether the members are clean survivors covering, in
-// order, exactly one retained subtree's leaf interval, and copies that
-// subtree instead of recursing. Non-grafted segments run the exact
-// from-scratch partition/compose math on the new areas.
-func (t *Tree) buildDiff(seg []int, parent int, nextLeaf *int, prevRoot int) int {
+// build constructs the subtree over seg (members as sorted positions in
+// pre-partition order; permuted in place exactly like layoutSeg) and
+// returns its node index. Leaf-order positions are assigned in DFS
+// order, matching the in-place permutation of the fused layout.
+//
+// With prevRoot >= 0 (the name-keyed diff) it grafts: before
+// partitioning a segment it checks whether the members are clean
+// survivors covering, in order, exactly one subtree of the previous
+// generation's leaf interval, and copies that subtree instead of
+// recursing. Non-grafted segments run the exact from-scratch
+// partition/compose math on the new areas.
+func (t *Tree) build(seg []int, nextLeaf *int, prevRoot int) int {
 	// Endpoint check first: segments holding a removed/inserted/dirty
 	// block or a split retained interval almost always fail at the ends,
 	// so the O(len) middle scan runs only on near-matches.
-	if first := t.diffOldLeaf[seg[0]]; first >= 0 && t.diffOldLeaf[seg[len(seg)-1]] == first+len(seg)-1 {
+	first := -1
+	if prevRoot >= 0 {
+		first = t.diffOldLeaf[seg[0]]
+	}
+	if first >= 0 && t.diffOldLeaf[seg[len(seg)-1]] == first+len(seg)-1 {
 		contiguous := true
 		for k := 1; k < len(seg)-1; k++ {
 			if t.diffOldLeaf[seg[k]] != first+k {
@@ -1059,14 +849,14 @@ func (t *Tree) buildDiff(seg []int, parent int, nextLeaf *int, prevRoot int) int
 		if contiguous {
 			if oi := nodeSpanning(t.nodesPrev, prevRoot, first, first+len(seg)); oi >= 0 {
 				base := *nextLeaf
-				ni := t.graft(oi, parent, first, base, seg)
+				ni := t.graft(oi, first, base, seg)
 				*nextLeaf = base + len(seg)
 				t.stats.Splices++
 				return ni
 			}
 		}
 	}
-	ni := t.allocNode(parent)
+	ni := t.allocNode()
 	if len(seg) == 1 {
 		sp := seg[0]
 		lo := *nextLeaf
@@ -1076,7 +866,7 @@ func (t *Tree) buildDiff(seg []int, parent int, nextLeaf *int, prevRoot int) int
 		nd := &t.nodes[ni]
 		nd.lo, nd.hi = lo, lo+1
 		nd.w, nd.h = w, h
-		t.leafOf[sp] = ni
+		t.leafOf[sp], t.leafPos[sp] = ni, lo
 		return ni
 	}
 	na := 0
@@ -1104,8 +894,8 @@ func (t *Tree) buildDiff(seg []int, parent int, nextLeaf *int, prevRoot int) int
 			ib++
 		}
 	}
-	left := t.buildDiff(seg[:na], ni, nextLeaf, prevRoot)
-	right := t.buildDiff(seg[na:], ni, nextLeaf, prevRoot)
+	left := t.build(seg[:na], nextLeaf, prevRoot)
+	right := t.build(seg[na:], nextLeaf, prevRoot)
 	nd := &t.nodes[ni] // re-take: t.nodes may have grown
 	nd.left, nd.right = left, right
 	nd.lo, nd.hi = t.nodes[left].lo, t.nodes[right].hi
@@ -1137,7 +927,7 @@ func nodeSpanning(nodes []tnode, ni, lo, hi int) int {
 	}
 }
 
-// ForkDims evaluates the bounding box a Plan of the retained block set
+// ForkDims evaluates the bounding box a PlanDims of the retained block set
 // with the blocks at caller indices r1 and r2 removed and extra
 // appended would produce — the merge-candidate shape of a Disaggregate
 // greedy step — WITHOUT disturbing the retained plan. Every candidate
@@ -1156,7 +946,7 @@ func nodeSpanning(nodes []tnode, ni, lo, hi int) int {
 // (it is the same remove/insert diff, minus the commit).
 func (t *Tree) ForkDims(r1, r2 int, extra Block) (wMM, hMM, totalMM2 float64, err error) {
 	if !t.built {
-		return 0, 0, 0, fmt.Errorf("floorplan: Tree.ForkDims before Plan")
+		return 0, 0, 0, fmt.Errorf("floorplan: Tree.ForkDims before PlanDims")
 	}
 	n := len(t.blocks)
 	if r1 > r2 {
@@ -1296,68 +1086,29 @@ func (t *Tree) forkSeg(seg []int, eArea, eW, eH float64) (w, h float64) {
 // graft clones the previous-generation subtree oi into the new node
 // array, translating its leaf interval from oldLo to base. seg maps the
 // subtree's leaves (in leaf order) back to their new sorted positions so
-// leafOf stays consistent.
-func (t *Tree) graft(oi, parent, oldLo, base int, seg []int) int {
-	ni := t.allocNode(parent)
+// the leaf maps stay consistent.
+func (t *Tree) graft(oi, oldLo, base int, seg []int) int {
+	ni := t.allocNode()
 	od := t.nodesPrev[oi]
 	nd := &t.nodes[ni]
-	nd.w, nd.h, nd.horiz, nd.shift = od.w, od.h, od.horiz, od.shift
+	nd.w, nd.h = od.w, od.h
 	nd.lo, nd.hi = od.lo-oldLo+base, od.hi-oldLo+base
 	if od.left < 0 {
-		t.leafOf[seg[od.lo-oldLo]] = ni
+		sp := seg[od.lo-oldLo]
+		t.leafOf[sp], t.leafPos[sp] = ni, nd.lo
 		return ni
 	}
-	left := t.graft(od.left, ni, oldLo, base, seg)
-	right := t.graft(od.right, ni, oldLo, base, seg)
+	left := t.graft(od.left, oldLo, base, seg)
+	right := t.graft(od.right, oldLo, base, seg)
 	nd = &t.nodes[ni] // re-take: t.nodes may have grown
 	nd.left, nd.right = left, right
 	return ni
 }
 
-// finishResult replays the placements, refreshes the Result's scalars
-// in place (the Placements header is wired at rebuild) and, in
-// adjacency mode, rescans the pairs involving moved rectangles.
+// finishResult refreshes the Result from the root's composed box.
 func (t *Tree) finishResult(total float64) {
-	if !t.dimsOnly {
-		t.replayPlacements()
-	}
 	root := &t.nodes[t.root]
 	t.res.WidthMM = root.w
 	t.res.HeightMM = root.h
 	t.res.ChipletAreaMM2 = total
-	if !t.needAdj {
-		return
-	}
-	n := len(t.place)
-	moved := t.moved[:n]
-	if len(t.prevPlace) == n {
-		for i, p := range t.place {
-			q := t.prevPlace[i]
-			// The name comparison matters after a name-keyed diff: a new
-			// block can land on an old block's exact rectangle, and the
-			// cached pair verdicts carry names.
-			moved[i] = p.Name != q.Name ||
-				math.Float64bits(p.X) != math.Float64bits(q.X) ||
-				math.Float64bits(p.Y) != math.Float64bits(q.Y) ||
-				math.Float64bits(p.Width) != math.Float64bits(q.Width) ||
-				math.Float64bits(p.Height) != math.Float64bits(q.Height)
-		}
-		t.prevPlace = t.prevPlace[:0]
-	}
-	const eps = 1e-9
-	maxGap := t.spacing + eps
-	t.adj = t.adj[:0]
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			idx := i*n + j
-			if moved[i] || moved[j] {
-				t.pairVal[idx], t.pairOK[idx] = facing(t.place[i], t.place[j], maxGap)
-			}
-			if t.pairOK[idx] {
-				t.adj = append(t.adj, t.pairVal[idx])
-			}
-		}
-	}
-	t.adj = sortAdjacencies(t.adj)
-	t.res.Adjacencies = t.adj
 }

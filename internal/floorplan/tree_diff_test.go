@@ -49,37 +49,28 @@ func mutateBlockSet(rng *rand.Rand, blocks []Block, nameSeq *int) []Block {
 }
 
 // Randomized parity: remove/insert sequences against the from-scratch
-// planner, in both adjacency modes.
+// planner.
 func TestTreeDiffMatchesScratchPlanRandomized(t *testing.T) {
-	for _, needAdj := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(20260726))
-		var tr Tree
-		var sc Scratch
-		nameSeq := 0
-		blocks := randBlocks(rng)
-		for trial := 0; trial < 400; trial++ {
-			blocks = mutateBlockSet(rng, blocks, &nameSeq)
-			var want, got *Result
-			var errW, errG error
-			if needAdj {
-				want, errW = sc.Plan(blocks, 0.5)
-				got, errG = tr.Plan(blocks, 0.5)
-			} else {
-				want, errW = sc.PlanNoAdjacencies(blocks, 0.5)
-				got, errG = tr.PlanNoAdjacencies(blocks, 0.5)
-			}
-			if errW != nil || errG != nil {
-				t.Fatalf("adj=%v trial %d: unexpected errors %v / %v", needAdj, trial, errW, errG)
-			}
-			resultsBitIdentical(t, fmt.Sprintf("adj=%v trial %d", needAdj, trial), want, got)
+	rng := rand.New(rand.NewSource(20260726))
+	var tr Tree
+	var sc Scratch
+	nameSeq := 0
+	blocks := randBlocks(rng)
+	for trial := 0; trial < 400; trial++ {
+		blocks = mutateBlockSet(rng, blocks, &nameSeq)
+		want, errW := sc.Plan(blocks, 0.5)
+		got, errG := tr.PlanDims(blocks, 0.5)
+		if errW != nil || errG != nil {
+			t.Fatalf("trial %d: unexpected errors %v / %v", trial, errW, errG)
 		}
-		s := tr.Stats()
-		if s.DiffFastPath == 0 {
-			t.Errorf("adj=%v: randomized edit sequence never took the diff path: %+v", needAdj, s)
-		}
-		if s.Splices == 0 {
-			t.Errorf("adj=%v: diff plans never spliced a retained subtree: %+v", needAdj, s)
-		}
+		boxBitIdentical(t, fmt.Sprintf("trial %d", trial), want, got)
+	}
+	s := tr.Stats()
+	if s.DiffFastPath == 0 {
+		t.Errorf("randomized edit sequence never took the diff path: %+v", s)
+	}
+	if s.Splices == 0 {
+		t.Errorf("diff plans never spliced a retained subtree: %+v", s)
 	}
 }
 
@@ -95,7 +86,7 @@ func TestTreeDiffDisaggregateShape(t *testing.T) {
 	}
 	var tr Tree
 	var sc Scratch
-	if _, err := tr.PlanNoAdjacencies(base, 0.5); err != nil {
+	if _, err := tr.PlanDims(base, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	plans := 0
@@ -111,15 +102,15 @@ func TestTreeDiffDisaggregateShape(t *testing.T) {
 				Name:    base[i].Name + "+" + base[j].Name,
 				AreaMM2: base[i].AreaMM2 + base[j].AreaMM2,
 			})
-			want, err := sc.PlanNoAdjacencies(cand, 0.5)
+			want, err := sc.Plan(cand, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tr.PlanNoAdjacencies(cand, 0.5)
+			got, err := tr.PlanDims(cand, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resultsBitIdentical(t, fmt.Sprintf("candidate (%d,%d)", i, j), want, got)
+			boxBitIdentical(t, fmt.Sprintf("candidate (%d,%d)", i, j), want, got)
 			plans++
 		}
 	}
@@ -201,7 +192,7 @@ func TestTreeForkDimsMatchesScratchPlan(t *testing.T) {
 func TestTreeForkDimsErrors(t *testing.T) {
 	var tr Tree
 	if _, _, _, err := tr.ForkDims(0, 1, Block{Name: "x", AreaMM2: 5}); err == nil {
-		t.Error("fork before Plan should fail")
+		t.Error("fork before PlanDims should fail")
 	}
 	base := []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 5}, {Name: "c", AreaMM2: 2}}
 	if _, err := tr.PlanDims(base, 0.5); err != nil {
@@ -225,18 +216,18 @@ func TestTreeDiffForcedFallbacks(t *testing.T) {
 	var tr Tree
 	var sc Scratch
 	a := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 30}}
-	if _, err := tr.Plan(a, 0.5); err != nil {
+	if _, err := tr.PlanDims(a, 0.5); err != nil {
 		t.Fatal(err)
 	}
 
 	// Disjoint names: no survivor, diff declines.
 	b := []Block{{Name: "x", AreaMM2: 80}, {Name: "y", AreaMM2: 40}}
 	want, _ := sc.Plan(b, 0.5)
-	got, err := tr.Plan(b, 0.5)
+	got, err := tr.PlanDims(b, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "disjoint names", want, got)
+	boxBitIdentical(t, "disjoint names", want, got)
 	if s := tr.Stats(); s.DiffFallbacks != 1 {
 		t.Errorf("disjoint name set should count a diff fallback: %+v", s)
 	}
@@ -244,10 +235,10 @@ func TestTreeDiffForcedFallbacks(t *testing.T) {
 	// Same names but every area changed: no clean survivor.
 	c := []Block{{Name: "x", AreaMM2: 70}, {Name: "y", AreaMM2: 50}, {Name: "z", AreaMM2: 20}}
 	want, _ = sc.Plan(c, 0.5)
-	if got, err = tr.Plan(c, 0.5); err != nil {
+	if got, err = tr.PlanDims(c, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "all areas changed", want, got)
+	boxBitIdentical(t, "all areas changed", want, got)
 	if s := tr.Stats(); s.DiffFallbacks != 2 {
 		t.Errorf("all-dirty survivor set should count a diff fallback: %+v", s)
 	}
@@ -257,59 +248,30 @@ func TestTreeDiffForcedFallbacks(t *testing.T) {
 	// rests on area/aspect equality, not the name).
 	d := []Block{{Name: "d", AreaMM2: 90}, {Name: "d", AreaMM2: 45}}
 	want, _ = sc.Plan(d, 0.5)
-	if got, err = tr.Plan(d, 0.5); err != nil {
+	if got, err = tr.PlanDims(d, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "duplicate names", want, got)
+	boxBitIdentical(t, "duplicate names", want, got)
 	e := []Block{{Name: "d", AreaMM2: 90}, {Name: "d", AreaMM2: 45}, {Name: "e", AreaMM2: 10}}
 	want, _ = sc.Plan(e, 0.5)
-	if got, err = tr.Plan(e, 0.5); err != nil {
+	if got, err = tr.PlanDims(e, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "after duplicate names", want, got)
+	boxBitIdentical(t, "after duplicate names", want, got)
 
 	// A clean survivor set after the adversarial run serves via the diff.
 	f := []Block{{Name: "f", AreaMM2: 90}, {Name: "g", AreaMM2: 45}, {Name: "h", AreaMM2: 10}}
-	if _, err = tr.Plan(f, 0.5); err != nil {
+	if _, err = tr.PlanDims(f, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	before := tr.Stats().DiffFastPath
 	g := append(f[:2:2], Block{Name: "i", AreaMM2: 25})
 	want, _ = sc.Plan(g, 0.5)
-	if got, err = tr.Plan(g, 0.5); err != nil {
+	if got, err = tr.PlanDims(g, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "recovered diff", want, got)
+	boxBitIdentical(t, "recovered diff", want, got)
 	if s := tr.Stats(); s.DiffFastPath != before+1 {
 		t.Errorf("clean survivors should serve through the diff: %+v", s)
-	}
-}
-
-// An inserted block that lands on a removed block's exact rectangle must
-// still refresh the adjacency names (the moved-leaf detection keys on
-// names as well as coordinates).
-func TestTreeDiffAdjacencyRenamedRectangle(t *testing.T) {
-	var tr Tree
-	var sc Scratch
-	a := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 30}}
-	if _, err := tr.Plan(a, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	// Same geometry, one renamed block: placements identical except the
-	// name, so a coordinate-only moved check would serve stale verdicts.
-	b := []Block{{Name: "a", AreaMM2: 100}, {Name: "renamed", AreaMM2: 60}, {Name: "c", AreaMM2: 30}}
-	want, err := sc.Plan(b, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Plan(b, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsBitIdentical(t, "renamed rectangle", want, got)
-	for _, adj := range got.Adjacencies {
-		if adj.A == "b" || adj.B == "b" {
-			t.Fatalf("stale adjacency name after rename: %+v", got.Adjacencies)
-		}
 	}
 }

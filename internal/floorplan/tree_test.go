@@ -7,34 +7,26 @@ import (
 	"testing"
 )
 
-// resultsBitIdentical compares two plans field by field at float-bit
-// granularity (the incremental planner's contract).
-func resultsBitIdentical(t *testing.T, label string, want, got *Result) {
+// boxBitIdentical compares a retained tree's result with a from-scratch
+// plan at float-bit granularity: the bounding box and the total must
+// carry the same bits, and the tree's result carries no placements or
+// adjacencies.
+func boxBitIdentical(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if math.Float64bits(want.WidthMM) != math.Float64bits(got.WidthMM) ||
 		math.Float64bits(want.HeightMM) != math.Float64bits(got.HeightMM) ||
 		math.Float64bits(want.ChipletAreaMM2) != math.Float64bits(got.ChipletAreaMM2) {
-		t.Fatalf("%s: bounding box / total differ:\nwant %+v\ngot  %+v", label, want, got)
+		t.Fatalf("%s: box differs: want %g x %g (total %g), got %g x %g (total %g)", label,
+			want.WidthMM, want.HeightMM, want.ChipletAreaMM2, got.WidthMM, got.HeightMM, got.ChipletAreaMM2)
 	}
-	if !placementsEqual(want.Placements, got.Placements) {
-		t.Fatalf("%s: placements differ\nwant %+v\ngot  %+v", label, want.Placements, got.Placements)
-	}
-	if len(want.Adjacencies) != len(got.Adjacencies) {
-		t.Fatalf("%s: adjacency counts differ: %d vs %d\nwant %+v\ngot  %+v",
-			label, len(want.Adjacencies), len(got.Adjacencies), want.Adjacencies, got.Adjacencies)
-	}
-	for i := range want.Adjacencies {
-		if want.Adjacencies[i].A != got.Adjacencies[i].A ||
-			want.Adjacencies[i].B != got.Adjacencies[i].B ||
-			math.Float64bits(want.Adjacencies[i].OverlapMM) != math.Float64bits(got.Adjacencies[i].OverlapMM) {
-			t.Fatalf("%s: adjacency %d differs: %+v vs %+v", label, i, want.Adjacencies[i], got.Adjacencies[i])
-		}
+	if got.Placements != nil || got.Adjacencies != nil {
+		t.Fatalf("%s: tree result carries placements or adjacencies", label)
 	}
 }
 
-// One retained Tree fed arbitrary block sets through Plan must stay bit
-// identical to the from-scratch planner, whatever mix of rebuilds and
-// incremental updates it takes internally.
+// One retained Tree fed arbitrary block sets through PlanDims must stay
+// bit identical to the from-scratch planner, whatever mix of rebuilds
+// and incremental updates it takes internally.
 func TestTreePlanMatchesScratchPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var tr Tree
@@ -57,15 +49,15 @@ func TestTreePlanMatchesScratchPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.Plan(blocks, 0.5)
+		got, err := tr.PlanDims(blocks, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsBitIdentical(t, fmt.Sprintf("trial %d", trial), want, got)
+		boxBitIdentical(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
 	s := tr.Stats()
-	if s.FastPath == 0 {
-		t.Errorf("randomized plan sequence never took the fast path: %+v", s)
+	if s.FastPath == 0 || s.Fallbacks == 0 {
+		t.Errorf("randomized plan sequence did not exercise relayouts and flip rebuilds: %+v", s)
 	}
 	if s.Rebuilds == 0 {
 		t.Errorf("randomized plan sequence never rebuilt: %+v", s)
@@ -73,10 +65,12 @@ func TestTreePlanMatchesScratchPlan(t *testing.T) {
 }
 
 // Update must match a from-scratch plan after every single-area step of
-// a random walk, including steps that change nothing.
+// a random walk, including steps that change nothing, whether the step
+// is served by a relayout, a rebuild or the shape memo.
 func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sc Scratch
+	var total TreeStats
 	for round := 0; round < 20; round++ {
 		n := 1 + rng.Intn(8)
 		blocks := make([]Block, n)
@@ -87,7 +81,7 @@ func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 			}
 		}
 		var tr Tree
-		if _, err := tr.Plan(blocks, 0.5); err != nil {
+		if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; step < 60; step++ {
@@ -110,8 +104,12 @@ func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resultsBitIdentical(t, fmt.Sprintf("round %d step %d", round, step), want, got)
+			boxBitIdentical(t, fmt.Sprintf("round %d step %d", round, step), want, got)
 		}
+		total.Add(tr.Stats())
+	}
+	if total.FastPath == 0 || total.Fallbacks == 0 || total.MemoHits == 0 {
+		t.Errorf("random walk did not exercise relayouts, rebuilds and memo hits: %+v", total)
 	}
 }
 
@@ -129,7 +127,7 @@ func TestTreeUpdateForcedFallbacks(t *testing.T) {
 	}
 	var tr Tree
 	var sc Scratch
-	if _, err := tr.Plan(blocks, 0.5); err != nil {
+	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	steps := []struct {
@@ -155,38 +153,11 @@ func TestTreeUpdateForcedFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", i, st.why, err)
 		}
-		resultsBitIdentical(t, fmt.Sprintf("step %d (%s)", i, st.why), want, got)
+		boxBitIdentical(t, fmt.Sprintf("step %d (%s)", i, st.why), want, got)
 	}
 	if s := tr.Stats(); s.Fallbacks == 0 {
 		t.Errorf("adversarial sequence never exercised the full-replan fallback: %+v", s)
 	}
-}
-
-// The no-adjacency mode must mirror PlanNoAdjacencies across updates.
-func TestTreeNoAdjacenciesMode(t *testing.T) {
-	blocks := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 30}}
-	var tr Tree
-	var sc Scratch
-	got, err := tr.PlanNoAdjacencies(blocks, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Adjacencies != nil {
-		t.Error("no-adjacency plan should not compute adjacencies")
-	}
-	blocks[1].AreaMM2 = 70
-	got, err = tr.Update(1, 70)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Adjacencies != nil {
-		t.Error("no-adjacency update should not compute adjacencies")
-	}
-	want, err := sc.PlanNoAdjacencies(blocks, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsBitIdentical(t, "no-adjacency update", want, got)
 }
 
 // Spacing changes must rebuild; block-set and aspect changes route
@@ -196,32 +167,32 @@ func TestTreeRebuildOnShapeChange(t *testing.T) {
 	var tr Tree
 	var sc Scratch
 	a := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}}
-	if _, err := tr.Plan(a, 0.5); err != nil {
+	if _, err := tr.PlanDims(a, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	// Different spacing.
 	want, _ := sc.Plan(a, 0.8)
-	got, err := tr.Plan(a, 0.8)
+	got, err := tr.PlanDims(a, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "spacing change", want, got)
+	boxBitIdentical(t, "spacing change", want, got)
 	// Different block count.
 	b := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 10}}
 	want, _ = sc.Plan(b, 0.8)
-	got, err = tr.Plan(b, 0.8)
+	got, err = tr.PlanDims(b, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "count change", want, got)
+	boxBitIdentical(t, "count change", want, got)
 	// Different aspect ratio at equal areas.
 	c := []Block{{Name: "a", AreaMM2: 100, AspectRatio: 2}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 10}}
 	want, _ = sc.Plan(c, 0.8)
-	got, err = tr.Plan(c, 0.8)
+	got, err = tr.PlanDims(c, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "aspect change", want, got)
+	boxBitIdentical(t, "aspect change", want, got)
 	s := tr.Stats()
 	if s.Rebuilds != 2 {
 		t.Errorf("initial plan + spacing change should rebuild twice: %+v", s)
@@ -237,9 +208,9 @@ func TestTreeRebuildOnShapeChange(t *testing.T) {
 func TestTreeUpdateErrors(t *testing.T) {
 	var tr Tree
 	if _, err := tr.Update(0, 10); err == nil {
-		t.Error("Update before Plan should fail")
+		t.Error("Update before PlanDims should fail")
 	}
-	if _, err := tr.Plan([]Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 5}}, 0.5); err != nil {
+	if _, err := tr.PlanDims([]Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 5}}, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.Update(2, 10); err == nil {
@@ -251,10 +222,10 @@ func TestTreeUpdateErrors(t *testing.T) {
 	if _, err := tr.Update(0, -3); err == nil {
 		t.Error("non-positive area should fail")
 	}
-	if _, err := tr.Plan(nil, 0.5); err == nil {
+	if _, err := tr.PlanDims(nil, 0.5); err == nil {
 		t.Error("empty block list should fail")
 	}
-	if _, err := tr.Plan([]Block{{Name: "a", AreaMM2: 10}}, 7); err == nil {
+	if _, err := tr.PlanDims([]Block{{Name: "a", AreaMM2: 10}}, 7); err == nil {
 		t.Error("out-of-range spacing should fail")
 	}
 	// The tree must survive rejected inputs: the retained state still
@@ -263,9 +234,7 @@ func TestTreeUpdateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Placements) != 2 {
-		t.Errorf("retained state corrupted after rejected inputs: %+v", res)
-	}
+	dimsIdentical(t, "after rejected inputs", []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 6}}, 0.5, res)
 }
 
 // Sanity-check the counters: a same-area update is Unchanged, a
@@ -277,7 +246,7 @@ func TestTreeStatsCounters(t *testing.T) {
 		{Name: "c", AreaMM2: 100}, {Name: "d", AreaMM2: 50},
 	}
 	var tr Tree
-	if _, err := tr.Plan(blocks, 0.5); err != nil {
+	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.Update(3, 50); err != nil { // same area

@@ -67,8 +67,7 @@ func TestEstimatorMatchesEstimate(t *testing.T) {
 
 // EstimateDelta must reproduce a full Estimate bit for bit across long
 // single-changed-chiplet walks — area changes, node changes, both at
-// once — for every architecture, including the EMIB path whose
-// adjacency rescan is restricted to moved rectangles.
+// once — for every architecture.
 func TestEstimateDeltaMatchesEstimate(t *testing.T) {
 	db := tech.Default()
 	sizes := db.Sizes()
@@ -109,41 +108,44 @@ func TestEstimateDeltaMatchesEstimate(t *testing.T) {
 }
 
 // A delta whose preconditions do not hold (different chiplet count or
-// names) must fall back to the full path, never serve a stale tree.
+// names) must fall back to the full path, never serve a stale tree —
+// on the retained-tree path (RDL) and on the from-scratch bridge path.
 func TestEstimateDeltaFallsBackOnShapeChange(t *testing.T) {
-	p := DefaultParams(SiliconBridge)
-	est, err := NewEstimator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := chipletsOf(7, 120, 60, 30)
-	if _, err := est.Estimate(a); err != nil {
-		t.Fatal(err)
-	}
-	b := chipletsOf(7, 100, 50, 25, 10) // different count
-	want, err := Estimate(b, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := est.EstimateDelta(b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsBitIdentical(want, got) {
-		t.Fatalf("count-changed delta diverges:\nwant %+v\ngot  %+v", want, got)
-	}
-	c := chipletsOf(7, 100, 50, 25, 10)
-	c[2].Name = "other"
-	want, err = Estimate(c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = est.EstimateDelta(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsBitIdentical(want, got) {
-		t.Fatalf("name-changed delta diverges:\nwant %+v\ngot  %+v", want, got)
+	for _, arch := range []Architecture{RDLFanout, SiliconBridge} {
+		p := DefaultParams(arch)
+		est, err := NewEstimator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := chipletsOf(7, 120, 60, 30)
+		if _, err := est.Estimate(a); err != nil {
+			t.Fatal(err)
+		}
+		b := chipletsOf(7, 100, 50, 25, 10) // different count
+		want, err := Estimate(b, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := est.EstimateDelta(b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsBitIdentical(want, got) {
+			t.Fatalf("%v: count-changed delta diverges:\nwant %+v\ngot  %+v", arch, want, got)
+		}
+		c := chipletsOf(7, 100, 50, 25, 10)
+		c[2].Name = "other"
+		want, err = Estimate(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = est.EstimateDelta(c, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsBitIdentical(want, got) {
+			t.Fatalf("%v: name-changed delta diverges:\nwant %+v\ngot  %+v", arch, want, got)
+		}
 	}
 }
 

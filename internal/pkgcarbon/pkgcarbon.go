@@ -336,6 +336,8 @@ func Estimate(chiplets []Chiplet, p Params) (*Result, error) {
 // incremental relayout of the dirty leaf-to-root paths (bit-identical
 // to a from-scratch plan by the tree's guard), and EstimateDelta is the
 // explicit single-changed-chiplet seam a Gray-code sweep step uses.
+// Silicon bridges (which read adjacencies) and flexible floorplans
+// (shape curves) plan from scratch on every call.
 //
 // An Estimator is NOT safe for concurrent use; give each worker its own.
 // The Result returned by Estimate (including its Floorplan) is owned by
@@ -369,17 +371,15 @@ func (e *Estimator) Estimate(chiplets []Chiplet) (*Result, error) {
 // estimator — the Gray-step shape of a compiled sweep walk. The
 // floorplan goes through the retained tree's single-block update
 // (served from its exact shape memo when the sorted area sequence
-// recurs; the shape-curve FlexTree for flexible floorplans), the
-// adjacency scan
-// (bridge architectures) is restricted to moved rectangles, and the
-// communication cells of unchanged chiplets are served from the
-// per-chiplet cache; everything is bit-identical to a full Estimate by
-// construction. When the precondition cannot be verified cheaply (first
-// call, different chiplet count or names, 3D stacks), it falls back to
-// the full Estimate.
+// recurs) and the communication cells of unchanged chiplets are served
+// from the per-chiplet cache; everything is bit-identical to a full
+// Estimate by construction. When the precondition cannot be verified
+// cheaply (first call, different chiplet count or names), or the
+// floorplan is not the retained tree's (3D stacks, silicon bridges,
+// flexible floorplans), it falls back to the full Estimate.
 func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, error) {
 	sc := &e.sc
-	if e.p.Arch == ThreeD ||
+	if e.p.Arch == ThreeD || e.p.Arch == SiliconBridge || e.p.FlexibleFloorplan ||
 		changed < 0 || changed >= len(chiplets) ||
 		len(sc.blocks) != len(chiplets) ||
 		sc.blocks[changed].Name != chiplets[changed].Name {
@@ -398,13 +398,7 @@ func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, err
 	// The delta re-plans the retained tree: invalidate any merge-fork
 	// base primed earlier (see the same move in estimateWith).
 	sc.baseNodes = sc.baseNodes[:0]
-	var fp *floorplan.Result
-	var err error
-	if e.p.FlexibleFloorplan {
-		fp, err = sc.fpx.Update(changed, c.AreaMM2)
-	} else {
-		fp, err = sc.fp.Update(changed, c.AreaMM2)
-	}
+	fp, err := sc.fp.Update(changed, c.AreaMM2)
 	if err != nil {
 		return nil, err
 	}
@@ -569,15 +563,11 @@ func (e *Estimator) PrimeMergeBase(chiplets []Chiplet) error {
 	return err
 }
 
-// FloorplanStats snapshots the retained floorplan trees' reuse counters
-// (fast-path hits, name-keyed diff hits, fallbacks, relayout depth) —
-// the fixed-shape tree's and the shape-curve tree's folded together (an
-// estimator only ever drives one of them, per its FlexibleFloorplan
-// setting).
+// FloorplanStats snapshots the retained floorplan tree's reuse counters
+// (fast-path hits, memo hits, name-keyed diff hits, fallbacks, relayout
+// depth).
 func (e *Estimator) FloorplanStats() floorplan.TreeStats {
-	s := e.sc.fp.Stats()
-	s.Add(e.sc.fpx.Stats())
-	return s
+	return e.sc.fp.Stats()
 }
 
 // Routing is the communication slice of a packaging Result: the only
@@ -649,9 +639,9 @@ const pkgSlotBits = 10
 type scratch struct {
 	blocks    []floorplan.Block
 	fp        floorplan.Tree
-	fpx       floorplan.FlexTree // flexible-floorplan systems only
-	forkFP    floorplan.Result   // EstimateMergeFork's transient bounding box
-	baseNodes []*tech.Node       // merge-fork base nodes (PrimeMergeBase)
+	bridgeFP  floorplan.Scratch // silicon-bridge plans, which need adjacencies
+	forkFP    floorplan.Result  // EstimateMergeFork's transient bounding box
+	baseNodes []*tech.Node      // merge-fork base nodes (PrimeMergeBase)
 	res       Result
 	comm      map[*tech.Node]commCell
 	// The per-chiplet slot cache of the last communication cell used per
@@ -710,23 +700,19 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 	var fp *floorplan.Result
 	var err error
 	switch {
-	case p.FlexibleFloorplan && sc != nil:
-		// The retained shape-curve tree turns repeat plans over the same
-		// block shape into dirty-path recomputes of the Pareto sets.
-		fp, err = sc.fpx.Plan(blocks, p.SpacingMM, nil)
 	case p.FlexibleFloorplan:
 		fp, err = floorplan.PlanFlexible(blocks, p.SpacingMM, nil)
 	case sc != nil && p.Arch != SiliconBridge:
 		// Only the bridge model reads adjacencies or placements; every
 		// other architecture consumes just the bounding box, so the
-		// scratch path plans dims-only — no pairwise scan, no placement
-		// replay — keeping the per-estimate cost flat in the chiplet
+		// scratch path plans dims-only — no pairwise scan, no
+		// placements — keeping the per-estimate cost flat in the chiplet
 		// count. The retained tree turns repeat plans over the same
 		// block shape into incremental relayouts and block-set changes
 		// into name-keyed diffs.
 		fp, err = sc.fp.PlanDims(blocks, p.SpacingMM)
 	case sc != nil:
-		fp, err = sc.fp.Plan(blocks, p.SpacingMM)
+		fp, err = sc.bridgeFP.Plan(blocks, p.SpacingMM)
 	default:
 		fp, err = floorplan.Plan(blocks, p.SpacingMM)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"ecochip/internal/engine"
 	"ecochip/internal/explore"
 )
 
@@ -21,14 +23,14 @@ import (
 //	                      Result set
 //	GET  /v1/stats                            -> Stats
 //
-// Request validation failures are 400s with an {"error": ...} body;
-// everything downstream of a valid request is a 500. A body over
-// maxBodyBytes is a 413. A request shed by
-// the per-family admission gates is a 429 with a Retry-After header
-// (whole seconds). Handlers are
-// concurrency-safe (the server's caches single-flight compiles), so the
-// default one-goroutine-per-connection http.Server drive is the
-// intended concurrent serving mode.
+// Errors carry an {"error": ...} body. A malformed body or a request the
+// model rejects is a 400, and a body over maxBodyBytes is a 413. A
+// request shed by the per-family admission gates is a 429 with a
+// Retry-After header (whole seconds). A request whose client went away
+// mid-evaluation is a 499, and a recovered evaluation panic is a 500.
+// Handlers are concurrency-safe (the server's caches single-flight
+// compiles), so the default one-goroutine-per-connection http.Server
+// drive is the intended concurrent serving mode.
 func Handler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
@@ -134,21 +136,33 @@ func reply[T any](w http.ResponseWriter, resp *T, err error) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// statusClientClosedRequest is the de facto status (nginx's) of a
+// request its client abandoned before the reply; net/http has no name
+// for it.
+const statusClientClosedRequest = 499
+
 // writeError maps a server error to its HTTP shape: a shed request
-// becomes 429 with a Retry-After hint, everything else stays the 400
-// contract.
+// becomes 429 with a Retry-After hint, a recovered evaluation panic 500,
+// a cancelled request 499, and everything else — an input the model
+// rejects — 400.
 func writeError(w http.ResponseWriter, err error) {
 	var oe *OverloadError
-	if errors.As(err, &oe) {
+	var pe *engine.PanicError
+	status := http.StatusBadRequest
+	switch {
+	case errors.As(err, &oe):
 		secs := int(oe.RetryAfter / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
-		return
+		status = http.StatusTooManyRequests
+	case errors.As(err, &pe):
+		status = http.StatusInternalServerError
+	case errors.Is(err, context.Canceled):
+		status = statusClientClosedRequest
 	}
-	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"ecochip/internal/engine"
 	"ecochip/internal/tech"
 )
 
@@ -216,5 +220,42 @@ func TestHandlerOversizeBody(t *testing.T) {
 			t.Errorf("%s: oversize body status %d, want 413", path, resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// writeError maps each error class to its status: a request the model
+// rejects is the client's fault (400), a shed request 429 with a
+// Retry-After hint, a cancelled request 499 and a recovered evaluation
+// panic the server's fault (500), also when wrapped.
+func TestWriteErrorStatus(t *testing.T) {
+	panicked := &engine.PanicError{Index: 3, Lo: 3, Hi: 3, Value: "boom"}
+	for _, c := range []struct {
+		name       string
+		err        error
+		status     int
+		retryAfter string
+	}{
+		{"rejected input", errors.New("explore: no nodes"), http.StatusBadRequest, ""},
+		{"overload", &OverloadError{Family: "sweep", Limit: 2, RetryAfter: 2500 * time.Millisecond}, http.StatusTooManyRequests, "2"},
+		{"overload under a second", &OverloadError{Family: "whatif", Limit: 1, RetryAfter: time.Millisecond}, http.StatusTooManyRequests, "1"},
+		{"panic", panicked, http.StatusInternalServerError, ""},
+		{"wrapped panic", fmt.Errorf("sweep: %w", panicked), http.StatusInternalServerError, ""},
+		{"cancelled", context.Canceled, statusClientClosedRequest, ""},
+		{"wrapped cancellation", fmt.Errorf("walk: %w", context.Canceled), statusClientClosedRequest, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			writeError(rec, c.err)
+			if rec.Code != c.status {
+				t.Errorf("status %d, want %d", rec.Code, c.status)
+			}
+			if got := rec.Header().Get("Retry-After"); got != c.retryAfter {
+				t.Errorf("Retry-After %q, want %q", got, c.retryAfter)
+			}
+			var body map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+				t.Errorf("error body %q (%v)", rec.Body.String(), err)
+			}
+		})
 	}
 }
