@@ -116,48 +116,62 @@ func pointsBitIdentical(a, b Point) bool {
 // The compiled/incremental sweep must be byte-identical — same order,
 // same float bits — to the per-point EvaluateWith path across random
 // systems, node sets, packaging archetypes and NRE/reuse flags, at any
-// worker count, under two independent generator seeds.
+// worker count.
 func TestCompiledSweepMatchesReferenceRandomized(t *testing.T) {
+	checkCompiledSweepMatchesReference(t, 20240731)
+}
+
+// The same comparison under a second, independent generator seed. (The
+// name is kept from when the table also carried a struct-of-arrays copy
+// of its Cells rows.)
+func TestSoAColumnsMatchAoSRandomized(t *testing.T) {
+	checkCompiledSweepMatchesReference(t, 20260808)
+}
+
+// checkCompiledSweepMatchesReference runs 40 random trials from seed and
+// requires each compiled sweep, at 1 and 3 workers, to match
+// NodeSweepReference bit for bit (or to fail where the reference fails).
+func checkCompiledSweepMatchesReference(t *testing.T, seed int64) {
+	t.Helper()
 	d := db()
 	cp := cost.DefaultParams()
 	ctx := context.Background()
-	for _, seed := range []int64{20240731, 20260808} {
-		rng := rand.New(rand.NewSource(seed))
-		evaluated := 0
-		for trial := 0; trial < 40; trial++ {
-			base := randomSystem(rng, d)
-			nodes := randomNodeSet(rng)
-			label := fmt.Sprintf("seed %d trial %d (arch %v, %d chiplets, nodes %v, nre=%v)",
-				seed, trial, base.Packaging.Arch, len(base.Chiplets), nodes, base.IncludeNRE)
+	rng := rand.New(rand.NewSource(seed))
 
-			want, refErr := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(2))
-			for _, workers := range []int{1, 3} {
-				got, err := NodeSweepCtx(ctx, base, d, nodes, cp, engine.WithWorkers(workers))
-				if refErr != nil {
-					if err == nil {
-						t.Fatalf("%s: reference failed (%v) but compiled sweep succeeded", label, refErr)
-					}
-					continue
+	evaluated := 0
+	for trial := 0; trial < 40; trial++ {
+		base := randomSystem(rng, d)
+		nodes := randomNodeSet(rng)
+		label := fmt.Sprintf("seed %d trial %d (arch %v, %d chiplets, nodes %v, nre=%v)",
+			seed, trial, base.Packaging.Arch, len(base.Chiplets), nodes, base.IncludeNRE)
+
+		want, refErr := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(2))
+		for _, workers := range []int{1, 3} {
+			got, err := NodeSweepCtx(ctx, base, d, nodes, cp, engine.WithWorkers(workers))
+			if refErr != nil {
+				if err == nil {
+					t.Fatalf("%s: reference failed (%v) but compiled sweep succeeded", label, refErr)
 				}
-				if err != nil {
-					t.Fatalf("%s: compiled sweep failed: %v", label, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
-				}
-				for i := range want {
-					if !pointsBitIdentical(got[i], want[i]) {
-						t.Fatalf("%s: workers=%d point %d differs\nwant %+v\ngot  %+v", label, workers, i, want[i], got[i])
-					}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: compiled sweep failed: %v", label, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
+			}
+			for i := range want {
+				if !pointsBitIdentical(got[i], want[i]) {
+					t.Fatalf("%s: workers=%d point %d differs\nwant %+v\ngot  %+v", label, workers, i, want[i], got[i])
 				}
 			}
-			if refErr == nil {
-				evaluated++
-			}
 		}
-		if evaluated < 20 {
-			t.Fatalf("seed %d: only %d of 40 random trials evaluated cleanly; generator too error-prone", seed, evaluated)
+		if refErr == nil {
+			evaluated++
 		}
+	}
+	if evaluated < 20 {
+		t.Fatalf("seed %d: only %d of 40 random trials evaluated cleanly; generator too error-prone", seed, evaluated)
 	}
 }
 
