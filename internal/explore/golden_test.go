@@ -117,3 +117,66 @@ func TestPackagingPathsGolden(t *testing.T) {
 		}
 	}
 }
+
+// The barrier Pareto fronts of symmetric plans — the 8-CCD EPYC under
+// every objective pair the sweep benchmark folds plus a three-objective
+// front, the 6-CCD EPYC over all seven mask nodes (823,543 points), and
+// the six-way GA102 digital split on a passive interposer — keep the
+// exact bits, Nodes and order of every front point. The goldens store
+// Float64bits hex, so a front path that drops, adds, reorders or
+// re-rounds a single point fails here.
+func TestFrontGolden(t *testing.T) {
+	d := db()
+	epyc8, err := testcases.EPYC(d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epyc6, err := testcases.EPYC(d, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga102, err := testcases.GA102DigitalOnly(d, 6, pkgcarbon.PassiveInterposer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]Metric{"embodied": ByEmbodied, "total": ByTotal, "cost": ByCost, "area": ByArea}
+	cases := []struct {
+		name       string
+		sys        *core.System
+		nodes      []int
+		objectives []string
+	}{
+		{"epyc8", epyc8, []int{7, 10, 14, 22}, []string{"embodied", "cost"}},
+		{"epyc8", epyc8, []int{7, 10, 14, 22}, []string{"total", "cost"}},
+		{"epyc8", epyc8, []int{7, 10, 14, 22}, []string{"embodied", "area"}},
+		{"epyc8", epyc8, []int{7, 10, 14, 22}, []string{"embodied", "cost", "area"}},
+		{"epyc6-masknodes", epyc6, testcases.MaskNodes, []string{"embodied", "cost"}},
+		{"ga102digital6-passive", ga102, []int{7, 10, 14, 22}, []string{"embodied", "cost"}},
+		{"ga102digital6-passive", ga102, []int{7, 10, 14, 22}, []string{"total", "cost", "area"}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		name := "front-" + c.name + "-" + strings.Join(c.objectives, "-")
+		t.Run(name, func(t *testing.T) {
+			ms := make([]Metric, len(c.objectives))
+			for i, o := range c.objectives {
+				ms[i] = named[o]
+			}
+			plan, err := Compile(c.sys, d, c.nodes, cost.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			front, total, err := plan.ParetoFrontCtx(ctx, ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			fmt.Fprintf(&out, "front %d of %d points\n", len(front), total)
+			for _, p := range front {
+				fmt.Fprintf(&out, "%v embodied=%s total=%s cost=%s pkg=%s\n", p.Nodes,
+					hexf(p.EmbodiedKg), hexf(p.TotalKg), hexf(p.CostUSD), hexf(p.PackageAreaMM2))
+			}
+			checkGolden(t, name+".txt", out.String())
+		})
+	}
+}
