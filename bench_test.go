@@ -441,6 +441,34 @@ func BenchmarkNodeSweepWalkFront(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeSweepWalkFrontEPYC8 measures a fresh front query on the
+// paper's reuse case: compile the 8-CCD EPYC over four nodes (262,144
+// points) and fold its carbon-cost front. The seven CCDs beside CCD 0
+// are interchangeable, so the front comes from the 1,920 orbits of node
+// assignments instead of the full walk.
+func BenchmarkNodeSweepWalkFrontEPYC8(b *testing.B) {
+	db := DefaultDB()
+	base, err := EPYC(db, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := CompileNodeSweep(base, db, []int{7, 10, 14, 22}, DefaultCostParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		front, total, err := plan.ParetoFrontCtx(ctx, []SweepMetric{SweepByEmbodied, SweepByCost})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if total != 262144 || len(front) != 14 {
+			b.Fatalf("unexpected front: %d of %d, want 14 of 262144", len(front), total)
+		}
+	}
+}
+
 // BenchmarkNodeSweepIncremental measures the full streaming walk of an
 // already-compiled plan (no front reduction, no point slice): the raw
 // per-point cost of the incremental evaluation stack — Gray odometer,

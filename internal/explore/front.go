@@ -39,8 +39,8 @@ type FrontSnapshot struct {
 }
 
 // ParetoFrontCtx runs the plan and reduces the sweep to its Pareto front
-// under the given objectives, returning the front and the total number
-// of evaluated points. The reduction is folded into the sweep walk: each
+// under the given objectives, returning the front and the plan's point
+// count, Combos(). The reduction is folded into the sweep walk: each
 // worker block maintains its own skyline front over the points it
 // streams (storing objective values and output slots, not points), the
 // block fronts are merged at the barrier, and only then are the
@@ -48,6 +48,15 @@ type FrontSnapshot struct {
 // full point slice. The returned front is identical to
 // ParetoFront(RunCtx(...), objectives...). It is ParetoFrontStream with
 // no emitter.
+//
+// A plan with interchangeable chiplets (see orbit.go) whose objectives
+// are all among ByEmbodied, ByTotal, ByCost and ByArea, and whose orbits
+// number fewer than half its points, skips the walk: it evaluates one
+// representative per orbit, prunes the orbits a representative's
+// skyline beats by a margin, and folds the front from every member of
+// the rest. The front keeps the walk's bits; SweepStats.Points counts
+// only the points evaluated, and a WithProgress callback counts the
+// representatives against the orbit count instead of the points.
 func (p *CompiledPlan) ParetoFrontCtx(ctx context.Context, objectives []Metric, opts ...engine.Option) ([]Point, int, error) {
 	return p.ParetoFrontStream(ctx, objectives, nil, opts...)
 }
@@ -62,10 +71,18 @@ func (p *CompiledPlan) ParetoFrontCtx(ctx context.Context, objectives []Metric, 
 // dominates it. The final snapshot (BlocksDone == TotalBlocks) is
 // emitted exactly once and carries the returned front. An emit error
 // cancels the walk and is returned. A nil emit publishes once per worker
-// block, with no per-quantum locking.
+// block, with no per-quantum locking, or takes the orbit path described
+// under ParetoFrontCtx; a stream with an emitter always walks.
 func (p *CompiledPlan) ParetoFrontStream(ctx context.Context, objectives []Metric, emit func(FrontSnapshot) error, opts ...engine.Option) ([]Point, int, error) {
 	if len(objectives) == 0 {
 		panic("explore: ParetoFront needs at least one objective")
+	}
+	if emit == nil && p.useOrbits(objectives) {
+		front, err := p.orbitFront(ctx, objectives, opts)
+		if err != nil {
+			return nil, 0, err
+		}
+		return front, p.combos, nil
 	}
 	r := &frontRun{p: p, objectives: objectives, fold: newBlockFront(len(objectives))}
 	if emit == nil {

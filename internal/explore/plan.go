@@ -57,9 +57,13 @@ var ErrNoFastPath = errors.New("explore: system has no compiled fast path")
 // it under -progress next to the engine cache statistics.
 type SweepStats struct {
 	// Points is the number of design points evaluated from the table.
+	// A walk evaluates all Combos() of them; an orbit-path front
+	// (ParetoFrontCtx) evaluates only its representatives and the
+	// members of the orbits that survive pruning, usually far fewer.
 	Points uint64
 	// BlockInits is the number of Gray walks started (one per worker
-	// block): points whose full scratch state was built from scratch.
+	// block, and one per point an orbit-path front evaluates): points
+	// whose full scratch state was built from scratch.
 	BlockInits uint64
 	// GraySteps is the number of incremental single-chiplet steps; all
 	// other scratch state was reused from the previous point.
@@ -94,6 +98,13 @@ type CompiledPlan struct {
 	// monolith selects the single-die evaluation path (single-chiplet or
 	// monolithic bases): no packaging, no communication fabric.
 	monolith bool
+
+	// classes are the classes of interchangeable chiplets, free the
+	// chiplets outside them, and orbits the number of orbits of node
+	// assignments under permutations within each class (see orbit.go).
+	classes [][]int
+	free    []int
+	orbits  int
 
 	// scratches pools per-worker evaluation arenas across runs of this
 	// plan, so retained state — the estimator's floorplan tree, its
@@ -149,6 +160,9 @@ func Compile(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*Comp
 	for i := nc - 1; i >= 0; i-- {
 		p.weight[i] = w
 		w *= p.r
+	}
+	if !p.monolith {
+		p.setClasses(orbitClasses(tbl))
 	}
 	return p, nil
 }
@@ -370,17 +384,8 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi int, visit func(idx int, pt *Point) error, tick func()) error {
 	sc.walks++
 
-	p.grayInit(lo, sc)
+	out := p.initAt(sc, lo)
 	pkgCh := sc.sc.Chiplets()
-	out := 0
-	for i, d := range sc.digits {
-		out += d * p.weight[i]
-		sc.refreshRow(p.tbl, i, d)
-		if !p.monolith {
-			cell := &p.tbl.Cells[i][d]
-			pkgCh[i] = pkgcarbon.Chiplet{Name: p.tbl.Names[i], AreaMM2: cell.AreaMM2, Node: cell.Node}
-		}
-	}
 	p.blockInits.Add(1)
 	steps := uint64(0)
 
@@ -418,6 +423,23 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 	p.graySteps.Add(steps)
 	p.points.Add(uint64(hi - lo))
 	return nil
+}
+
+// initAt builds the scratch's full per-point state for sequence index
+// k — odometer, metric rows and packaging descriptors — and returns the
+// point's output slot.
+func (p *CompiledPlan) initAt(sc *blockScratch, k int) (out int) {
+	p.grayInit(k, sc)
+	pkgCh := sc.sc.Chiplets()
+	for i, d := range sc.digits {
+		out += d * p.weight[i]
+		sc.refreshRow(p.tbl, i, d)
+		if !p.monolith {
+			cell := &p.tbl.Cells[i][d]
+			pkgCh[i] = pkgcarbon.Chiplet{Name: p.tbl.Names[i], AreaMM2: cell.AreaMM2, Node: cell.Node}
+		}
+	}
+	return out
 }
 
 // evalInto assembles one design point from the scratch's gathered row
@@ -559,28 +581,21 @@ func (p *CompiledPlan) evalPoint(ctx context.Context, sc *blockScratch, nodes []
 	if len(nodes) != p.nc {
 		return Point{}, fmt.Errorf("explore: EvalPoint got %d nodes for a %d-chiplet plan", len(nodes), p.nc)
 	}
-	// Invert grayInit: recover each chiplet's Gray digit (its index in
-	// the candidate list), un-reflect it by the running parity into the
-	// standard digit, and accumulate the sequence index.
-	k, b := 0, 0
+	// Recover each chiplet's Gray digit (its index in the candidate
+	// list); the walk below re-derives the digits from the index.
 	for i, nm := range nodes {
-		d := -1
+		sc.digits[i] = -1
 		for j, cand := range p.nodes {
 			if cand == nm {
-				d = j
+				sc.digits[i] = j
 				break
 			}
 		}
-		if d < 0 {
+		if sc.digits[i] < 0 {
 			return Point{}, fmt.Errorf("explore: EvalPoint node %dnm for chiplet %d is outside the plan's candidate set %v", nm, i, p.nodes)
 		}
-		a := d
-		if b&1 == 1 {
-			a = p.r - 1 - d
-		}
-		k += a * p.weight[i]
-		b = b*p.r + a
 	}
+	k := p.grayIndex(sc.digits)
 	var out Point
 	err := p.walkScratch(ctx, sc, k, k+1, func(idx int, pt *Point) error {
 		out = *pt
@@ -591,6 +606,22 @@ func (p *CompiledPlan) evalPoint(ctx context.Context, sc *blockScratch, nodes []
 		return Point{}, err
 	}
 	return out, nil
+}
+
+// grayIndex inverts grayInit: it un-reflects each Gray digit (an index
+// into the candidate list) by the running parity into the standard
+// digit and accumulates the sequence index whose code is digits.
+func (p *CompiledPlan) grayIndex(digits []int) int {
+	k, b := 0, 0
+	for i, d := range digits {
+		a := d
+		if b&1 == 1 {
+			a = p.r - 1 - d
+		}
+		k += a * p.weight[i]
+		b = b*p.r + a
+	}
+	return k
 }
 
 // grayStep advances the odometer one sequence index and returns the

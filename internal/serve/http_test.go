@@ -14,8 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"ecochip/internal/cost"
 	"ecochip/internal/engine"
+	"ecochip/internal/explore"
 	"ecochip/internal/tech"
+	"ecochip/internal/testcases"
 )
 
 func postJSON(t *testing.T, client *http.Client, url string, body any) *http.Response {
@@ -156,6 +159,89 @@ func TestHandlerStream(t *testing.T) {
 		t.Fatalf("stream shape: %d snapshots, result %v", snapshots, result != nil)
 	}
 	assertSamePoints(t, want.Points, result.Points, "HTTP streamed front")
+}
+
+// The paper's reuse case over HTTP: the 8-CCD EPYC's seven
+// interchangeable CCDs put /v1/sweep fronts on the orbit path, while
+// /v1/sweep/stream still walks all 262,144 points in 512-point quanta.
+// Both must report the whole space and end on the exact front of the
+// materialized sweep.
+func TestHandlerSymmetricFront(t *testing.T) {
+	db := tech.Default()
+	sys, err := testcases.EPYC(db, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []int{7, 10, 14, 22}
+	plan, err := explore.Compile(sys, db, nodes, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := plan.RunCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := explore.ParetoFront(all, explore.ByEmbodied, explore.ByCost)
+	const total, quanta = 262144, 512
+
+	srv := NewServer(db, Config{})
+	ts := httptest.NewServer(Handler(srv))
+	defer ts.Close()
+	req := &SweepRequest{System: sys, Nodes: nodes, Objectives: []string{"embodied", "cost"}}
+
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d", resp.StatusCode)
+	}
+	got := decodeBody[SweepResponse](t, resp)
+	if !got.Front || got.Total != total {
+		t.Fatalf("sweep envelope: front=%v total=%d, want a front of %d", got.Front, got.Total, total)
+	}
+	assertSamePoints(t, want, got.Points, "HTTP symmetric front")
+
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/sweep/stream", req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: status %d", resp.StatusCode)
+	}
+	var snaps []explore.FrontSnapshot
+	var result *SweepResponse
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var line StreamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		switch {
+		case line.Error != "":
+			t.Fatalf("stream error: %s", line.Error)
+		case line.Result != nil:
+			result = line.Result
+		case line.Snapshot != nil:
+			snaps = append(snaps, *line.Snapshot)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) == 0 || result == nil {
+		t.Fatalf("stream shape: %d snapshots, result %v", len(snaps), result != nil)
+	}
+	for i, s := range snaps {
+		if s.TotalBlocks != quanta || (i > 0 && s.BlocksDone <= snaps[i-1].BlocksDone) {
+			t.Fatalf("snapshot %d at %d/%d blocks after %d: want advancing progress in %d blocks",
+				i, s.BlocksDone, s.TotalBlocks, snaps[max(i-1, 0)].BlocksDone, quanta)
+		}
+	}
+	if last := snaps[len(snaps)-1]; last.BlocksDone != quanta {
+		t.Fatalf("final snapshot at %d/%d blocks", last.BlocksDone, last.TotalBlocks)
+	}
+	assertSamePoints(t, want, snaps[len(snaps)-1].Front, "final streamed snapshot")
+	if !result.Front || result.Total != total {
+		t.Fatalf("stream result: front=%v total=%d, want a front of %d", result.Front, result.Total, total)
+	}
+	assertSamePoints(t, want, result.Points, "HTTP streamed symmetric front")
 }
 
 func TestHandlerErrors(t *testing.T) {
