@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 
 	"ecochip/internal/core"
@@ -136,12 +137,7 @@ func (p *CompiledPlan) useOrbits(objectives []Metric) bool {
 		return false
 	}
 	for _, m := range objectives {
-		ptr := metricPtr(m)
-		std := false
-		for _, s := range standardMetrics {
-			std = std || ptr == s
-		}
-		if !std {
+		if !slices.Contains(standardMetrics[:], metricPtr(m)) {
 			return false
 		}
 	}
@@ -282,7 +278,9 @@ func (p *CompiledPlan) orbitFront(ctx context.Context, objectives []Metric, opts
 			if _, err := p.evalDigits(sc, digits); err != nil {
 				return err
 			}
-			// add leaves the point's objective values in local.vals.
+			// The skyline keys representatives by orbit rank (they are
+			// never materialized); add leaves the point's objective
+			// values in local.vals.
 			local.add(rank, &sc.pt, objectives)
 			copy(repVals[rank*k:], local.vals)
 			tick()
