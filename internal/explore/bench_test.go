@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ecochip/internal/core"
 	"ecochip/internal/cost"
 	"ecochip/internal/testcases"
 )
@@ -80,6 +81,54 @@ func BenchmarkDisaggregateReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DisaggregateReference(ctx, base, db()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepKey is the warm serving path's cache-key derivation:
+// the Keyer has folded the database once, so each key writes only the
+// system, node list and cost parameters.
+func BenchmarkSweepKey(b *testing.B) {
+	epyc, err := testcases.EPYC(db(), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sys   *core.System
+		nodes []int
+	}{
+		{"EPYC8", epyc, []int{7, 10, 14}},
+		{"GA102", testcases.GA102(db(), 7, 14, 10, false), []int{7, 10, 14, 22, 28}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ky := NewKeyer(db())
+			cp := cost.DefaultParams()
+			if _, err := ky.SweepKey(c.sys, c.nodes, cp); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ky.SweepKey(c.sys, c.nodes, cp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkParamKey is the perturbation what-if's cache-key derivation
+// on GA102.
+func BenchmarkParamKey(b *testing.B) {
+	sys := testcases.GA102(db(), 7, 14, 10, false)
+	ky := NewKeyer(db())
+	if _, err := ky.ParamKey(sys); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ky.ParamKey(sys); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,8 @@
 // evicted value that is still referenced by an in-flight request stays
 // alive and correct, and a later request for its key simply rebuilds it
 // from the same content key — deterministically, by construction of the
-// keys (see explore.PlanKey).
+// keys (see explore.Keyer: a fingerprint of a canonical binary encoding
+// of everything the compile reads).
 package lru
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -113,19 +114,27 @@ func streamFront(w http.ResponseWriter, r *http.Request, s *Server, req *SweepRe
 // EPYC-class system description, is about 2 KiB.
 const maxBodyBytes = 1 << 20
 
+// decode reads exactly one JSON value from the body: anything after it
+// but whitespace (a second value, stray bytes) is a 400 too.
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
+	err := dec.Decode(into)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeJSON(w, status, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
-		return false
+		if err == nil {
+			err = errors.New("trailing data after the request value")
+		}
 	}
-	return true
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	return false
 }
 
 func reply[T any](w http.ResponseWriter, resp *T, err error) {

@@ -309,6 +309,36 @@ func TestHandlerOversizeBody(t *testing.T) {
 	}
 }
 
+// A body is one JSON value: a second value or stray bytes after it are
+// a 400, while trailing whitespace is not.
+func TestHandlerTrailingData(t *testing.T) {
+	db := tech.Default()
+	ts := httptest.NewServer(Handler(NewServer(db, Config{})))
+	defer ts.Close()
+	body, err := json.Marshal(&WhatIfRequest{System: ga102(t, db), VolumeScale: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail   string
+		status int
+	}{
+		{"", http.StatusOK},
+		{"\n\t ", http.StatusOK},
+		{`{"x":1}`, http.StatusBadRequest},
+		{"junk", http.StatusBadRequest},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/whatif", "application/json", strings.NewReader(string(body)+c.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("volume what-if + %q: status %d, want %d", c.tail, resp.StatusCode, c.status)
+		}
+	}
+}
+
 // writeError maps each error class to its status: a request the model
 // rejects is the client's fault (400), a shed request 429 with a
 // Retry-After hint, a cancelled request 499 and a recovered evaluation

@@ -322,6 +322,9 @@ type killProxy struct {
 	kills atomic.Uint64
 	conns atomic.Uint64
 	wg    sync.WaitGroup
+	// killed closes at the first kill.
+	killed   chan struct{}
+	killOnce sync.Once
 }
 
 func newKillProxy(t *testing.T, backend string, budget func(n int) int64) *killProxy {
@@ -330,7 +333,7 @@ func newKillProxy(t *testing.T, backend string, budget func(n int) int64) *killP
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &killProxy{t: t, ln: ln, backend: backend, budget: budget}
+	p := &killProxy{t: t, ln: ln, backend: backend, budget: budget, killed: make(chan struct{})}
 	go p.acceptLoop()
 	t.Cleanup(func() {
 		ln.Close()
@@ -365,6 +368,7 @@ func (p *killProxy) pipe(cc net.Conn, budget int64) {
 	}
 	kill := func() {
 		p.kills.Add(1)
+		p.killOnce.Do(func() { close(p.killed) })
 		if tc, ok := cc.(*net.TCPConn); ok {
 			tc.SetLinger(0)
 		}
@@ -461,6 +465,21 @@ func TestTCPReconnectMidLease(t *testing.T) {
 	}
 }
 
+// gatedTransport holds every Execute until open closes.
+type gatedTransport struct {
+	shard.Transport
+	open <-chan struct{}
+}
+
+func (g gatedTransport) Execute(ctx context.Context, lease shard.Lease, emit func(shard.BlockResult) error) error {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return g.Transport.Execute(ctx, lease, emit)
+}
+
 // A replica that dies on every connection must get retired while a
 // surviving replica carries the sweep — over real sockets, with the
 // retry/backoff path in between.
@@ -485,7 +504,12 @@ func TestTCPSurvivorTakesOver(t *testing.T) {
 
 	cfg := fastCfg()
 	cfg.DisableFallback = true // the survivor, not the local walk, must finish
-	co := shard.NewCoordinator(plan, key, []shard.Transport{dead, live}, cfg)
+	// The survivor holds its first lease until the dead replica's
+	// connection has been killed: otherwise, when the dead replica's
+	// lease loop is scheduled late, the survivor can finish every block
+	// before the failure path runs at all.
+	survivor := gatedTransport{Transport: live, open: proxy.killed}
+	co := shard.NewCoordinator(plan, key, []shard.Transport{dead, survivor}, cfg)
 	got, err := co.Sweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
