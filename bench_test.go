@@ -469,6 +469,46 @@ func BenchmarkNodeSweepWalkFrontEPYC8(b *testing.B) {
 	}
 }
 
+// BenchmarkParetoFrontEPYC8 measures ParetoFront over a materialized
+// sweep, the call ecodse -mode sweep makes after NodeSweepPlanned: the
+// 8-CCD EPYC over four nodes (262,144 points) is evaluated once, and
+// only the front of the point slice is timed, for the carbon-cost pair
+// and the three-objective carbon-cost-area front.
+func BenchmarkParetoFrontEPYC8(b *testing.B) {
+	db := DefaultDB()
+	base, err := EPYC(db, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := CompileNodeSweep(base, db, []int{7, 10, 14, 22}, DefaultCostParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	points, err := plan.RunCtx(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name       string
+		objectives []SweepMetric
+		want       int
+	}{
+		{"embodied-cost", []SweepMetric{SweepByEmbodied, SweepByCost}, 14},
+		{"embodied-cost-area", []SweepMetric{SweepByEmbodied, SweepByCost, SweepByArea}, 79},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if front := ParetoFront(points, c.objectives...); len(front) != c.want {
+					b.Fatalf("front has %d points, want %d", len(front), c.want)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNodeSweepIncremental measures the full streaming walk of an
 // already-compiled plan (no front reduction, no point slice): the raw
 // per-point cost of the incremental evaluation stack — Gray odometer,

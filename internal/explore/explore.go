@@ -14,10 +14,12 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
@@ -191,92 +193,204 @@ func Best(points []Point, m Metric) Point {
 // ParetoFront returns the subset of points not dominated under the given
 // objectives (all minimized): a point is dominated if some other point is
 // no worse in every objective and strictly better in at least one. The
-// result is sorted by the first objective. The common two-objective case
-// (the NodeSweep carbon-cost front) runs as an O(n log n) skyline sweep;
-// other dimensionalities fall back to the general pairwise scan.
+// result is sorted by the first objective, ties kept in input order; for
+// two objectives it is sorted by (first, second), ties in input order.
+// Exact duplicates of a front point all survive. Inputs holding NaN are
+// outside the contract; ±0 compare equal and ±Inf order as usual.
+//
+// Most of a large sweep is beaten by a handful of points, so the front
+// is built in four passes. The first finds every objective's minimum
+// (first occurrence) and range; the second picks the knee, the point
+// with the least range-normalized objective sum. The third keeps, in
+// input order, every point that no pivot — the knee or a minimum —
+// dominates. Only the survivors reach the final pass: for two
+// objectives a sort on (x, y, input index) and a skyline scan, otherwise
+// the pairwise scan and a stable sort on the first objective. The
+// filter is exact: the pivots are members of the set and dominance is
+// transitive, so any survivor dominated in the full set is dominated by
+// a front point, which survived too. In the worst case (no point
+// filtered, e.g. an anti-diagonal) the final pass sees all n points:
+// O(n log n) for two objectives, O(n²) otherwise.
 func ParetoFront(points []Point, objectives ...Metric) []Point {
 	if len(objectives) == 0 {
 		panic("explore: ParetoFront needs at least one objective")
 	}
-	if len(objectives) == 2 {
-		return skyline2(points, objectives[0], objectives[1])
+	if len(points) == 0 {
+		return nil
 	}
-	var front []Point
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i == j {
-				continue
+	idx, vals := pivotFilter(points, objectives)
+	var keep []int
+	if len(objectives) == 2 {
+		keep = skyline2Keys(idx, vals)
+	} else {
+		keep = pairwiseFront(idx, vals, len(objectives))
+	}
+	front := make([]Point, len(keep))
+	for f, i := range keep {
+		front[f] = points[i]
+	}
+	return front
+}
+
+// pivotFilter returns, in input order, the indices of the points that
+// neither the knee nor any objective's first minimum dominates, with
+// their objective values (k per survivor, flat).
+func pivotFilter(points []Point, objectives []Metric) (idx []int, vals []float64) {
+	k := len(objectives)
+	lo, hi := make([]float64, k), make([]float64, k)
+	argmin := make([]int, k)
+	for i := range points {
+		for j, m := range objectives {
+			v := m(points[i])
+			if i == 0 || v < lo[j] {
+				lo[j], argmin[j] = v, i
 			}
-			if dominates(q, p, objectives) {
+			if i == 0 || v > hi[j] {
+				hi[j] = v
+			}
+		}
+	}
+	// A zero or infinite range contributes nothing to the knee score, so
+	// every score is finite and the knee is always a member.
+	span := make([]float64, k)
+	for j := range span {
+		if r := hi[j] - lo[j]; r > 0 && !math.IsInf(r, 1) {
+			span[j] = r
+		}
+	}
+	knee, best := 0, math.Inf(1)
+	for i := range points {
+		score := 0.0
+		for j, m := range objectives {
+			if span[j] != 0 {
+				score += (m(points[i]) - lo[j]) / span[j]
+			}
+		}
+		if score < best {
+			knee, best = i, score
+		}
+	}
+
+	pivotIdx := append(argmin, knee)
+	slices.Sort(pivotIdx)
+	pivotIdx = slices.Compact(pivotIdx)
+	pivots := make([]float64, 0, len(pivotIdx)*k)
+	for _, i := range pivotIdx {
+		for _, m := range objectives {
+			pivots = append(pivots, m(points[i]))
+		}
+	}
+	v := make([]float64, k)
+	for i := range points {
+		for j, m := range objectives {
+			v[j] = m(points[i])
+		}
+		dominated := false
+		for q := 0; q < len(pivots) && !dominated; q += k {
+			dominated = dominatesVals(pivots[q:q+k], v)
+		}
+		if !dominated {
+			idx = append(idx, i)
+			vals = append(vals, v...)
+		}
+	}
+	return idx, vals
+}
+
+// skyline2Keys is the two-objective final pass over the survivors idx
+// with flat values vals. It sorts (x, y, index) keys, a total order
+// equal to a stable (x, y) sort of the input, then scans them once: a
+// point survives iff its y is strictly below every y seen at a strictly
+// smaller x and it carries the minimal y of its own x group (equal
+// (x, y) duplicates neither dominate each other nor anything new, so
+// all of them survive). It returns the front's input indices in order.
+func skyline2Keys(idx []int, vals []float64) []int {
+	type key struct {
+		x, y float64
+		i    int
+	}
+	keys := make([]key, len(idx))
+	for s, i := range idx {
+		keys[s] = key{vals[2*s], vals[2*s+1], i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.x < b.x:
+			return -1
+		case a.x > b.x:
+			return 1
+		case a.y < b.y:
+			return -1
+		case a.y > b.y:
+			return 1
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+
+	var front []int
+	bestY := 0.0
+	haveBest := false
+	for g := 0; g < len(keys); {
+		x, groupMinY := keys[g].x, keys[g].y
+		// The group is sorted by y, so members tie on groupMinY only at
+		// the group head; they survive iff the group min beats every
+		// strictly-smaller-x y.
+		if !haveBest || groupMinY < bestY {
+			for h := g; h < len(keys) && keys[h].x == x && keys[h].y == groupMinY; h++ {
+				front = append(front, keys[h].i)
+			}
+			bestY = groupMinY
+			haveBest = true
+		}
+		for g < len(keys) && keys[g].x == x {
+			g++
+		}
+	}
+	return front
+}
+
+// pairwiseFront is the final pass for k != 2 objectives over the
+// survivors idx with flat values vals: every survivor that no other
+// survivor dominates, stably sorted by the first objective. It returns
+// the front's input indices in order.
+func pairwiseFront(idx []int, vals []float64, k int) []int {
+	var front []int
+	for a := range idx {
+		dominated := false
+		for b := range idx {
+			if a != b && dominatesVals(vals[b*k:(b+1)*k], vals[a*k:(a+1)*k]) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			front = append(front, p)
+			front = append(front, a)
 		}
 	}
-	sort.SliceStable(front, func(a, b int) bool {
-		return objectives[0](front[a]) < objectives[0](front[b])
+	slices.SortStableFunc(front, func(a, b int) int {
+		switch x, y := vals[a*k], vals[b*k]; {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		}
+		return 0
 	})
-	return front
-}
-
-// skyline2 computes the two-objective front in a single pass over the
-// points sorted by (x asc, y asc): a point survives iff its y is
-// strictly below every y seen at a strictly smaller x and it carries the
-// minimal y of its own x group (equal (x, y) duplicates neither dominate
-// each other nor anything new, so all of them survive).
-func skyline2(points []Point, mx, my Metric) []Point {
-	if len(points) == 0 {
-		return nil
-	}
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		xa, xb := mx(points[order[a]]), mx(points[order[b]])
-		if xa != xb {
-			return xa < xb
-		}
-		return my(points[order[a]]) < my(points[order[b]])
-	})
-
-	var front []Point
-	bestY := 0.0
-	haveBest := false
-	for gi := 0; gi < len(order); {
-		x := mx(points[order[gi]])
-		groupMinY := my(points[order[gi]])
-		// The group is sorted by y, so members tie on groupMinY only at
-		// the group head; they survive iff the group min beats every
-		// strictly-smaller-x y.
-		if !haveBest || groupMinY < bestY {
-			for gj := gi; gj < len(order) && mx(points[order[gj]]) == x && my(points[order[gj]]) == groupMinY; gj++ {
-				front = append(front, points[order[gj]])
-			}
-			bestY = groupMinY
-			haveBest = true
-		}
-		for gi < len(order) && mx(points[order[gi]]) == x {
-			gi++
-		}
+	for f, a := range front {
+		front[f] = idx[a]
 	}
 	return front
 }
 
-// dominates reports whether q dominates p: q <= p everywhere and q < p
-// somewhere.
-func dominates(q, p Point, objectives []Metric) bool {
+// dominatesVals reports whether objective values q dominate p: q <= p
+// everywhere and q < p somewhere.
+func dominatesVals(q, p []float64) bool {
 	strictly := false
-	for _, m := range objectives {
-		qv, pv := m(q), m(p)
-		if qv > pv {
+	for j, qv := range q {
+		if qv > p[j] {
 			return false
 		}
-		if qv < pv {
+		if qv < p[j] {
 			strictly = true
 		}
 	}
