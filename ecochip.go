@@ -170,7 +170,11 @@ var (
 	SweepByArea = explore.ByArea
 )
 
-// ParetoFront filters design points to the non-dominated set.
+// ParetoFront filters design points to the non-dominated set, sorted
+// by the first objective. Points that the objectives' minima or the
+// knee point dominate are dropped in linear passes, so only the few
+// survivors of a large sweep are sorted or scanned pairwise. NaN
+// objective values are outside the contract.
 func ParetoFront(points []DesignPoint, objectives ...SweepMetric) []DesignPoint {
 	return explore.ParetoFront(points, objectives...)
 }

@@ -314,17 +314,7 @@ func skyline2Keys(idx []int, vals []float64) []int {
 		keys[s] = key{vals[2*s], vals[2*s+1], i}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
-		switch {
-		case a.x < b.x:
-			return -1
-		case a.x > b.x:
-			return 1
-		case a.y < b.y:
-			return -1
-		case a.y > b.y:
-			return 1
-		}
-		return cmp.Compare(a.i, b.i)
+		return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y), cmp.Compare(a.i, b.i))
 	})
 
 	var front []int
@@ -367,15 +357,7 @@ func pairwiseFront(idx []int, vals []float64, k int) []int {
 			front = append(front, a)
 		}
 	}
-	slices.SortStableFunc(front, func(a, b int) int {
-		switch x, y := vals[a*k], vals[b*k]; {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	})
+	slices.SortStableFunc(front, func(a, b int) int { return cmp.Compare(vals[a*k], vals[b*k]) })
 	for f, a := range front {
 		front[f] = idx[a]
 	}
