@@ -44,13 +44,14 @@ func checkGolden(t *testing.T, name, got string) {
 // hexf renders a float as its exact bits.
 func hexf(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
-// The packaging paths that do not plan through the dims-only retained
-// tree — silicon bridges (which read adjacencies) and flexible shape
-// curves — must keep the exact bits of every compiled sweep point and
-// of the Disaggregate result on the EPYC and GA102 testcases, and of
-// the merge trajectory on a six-way GA102 split (where the greedy
-// search does merge). The goldens store Float64bits hex, so any change
-// in a float operation on these paths fails here.
+// Every floorplan path of the packaging model — the dims-only retained
+// tree (fixed-shape RDL, passive and active interposers), silicon
+// bridges (which read adjacencies) and flexible shape curves — must
+// keep the exact bits of every compiled sweep point and of the
+// Disaggregate result on the EPYC and GA102 testcases, and of the merge
+// trajectory on a six-way GA102 split (where the greedy search does
+// merge). The goldens store Float64bits hex, so any change in a float
+// operation on these paths fails here.
 func TestPackagingPathsGolden(t *testing.T) {
 	d := db()
 	epyc, err := testcases.EPYC(d, 4)
@@ -75,6 +76,9 @@ func TestPackagingPathsGolden(t *testing.T) {
 		arch     pkgcarbon.Architecture
 		flexible bool
 	}{
+		{"rdl", pkgcarbon.RDLFanout, false},
+		{"passive", pkgcarbon.PassiveInterposer, false},
+		{"active", pkgcarbon.ActiveInterposer, false},
 		{"emib", pkgcarbon.SiliconBridge, false},
 		{"rdl-flex", pkgcarbon.RDLFanout, true},
 		{"passive-flex", pkgcarbon.PassiveInterposer, true},
