@@ -182,9 +182,9 @@ func ParetoFront(points []DesignPoint, objectives ...SweepMetric) []DesignPoint 
 // DisaggregationStats counts the work of one compiled Disaggregate
 // search: greedy steps and candidate evaluations, merged-die cell memo
 // traffic, pooled-scratch reuse and the folded incremental-floorplan
-// counters (whose diff fields report the name-keyed remove/insert diff
-// serving the candidates). Returned in DisaggregationPlan.Stats; its
-// String is the summary ecodse prints under -progress.
+// counters (whose DiffFallbacks count the candidates' block-set
+// rebuilds). Returned in DisaggregationPlan.Stats; its String is the
+// summary ecodse prints under -progress.
 type DisaggregationStats = explore.DisaggregateStats
 
 // Disaggregate runs the greedy block-to-chiplet grouping optimizer. The
@@ -192,8 +192,8 @@ type DisaggregationStats = explore.DisaggregateStats
 // memoized per group pair across greedy steps, worker scratches (with
 // their packaging estimators and retained floorplan trees) are pooled
 // across the whole search, and each candidate's floorplan is a
-// name-keyed remove/insert fork of the step's pinned base tree. The
-// trajectory is bit-identical to the evaluate-per-candidate search
+// from-scratch rebuild of the pooled tree. The trajectory is
+// bit-identical to the evaluate-per-candidate search
 // (explore.DisaggregateReference).
 func Disaggregate(base *System, db *TechDB) (*DisaggregationPlan, error) {
 	return explore.Disaggregate(base, db)

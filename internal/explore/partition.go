@@ -39,9 +39,9 @@ import (
 //   - Worker scratches (the packaging estimator with its retained
 //     floorplan tree, per-node communication memo and per-area package
 //     memo) come from a kernel.ScratchPool that spans the whole search,
-//     so engine.RunScratch batches no longer rebuild them per step; the
-//     estimator's name-keyed floorplan diff then splices each
-//     candidate's surviving subtrees instead of re-planning.
+//     so engine.RunScratch batches no longer rebuild them per step.
+//     Each candidate's changed die set rebuilds the retained floorplan
+//     tree from scratch.
 //
 // The greedy trajectory stays bit-identical to the evaluate-per-candidate
 // reference (DisaggregateReference) because every memoized value is a
@@ -69,8 +69,8 @@ type Plan struct {
 // DisaggregateStats counts the work of one compiled Disaggregate
 // search: the greedy steps and candidate evaluations, the per-search
 // merged-cell memo traffic, the pooled-scratch reuse, and the folded
-// incremental-floorplan counters (whose DiffFastPath / Splices /
-// DiffFallbacks report the name-keyed diff serving the candidates).
+// incremental-floorplan counters (whose DiffFallbacks count the
+// candidates' block-set rebuilds).
 type DisaggregateStats struct {
 	// Steps is the number of accepted merges; Candidates the number of
 	// pairwise merge evaluations across all steps.
@@ -145,14 +145,11 @@ type mergedCell struct {
 	cell core.DieCell
 }
 
-// candScratch is one worker's per-batch state: the run's memo hooks,
-// the pooled kernel arena (packaging estimator + descriptor buffer) and
-// whether the arena's floorplan tree has been primed with this step's
-// base die set (candidates then fork against the pinned base).
+// candScratch is one worker's per-batch state: the run's memo hooks and
+// the pooled kernel arena (packaging estimator + descriptor buffer).
 type candScratch struct {
-	h      *core.Hooks
-	sc     *kernel.Scratch
-	primed bool
+	h  *core.Hooks
+	sc *kernel.Scratch
 }
 
 // disaggState is the step-spanning compiled state of one search. The
@@ -587,25 +584,8 @@ func (st *disaggState) evalMergeCandidate(s *core.System, c *mergeCandidate, cs 
 		}
 		return rep.EmbodiedKg(), nil
 	}
-	fork := cs.sc.MergeForkable()
-	if fork && !cs.primed {
-		// Pin the step's base die set in the estimator once; every
-		// candidate of the step then forks against the warm tree,
-		// never materializing its descriptor set.
-		base := cs.sc.ResizeChiplets(len(s.Chiplets))
-		for k := range st.stepArea {
-			base[k] = pkgcarbon.Chiplet{Name: s.Chiplets[k].Name, AreaMM2: st.stepArea[k], Node: st.stepNode[k]}
-		}
-		if err := cs.sc.PrimeMergeBase(); err != nil {
-			return 0, err
-		}
-		cs.primed = true
-	}
 	var mfgKg, desKg, nreKg float64
-	var pkgCh []pkgcarbon.Chiplet
-	if !fork {
-		pkgCh = cs.sc.ResizeChiplets(len(s.Chiplets) - 1)
-	}
+	pkgCh := cs.sc.ResizeChiplets(len(s.Chiplets) - 1)
 	idx := 0
 	stepDes := st.stepDes[:len(st.stepMfg)]
 	stepNre := st.stepNre[:len(st.stepMfg)]
@@ -616,25 +596,15 @@ func (st *disaggState) evalMergeCandidate(s *core.System, c *mergeCandidate, cs 
 		mfgKg += m
 		desKg += stepDes[k]
 		nreKg += stepNre[k]
-		if !fork {
-			pkgCh[idx] = pkgcarbon.Chiplet{Name: s.Chiplets[k].Name, AreaMM2: st.stepArea[k], Node: st.stepNode[k]}
-			idx++
-		}
+		pkgCh[idx] = pkgcarbon.Chiplet{Name: s.Chiplets[k].Name, AreaMM2: st.stepArea[k], Node: st.stepNode[k]}
+		idx++
 	}
 	m := int(c.cellIdx - 1)
 	mfgKg += st.mergedMfg[m]
 	desKg += st.mergedDes[m]
 	nreKg += st.mergedNre[m]
-
-	var pkg *pkgcarbon.Result
-	var err error
-	mergedCh := pkgcarbon.Chiplet{Name: st.mergedEntries[m].ch.Name, AreaMM2: st.mergedArea[m], Node: st.mergedNode[m]}
-	if fork {
-		pkg, err = cs.sc.EstimatePackageMergeFork(c.i, c.j, mergedCh)
-	} else {
-		pkgCh[idx] = mergedCh
-		pkg, err = cs.sc.EstimatePackage()
-	}
+	pkgCh[idx] = pkgcarbon.Chiplet{Name: st.mergedEntries[m].ch.Name, AreaMM2: st.mergedArea[m], Node: st.mergedNode[m]}
+	pkg, err := cs.sc.EstimatePackage()
 	if err != nil {
 		return 0, err
 	}

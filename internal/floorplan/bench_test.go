@@ -79,13 +79,11 @@ func benchTreeUpdate(b *testing.B, n int) {
 func BenchmarkTreeUpdate8(b *testing.B)  { benchTreeUpdate(b, 8) }
 func BenchmarkTreeUpdate32(b *testing.B) { benchTreeUpdate(b, 32) }
 
-// benchTreeDiff measures the name-keyed remove/insert diff on the
-// Disaggregate candidate shape — two survivors removed, one merged die
-// appended — alternating between two candidate sets so every plan is a
-// shape change (which never reads the shape memo). The baseline is the
-// same alternation through a full rebuild of the tree (the from-scratch
-// plan the diff falls back to).
-func benchTreeDiff(b *testing.B, n int, scratch bool) {
+// benchTreeDiff measures a block-set change on the Disaggregate
+// candidate shape — two survivors removed, one merged die appended —
+// alternating between two candidate sets so every plan is a shape
+// change, which rebuilds the tree from scratch.
+func benchTreeDiff(b *testing.B, n int) {
 	b.Helper()
 	base := benchBlocks(n)
 	cands := make([][]Block, 2)
@@ -102,33 +100,21 @@ func benchTreeDiff(b *testing.B, n int, scratch bool) {
 			AreaMM2: base[i].AreaMM2 + base[j].AreaMM2,
 		})
 	}
-	var totals [2]float64
-	for c, cand := range cands {
-		for _, blk := range cand {
-			totals[c] += blk.AreaMM2
-		}
-	}
 	var tr Tree
 	if _, err := tr.PlanDims(base, 0.5); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if scratch {
-			tr.rebuild(cands[i&1], 0.5, totals[i&1])
-		} else if _, err := tr.PlanDims(cands[i&1], 0.5); err != nil {
+		if _, err := tr.PlanDims(cands[i&1], 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if !scratch {
-		if s := tr.Stats(); s.DiffFastPath == 0 || s.Splices == 0 {
-			b.Fatalf("diff benchmark never spliced: %+v", s)
-		}
+	if s := tr.Stats(); s.DiffFallbacks != uint64(b.N) {
+		b.Fatalf("every candidate plan should rebuild once: %+v", s)
 	}
 }
 
-func BenchmarkTreeDiff9(b *testing.B)         { benchTreeDiff(b, 9, false) }
-func BenchmarkTreeDiffScratch9(b *testing.B)  { benchTreeDiff(b, 9, true) }
-func BenchmarkTreeDiff24(b *testing.B)        { benchTreeDiff(b, 24, false) }
-func BenchmarkTreeDiffScratch24(b *testing.B) { benchTreeDiff(b, 24, true) }
+func BenchmarkTreeDiff9(b *testing.B)  { benchTreeDiff(b, 9) }
+func BenchmarkTreeDiff24(b *testing.B) { benchTreeDiff(b, 24) }

@@ -27,8 +27,8 @@ import (
 //     single-area update,
 //  5. after a remove/insert delta (one block dropped, one fresh block
 //     appended — the Disaggregate candidate shape), the tree's
-//     name-keyed diff box is bit-identical to a from-scratch plan, whose
-//     invariants still hold;
+//     block-set rebuild box is bit-identical to a from-scratch plan,
+//     whose invariants still hold;
 //  6. a tree driven through a sequence of single-block Updates (areas
 //     drawn from the input's own areas, so identical blocks swap sort
 //     positions and shapes recur in the shape memo) returns the
@@ -126,7 +126,7 @@ func FuzzFloorplanInvariants(f *testing.F) {
 		compareBoxes(t, "tree update", want, got)
 
 		// Remove/insert delta: drop one block and append a fresh one,
-		// then require the name-keyed diff plan to match from scratch.
+		// then require the tree's block-set rebuild to match from scratch.
 		if !(insertArea > 0) || insertArea > 1e8 || math.IsInf(insertArea, 0) {
 			return
 		}
@@ -139,10 +139,10 @@ func FuzzFloorplanInvariants(f *testing.F) {
 		}
 		got, err = tr.PlanDims(edited, spacing)
 		if err != nil {
-			t.Fatalf("tree diff rejected a valid remove/insert delta: %v", err)
+			t.Fatalf("tree rejected a valid remove/insert delta: %v", err)
 		}
-		checkInvariants(t, "diff", edited, want, spacing)
-		compareBoxes(t, "tree diff", want, got)
+		checkInvariants(t, "remove/insert", edited, want, spacing)
+		compareBoxes(t, "tree remove/insert", want, got)
 	})
 }
 

@@ -27,8 +27,8 @@ type shapeMemo struct {
 }
 
 // resetMemo empties the shape memo and sizes its key for the current
-// block set. rebuild and rebuildDiff call it, since the block set or
-// spacing changed — the stored boxes are valid only under both.
+// block set. rebuild calls it, since the block set or spacing changed —
+// the stored boxes are valid only under both.
 func (t *Tree) resetMemo() {
 	m := &t.memo
 	clear(m.slots)

@@ -49,8 +49,8 @@ func sweepBlocks(rng *rand.Rand, k, odd int, aspects bool) (blocks []Block, pool
 
 // Randomized Update sequences over identical blocks, exact area ties
 // (pools share values across kinds) and non-uniform aspect ratios, with
-// PlanDims and ForkDims calls interleaved on whatever state the memo
-// left the tree in.
+// PlanDims calls interleaved on whatever state the memo left the tree
+// in.
 func TestTreeUpdateDimsMatchesScratchRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	var total TreeStats
@@ -75,22 +75,6 @@ func TestTreeUpdateDimsMatchesScratchRandomized(t *testing.T) {
 					t.Fatal(err)
 				}
 				dimsIdentical(t, label+" (PlanDims)", blocks, spacing, got)
-				continue
-			case r == 1 && len(blocks) >= 3:
-				j := (i + 1 + rng.Intn(len(blocks)-1)) % len(blocks)
-				extra := Block{Name: "merged", AreaMM2: blocks[i].AreaMM2 + blocks[j].AreaMM2}
-				w, h, sum, err := tr.ForkDims(i, j, extra)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var cand []Block
-				for q, b := range blocks {
-					if q != i && q != j {
-						cand = append(cand, b)
-					}
-				}
-				cand = append(cand, extra)
-				dimsIdentical(t, label+" (ForkDims)", cand, spacing, &Result{WidthMM: w, HeightMM: h, ChipletAreaMM2: sum})
 				continue
 			case r < 4:
 				blocks[i].AreaMM2 = 1 + 400*rng.Float64() // a shape never seen before
@@ -185,9 +169,10 @@ func hitOnce(t *testing.T, tr *Tree, blocks []Block, i int, a float64) {
 	}
 }
 
-// After a memo hit the slicing nodes are stale; every entry point that
-// reads them must rebuild first: a same-shape PlanDims, a name-keyed
-// diff, ForkDims and a missing Update.
+// After a memo hit the slicing nodes are stale; every entry point must
+// still match the from-scratch plan: a same-shape PlanDims (which
+// rebuilds the stale nodes first), a block-set change and a missing
+// Update.
 func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 	var blocks []Block
 	for i := 0; i < 8; i++ {
@@ -211,36 +196,21 @@ func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 		t.Error("PlanDims left the tree stale")
 	}
 
-	// Name-keyed diff: drop a CCD, append a merged die.
+	// Block-set change: drop a CCD, append a merged die.
 	hitOnce(t, &tr, blocks, 0, 52.5)
 	edited := append(append([]Block{}, blocks[1:]...), Block{Name: "merged", AreaMM2: 126.5})
-	diffs := tr.Stats().DiffFastPath
+	rebuilds := tr.Stats().DiffFallbacks
 	if got, err = tr.PlanDims(edited, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	dimsIdentical(t, "diff after hit", edited, 0.5, got)
-	if tr.Stats().DiffFastPath != diffs+1 {
-		t.Errorf("shape change should take the name-keyed diff: %+v", tr.Stats())
+	dimsIdentical(t, "block-set change after hit", edited, 0.5, got)
+	if tr.Stats().DiffFallbacks != rebuilds+1 {
+		t.Errorf("shape change should count one block-set rebuild: %+v", tr.Stats())
 	}
 	if len(tr.memo.hash) != 0 {
 		t.Errorf("a block-set change must reset the memo: %d entries kept", len(tr.memo.hash))
 	}
 	blocks = edited
-
-	// ForkDims against a stale base.
-	hitOnce(t, &tr, blocks, 2, 61.25)
-	extra := Block{Name: "fork", AreaMM2: blocks[1].AreaMM2 + blocks[4].AreaMM2}
-	w, h, sum, err := tr.ForkDims(1, 4, extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cand []Block
-	for q, b := range blocks {
-		if q != 1 && q != 4 {
-			cand = append(cand, b)
-		}
-	}
-	dimsIdentical(t, "ForkDims after hit", append(cand, extra), 0.5, &Result{WidthMM: w, HeightMM: h, ChipletAreaMM2: sum})
 
 	// A missing Update on a stale tree rebuilds from the repaired order.
 	hitOnce(t, &tr, blocks, 6, 88)
@@ -354,9 +324,6 @@ func TestNaNAreasRejected(t *testing.T) {
 	}
 	if _, err := tr.Update(1, nan); err == nil {
 		t.Error("Tree.Update accepted a NaN area")
-	}
-	if _, _, _, err := tr.ForkDims(0, 1, Block{Name: "m", AreaMM2: nan}); err == nil {
-		t.Error("Tree.ForkDims accepted a NaN area")
 	}
 	got, err := tr.Update(1, 6)
 	if err != nil {

@@ -22,16 +22,11 @@ import "fmt"
 // from-scratch algorithm itself, so no input can make the incremental
 // path diverge: it can only decline.
 //
-// When the block SET changes — the Disaggregate candidate shape of "k
-// survivors removed, m merged dies inserted" — the name-keyed diff
-// (planDiff) takes over: leaves are keyed by block name, the new tree is
-// constructed by the from-scratch recursion, and any segment that is
-// exactly a retained subtree of clean survivors is spliced in by
-// copying its node structs. Spliced segments hold the identical ordered
-// block list the retained recursion partitioned, so the copy reproduces
-// what the recursion would recompute — bit-identity again holds by
-// construction, and a segment that matches nothing simply runs the
-// from-scratch math.
+// When the block SET changes — the Disaggregate candidate shape of "two
+// dies removed, one merged die inserted" — the tree rebuilds from
+// scratch: for the handful of blocks a package holds, the plain
+// sort + partition + compose is cheaper than any bookkeeping that would
+// reuse parts of the retained tree.
 //
 // Updates (the Gray-step shape of every non-bridge, fixed-shape package
 // estimate) also consult an exact shape memo. The bounding box is a
@@ -42,16 +37,16 @@ import "fmt"
 // serves the W/H the from-scratch algorithm produced for the same
 // sequence earlier, bit-identical by construction. It does not touch
 // the retained slicing nodes, which are then stale: the next miss
-// rebuilds them from the (current) sorted order, and every entry point
-// that reads them (PlanDims, the name-keyed diff, ForkDims) rebuilds
-// first.
+// rebuilds them from the (current) sorted order, and PlanDims, which
+// reads them, rebuilds first.
 
 // TreeStats counts the work a retained tree performed across PlanDims
 // and Update calls. The counters separate plans where reuse was
 // impossible by contract (Rebuilds: the first plan, spacing changes)
-// from plans where reuse was attempted and declined (Fallbacks,
-// DiffFallbacks), so reuse-rate reporting is not deflated by plans the
-// tree never had a chance to serve incrementally.
+// from plans that rebuilt although retained state existed (Fallbacks:
+// the guard declined; DiffFallbacks: the block set changed), so
+// reuse-rate reporting is not deflated by plans the tree never had a
+// chance to serve incrementally.
 type TreeStats struct {
 	// Rebuilds counts deliberate full from-scratch builds: the first
 	// plan and any plan whose spacing changed, where no retained state
@@ -60,12 +55,6 @@ type TreeStats struct {
 	// FastPath counts same-shape plans served by an incremental relayout
 	// of the dirty paths with the retained topology.
 	FastPath uint64
-	// DiffFastPath counts shape-changed plans (blocks removed, inserted
-	// or renamed) served by the name-keyed diff: the tree is rebuilt by
-	// the from-scratch recursion, but segments matching a retained
-	// subtree of clean surviving blocks are spliced in instead of
-	// recomputed.
-	DiffFastPath uint64
 	// MemoHits counts Updates served from the exact shape memo: the
 	// sorted (area, aspect ratio) sequence was planned before, so the
 	// stored bounding box is returned and no slicing node is touched. A
@@ -76,9 +65,8 @@ type TreeStats struct {
 	// partition flip, or (Updates) a memo miss found the tree stale
 	// after earlier memo hits.
 	Fallbacks uint64
-	// DiffFallbacks counts shape-changed plans the name-keyed diff
-	// declined (no retained block survives by name), which rebuilt from
-	// scratch.
+	// DiffFallbacks counts PlanDims calls whose block set changed
+	// (blocks removed, inserted or renamed); each rebuilds from scratch.
 	DiffFallbacks uint64
 	// Unchanged counts plans served entirely from the retained result
 	// (no area differed).
@@ -87,9 +75,6 @@ type TreeStats struct {
 	// fast-path plans; RelayoutNodeSum / FastPath is the mean relayout
 	// depth.
 	RelayoutNodeSum uint64
-	// Splices is the total number of retained subtrees grafted by
-	// name-keyed diff plans.
-	Splices uint64
 }
 
 // MeanRelayoutDepth is the mean number of recomposed tree nodes per
@@ -106,19 +91,17 @@ func (s TreeStats) MeanRelayoutDepth() float64 {
 func (s *TreeStats) Add(o TreeStats) {
 	s.Rebuilds += o.Rebuilds
 	s.FastPath += o.FastPath
-	s.DiffFastPath += o.DiffFastPath
 	s.MemoHits += o.MemoHits
 	s.Fallbacks += o.Fallbacks
 	s.DiffFallbacks += o.DiffFallbacks
 	s.Unchanged += o.Unchanged
 	s.RelayoutNodeSum += o.RelayoutNodeSum
-	s.Splices += o.Splices
 }
 
 // Plans returns the total number of PlanDims/Update calls the counters
 // cover.
 func (s TreeStats) Plans() uint64 {
-	return s.FastPath + s.DiffFastPath + s.MemoHits + s.Unchanged + s.Fallbacks + s.DiffFallbacks + s.Rebuilds
+	return s.FastPath + s.MemoHits + s.Unchanged + s.Fallbacks + s.DiffFallbacks + s.Rebuilds
 }
 
 // ReuseRate returns the fraction of reuse-eligible plans (every plan
@@ -127,7 +110,7 @@ func (s TreeStats) Plans() uint64 {
 // counting first builds and spacing changes in the denominator
 // would conflate "the guard declined" with "reuse was never possible".
 func (s TreeStats) ReuseRate() float64 {
-	served := s.FastPath + s.DiffFastPath + s.MemoHits + s.Unchanged
+	served := s.FastPath + s.MemoHits + s.Unchanged
 	eligible := served + s.Fallbacks + s.DiffFallbacks
 	if eligible == 0 {
 		return 0
@@ -138,8 +121,8 @@ func (s TreeStats) ReuseRate() float64 {
 // String renders the one-line summary CLIs print under -progress (the
 // single source of the format, so surfaces cannot drift).
 func (s TreeStats) String() string {
-	return fmt.Sprintf("incremental floorplan: %d fast-path / %d memo / %d diff (%d splices) / %d unchanged / %d+%d fallbacks / %d rebuilds (%.1f%% reuse), mean relayout depth %.1f",
-		s.FastPath, s.MemoHits, s.DiffFastPath, s.Splices, s.Unchanged, s.Fallbacks, s.DiffFallbacks, s.Rebuilds,
+	return fmt.Sprintf("incremental floorplan: %d fast-path / %d memo / %d unchanged / %d+%d fallbacks / %d rebuilds (%.1f%% reuse), mean relayout depth %.1f",
+		s.FastPath, s.MemoHits, s.Unchanged, s.Fallbacks, s.DiffFallbacks, s.Rebuilds,
 		100*s.ReuseRate(), s.MeanRelayoutDepth())
 }
 
@@ -150,13 +133,11 @@ func (s TreeStats) Delta(prev TreeStats) TreeStats {
 	return TreeStats{
 		Rebuilds:        s.Rebuilds - prev.Rebuilds,
 		FastPath:        s.FastPath - prev.FastPath,
-		DiffFastPath:    s.DiffFastPath - prev.DiffFastPath,
 		MemoHits:        s.MemoHits - prev.MemoHits,
 		Fallbacks:       s.Fallbacks - prev.Fallbacks,
 		DiffFallbacks:   s.DiffFallbacks - prev.DiffFallbacks,
 		Unchanged:       s.Unchanged - prev.Unchanged,
 		RelayoutNodeSum: s.RelayoutNodeSum - prev.RelayoutNodeSum,
-		Splices:         s.Splices - prev.Splices,
 	}
 }
 
@@ -202,15 +183,6 @@ type Tree struct {
 	walkTmp   []int
 	walkToA   []bool
 
-	// Name-keyed diff state: the previous-generation node array the diff
-	// grafts from, and the matching scratch buffers.
-	nodesPrev   []tnode // double buffer: last generation's slicing tree
-	matchOld    []int   // new caller index -> retained leaf-order pos, -1 if none
-	matchNew    []int   // old caller index -> new caller index, -1 if none
-	diffOldLeaf []int   // new sorted pos -> retained leaf-order pos, -1 if none
-	survBuf     []int   // merge-repair scratch: clean survivors in old sorted order
-	freshBuf    []int   // merge-repair scratch: inserted/dirty blocks by area
-
 	// Shape memo. stale reports that memo hits left the slicing nodes
 	// and the leaf maps (leafOf, leafPos) behind the sorted permutation
 	// and areas, which are always current.
@@ -226,12 +198,12 @@ func (t *Tree) Stats() TreeStats { return t.stats }
 
 // PlanDims floorplans the blocks, reusing the retained tree when only
 // block areas changed since the previous call (the dirty-path relayout)
-// or when blocks were removed, inserted or renamed but some survive by
-// name (the name-keyed diff, which splices the surviving subtrees). The
-// returned Result carries only the bounding box (WidthMM, HeightMM) and
-// ChipletAreaMM2 — nil Placements, nil Adjacencies — bit-identical to
-// Scratch.Plan's on every input. Packaging models that consume only the
-// package area (every architecture except silicon bridges) run on it.
+// and rebuilding it from scratch when blocks were removed, inserted or
+// renamed. The returned Result carries only the bounding box (WidthMM,
+// HeightMM) and ChipletAreaMM2 — nil Placements, nil Adjacencies —
+// bit-identical to Scratch.Plan's on every input. Packaging models that
+// consume only the package area (every architecture except silicon
+// bridges) run on it.
 func (t *Tree) PlanDims(blocks []Block, spacingMM float64) (*Result, error) {
 	if spacingMM == 0 {
 		spacingMM = DefaultSpacingMM
@@ -245,17 +217,17 @@ func (t *Tree) PlanDims(blocks []Block, spacingMM float64) (*Result, error) {
 		t.rebuild(blocks, spacingMM, total)
 		return &t.res, nil
 	}
-	t.refresh()
 	if !t.sameShape(blocks) {
 		// The block set itself changed (removed, inserted or renamed
-		// blocks): the name-keyed diff splices surviving subtrees; when
-		// it declines, the rebuild is the from-scratch algorithm.
-		if t.planDiff(blocks, total) {
-			return &t.res, nil
-		}
+		// blocks): rebuild with the from-scratch algorithm.
 		t.stats.DiffFallbacks++
 		t.rebuild(blocks, spacingMM, total)
 		return &t.res, nil
+	}
+	if t.stale {
+		// Memo hits left the slicing nodes behind the sorted order:
+		// rebuild them (the box carries the bits the memo served).
+		t.buildNodes(t.res.ChipletAreaMM2)
 	}
 	t.changed = t.changed[:0]
 	for i, b := range blocks {
@@ -276,7 +248,7 @@ func (t *Tree) PlanDims(blocks []Block, spacingMM float64) (*Result, error) {
 	}
 	t.stats.Fallbacks++
 	t.resort(len(t.blocks))
-	t.buildNodes(total, -1)
+	t.buildNodes(total)
 	return &t.res, nil
 }
 
@@ -326,7 +298,7 @@ func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 	// whole tree stale: both rebuild the nodes from the repaired order.
 	if t.stale || moved || !t.updateOne(sp, total) {
 		t.stats.Fallbacks++
-		t.buildNodes(total, -1)
+		t.buildNodes(total)
 	}
 	t.memoStore(h, t.res.WidthMM, t.res.HeightMM)
 	return &t.res, nil
@@ -362,15 +334,6 @@ func (t *Tree) swapSorted(i, j int) {
 	t.srcIdx[i], t.srcIdx[j] = t.srcIdx[j], t.srcIdx[i]
 	t.posOf[t.srcIdx[i]] = i
 	t.posOf[t.srcIdx[j]] = j
-}
-
-// refresh rebuilds the slicing nodes from the current sorted order if
-// memo hits left them stale. Entry points that read retained nodes call
-// it first; the rebuilt box carries the bits the memo served.
-func (t *Tree) refresh() {
-	if t.stale {
-		t.buildNodes(t.res.ChipletAreaMM2, -1)
-	}
 }
 
 // sameShape reports whether blocks matches the retained set in
@@ -595,15 +558,14 @@ func (t *Tree) rebuild(blocks []Block, spacing, total float64) {
 	t.blocks = append(t.blocks[:0], blocks...)
 	t.sizeBuffers(n)
 	t.resort(n)
-	t.buildNodes(total, -1)
+	t.buildNodes(total)
 	t.resetMemo()
 }
 
 // buildNodes rebuilds the slicing tree and the leaf maps from the
-// current sorted order — the from-scratch partition and composition,
-// grafting from the previous generation when prevRoot >= 0 (see build)
-// — and refreshes the Result.
-func (t *Tree) buildNodes(total float64, prevRoot int) {
+// current sorted order — the from-scratch partition and composition —
+// and refreshes the Result.
+func (t *Tree) buildNodes(total float64) {
 	n := len(t.sorted)
 	t.nused = 0
 	order := t.walkOrder[:n]
@@ -611,7 +573,7 @@ func (t *Tree) buildNodes(total float64, prevRoot int) {
 		order[i] = i
 	}
 	nextLeaf := 0
-	t.root = t.build(order, &nextLeaf, prevRoot)
+	t.root = t.build(order, &nextLeaf)
 	t.built = true
 	t.stale = false
 	t.finishResult(total)
@@ -631,12 +593,9 @@ func (t *Tree) sizeBuffers(n int) {
 		t.walkToA = make([]bool, n)
 	}
 	// A slicing tree over n leaves holds exactly 2n-1 nodes; presizing
-	// both generations spares allocNode the append-doubling churn.
+	// spares allocNode the append-doubling churn.
 	if cap(t.nodes) < 2*n-1 {
 		t.nodes = append(make([]tnode, 0, 2*n-1), t.nodes...)
-	}
-	if cap(t.nodesPrev) < 2*n-1 {
-		t.nodesPrev = append(make([]tnode, 0, 2*n-1), t.nodesPrev...)
 	}
 	t.leafPos = t.leafPos[:n]
 	t.areas = t.areas[:n]
@@ -670,192 +629,11 @@ func (t *Tree) resort(n int) {
 	}
 }
 
-// planDiff serves a shape-changed PlanDims through the name-keyed diff.
-// The new tree is constructed by the from-scratch recursion — fresh
-// stable sort, fresh area-balanced partition decisions — but any segment
-// whose members are all clean survivors of the retained plan (same name,
-// area and aspect ratio) occupying, in order, a contiguous retained leaf
-// interval that is exactly a retained subtree is grafted: the subtree's
-// node structs (leaf and composed dims) are copied instead of
-// recomputed. A grafted segment holds the identical ordered block list
-// the retained recursion partitioned, so re-running the recursion would
-// reproduce the copied values float for float — the result is
-// bit-identical to a full rebuild by construction, with no speculative
-// guard to fall back from. planDiff declines (returning false with the
-// tree untouched) only when no retained block survives by name.
-//
-// Matching is an ordered two-pointer scan, not a map: the shapes this
-// diff serves (Disaggregate candidates, merge deltas) preserve the
-// survivors' relative caller order, and for the handful of blocks a
-// package holds, bounded string compares beat map hashing. A survivor
-// the scan misses (a caller-order permutation, a duplicate name) just
-// matches fewer leaves — fewer grafts, never a wrong plan, because a
-// graft's correctness rests on the verified (area, aspect) equality of
-// its members, not on how they were found.
-func (t *Tree) planDiff(blocks []Block, total float64) bool {
-	n := len(blocks)
-	if cap(t.matchOld) < n {
-		t.matchOld = make([]int, n)
-		t.diffOldLeaf = make([]int, n)
-		t.survBuf = make([]int, n)
-		t.freshBuf = make([]int, n)
-	}
-	if cap(t.matchNew) < len(t.blocks) {
-		t.matchNew = make([]int, len(t.blocks))
-	}
-	matchOld := t.matchOld[:n]
-	matchNew := t.matchNew[:len(t.blocks)]
-	for j := range matchNew {
-		matchNew[j] = -1
-	}
-	survivors := 0
-	old := t.blocks
-	oc := 0 // old cursor: survivors match in caller order
-	for i := range blocks {
-		matchOld[i] = -1
-		b := &blocks[i]
-		for j := oc; j < len(old); j++ {
-			if old[j].Name == b.Name {
-				if old[j].AreaMM2 == b.AreaMM2 && old[j].AspectRatio == b.AspectRatio {
-					matchOld[i] = t.leafPos[t.posOf[j]]
-					matchNew[j] = i
-					survivors++
-				}
-				oc = j + 1
-				break
-			}
-		}
-	}
-	if survivors == 0 {
-		return false
-	}
-	t.stats.DiffFastPath++
-	t.rebuildDiff(blocks, total)
-	return true
-}
-
-// rebuildDiff is the diff-plan body: the rebuild scaffolding with the
-// node array double-buffered (grafts read the previous generation) and
-// the build recursion grafting from it. matchOld must
-// already hold the per-new-caller-index retained leaf positions.
-func (t *Tree) rebuildDiff(blocks []Block, total float64) {
-	n := len(blocks)
-	prevRoot := t.root
-	t.nodes, t.nodesPrev = t.nodesPrev, t.nodes
-
-	// Merge-repair the sorted permutation instead of re-sorting: clean
-	// survivors read off the retained order are already sorted among
-	// themselves (their areas are unchanged and the ordered matcher
-	// preserves their relative caller order, so ties keep breaking the
-	// same way), and only the inserted/dirty blocks need a fresh sort.
-	// The merge comparator is the stable sort's total order (area
-	// descending, caller index ascending), so the merged permutation is
-	// exactly the one resort would produce.
-	surv := t.survBuf[:0]
-	for sp := 0; sp < len(t.blocks); sp++ {
-		if i := t.matchNew[t.srcIdx[sp]]; i >= 0 {
-			surv = append(surv, i)
-		}
-	}
-	fresh := t.freshBuf[:0]
-	for i := range blocks {
-		if t.matchOld[i] < 0 {
-			fresh = append(fresh, i)
-		}
-	}
-	// Stable insertion sort of the fresh blocks by decreasing area
-	// (collected in caller order, so ties keep ascending caller index).
-	for i := 1; i < len(fresh); i++ {
-		f := fresh[i]
-		a := blocks[f].AreaMM2
-		j := i - 1
-		for j >= 0 && blocks[fresh[j]].AreaMM2 < a {
-			fresh[j+1] = fresh[j]
-			j--
-		}
-		fresh[j+1] = f
-	}
-
-	t.blocks = append(t.blocks[:0], blocks...)
-	t.sizeBuffers(n)
-	t.sorted = t.sorted[:0]
-	src := t.srcIdx[:n]
-	si, fi := 0, 0
-	for k := 0; k < n; k++ {
-		var pick int
-		switch {
-		case si == len(surv):
-			pick = fresh[fi]
-			fi++
-		case fi == len(fresh):
-			pick = surv[si]
-			si++
-		default:
-			s, f := surv[si], fresh[fi]
-			sa, fa := t.blocks[s].AreaMM2, t.blocks[f].AreaMM2
-			if sa > fa || (sa == fa && s < f) {
-				pick = s
-				si++
-			} else {
-				pick = f
-				fi++
-			}
-		}
-		t.sorted = append(t.sorted, t.blocks[pick])
-		src[k] = pick
-	}
-	posOf := t.posOf[:n]
-	for pos, i := range src {
-		posOf[i] = pos
-	}
-	for pos := range t.sorted {
-		t.areas[pos] = t.sorted[pos].AreaMM2
-	}
-	diffOldLeaf := t.diffOldLeaf[:n]
-	for pos, i := range src {
-		diffOldLeaf[pos] = t.matchOld[i]
-	}
-	t.buildNodes(total, prevRoot)
-	t.resetMemo()
-}
-
 // build constructs the subtree over seg (members as sorted positions in
 // pre-partition order; permuted in place exactly like layoutSeg) and
 // returns its node index. Leaf-order positions are assigned in DFS
 // order, matching the in-place permutation of the fused layout.
-//
-// With prevRoot >= 0 (the name-keyed diff) it grafts: before
-// partitioning a segment it checks whether the members are clean
-// survivors covering, in order, exactly one subtree of the previous
-// generation's leaf interval, and copies that subtree instead of
-// recursing. Non-grafted segments run the exact from-scratch
-// partition/compose math on the new areas.
-func (t *Tree) build(seg []int, nextLeaf *int, prevRoot int) int {
-	// Endpoint check first: segments holding a removed/inserted/dirty
-	// block or a split retained interval almost always fail at the ends,
-	// so the O(len) middle scan runs only on near-matches.
-	first := -1
-	if prevRoot >= 0 {
-		first = t.diffOldLeaf[seg[0]]
-	}
-	if first >= 0 && t.diffOldLeaf[seg[len(seg)-1]] == first+len(seg)-1 {
-		contiguous := true
-		for k := 1; k < len(seg)-1; k++ {
-			if t.diffOldLeaf[seg[k]] != first+k {
-				contiguous = false
-				break
-			}
-		}
-		if contiguous {
-			if oi := nodeSpanning(t.nodesPrev, prevRoot, first, first+len(seg)); oi >= 0 {
-				base := *nextLeaf
-				ni := t.graft(oi, first, base, seg)
-				*nextLeaf = base + len(seg)
-				t.stats.Splices++
-				return ni
-			}
-		}
-	}
+func (t *Tree) build(seg []int, nextLeaf *int) int {
 	ni := t.allocNode()
 	if len(seg) == 1 {
 		sp := seg[0]
@@ -894,214 +672,12 @@ func (t *Tree) build(seg []int, nextLeaf *int, prevRoot int) int {
 			ib++
 		}
 	}
-	left := t.build(seg[:na], nextLeaf, prevRoot)
-	right := t.build(seg[na:], nextLeaf, prevRoot)
+	left := t.build(seg[:na], nextLeaf)
+	right := t.build(seg[na:], nextLeaf)
 	nd := &t.nodes[ni] // re-take: t.nodes may have grown
 	nd.left, nd.right = left, right
 	nd.lo, nd.hi = t.nodes[left].lo, t.nodes[right].hi
 	t.compose(ni)
-	return ni
-}
-
-// nodeSpanning descends a slicing tree from ni for a node whose leaf
-// segment is exactly [lo, hi), or -1. The intervals form a laminar
-// binary family, so the descent is O(depth).
-func nodeSpanning(nodes []tnode, ni, lo, hi int) int {
-	for {
-		nd := &nodes[ni]
-		if nd.lo == lo && nd.hi == hi {
-			return ni
-		}
-		if nd.left < 0 {
-			return -1
-		}
-		split := nodes[nd.left].hi
-		switch {
-		case hi <= split:
-			ni = nd.left
-		case lo >= split:
-			ni = nd.right
-		default:
-			return -1
-		}
-	}
-}
-
-// ForkDims evaluates the bounding box a PlanDims of the retained block set
-// with the blocks at caller indices r1 and r2 removed and extra
-// appended would produce — the merge-candidate shape of a Disaggregate
-// greedy step — WITHOUT disturbing the retained plan. Every candidate
-// of a step can fork against the same pinned base tree: the evaluation
-// is a pure fold that derives the candidate's sorted order from the
-// retained permutation, recomputes the partition decisions with the
-// candidate's areas, reads surviving leaf dimensions off the pinned
-// leaves (no sqrt), and returns a whole pinned subtree's composed
-// dimensions in O(1) wherever a segment is exactly a retained subtree
-// of survivors. Non-grafted segments run the exact from-scratch
-// partition and composition float math, so the returned box is
-// bit-identical to a from-scratch plan of the candidate, and nothing is
-// written back — the next fork sees the same base.
-//
-// It counts toward DiffFastPath and Splices like committed diff plans
-// (it is the same remove/insert diff, minus the commit).
-func (t *Tree) ForkDims(r1, r2 int, extra Block) (wMM, hMM, totalMM2 float64, err error) {
-	if !t.built {
-		return 0, 0, 0, fmt.Errorf("floorplan: Tree.ForkDims before PlanDims")
-	}
-	n := len(t.blocks)
-	if r1 > r2 {
-		r1, r2 = r2, r1
-	}
-	if r1 < 0 || r2 >= n || r1 == r2 {
-		return 0, 0, 0, fmt.Errorf("floorplan: Tree.ForkDims removed indices (%d, %d) invalid for %d blocks", r1, r2, n)
-	}
-	if !(extra.AreaMM2 > 0) {
-		return 0, 0, 0, errBlockArea(extra)
-	}
-	t.refresh()
-	// The candidate's block-area total, in its caller order (survivors
-	// first, extra appended) — the exact bits of the from-scratch sum.
-	total := 0.0
-	for i := range t.blocks {
-		if i != r1 && i != r2 {
-			total += t.blocks[i].AreaMM2
-		}
-	}
-	total += extra.AreaMM2
-	ew, eh := extra.dims()
-	if n == 2 {
-		return ew, eh, total, nil
-	}
-	// The candidate's sorted order: the retained permutation minus the
-	// removed blocks, with extra — the highest caller index, so it sorts
-	// after every surviving block of equal or larger area — merge-
-	// inserted before the first survivor of strictly smaller area.
-	// Entries are retained sorted positions; n is the extra's sentinel.
-	rp1, rp2 := t.posOf[r1], t.posOf[r2]
-	order := t.walkOrder[:0]
-	inserted := false
-	for sp := 0; sp < n; sp++ {
-		if sp == rp1 || sp == rp2 {
-			continue
-		}
-		if !inserted && t.areas[sp] < extra.AreaMM2 {
-			order = append(order, n)
-			inserted = true
-		}
-		order = append(order, sp)
-	}
-	if !inserted {
-		order = append(order, n)
-	}
-	t.stats.DiffFastPath++
-	w, h := t.forkSeg(order, extra.AreaMM2, ew, eh)
-	return w, h, total, nil
-}
-
-// forkSeg is ForkDims' recursive fold over seg (candidate members in
-// candidate-sorted order, permuted in place like layoutSeg): the
-// from-scratch partition and composition math over the candidate areas,
-// with pinned leaf dims for survivors and whole pinned subtrees grafted
-// in O(1).
-func (t *Tree) forkSeg(seg []int, eArea, eW, eH float64) (w, h float64) {
-	sentinel := len(t.blocks)
-	if len(seg) == 1 {
-		if seg[0] == sentinel {
-			return eW, eH
-		}
-		nd := &t.nodes[t.leafOf[seg[0]]]
-		return nd.w, nd.h
-	}
-	// Graft check (endpoints first): all members survivors occupying a
-	// contiguous pinned leaf interval that is exactly a pinned subtree.
-	if f := seg[0]; f != sentinel {
-		last := seg[len(seg)-1]
-		first := t.leafPos[f]
-		if last != sentinel && t.leafPos[last] == first+len(seg)-1 {
-			ok := true
-			for k := 1; k < len(seg)-1; k++ {
-				e := seg[k]
-				if e == sentinel || t.leafPos[e] != first+k {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if ni := nodeSpanning(t.nodes, t.root, first, first+len(seg)); ni >= 0 {
-					t.stats.Splices++
-					nd := &t.nodes[ni]
-					return nd.w, nd.h
-				}
-			}
-		}
-	}
-	na := 0
-	var areaA, areaB float64
-	toA := t.walkToA[:len(seg)]
-	for i, e := range seg {
-		a := eArea
-		if e != sentinel {
-			a = t.areas[e]
-		}
-		if areaA <= areaB {
-			toA[i] = true
-			areaA += a
-			na++
-		} else {
-			toA[i] = false
-			areaB += a
-		}
-	}
-	tmp := t.walkTmp[:len(seg)]
-	copy(tmp, seg)
-	ia, ib := 0, na
-	for i, e := range tmp {
-		if toA[i] {
-			seg[ia] = e
-			ia++
-		} else {
-			seg[ib] = e
-			ib++
-		}
-	}
-	lw, lh := t.forkSeg(seg[:na], eArea, eW, eH)
-	rw, rh := t.forkSeg(seg[na:], eArea, eW, eH)
-	// The exact composition expressions of compose/layoutSeg.
-	hw := lw + t.spacing + rw
-	hh := lh
-	if rh > hh {
-		hh = rh
-	}
-	vw := lw
-	if rw > vw {
-		vw = rw
-	}
-	vh := lh + t.spacing + rh
-	if hw*hh <= vw*vh {
-		return hw, hh
-	}
-	return vw, vh
-}
-
-// graft clones the previous-generation subtree oi into the new node
-// array, translating its leaf interval from oldLo to base. seg maps the
-// subtree's leaves (in leaf order) back to their new sorted positions so
-// the leaf maps stay consistent.
-func (t *Tree) graft(oi, oldLo, base int, seg []int) int {
-	ni := t.allocNode()
-	od := t.nodesPrev[oi]
-	nd := &t.nodes[ni]
-	nd.w, nd.h = od.w, od.h
-	nd.lo, nd.hi = od.lo-oldLo+base, od.hi-oldLo+base
-	if od.left < 0 {
-		sp := seg[od.lo-oldLo]
-		t.leafOf[sp], t.leafPos[sp] = ni, nd.lo
-		return ni
-	}
-	left := t.graft(od.left, oldLo, base, seg)
-	right := t.graft(od.right, oldLo, base, seg)
-	nd = &t.nodes[ni] // re-take: t.nodes may have grown
-	nd.left, nd.right = left, right
 	return ni
 }
 

@@ -2,14 +2,14 @@ package floorplan
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// Tests of the name-keyed remove/insert diff: one retained Tree fed
-// arbitrary block-set edits must stay bit-identical to the from-scratch
-// planner, whatever mix of splices and fresh recursion it takes.
+// Tests of block-set changes: one retained Tree fed arbitrary
+// remove/insert/rename edits rebuilds from scratch on each, and must stay
+// bit-identical to the from-scratch planner and count each rebuild as
+// one DiffFallbacks.
 
 // mutateBlockSet applies a random remove/insert/rename/resize edit mix
 // to a block set, returning the new caller-order list. nameSeq feeds
@@ -31,8 +31,8 @@ func mutateBlockSet(rng *rand.Rand, blocks []Block, nameSeq *int) []Block {
 		i := rng.Intn(len(out) + 1)
 		out = append(out[:i], append([]Block{b}, out[i:]...)...)
 	}
-	// Occasionally resize a survivor (a dirty leaf the diff cannot graft)
-	// or force an area tie (the stable-sort tiebreak path).
+	// Occasionally resize a survivor or force an area tie (the
+	// stable-sort tiebreak path).
 	if len(out) > 0 && rng.Intn(2) == 0 {
 		i := rng.Intn(len(out))
 		if rng.Intn(3) == 0 && len(out) > 1 {
@@ -65,19 +65,14 @@ func TestTreeDiffMatchesScratchPlanRandomized(t *testing.T) {
 		}
 		boxBitIdentical(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
-	s := tr.Stats()
-	if s.DiffFastPath == 0 {
-		t.Errorf("randomized edit sequence never took the diff path: %+v", s)
-	}
-	if s.Splices == 0 {
-		t.Errorf("diff plans never spliced a retained subtree: %+v", s)
+	if s := tr.Stats(); s.DiffFallbacks == 0 {
+		t.Errorf("randomized edit sequence never changed the block set: %+v", s)
 	}
 }
 
 // The Disaggregate candidate shape: every greedy candidate removes two
 // survivors and appends their merged die. Each candidate plan must be
-// bit-identical to a from-scratch plan and almost all must be served by
-// the diff with splices.
+// bit-identical to a from-scratch plan and count one block-set rebuild.
 func TestTreeDiffDisaggregateShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := make([]Block, 9)
@@ -114,104 +109,15 @@ func TestTreeDiffDisaggregateShape(t *testing.T) {
 			plans++
 		}
 	}
-	s := tr.Stats()
-	if s.DiffFastPath != uint64(plans) {
-		t.Errorf("all %d candidate plans should be served by the diff: %+v", plans, s)
-	}
-	if s.Splices == 0 {
-		t.Errorf("candidate plans should splice surviving subtrees: %+v", s)
-	}
-	if rate := s.ReuseRate(); rate < 0.5 {
-		t.Errorf("candidate reuse rate %.2f below 0.5: %+v", rate, s)
+	if s := tr.Stats(); s.DiffFallbacks != uint64(plans) {
+		t.Errorf("all %d candidate plans should count a block-set rebuild: %+v", plans, s)
 	}
 }
 
-// ForkDims must reproduce the from-scratch bounding box of every merge
-// candidate bit for bit, for every removed pair over random bases —
-// without disturbing the retained plan (the base must still serve
-// Unchanged after the forks).
-func TestTreeForkDimsMatchesScratchPlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	var sc Scratch
-	for round := 0; round < 30; round++ {
-		n := 2 + rng.Intn(8)
-		base := make([]Block, n)
-		for i := range base {
-			base[i] = Block{Name: fmt.Sprintf("b%d", i), AreaMM2: 1 + rng.Float64()*200}
-		}
-		if n > 2 && rng.Intn(2) == 0 {
-			base[n-1].AreaMM2 = base[0].AreaMM2 // exact tie
-		}
-		var tr Tree
-		if _, err := tr.PlanDims(base, 0.5); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				merged := Block{
-					Name:    base[i].Name + "+" + base[j].Name,
-					AreaMM2: base[i].AreaMM2 + base[j].AreaMM2,
-				}
-				if rng.Intn(3) == 0 {
-					merged.AreaMM2 = base[i].AreaMM2 // force sort ties with a survivor
-				}
-				cand := make([]Block, 0, n-1)
-				for k, b := range base {
-					if k != i && k != j {
-						cand = append(cand, b)
-					}
-				}
-				cand = append(cand, merged)
-				want, err := sc.Plan(cand, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w, h, total, err := tr.ForkDims(i, j, merged)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(w) != math.Float64bits(want.WidthMM) ||
-					math.Float64bits(h) != math.Float64bits(want.HeightMM) ||
-					math.Float64bits(total) != math.Float64bits(want.ChipletAreaMM2) {
-					t.Fatalf("round %d fork (%d,%d): got %g x %g (%g), want %g x %g (%g)",
-						round, i, j, w, h, total, want.WidthMM, want.HeightMM, want.ChipletAreaMM2)
-				}
-			}
-		}
-		// The retained base must be untouched by the forks.
-		before := tr.Stats().Unchanged
-		if _, err := tr.PlanDims(base, 0.5); err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.Stats().Unchanged; got != before+1 {
-			t.Fatalf("round %d: forks disturbed the retained base: %+v", round, tr.Stats())
-		}
-	}
-}
-
-func TestTreeForkDimsErrors(t *testing.T) {
-	var tr Tree
-	if _, _, _, err := tr.ForkDims(0, 1, Block{Name: "x", AreaMM2: 5}); err == nil {
-		t.Error("fork before PlanDims should fail")
-	}
-	base := []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 5}, {Name: "c", AreaMM2: 2}}
-	if _, err := tr.PlanDims(base, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := tr.ForkDims(0, 3, Block{Name: "x", AreaMM2: 5}); err == nil {
-		t.Error("out-of-range removed index should fail")
-	}
-	if _, _, _, err := tr.ForkDims(1, 1, Block{Name: "x", AreaMM2: 5}); err == nil {
-		t.Error("equal removed indices should fail")
-	}
-	if _, _, _, err := tr.ForkDims(0, 1, Block{Name: "x", AreaMM2: -5}); err == nil {
-		t.Error("non-positive extra area should fail")
-	}
-}
-
-// Adversarial shape changes the diff must decline (and still match): a
-// fully disjoint name set, survivors that all changed area, and
-// ambiguous (duplicate) retained names.
+// Adversarial shape changes — a fully disjoint name set, survivors that
+// all changed area, duplicate names, and a two-survivor edit — must
+// each match the from-scratch plan and add exactly one DiffFallbacks,
+// never moving FastPath or MemoHits.
 func TestTreeDiffForcedFallbacks(t *testing.T) {
 	var tr Tree
 	var sc Scratch
@@ -219,59 +125,32 @@ func TestTreeDiffForcedFallbacks(t *testing.T) {
 	if _, err := tr.PlanDims(a, 0.5); err != nil {
 		t.Fatal(err)
 	}
-
-	// Disjoint names: no survivor, diff declines.
-	b := []Block{{Name: "x", AreaMM2: 80}, {Name: "y", AreaMM2: 40}}
-	want, _ := sc.Plan(b, 0.5)
-	got, err := tr.PlanDims(b, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boxBitIdentical(t, "disjoint names", want, got)
-	if s := tr.Stats(); s.DiffFallbacks != 1 {
-		t.Errorf("disjoint name set should count a diff fallback: %+v", s)
-	}
-
-	// Same names but every area changed: no clean survivor.
-	c := []Block{{Name: "x", AreaMM2: 70}, {Name: "y", AreaMM2: 50}, {Name: "z", AreaMM2: 20}}
-	want, _ = sc.Plan(c, 0.5)
-	if got, err = tr.PlanDims(c, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	boxBitIdentical(t, "all areas changed", want, got)
-	if s := tr.Stats(); s.DiffFallbacks != 2 {
-		t.Errorf("all-dirty survivor set should count a diff fallback: %+v", s)
-	}
-
-	// Duplicate names: the ordered matcher pairs them first-come — the
-	// plan must stay bit-identical either way (a graft's correctness
-	// rests on area/aspect equality, not the name).
-	d := []Block{{Name: "d", AreaMM2: 90}, {Name: "d", AreaMM2: 45}}
-	want, _ = sc.Plan(d, 0.5)
-	if got, err = tr.PlanDims(d, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	boxBitIdentical(t, "duplicate names", want, got)
-	e := []Block{{Name: "d", AreaMM2: 90}, {Name: "d", AreaMM2: 45}, {Name: "e", AreaMM2: 10}}
-	want, _ = sc.Plan(e, 0.5)
-	if got, err = tr.PlanDims(e, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	boxBitIdentical(t, "after duplicate names", want, got)
-
-	// A clean survivor set after the adversarial run serves via the diff.
 	f := []Block{{Name: "f", AreaMM2: 90}, {Name: "g", AreaMM2: 45}, {Name: "h", AreaMM2: 10}}
-	if _, err = tr.PlanDims(f, 0.5); err != nil {
-		t.Fatal(err)
+	edits := []struct {
+		why    string
+		blocks []Block
+	}{
+		{"disjoint names", []Block{{Name: "x", AreaMM2: 80}, {Name: "y", AreaMM2: 40}}},
+		{"all areas changed", []Block{{Name: "x", AreaMM2: 70}, {Name: "y", AreaMM2: 50}, {Name: "z", AreaMM2: 20}}},
+		{"duplicate names", []Block{{Name: "d", AreaMM2: 90}, {Name: "d", AreaMM2: 45}}},
+		{"after duplicate names", []Block{{Name: "d", AreaMM2: 90}, {Name: "d", AreaMM2: 45}, {Name: "e", AreaMM2: 10}}},
+		{"fresh set", f},
+		{"two survivors", append(f[:2:2], Block{Name: "i", AreaMM2: 25})},
 	}
-	before := tr.Stats().DiffFastPath
-	g := append(f[:2:2], Block{Name: "i", AreaMM2: 25})
-	want, _ = sc.Plan(g, 0.5)
-	if got, err = tr.PlanDims(g, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	boxBitIdentical(t, "recovered diff", want, got)
-	if s := tr.Stats(); s.DiffFastPath != before+1 {
-		t.Errorf("clean survivors should serve through the diff: %+v", s)
+	for k, e := range edits {
+		before := tr.Stats()
+		want, err := sc.Plan(e.blocks, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.PlanDims(e.blocks, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxBitIdentical(t, e.why, want, got)
+		d := tr.Stats().Delta(before)
+		if d != (TreeStats{DiffFallbacks: 1}) {
+			t.Errorf("edit %d (%s): want exactly one DiffFallbacks, got %+v", k, e.why, d)
+		}
 	}
 }

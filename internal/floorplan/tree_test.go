@@ -160,9 +160,9 @@ func TestTreeUpdateForcedFallbacks(t *testing.T) {
 	}
 }
 
-// Spacing changes must rebuild; block-set and aspect changes route
-// through the name-keyed diff (and still match) — never serving a stale
-// topology either way.
+// Spacing changes count as Rebuilds; block-set and aspect changes
+// count one DiffFallbacks each (and still match) — never serving a
+// stale topology either way.
 func TestTreeRebuildOnShapeChange(t *testing.T) {
 	var tr Tree
 	var sc Scratch
@@ -197,11 +197,8 @@ func TestTreeRebuildOnShapeChange(t *testing.T) {
 	if s.Rebuilds != 2 {
 		t.Errorf("initial plan + spacing change should rebuild twice: %+v", s)
 	}
-	if s.DiffFastPath != 2 {
-		t.Errorf("count and aspect changes should serve through the name-keyed diff: %+v", s)
-	}
-	if s.Splices == 0 {
-		t.Errorf("the count-change diff should splice surviving subtrees: %+v", s)
+	if s.DiffFallbacks != 2 || s.FastPath != 0 || s.MemoHits != 0 {
+		t.Errorf("count and aspect changes should each count one block-set rebuild and nothing else: %+v", s)
 	}
 }
 

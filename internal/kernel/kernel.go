@@ -287,37 +287,6 @@ func (sc *Scratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) 
 	return sc.est.EstimateDelta(sc.pkgCh, changed)
 }
 
-// MergeForkable reports whether the scratch estimator supports the
-// pinned-base merge-candidate fork (false for scratches without an
-// estimator).
-func (sc *Scratch) MergeForkable() bool {
-	return sc.est != nil && sc.est.MergeForkable()
-}
-
-// PrimeMergeBase pins the scratch's current chiplet descriptors as the
-// merge-fork base: their floorplan is committed to the retained tree
-// without running the packaging model. See pkgcarbon's PrimeMergeBase.
-func (sc *Scratch) PrimeMergeBase() error {
-	if sc.est == nil {
-		return fmt.Errorf("kernel: PrimeMergeBase on a scratch without a packaging estimator (param-plan or monolith scratch)")
-	}
-	return sc.est.PrimeMergeBase(sc.pkgCh)
-}
-
-// EstimatePackageMergeFork is EstimatePackage for a Disaggregate merge
-// candidate evaluated against a pinned base: the base primed by the
-// last PrimeMergeBase with dies r1 and r2 removed and merged appended
-// last. The candidate descriptor set is never materialized, and the
-// retained floorplan stays pinned to the base so every candidate of a
-// step forks against the same warm tree. Bit-identical to
-// EstimatePackage on the candidate set.
-func (sc *Scratch) EstimatePackageMergeFork(r1, r2 int, merged pkgcarbon.Chiplet) (*pkgcarbon.Result, error) {
-	if sc.est == nil {
-		return nil, fmt.Errorf("kernel: EstimatePackageMergeFork on a scratch without a packaging estimator (param-plan or monolith scratch)")
-	}
-	return sc.est.EstimateMergeFork(r1, r2, merged)
-}
-
 // FloorplanStats snapshots the scratch estimator's retained-tree reuse
 // counters (zero for scratches without an estimator).
 func (sc *Scratch) FloorplanStats() floorplan.TreeStats {

@@ -335,9 +335,10 @@ func Estimate(chiplets []Chiplet, p Params) (*Result, error) {
 // calls differ only in block areas, the plan is served by an
 // incremental relayout of the dirty leaf-to-root paths (bit-identical
 // to a from-scratch plan by the tree's guard), and EstimateDelta is the
-// explicit single-changed-chiplet seam a Gray-code sweep step uses.
-// Silicon bridges (which read adjacencies) and flexible floorplans
-// (shape curves) plan from scratch on every call.
+// explicit single-changed-chiplet seam a Gray-code sweep step uses. A
+// changed chiplet set (a Disaggregate merge candidate) rebuilds the
+// tree from scratch. Silicon bridges (which read adjacencies) and
+// flexible floorplans (shape curves) plan from scratch on every call.
 //
 // An Estimator is NOT safe for concurrent use; give each worker its own.
 // The Result returned by Estimate (including its Floorplan) is owned by
@@ -395,9 +396,6 @@ func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, err
 		return nil, fmt.Errorf("pkgcarbon: chiplet %q has no technology node", c.Name)
 	}
 	sc.blocks[changed].AreaMM2 = c.AreaMM2
-	// The delta re-plans the retained tree: invalidate any merge-fork
-	// base primed earlier (see the same move in estimateWith).
-	sc.baseNodes = sc.baseNodes[:0]
 	fp, err := sc.fp.Update(changed, c.AreaMM2)
 	if err != nil {
 		return nil, err
@@ -413,158 +411,8 @@ func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, err
 	return res, nil
 }
 
-// MergeForkable reports whether this estimator can serve
-// EstimateMergeFork's pinned-base fast path: architectures whose model
-// consumes only the package bounding box (no 3D stacks, no bridge
-// adjacencies) with fixed-shape floorplans.
-func (e *Estimator) MergeForkable() bool {
-	return e.p.Arch != ThreeD && e.p.Arch != SiliconBridge && !e.p.FlexibleFloorplan
-}
-
-// EstimateMergeFork is Estimate for the merge-candidate shape of a
-// Disaggregate greedy step: the chiplet set primed by the last
-// PrimeMergeBase with the dies at base indices r1 and r2 removed and
-// merged appended last. Unlike Estimate, the fork does NOT commit the
-// candidate as the retained state — the floorplan tree stays pinned to
-// the base, so every candidate of a step forks against the same warm
-// tree (floorplan.Tree.ForkDims) instead of re-planning, the candidate
-// descriptor set is never even materialized (survivor geometry and
-// nodes are read off the pinned base), and the result is bit-identical
-// to a full Estimate of the candidate set by the fork's construction.
-func (e *Estimator) EstimateMergeFork(r1, r2 int, merged Chiplet) (*Result, error) {
-	sc := &e.sc
-	n := len(sc.blocks)
-	if !e.MergeForkable() {
-		return nil, fmt.Errorf("pkgcarbon: EstimateMergeFork on a non-forkable estimator (%v, flexible=%v)", e.p.Arch, e.p.FlexibleFloorplan)
-	}
-	if len(sc.baseNodes) != n || n < 3 {
-		return nil, fmt.Errorf("pkgcarbon: EstimateMergeFork without a primed base of 3+ dies (have %d)", n)
-	}
-	if r1 > r2 {
-		r1, r2 = r2, r1
-	}
-	if r1 < 0 || r2 >= n || r1 == r2 {
-		return nil, fmt.Errorf("pkgcarbon: EstimateMergeFork removed indices (%d, %d) invalid for %d dies", r1, r2, n)
-	}
-	if merged.AreaMM2 <= 0 {
-		return nil, fmt.Errorf("pkgcarbon: chiplet %q has non-positive area", merged.Name)
-	}
-	if merged.Node == nil {
-		return nil, fmt.Errorf("pkgcarbon: chiplet %q has no technology node", merged.Name)
-	}
-	w, h, total, err := sc.fp.ForkDims(r1, r2, floorplan.Block{Name: merged.Name, AreaMM2: merged.AreaMM2})
-	if err != nil {
-		return nil, err
-	}
-	sc.forkFP = floorplan.Result{WidthMM: w, HeightMM: h, ChipletAreaMM2: total}
-	res := newResult(sc)
-	res.Arch = e.p.Arch
-	res.PackageAreaMM2 = sc.forkFP.AreaMM2()
-	res.WhitespaceMM2 = sc.forkFP.WhitespaceMM2()
-	res.Floorplan = &sc.forkFP
-	// The arch model runs directly, bypassing the per-area package memo:
-	// candidate bounding boxes essentially never repeat within a search,
-	// so the memo would only pay hashing and growth. The model is pure
-	// in the area, so the bits cannot differ from the memoized path.
-	if err := runArchModel(res, nil, &e.p, &sc.forkFP); err != nil {
-		return nil, err
-	}
-	dies := n - 1
-	res.PackageKg += float64(dies) * e.p.AttachEnergyKWhPerChiplet *
-		e.p.CarbonIntensity / res.AssemblyYield
-	return addCommunicationFork(res, sc, &e.p, r1, r2, merged.Node)
-}
-
-// addCommunicationFork is addCommunication for a merge-fork candidate:
-// the same per-node cells summed in the candidate's chiplet order
-// (survivors in base order, merged last), with the nodes read off the
-// primed base instead of a materialized descriptor set. Architectures
-// outside MergeForkable never reach it.
-func addCommunicationFork(res *Result, sc *scratch, p *Params, r1, r2 int, mergedNode *tech.Node) (*Result, error) {
-	n := len(sc.baseNodes)
-	dies := n - 1
-	cached := commSlots(sc, dies)
-	fullRouter := res.Arch == PassiveInterposer
-	if res.Arch == ActiveInterposer {
-		cc, err := commFor(sc, p.PackagingNode, p, true)
-		if err != nil {
-			return nil, err
-		}
-		nd := float64(dies)
-		res.RoutingKg = nd * cc.kg
-		res.RouterTotalPowerW = nd * cc.powerW
-		return res, nil
-	}
-	var total, areaSum, powerSum float64
-	k := 0
-	for i := 0; i < n; i++ {
-		if i == r1 || i == r2 {
-			continue
-		}
-		cc, err := commSlot(sc, cached, k, sc.baseNodes[i], p, fullRouter)
-		if err != nil {
-			return nil, err
-		}
-		total += cc.kg
-		areaSum += cc.areaMM2
-		powerSum += cc.powerW
-		k++
-	}
-	cc, err := commSlot(sc, cached, k, mergedNode, p, fullRouter)
-	if err != nil {
-		return nil, err
-	}
-	total += cc.kg
-	areaSum += cc.areaMM2
-	powerSum += cc.powerW
-	res.RoutingKg = total
-	res.RouterAreaPerChipletMM2 = areaSum / float64(dies)
-	if fullRouter {
-		res.RouterTotalPowerW = powerSum
-	}
-	return res, nil
-}
-
-// PrimeMergeBase pins chiplets as the merge-fork base: it validates the
-// descriptors, records their nodes and commits their floorplan to the
-// retained tree without running the packaging model (whose result a
-// primer would discard). After a successful prime, EstimateMergeFork
-// serves candidates derived from this base.
-func (e *Estimator) PrimeMergeBase(chiplets []Chiplet) error {
-	if !e.MergeForkable() {
-		return fmt.Errorf("pkgcarbon: PrimeMergeBase on a non-forkable estimator (%v, flexible=%v)", e.p.Arch, e.p.FlexibleFloorplan)
-	}
-	if len(chiplets) == 0 {
-		return fmt.Errorf("pkgcarbon: no chiplets")
-	}
-	for _, c := range chiplets {
-		if c.AreaMM2 <= 0 {
-			return fmt.Errorf("pkgcarbon: chiplet %q has non-positive area", c.Name)
-		}
-		if c.Node == nil {
-			return fmt.Errorf("pkgcarbon: chiplet %q has no technology node", c.Name)
-		}
-	}
-	sc := &e.sc
-	if cap(sc.blocks) < len(chiplets) {
-		sc.blocks = make([]floorplan.Block, len(chiplets))
-	}
-	if cap(sc.baseNodes) < len(chiplets) {
-		sc.baseNodes = make([]*tech.Node, len(chiplets))
-	}
-	blocks := sc.blocks[:len(chiplets)]
-	sc.blocks = blocks
-	sc.baseNodes = sc.baseNodes[:len(chiplets)]
-	for i, c := range chiplets {
-		blocks[i] = floorplan.Block{Name: c.Name, AreaMM2: c.AreaMM2}
-		sc.baseNodes[i] = c.Node
-	}
-	_, err := sc.fp.PlanDims(blocks, e.p.SpacingMM)
-	return err
-}
-
 // FloorplanStats snapshots the retained floorplan tree's reuse counters
-// (fast-path hits, memo hits, name-keyed diff hits, fallbacks, relayout
+// (fast-path hits, memo hits, fallbacks, block-set rebuilds, relayout
 // depth).
 func (e *Estimator) FloorplanStats() floorplan.TreeStats {
 	return e.sc.fp.Stats()
@@ -637,13 +485,11 @@ const pkgSlotBits = 10
 // scratch carries the reusable state of an Estimator. A nil *scratch
 // selects the allocate-fresh behavior of the package-level Estimate.
 type scratch struct {
-	blocks    []floorplan.Block
-	fp        floorplan.Tree
-	bridgeFP  floorplan.Scratch // silicon-bridge plans, which need adjacencies
-	forkFP    floorplan.Result  // EstimateMergeFork's transient bounding box
-	baseNodes []*tech.Node      // merge-fork base nodes (PrimeMergeBase)
-	res       Result
-	comm      map[*tech.Node]commCell
+	blocks   []floorplan.Block
+	fp       floorplan.Tree
+	bridgeFP floorplan.Scratch // silicon-bridge plans, which need adjacencies
+	res      Result
+	comm     map[*tech.Node]commCell
 	// The per-chiplet slot cache of the last communication cell used per
 	// index, stored as struct-of-arrays columns so the per-point fold
 	// reads dense float64 slices: commNode records which node each slot
@@ -686,11 +532,6 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 		}
 		blocks = sc.blocks[:len(chiplets)]
 		sc.blocks = blocks
-		// A full estimate re-plans the retained tree, so any merge-fork
-		// base primed earlier no longer matches it: invalidate the base
-		// so a stale EstimateMergeFork fails loudly instead of mixing
-		// two block sets.
-		sc.baseNodes = sc.baseNodes[:0]
 	} else {
 		blocks = make([]floorplan.Block, len(chiplets))
 	}
@@ -708,8 +549,7 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 		// scratch path plans dims-only — no pairwise scan, no
 		// placements — keeping the per-estimate cost flat in the chiplet
 		// count. The retained tree turns repeat plans over the same
-		// block shape into incremental relayouts and block-set changes
-		// into name-keyed diffs.
+		// block shape into incremental relayouts.
 		fp, err = sc.fp.PlanDims(blocks, p.SpacingMM)
 	case sc != nil:
 		fp, err = sc.bridgeFP.Plan(blocks, p.SpacingMM)
@@ -1076,27 +916,6 @@ func commSlots(sc *scratch, n int) bool {
 		}
 	}
 	return true
-}
-
-// commSlot returns chiplet slot i's communication cell, served from the
-// per-slot column cache when the slot's node pointer is unchanged and
-// filled from commFor (the per-node memo) otherwise. The cell values
-// are pure in the node, so the extra cache layer cannot change a bit.
-func commSlot(sc *scratch, cached bool, i int, n *tech.Node, p *Params, fullRouter bool) (commCell, error) {
-	if cached && sc.commNode[i] == n {
-		return commCell{areaMM2: sc.commAreaCol[i], kg: sc.commKgCol[i], powerW: sc.commPowerCol[i]}, nil
-	}
-	cc, err := commFor(sc, n, p, fullRouter)
-	if err != nil {
-		return commCell{}, err
-	}
-	if cached {
-		sc.commNode[i] = n
-		sc.commKgCol[i] = cc.kg
-		sc.commAreaCol[i] = cc.areaMM2
-		sc.commPowerCol[i] = cc.powerW
-	}
-	return cc, nil
 }
 
 // commFor computes (or recalls) one node's communication contribution.
