@@ -637,8 +637,8 @@ func benchDisaggSystem(db *TechDB) *System {
 // BenchmarkDisaggregate measures the compiled greedy block-to-chiplet
 // disaggregation search at EPYC scale (10 dies): every greedy step's
 // candidate merges evaluated on the step-spanning state — memoized
-// merged-die cells, pooled worker scratches, and merge-candidate
-// floorplan forks against the pinned base tree.
+// merged-die cells and pooled worker scratches whose retained floorplan
+// trees each candidate rebuilds.
 func BenchmarkDisaggregate(b *testing.B) {
 	db := DefaultDB()
 	base := benchDisaggSystem(db)

@@ -12,7 +12,7 @@
 // tabulated once, perturbations recomputing only their dirty
 // sub-models), and the group mode runs the greedy disaggregation search
 // on step-spanning retained state (memoized merged-die cells, pooled
-// scratches, floorplan forks against each step's pinned base).
+// scratches).
 // -shard-connect shards the sweep across ecoreplica daemons over TCP.
 // -cpuprofile / -memprofile write pprof profiles of the run, and
 // -progress reports compiled-plan statistics after the result.

@@ -61,7 +61,7 @@ func BenchmarkDisaggregate8Blocks(b *testing.B) {
 // BenchmarkDisaggregate10Blocks is the EPYC-scale (10-die) greedy
 // search: 8 mergeable logic slivers plus memory and analog, a multi-step
 // trajectory that exercises the step-spanning compiled state (merged-
-// cell memo, pooled scratches, pinned-base floorplan forks).
+// cell memo, pooled scratches, retained floorplan trees).
 func BenchmarkDisaggregate10Blocks(b *testing.B) {
 	base := fineGrained(8, 3)
 	b.ResetTimer()

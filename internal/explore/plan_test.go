@@ -529,8 +529,8 @@ func TestDisaggregateMatchesReferenceRandomized(t *testing.T) {
 			Mfg:       mfg.DefaultParams(),
 			Design:    descarbon.DefaultParams(),
 		}
-		// Flexible shape curves take the non-fork candidate path (full
-		// estimates through PlanFlexible); cover it too.
+		// Flexible shape curves plan candidates through PlanFlexible
+		// instead of the retained tree; cover them too.
 		if trial%3 == 0 {
 			base.Packaging.FlexibleFloorplan = true
 		}
