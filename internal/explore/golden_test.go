@@ -2,6 +2,8 @@ package explore
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -98,11 +100,7 @@ func TestPackagingPathsGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fmt.Fprintf(&out, "sweep %d points\n", len(points))
-					for _, p := range points {
-						fmt.Fprintf(&out, "%v embodied=%s total=%s cost=%s pkg=%s\n", p.Nodes,
-							hexf(p.EmbodiedKg), hexf(p.TotalKg), hexf(p.CostUSD), hexf(p.PackageAreaMM2))
-					}
+					writeSweep(&out, points)
 				}
 				plan, err := Disaggregate(&base, d)
 				if err != nil {
@@ -120,6 +118,61 @@ func TestPackagingPathsGolden(t *testing.T) {
 			})
 		}
 	}
+}
+
+// writeSweep renders a materialized sweep with every float as hex.
+func writeSweep(out *strings.Builder, points []Point) {
+	fmt.Fprintf(out, "sweep %d points\n", len(points))
+	for _, p := range points {
+		fmt.Fprintf(out, "%v embodied=%s total=%s cost=%s pkg=%s\n", p.Nodes,
+			hexf(p.EmbodiedKg), hexf(p.TotalKg), hexf(p.CostUSD), hexf(p.PackageAreaMM2))
+	}
+}
+
+// The two default-RDL sweeps whose floorplan traffic differs most keep
+// the exact bits of every materialized point: the 8-CCD EPYC over
+// {7,10,14,22}, where nearly every Gray step is a shape-memo hit, and
+// GA102(7,10,14) over five nodes, where nearly every step misses the
+// memo and lays the package out. The EPYC-8 sweep has 262,144 points,
+// so its golden is one SHA-256 over every point's node tuple and the
+// Float64bits of its four metrics.
+func TestDefaultRDLSweepGolden(t *testing.T) {
+	d := db()
+	ctx := context.Background()
+	t.Run("epyc8-rdl", func(t *testing.T) {
+		epyc8, err := testcases.EPYC(d, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := NodeSweepCtx(ctx, epyc8, d, []int{7, 10, 14, 22}, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var word [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(word[:], v)
+			h.Write(word[:])
+		}
+		for _, p := range points {
+			for _, n := range p.Nodes {
+				put(uint64(n))
+			}
+			for _, v := range []float64{p.EmbodiedKg, p.TotalKg, p.CostUSD, p.PackageAreaMM2} {
+				put(math.Float64bits(v))
+			}
+		}
+		checkGolden(t, "epyc8-rdl-sweep.txt", fmt.Sprintf("sweep %d points sha256=%x\n", len(points), h.Sum(nil)))
+	})
+	t.Run("ga102-rdl", func(t *testing.T) {
+		points, err := NodeSweepCtx(ctx, testcases.GA102(d, 7, 10, 14, false), d, []int{7, 10, 14, 22, 28}, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		writeSweep(&out, points)
+		checkGolden(t, "ga102-rdl-sweep5.txt", out.String())
+	})
 }
 
 // The barrier Pareto fronts of symmetric plans — the 8-CCD EPYC under
