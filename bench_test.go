@@ -512,7 +512,7 @@ func BenchmarkParetoFrontEPYC8(b *testing.B) {
 // BenchmarkNodeSweepIncremental measures the full streaming walk of an
 // already-compiled plan (no front reduction, no point slice): the raw
 // per-point cost of the incremental evaluation stack — Gray odometer,
-// retained-tree floorplan delta, communication slot cache — on the
+// memoized floorplan update, communication slot cache — on the
 // 4-chiplet × 5-node (625-point) GA102 split.
 func BenchmarkNodeSweepIncremental(b *testing.B) {
 	db := DefaultDB()
@@ -541,19 +541,18 @@ func BenchmarkNodeSweepIncremental(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	// Shape-memo hits count: they are the retained tree serving a step
-	// without a rebuild, and after one the stale tree rebuilds on its
-	// next miss, so a short walk may take no relayout at all.
+	// The tree serves a step without a layout from the shape memo or,
+	// when the step changed no area, from its previous Result.
 	s := plan.Stats()
-	if s.Floorplan.FastPath+s.Floorplan.MemoHits+s.Floorplan.Unchanged == 0 {
-		b.Fatalf("incremental sweep never hit the retained-tree fast path or shape memo: %v", s.Floorplan)
+	if s.Floorplan.MemoHits+s.Floorplan.Unchanged == 0 {
+		b.Fatalf("incremental sweep never hit the shape memo or an unchanged plan: %v", s.Floorplan)
 	}
 }
 
-// BenchmarkFloorplanIncremental measures the retained slicing tree's
+// BenchmarkFloorplanIncremental measures the floorplan tree's
 // single-area update at the EPYC chiplet count (9 dies): the per-Gray-
 // step floorplan cost of a compiled sweep whose step misses the shape
-// memo.
+// memo and lays the package out.
 func BenchmarkFloorplanIncremental(b *testing.B) {
 	areas := []float64{512, 300, 200, 140, 100, 70, 50, 35, 25}
 	blocks := make([]floorplan.Block, len(areas))
@@ -564,10 +563,9 @@ func BenchmarkFloorplanIncremental(b *testing.B) {
 	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 		b.Fatal(err)
 	}
-	// Perturbing the smallest block keeps the sorted order and every
-	// partition decision provably stable (it is last in each decision
-	// sequence), and an area that never recurs misses the shape memo,
-	// so each iteration measures the incremental relayout.
+	// Perturbing the smallest block keeps the sorted order, and an area
+	// that never recurs misses the shape memo, so each iteration
+	// measures one layout of an unchanged order.
 	last := len(areas) - 1
 	base := areas[last]
 	b.ResetTimer()
@@ -577,13 +575,13 @@ func BenchmarkFloorplanIncremental(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats(); s.Fallbacks > 0 || s.MemoHits > 0 || s.FastPath == 0 {
-		b.Fatalf("update benchmark left the relayout fast path: %+v", s)
+	if s := tr.Stats(); s.Fallbacks != uint64(b.N) || s.MemoHits > 0 {
+		b.Fatalf("every update should miss the memo and lay out once: %+v", s)
 	}
 }
 
 // BenchmarkFloorplanUpdateSortFlip measures the dims-only single-area
-// update on the step shape that defeats the topology guard: eight
+// update on a step shape that reorders the sorted blocks: eight
 // identical CCDs beside an IO die, each step moving one CCD between two
 // node areas, so the changed CCD swaps sort positions with its twins on
 // every step. After the first cycle every step is served by the exact

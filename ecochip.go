@@ -293,9 +293,9 @@ type (
 	// (SweepPlan.ParetoFrontStream): the front of every point walked so
 	// far, with progress in 512-point blocks.
 	SweepFrontSnapshot = explore.FrontSnapshot
-	// FloorplanTreeStats counts the work of a retained incremental
-	// floorplan tree: fast-path relayouts vs full rebuilds, topology
-	// fallbacks, and the mean relayout depth.
+	// FloorplanTreeStats counts how a memoized floorplan tree served its
+	// plans: shape-memo hits and unchanged plans versus layouts and
+	// from-scratch rebuilds.
 	FloorplanTreeStats = floorplan.TreeStats
 )
 

@@ -70,9 +70,9 @@ type SweepStats struct {
 	GraySteps uint64
 	// TableCells is the size of the precomputed die table.
 	TableCells int
-	// Floorplan aggregates the per-worker incremental-floorplan
-	// counters: how many packaging estimates were served by a retained-
-	// tree fast path versus a full rebuild, and the mean relayout depth.
+	// Floorplan aggregates the per-worker floorplan-tree counters: how
+	// many packaging estimates were served from the shape memo or an
+	// unchanged plan versus laid out or rebuilt from scratch.
 	Floorplan floorplan.TreeStats
 	// PkgMemo aggregates the per-worker point-memo counters; its
 	// Collisions field counts the recomputes forced by the memo's
@@ -369,8 +369,9 @@ func (p *CompiledPlan) putScratch(sc *blockScratch) {
 // sequence, streaming each evaluated point (and its output slot) to
 // visit from a block-local scratch. Each Gray step names the single
 // changed chiplet, and the packaging estimate for the point runs
-// through the kernel scratch's delta path: the retained floorplan tree
-// relayouts only that chiplet's dirty path instead of re-planning.
+// through the kernel scratch's delta path: the floorplan tree repairs
+// its sorted order for that one chiplet and serves a recurring shape
+// from its memo instead of re-planning.
 func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error, tick func()) error {
 	sc, err := p.getScratch()
 	if err != nil {

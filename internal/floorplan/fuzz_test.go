@@ -11,7 +11,7 @@ import (
 )
 
 // Fuzz target for the floorplanner's structural invariants and the
-// incremental planner's parity, seeded with the chiplet areas of the
+// memoized Tree's parity, seeded with the chiplet areas of the
 // EPYC and GA102 testcases (the external test package avoids the
 // floorplan -> testcases import cycle).
 //
@@ -22,9 +22,9 @@ import (
 //  2. the bounding box contains every rectangle,
 //  3. ChipletAreaMM2 is conserved (it carries the exact bits of the
 //     in-order block-area sum),
-//  4. the retained Tree's bounding box and total are bit-identical to
-//     the from-scratch plan's, after the build and after an incremental
-//     single-area update,
+//  4. the Tree's bounding box and total are bit-identical to the
+//     from-scratch plan's, after the first plan and after a single-area
+//     Update,
 //  5. after a remove/insert delta (one block dropped, one fresh block
 //     appended — the Disaggregate candidate shape), the tree's
 //     block-set rebuild box is bit-identical to a from-scratch plan,
@@ -107,7 +107,7 @@ func FuzzFloorplanInvariants(f *testing.F) {
 		}
 		compareBoxes(t, "tree build", res, tres)
 
-		// Incremental step: perturb one block and require both the
+		// Update step: perturb one block and require both the
 		// invariants and bit-parity with a fresh plan.
 		j := int(idx) % int(n)
 		if !(newArea > 0) || newArea > 1e8 || math.IsInf(newArea, 0) {

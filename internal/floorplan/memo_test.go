@@ -10,8 +10,7 @@ import (
 
 // Tests of the shape memo behind Tree.Update: every served
 // bounding box must carry the from-scratch planner's bits, whatever mix
-// of memo hits, sort-order repairs, stale-tree rebuilds and incremental
-// relayouts produced it.
+// of memo hits, sort-order repairs and layouts produced it.
 
 // dimsIdentical checks a tree result against a from-scratch plan of
 // blocks at float-bit granularity.
@@ -49,8 +48,8 @@ func sweepBlocks(rng *rand.Rand, k, odd int, aspects bool) (blocks []Block, pool
 
 // Randomized Update sequences over identical blocks, exact area ties
 // (pools share values across kinds) and non-uniform aspect ratios, with
-// PlanDims calls interleaved on whatever state the memo left the tree
-// in.
+// PlanDims calls interleaved after whatever mix of hits and misses came
+// before.
 func TestTreeUpdateDimsMatchesScratchRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	var total TreeStats
@@ -68,7 +67,7 @@ func TestTreeUpdateDimsMatchesScratchRandomized(t *testing.T) {
 			switch r := rng.Intn(40); {
 			case r == 0:
 				// A full plan of the current set with one area changed:
-				// the same-shape Plan path on a possibly stale tree.
+				// the same-shape PlanDims path, which re-sorts.
 				blocks[i].AreaMM2 = pools[i][rng.Intn(len(pools[i]))]
 				got, err := tr.PlanDims(blocks, spacing)
 				if err != nil {
@@ -89,8 +88,8 @@ func TestTreeUpdateDimsMatchesScratchRandomized(t *testing.T) {
 		}
 		total.Add(tr.Stats())
 	}
-	if total.MemoHits == 0 || total.Fallbacks == 0 || total.FastPath == 0 {
-		t.Errorf("sequence did not exercise memo hits, stale/flip rebuilds and relayouts: %+v", total)
+	if total.MemoHits == 0 || total.Fallbacks == 0 {
+		t.Errorf("sequence did not exercise memo hits and layouts: %+v", total)
 	}
 }
 
@@ -150,8 +149,8 @@ func TestTreeMemoKeysAspectRatios(t *testing.T) {
 	}
 }
 
-// hitOnce drives tr into a memo hit (leaving its nodes stale) by moving
-// block i of blocks to area a, back, and to a again.
+// hitOnce drives tr into a memo hit by moving block i of blocks to area
+// a, back, and to a again.
 func hitOnce(t *testing.T, tr *Tree, blocks []Block, i int, a float64) {
 	t.Helper()
 	old := blocks[i].AreaMM2
@@ -164,15 +163,14 @@ func hitOnce(t *testing.T, tr *Tree, blocks []Block, i int, a float64) {
 		}
 		dimsIdentical(t, "hitOnce", blocks, 0.5, got)
 	}
-	if tr.Stats().MemoHits == before || !tr.stale {
-		t.Fatalf("expected a memo hit leaving the tree stale: %+v stale=%v", tr.Stats(), tr.stale)
+	if tr.Stats().MemoHits == before {
+		t.Fatalf("expected a memo hit: %+v", tr.Stats())
 	}
 }
 
-// After a memo hit the slicing nodes are stale; every entry point must
-// still match the from-scratch plan: a same-shape PlanDims (which
-// rebuilds the stale nodes first), a block-set change and a missing
-// Update.
+// A memo hit serves a stored box without laying anything out; every
+// entry point after one must still match the from-scratch plan: a
+// same-shape PlanDims, a block-set change and a missing Update.
 func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 	var blocks []Block
 	for i := 0; i < 8; i++ {
@@ -192,9 +190,6 @@ func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	dimsIdentical(t, "PlanDims after hit", blocks, 0.5, got)
-	if tr.stale {
-		t.Error("PlanDims left the tree stale")
-	}
 
 	// Block-set change: drop a CCD, append a merged die.
 	hitOnce(t, &tr, blocks, 0, 52.5)
@@ -212,7 +207,7 @@ func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 	}
 	blocks = edited
 
-	// A missing Update on a stale tree rebuilds from the repaired order.
+	// A missing Update after a hit lays out the repaired order.
 	hitOnce(t, &tr, blocks, 6, 88)
 	fallbacks := tr.Stats().Fallbacks
 	blocks[2].AreaMM2 = 300
@@ -220,8 +215,8 @@ func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	dimsIdentical(t, "miss after hit", blocks, 0.5, got)
-	if tr.stale || tr.Stats().Fallbacks != fallbacks+1 {
-		t.Errorf("a miss on a stale tree should rebuild (one fallback) and clear stale: %+v stale=%v", tr.Stats(), tr.stale)
+	if tr.Stats().Fallbacks != fallbacks+1 {
+		t.Errorf("a miss after a hit should lay out once (one fallback): %+v", tr.Stats())
 	}
 }
 
@@ -304,7 +299,7 @@ func TestTreeMemoGrowthAndReset(t *testing.T) {
 
 // NaN areas are rejected at every entry point: the stable sort never
 // moves a block across a NaN (so no O(n) repair could track one entering
-// or leaving), and compose's inline max assumes ordered dims.
+// or leaving), and layoutDims's inline max assumes ordered dims.
 func TestNaNAreasRejected(t *testing.T) {
 	nan := math.NaN()
 	blocks := []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: nan}, {Name: "c", AreaMM2: 20}}
@@ -333,9 +328,9 @@ func TestNaNAreasRejected(t *testing.T) {
 	dimsIdentical(t, "after rejected NaN", blocks, 0.5, got)
 }
 
-// Pin what MemoHits counts: one per Update served from the
-// memo, disjoint from FastPath and Unchanged, counted as reuse, carried
-// by Add/Delta/Plans and printed by String.
+// Pin what MemoHits counts: one per Update served from the memo,
+// disjoint from Fallbacks and Unchanged, counted as reuse, carried by
+// Add/Delta/Plans and printed by String.
 func TestTreeStatsMemoHits(t *testing.T) {
 	blocks := []Block{{Name: "a", AreaMM2: 400}, {Name: "b", AreaMM2: 200}, {Name: "c", AreaMM2: 100}}
 	var tr Tree
@@ -348,14 +343,14 @@ func TestTreeStatsMemoHits(t *testing.T) {
 		}
 	}
 	s := tr.Stats()
-	if s.MemoHits != 1 || s.Unchanged != 1 || s.FastPath != 2 || s.Rebuilds != 1 || s.Fallbacks != 0 {
+	if s.MemoHits != 1 || s.Unchanged != 1 || s.FastPath != 0 || s.Rebuilds != 1 || s.Fallbacks != 2 {
 		t.Fatalf("unexpected counters: %+v", s)
 	}
 	if s.Plans() != 5 {
 		t.Errorf("Plans() = %d, want 5 (one per call)", s.Plans())
 	}
-	if s.ReuseRate() != 1 {
-		t.Errorf("ReuseRate() = %g, want 1: a memo hit is reuse", s.ReuseRate())
+	if s.ReuseRate() != 0.5 {
+		t.Errorf("ReuseRate() = %g, want 0.5: a memo hit and an unchanged plan are reuse, two layouts are not", s.ReuseRate())
 	}
 	var sum TreeStats
 	sum.Add(s)
@@ -363,7 +358,7 @@ func TestTreeStatsMemoHits(t *testing.T) {
 	if sum.MemoHits != 2 || sum.Delta(s) != s {
 		t.Errorf("Add/Delta lost MemoHits: sum %+v, delta %+v", sum, sum.Delta(s))
 	}
-	if str := s.String(); !strings.Contains(str, "/ 1 memo /") {
+	if str := s.String(); !strings.Contains(str, ": 1 memo /") {
 		t.Errorf("String() does not report memo hits: %q", str)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Tests of block-set changes: one retained Tree fed arbitrary
+// Tests of block-set changes: one Tree fed arbitrary
 // remove/insert/rename edits rebuilds from scratch on each, and must stay
 // bit-identical to the from-scratch planner and count each rebuild as
 // one DiffFallbacks.
@@ -117,7 +117,7 @@ func TestTreeDiffDisaggregateShape(t *testing.T) {
 // Adversarial shape changes — a fully disjoint name set, survivors that
 // all changed area, duplicate names, and a two-survivor edit — must
 // each match the from-scratch plan and add exactly one DiffFallbacks,
-// never moving FastPath or MemoHits.
+// never moving any other counter.
 func TestTreeDiffForcedFallbacks(t *testing.T) {
 	var tr Tree
 	var sc Scratch

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// boxBitIdentical compares a retained tree's result with a from-scratch
+// boxBitIdentical compares a tree's result with a from-scratch
 // plan at float-bit granularity: the bounding box and the total must
 // carry the same bits, and the tree's result carries no placements or
 // adjacencies.
@@ -24,9 +24,9 @@ func boxBitIdentical(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// One retained Tree fed arbitrary block sets through PlanDims must stay
-// bit identical to the from-scratch planner, whatever mix of rebuilds
-// and incremental updates it takes internally.
+// One Tree fed arbitrary block sets through PlanDims must stay bit
+// identical to the from-scratch planner, whatever mix of rebuilds and
+// same-shape layouts it takes internally.
 func TestTreePlanMatchesScratchPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var tr Tree
@@ -37,7 +37,7 @@ func TestTreePlanMatchesScratchPlan(t *testing.T) {
 			blocks = randBlocks(rng)
 		} else {
 			// Mostly reuse the previous shape with a few areas nudged, so
-			// the incremental path actually runs.
+			// the same-shape layout actually runs.
 			blocks = append([]Block(nil), tr.blocks...)
 			for i := range blocks {
 				if rng.Intn(2) == 0 {
@@ -56,8 +56,8 @@ func TestTreePlanMatchesScratchPlan(t *testing.T) {
 		boxBitIdentical(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
 	s := tr.Stats()
-	if s.FastPath == 0 || s.Fallbacks == 0 {
-		t.Errorf("randomized plan sequence did not exercise relayouts and flip rebuilds: %+v", s)
+	if s.Fallbacks == 0 {
+		t.Errorf("randomized plan sequence did not exercise same-shape layouts: %+v", s)
 	}
 	if s.Rebuilds == 0 {
 		t.Errorf("randomized plan sequence never rebuilt: %+v", s)
@@ -66,7 +66,7 @@ func TestTreePlanMatchesScratchPlan(t *testing.T) {
 
 // Update must match a from-scratch plan after every single-area step of
 // a random walk, including steps that change nothing, whether the step
-// is served by a relayout, a rebuild or the shape memo.
+// is served by a layout, the shape memo or the previous Result.
 func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sc Scratch
@@ -108,15 +108,15 @@ func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 		}
 		total.Add(tr.Stats())
 	}
-	if total.FastPath == 0 || total.Fallbacks == 0 || total.MemoHits == 0 {
-		t.Errorf("random walk did not exercise relayouts, rebuilds and memo hits: %+v", total)
+	if total.Fallbacks == 0 || total.MemoHits == 0 || total.Unchanged == 0 {
+		t.Errorf("random walk did not exercise layouts, memo hits and unchanged steps: %+v", total)
 	}
 }
 
 // Adversarial single-area perturbation sequences: each step is designed
 // to flip the sorted order or an area-balanced partition decision, so
-// the guard must detect the topology change and take the full-replan
-// fallback — and the fallback must still be bit-identical.
+// the O(n) order repair must land every block where a full sort would,
+// and the layout of the repaired order must still be bit-identical.
 func TestTreeUpdateForcedFallbacks(t *testing.T) {
 	blocks := []Block{
 		{Name: "a", AreaMM2: 400},
@@ -156,13 +156,13 @@ func TestTreeUpdateForcedFallbacks(t *testing.T) {
 		boxBitIdentical(t, fmt.Sprintf("step %d (%s)", i, st.why), want, got)
 	}
 	if s := tr.Stats(); s.Fallbacks == 0 {
-		t.Errorf("adversarial sequence never exercised the full-replan fallback: %+v", s)
+		t.Errorf("adversarial sequence never laid out the repaired order: %+v", s)
 	}
 }
 
 // Spacing changes count as Rebuilds; block-set and aspect changes
 // count one DiffFallbacks each (and still match) — never serving a
-// stale topology either way.
+// box or memo entry of the previous shape either way.
 func TestTreeRebuildOnShapeChange(t *testing.T) {
 	var tr Tree
 	var sc Scratch
@@ -225,7 +225,7 @@ func TestTreeUpdateErrors(t *testing.T) {
 	if _, err := tr.PlanDims([]Block{{Name: "a", AreaMM2: 10}}, 7); err == nil {
 		t.Error("out-of-range spacing should fail")
 	}
-	// The tree must survive rejected inputs: the retained state still
+	// The tree must survive rejected inputs: the kept state still
 	// serves the last good plan.
 	res, err := tr.Update(1, 6)
 	if err != nil {
@@ -234,9 +234,10 @@ func TestTreeUpdateErrors(t *testing.T) {
 	dimsIdentical(t, "after rejected inputs", []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 6}}, 0.5, res)
 }
 
-// Sanity-check the counters: a same-area update is Unchanged, a
-// topology-preserving one is FastPath with a positive relayout depth,
-// and a flip is a Fallback.
+// Sanity-check the counters: a same-area update is Unchanged, every new
+// shape is a Fallback (laid out from scratch) whether or not it moves
+// the block in the sorted order, a revisited shape is a MemoHit, and
+// FastPath stays zero.
 func TestTreeStatsCounters(t *testing.T) {
 	blocks := []Block{
 		{Name: "a", AreaMM2: 400}, {Name: "b", AreaMM2: 200},
@@ -255,11 +256,68 @@ func TestTreeStatsCounters(t *testing.T) {
 	if _, err := tr.Update(3, 5000); err != nil { // sort flip
 		t.Fatal(err)
 	}
+	if _, err := tr.Update(3, 51); err != nil { // revisited shape
+		t.Fatal(err)
+	}
 	s := tr.Stats()
-	if s.Rebuilds != 1 || s.Unchanged != 1 || s.FastPath != 1 || s.Fallbacks != 1 {
+	if s.Rebuilds != 1 || s.Unchanged != 1 || s.Fallbacks != 2 || s.MemoHits != 1 || s.FastPath != 0 {
 		t.Errorf("unexpected counters: %+v", s)
 	}
-	if s.MeanRelayoutDepth() <= 0 {
-		t.Errorf("fast-path update should have recomposed nodes: %+v", s)
+}
+
+// Pin the counter meanings: one call of each kind raises Plans() by
+// exactly one, through exactly the counter that kind names, returns the
+// from-scratch box, and leaves FastPath at zero.
+func TestTreeStatsEachCallCountsOnce(t *testing.T) {
+	blocks := []Block{{Name: "a", AreaMM2: 100}, {Name: "b", AreaMM2: 60}, {Name: "c", AreaMM2: 30}}
+	spacing := 0.5
+	var tr Tree
+	plan := func() (*Result, error) { return tr.PlanDims(blocks, spacing) }
+	update := func(i int, a float64) func() (*Result, error) {
+		return func() (*Result, error) {
+			blocks[i].AreaMM2 = a
+			return tr.Update(i, a)
+		}
+	}
+	steps := []struct {
+		kind string
+		call func() (*Result, error)
+		want TreeStats
+	}{
+		{"first plan", plan, TreeStats{Rebuilds: 1}},
+		{"spacing change", func() (*Result, error) {
+			spacing = 0.8
+			return plan()
+		}, TreeStats{Rebuilds: 1}},
+		{"block-set change", func() (*Result, error) {
+			blocks = append(blocks, Block{Name: "d", AreaMM2: 20})
+			return plan()
+		}, TreeStats{DiffFallbacks: 1}},
+		{"unchanged PlanDims", plan, TreeStats{Unchanged: 1}},
+		{"unchanged Update", update(1, 60), TreeStats{Unchanged: 1}},
+		{"Update memo miss", update(2, 40), TreeStats{Fallbacks: 1}},
+		{"area-changed PlanDims", func() (*Result, error) {
+			blocks[2].AreaMM2 = 30
+			return plan()
+		}, TreeStats{Fallbacks: 1}},
+		{"Update memo hit", update(2, 40), TreeStats{MemoHits: 1}},
+	}
+	for _, st := range steps {
+		before := tr.Stats()
+		got, err := st.call()
+		if err != nil {
+			t.Fatalf("%s: %v", st.kind, err)
+		}
+		dimsIdentical(t, st.kind, blocks, spacing, got)
+		after := tr.Stats()
+		if d := after.Delta(before); d != st.want {
+			t.Errorf("%s: counted %+v, want %+v", st.kind, d, st.want)
+		}
+		if after.Plans() != before.Plans()+1 {
+			t.Errorf("%s: Plans() went from %d to %d, want one more", st.kind, before.Plans(), after.Plans())
+		}
+		if after.FastPath != 0 {
+			t.Errorf("%s: FastPath = %d, want 0", st.kind, after.FastPath)
+		}
 	}
 }

@@ -12,11 +12,11 @@
 //     (CellFor / MonolithCell) that Evaluate itself uses, so bit-identity
 //     holds by construction.
 //   - Scratch: one worker's reusable arena — the packaging estimator
-//     (pkgcarbon.Estimator with its retained incremental floorplan
-//     tree, whose single-changed-chiplet delta path the Gray-code sweep
-//     walk drives through EstimatePackageDelta), chiplet descriptor
-//     buffer, operational-term memo and the tech.Sandbox for per-sample
-//     node perturbation.
+//     (pkgcarbon.Estimator with its memoized floorplan tree, whose
+//     single-changed-chiplet delta path the Gray-code sweep walk drives
+//     through EstimatePackageDelta), chiplet descriptor buffer,
+//     operational-term memo and the tech.Sandbox for per-sample node
+//     perturbation.
 //   - ParamPlan: a compiled plan keyed by perturbed *tech.Node / system
 //     parameters. It tabulates every sub-result of the base point once
 //     and re-evaluates perturbations by recomputing only the sub-models

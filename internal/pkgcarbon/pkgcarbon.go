@@ -331,14 +331,15 @@ func Estimate(chiplets []Chiplet, p Params) (*Result, error) {
 // spend most of its time re-validating an unchanged Params and
 // re-allocating identical intermediate storage.
 //
-// The floorplanner behind Estimate is a floorplan.Tree: when successive
-// calls differ only in block areas, the plan is served by an
-// incremental relayout of the dirty leaf-to-root paths (bit-identical
-// to a from-scratch plan by the tree's guard), and EstimateDelta is the
-// explicit single-changed-chiplet seam a Gray-code sweep step uses. A
-// changed chiplet set (a Disaggregate merge candidate) rebuilds the
-// tree from scratch. Silicon bridges (which read adjacencies) and
-// flexible floorplans (shape curves) plan from scratch on every call.
+// The floorplanner behind Estimate is a floorplan.Tree, which keeps the
+// sorted block order, an exact memo of bounding boxes by sorted shape,
+// and its last result (every box bit-identical to a from-scratch plan).
+// EstimateDelta is the explicit single-changed-chiplet seam a Gray-code
+// sweep step uses: the tree repairs its order and serves a recurring
+// shape from the memo. A changed chiplet set (a Disaggregate merge
+// candidate) makes the tree start over. Silicon bridges (which read
+// adjacencies) and flexible floorplans (shape curves) plan from scratch
+// on every call.
 //
 // An Estimator is NOT safe for concurrent use; give each worker its own.
 // The Result returned by Estimate (including its Floorplan) is owned by
@@ -411,9 +412,8 @@ func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, err
 	return res, nil
 }
 
-// FloorplanStats snapshots the retained floorplan tree's reuse counters
-// (fast-path hits, memo hits, fallbacks, block-set rebuilds, relayout
-// depth).
+// FloorplanStats snapshots the floorplan tree's counters (memo hits,
+// unchanged plans, layouts, block-set rebuilds).
 func (e *Estimator) FloorplanStats() floorplan.TreeStats {
 	return e.sc.fp.Stats()
 }
@@ -548,8 +548,7 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 		// other architecture consumes just the bounding box, so the
 		// scratch path plans dims-only — no pairwise scan, no
 		// placements — keeping the per-estimate cost flat in the chiplet
-		// count. The retained tree turns repeat plans over the same
-		// block shape into incremental relayouts.
+		// count. The tree returns its last box when no area changed.
 		fp, err = sc.fp.PlanDims(blocks, p.SpacingMM)
 	case sc != nil:
 		fp, err = sc.bridgeFP.Plan(blocks, p.SpacingMM)
