@@ -642,7 +642,7 @@ func BenchmarkDisaggregate(b *testing.B) {
 	base := benchDisaggSystem(db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := Disaggregate(base, db)
+		plan, err := DisaggregateCtx(context.Background(), base, db)
 		if err != nil {
 			b.Fatal(err)
 		}

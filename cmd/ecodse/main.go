@@ -191,8 +191,9 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 	if err := t.Fprint(w); err != nil {
 		return err
 	}
-	// plan is nil only on NodeSweepPlanned's reference fallback, which
-	// keeps no statistics.
+	// plan is nil for a multi-chiplet monolith: NodeSweepPlanned
+	// evaluates its single die without compiling a plan, so there are no
+	// plan statistics to print.
 	if cfg.progress && plan != nil {
 		s := plan.Stats()
 		fmt.Fprintf(statsW, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits\n",

@@ -1,6 +1,7 @@
 package ecochip
 
 import (
+	"context"
 	"testing"
 )
 
@@ -38,7 +39,7 @@ func TestEvaluationPurity(t *testing.T) {
 	if _, err := A15(db, 7, 14, 10, false).Evaluate(db); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Tornado(EMR(db, 10, false), db, 0.2); err != nil {
+	if _, err := TornadoCtx(context.Background(), EMR(db, 10, false), db, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := s.Evaluate(db)

@@ -150,11 +150,6 @@ type (
 	RoadmapReport = roadmap.Report
 )
 
-// NodeSweep evaluates every node combination of a system (carbon + cost).
-func NodeSweep(base *System, db *TechDB, nodes []int, cp cost.Params) ([]DesignPoint, error) {
-	return explore.NodeSweep(base, db, nodes, cp)
-}
-
 // SweepMetric extracts one minimized objective from a design point.
 type SweepMetric = explore.Metric
 
@@ -181,32 +176,22 @@ func ParetoFront(points []DesignPoint, objectives ...SweepMetric) []DesignPoint 
 
 // DisaggregationStats counts the work of one compiled Disaggregate
 // search: greedy steps and candidate evaluations, merged-die cell memo
-// traffic, pooled-scratch reuse and the folded incremental-floorplan
-// counters (whose DiffFallbacks count the candidates' block-set
-// rebuilds). Returned in DisaggregationPlan.Stats; its String is the
-// summary ecodse prints under -progress.
+// traffic, pooled-scratch reuse and the folded floorplan-tree counters
+// (whose DiffFallbacks count the candidates' block-set rebuilds).
+// Returned in DisaggregationPlan.Stats; its String is the summary
+// ecodse prints under -progress.
 type DisaggregationStats = explore.DisaggregateStats
 
-// Disaggregate runs the greedy block-to-chiplet grouping optimizer. The
-// search runs end-to-end on retained state: merged-die cells are
-// memoized per group pair across greedy steps, worker scratches (with
-// their packaging estimators and retained floorplan trees) are pooled
-// across the whole search, and each candidate's floorplan is a
-// from-scratch rebuild of the pooled tree. The trajectory is
-// bit-identical to the evaluate-per-candidate search
-// (explore.DisaggregateReference).
-func Disaggregate(base *System, db *TechDB) (*DisaggregationPlan, error) {
-	return explore.Disaggregate(base, db)
-}
-
-// DisaggregateCtx is Disaggregate with cancellation and engine options.
+// DisaggregateCtx runs the greedy block-to-chiplet grouping optimizer
+// with cancellation and engine options. The search runs end-to-end on
+// retained state: merged-die cells are memoized per group pair across
+// greedy steps, worker scratches (with their packaging estimators and
+// retained floorplan trees) are pooled across the whole search, and
+// each candidate's floorplan is a from-scratch rebuild of the pooled
+// tree. The trajectory is bit-identical to the evaluate-per-candidate
+// search (explore.DisaggregateReference).
 func DisaggregateCtx(ctx context.Context, base *System, db *TechDB, opts ...EngineOption) (*DisaggregationPlan, error) {
 	return explore.DisaggregateCtx(ctx, base, db, opts...)
-}
-
-// Tornado runs a one-at-a-time sensitivity analysis at +/- rel.
-func Tornado(base *System, db *TechDB, rel float64) ([]SensitivityResult, error) {
-	return sensitivity.Tornado(base, db, rel)
 }
 
 // EvaluateRoadmap scores a multi-generation product roadmap with
@@ -223,12 +208,6 @@ var EPYCMonolith = testcases.EPYCMonolith
 
 // CarbonDistribution summarizes a Monte Carlo uncertainty run.
 type CarbonDistribution = uncertainty.Distribution
-
-// Uncertainty propagates Table I input uncertainty through the model:
-// n seeded Monte Carlo samples of the system's embodied carbon.
-func Uncertainty(base *System, db *TechDB, n int, seed int64) (CarbonDistribution, error) {
-	return uncertainty.Run(base, db, uncertainty.DefaultSpread(), n, seed)
-}
 
 // Batch-evaluation engine (the parallel backend under every Section VI
 // workflow; see internal/engine).
@@ -269,10 +248,12 @@ func EvaluateBatch(ctx context.Context, db *TechDB, systems []*System, opts ...E
 	return engine.EvaluateBatch(ctx, db, systems, opts...)
 }
 
-// NodeSweepCtx is NodeSweep with cancellation and engine options. It
-// compiles the sweep into a dense per-(chiplet, node) table first (see
-// CompileNodeSweep); systems without a compiled fast path fall back to
-// the uncompiled per-point sweep. Both paths return bit-identical points.
+// NodeSweepCtx evaluates every node combination of a system (carbon +
+// cost), with cancellation and engine options. It compiles the sweep
+// into a dense per-(chiplet, node) table first (see CompileNodeSweep); a
+// multi-chiplet monolith, whose blocks share one die and so one node,
+// is evaluated once instead. The points are bit-identical to the
+// uncompiled per-point sweep.
 func NodeSweepCtx(ctx context.Context, base *System, db *TechDB, nodes []int, cp cost.Params, opts ...EngineOption) ([]DesignPoint, error) {
 	return explore.NodeSweepCtx(ctx, base, db, nodes, cp, opts...)
 }
@@ -286,8 +267,7 @@ type (
 	// immutable and safe for concurrent use.
 	SweepPlan = explore.CompiledPlan
 	// SweepPlanStats counts the work a compiled plan performed,
-	// including the incremental-floorplan reuse counters in its
-	// Floorplan field.
+	// including the floorplan-tree counters in its Floorplan field.
 	SweepPlanStats = explore.SweepStats
 	// SweepFrontSnapshot is one emission of a streamed Pareto front
 	// (SweepPlan.ParetoFrontStream): the front of every point walked so
@@ -299,11 +279,6 @@ type (
 	FloorplanTreeStats = floorplan.TreeStats
 )
 
-// ErrNoSweepFastPath reports that a system cannot be compiled into a
-// dense sweep plan (multi-chiplet monolithic bases); NodeSweepCtx falls
-// back to the uncompiled per-point sweep for such systems.
-var ErrNoSweepFastPath = explore.ErrNoFastPath
-
 // CompileNodeSweep builds the compiled sweep plan for evaluating base
 // under every combination of the candidate nodes. Compile once, then
 // plan.RunCtx per run, plan.Walk to stream points without materializing
@@ -314,15 +289,16 @@ func CompileNodeSweep(base *System, db *TechDB, nodes []int, cp cost.Params) (*S
 	return explore.Compile(base, db, nodes, cp)
 }
 
-// TornadoCtx is Tornado with cancellation and engine options. It runs on
-// a compiled parameter plan (see internal/kernel) and is bit-identical
+// TornadoCtx runs a one-at-a-time sensitivity analysis at +/- rel, with
+// cancellation and engine options. It runs on a compiled parameter plan (see internal/kernel) and is bit-identical
 // to a full evaluation per perturbed point.
 func TornadoCtx(ctx context.Context, base *System, db *TechDB, rel float64, opts ...EngineOption) ([]SensitivityResult, error) {
 	return sensitivity.TornadoCtx(ctx, base, db, rel, opts...)
 }
 
-// UncertaintyCtx is Uncertainty with cancellation and engine options;
-// the fixed-seed distribution is bit-identical at any worker count. It
+// UncertaintyCtx propagates Table I input uncertainty through the
+// model: n seeded Monte Carlo samples of the system's embodied carbon,
+// with cancellation and engine options. The fixed-seed distribution is bit-identical at any worker count. It
 // runs on a compiled parameter plan and is bit-identical to a per-sample
 // database clone and full evaluation.
 func UncertaintyCtx(ctx context.Context, base *System, db *TechDB, n int, seed int64, opts ...EngineOption) (CarbonDistribution, error) {

@@ -56,7 +56,7 @@ func TestFacadeNodeSweepCtxMatchesNodeSweep(t *testing.T) {
 	base := GA102(db, 7, 14, 10, false)
 	nodes := []int{7, 10, 14}
 	cp := DefaultCostParams()
-	serial, err := NodeSweep(base, db, nodes, cp)
+	serial, err := NodeSweepCtx(context.Background(), base, db, nodes, cp, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +89,12 @@ func TestFacadeUncertaintyCtxReproducible(t *testing.T) {
 	if d1 != d2 {
 		t.Error("fixed-seed Monte Carlo must not depend on worker count")
 	}
-	// The plain facade entry point remains seeded and must agree with the
-	// engine path.
-	d3, err := Uncertainty(base, db, 100, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 != d1 {
-		t.Error("Uncertainty and UncertaintyCtx diverge for the same seed")
-	}
 }
 
 func TestFacadeTornadoCtx(t *testing.T) {
 	db := DefaultDB()
 	base := GA102(db, 7, 14, 10, false)
-	serial, err := Tornado(base, db, 0.25)
+	serial, err := TornadoCtx(context.Background(), base, db, 0.25, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

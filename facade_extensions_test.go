@@ -12,7 +12,7 @@ import (
 
 func TestFacadeNodeSweepAndPareto(t *testing.T) {
 	db := DefaultDB()
-	points, err := NodeSweep(GA102(db, 7, 14, 10, false), db, []int{7, 14}, DefaultCostParams())
+	points, err := NodeSweepCtx(context.Background(), GA102(db, 7, 14, 10, false), db, []int{7, 14}, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFacadeNodeSweepAndPareto(t *testing.T) {
 
 func TestFacadeTornado(t *testing.T) {
 	db := DefaultDB()
-	results, err := Tornado(A15(db, 7, 14, 10, false), db, 0.2)
+	results, err := TornadoCtx(context.Background(), A15(db, 7, 14, 10, false), db, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFacadeRoadmap(t *testing.T) {
 
 func TestFacadeDisaggregate(t *testing.T) {
 	db := DefaultDB()
-	plan, err := Disaggregate(GA102(db, 7, 14, 10, false), db)
+	plan, err := DisaggregateCtx(context.Background(), GA102(db, 7, 14, 10, false), db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package ecochip
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -49,20 +48,29 @@ func TestFacadeCompiledSweepMatchesReference(t *testing.T) {
 	}
 }
 
-func TestFacadeErrNoSweepFastPath(t *testing.T) {
+// A monolith has no compiled plan; NodeSweepCtx evaluates its one die
+// and matches the uncompiled sweep, error text included.
+func TestFacadeMonolithSweep(t *testing.T) {
 	db := DefaultDB()
 	mono := GA102(db, 7, 7, 7, true)
-	_, err := CompileNodeSweep(mono, db, []int{7}, DefaultCostParams())
-	if !errors.Is(err, ErrNoSweepFastPath) {
-		t.Fatalf("CompileNodeSweep(monolith) = %v, want ErrNoSweepFastPath", err)
+	if _, err := CompileNodeSweep(mono, db, []int{7}, DefaultCostParams()); err == nil {
+		t.Fatal("CompileNodeSweep(monolith) succeeded, want an error")
 	}
-	// The plain sweep entry point still works via the reference fallback.
-	points, err := NodeSweep(mono, db, []int{7}, DefaultCostParams())
+	ctx := context.Background()
+	want, err := explore.NodeSweepReference(ctx, mono, db, []int{7}, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 1 {
-		t.Fatalf("%d points, want 1", len(points))
+	points, err := NodeSweepCtx(ctx, mono, db, []int{7}, DefaultCostParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 1 || math.Float64bits(points[0].TotalKg) != math.Float64bits(want[0].TotalKg) {
+		t.Fatalf("monolith sweep = %+v, want %+v", points, want)
+	}
+	_, refErr := explore.NodeSweepReference(ctx, mono, db, []int{7, 10}, DefaultCostParams(), WithWorkers(1))
+	if _, err := NodeSweepCtx(ctx, mono, db, []int{7, 10}, DefaultCostParams()); err == nil || refErr == nil || err.Error() != refErr.Error() {
+		t.Fatalf("mixed-node monolith sweep error %v, want the reference's %v", err, refErr)
 	}
 }
 
@@ -82,7 +90,7 @@ func TestFacadeSweepPlanParetoFront(t *testing.T) {
 	if total != 27 {
 		t.Fatalf("total = %d, want 27", total)
 	}
-	points, err := NodeSweep(base, db, nodes, DefaultCostParams())
+	points, err := NodeSweepCtx(context.Background(), base, db, nodes, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}

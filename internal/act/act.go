@@ -29,11 +29,6 @@ type Params struct {
 	Alpha float64
 }
 
-// DefaultParams matches the ECO-CHIP comparison setup (coal fab).
-func DefaultParams() Params {
-	return Params{CarbonIntensity: 0.700, Alpha: yieldmodel.DefaultAlpha}
-}
-
 // Validate enforces ranges.
 func (p Params) Validate() error {
 	if p.CarbonIntensity < 0.030 || p.CarbonIntensity > 0.700 {

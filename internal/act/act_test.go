@@ -10,11 +10,16 @@ import (
 
 func n7() *tech.Node { return tech.Default().MustGet(7) }
 
+// coalParams is the ECO-CHIP comparison setup: a coal-powered fab.
+func coalParams() Params {
+	return Params{CarbonIntensity: 0.700, Alpha: yieldmodel.DefaultAlpha}
+}
+
 func TestDieKgKnownValue(t *testing.T) {
 	// 100 mm^2 at 7nm: cfpa = (0.7*3.5 + 0.4 + 0.5)/Y, area 1 cm^2.
 	y := yieldmodel.Die(100, n7().DefectDensity)
 	want := (0.7*3.5 + 0.4 + 0.5) / y
-	got, err := DieKg(Die{AreaMM2: 100, Node: n7()}, DefaultParams())
+	got, err := DieKg(Die{AreaMM2: 100, Node: n7()}, coalParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +30,11 @@ func TestDieKgKnownValue(t *testing.T) {
 
 func TestSystemKgAddsFixedPackage(t *testing.T) {
 	d := Die{AreaMM2: 100, Node: n7()}
-	one, err := DieKg(d, DefaultParams())
+	one, err := DieKg(d, coalParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := SystemKg([]Die{d, d}, DefaultParams())
+	sys, err := SystemKg([]Die{d, d}, coalParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +52,13 @@ func TestFixedPackageRegardlessOfCount(t *testing.T) {
 		for i := range dies {
 			dies[i] = Die{AreaMM2: 300 / float64(count), Node: n7()}
 		}
-		sys, err := SystemKg(dies, DefaultParams())
+		sys, err := SystemKg(dies, coalParams())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var diesOnly float64
 		for _, d := range dies {
-			kg, _ := DieKg(d, DefaultParams())
+			kg, _ := DieKg(d, coalParams())
 			diesOnly += kg
 		}
 		return sys - diesOnly
@@ -73,7 +78,7 @@ func TestNoEquipmentDerate(t *testing.T) {
 	// eta_eq*Csrc*EPA. At 7nm eta_eq = 1.0 so the per-area values agree.
 	n := n7()
 	y := yieldmodel.Die(100, n.DefectDensity)
-	got, err := DieKg(Die{AreaMM2: 100, Node: n}, DefaultParams())
+	got, err := DieKg(Die{AreaMM2: 100, Node: n}, coalParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestNoEquipmentDerate(t *testing.T) {
 	}
 	// At 65nm eta_eq = 0.6, so ACT over-counts the energy term.
 	n65 := tech.Default().MustGet(65)
-	act65, err := DieKg(Die{AreaMM2: 100, Node: n65}, DefaultParams())
+	act65, err := DieKg(Die{AreaMM2: 100, Node: n65}, coalParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +100,7 @@ func TestNoEquipmentDerate(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	p := DefaultParams()
+	p := coalParams()
 	if _, err := DieKg(Die{AreaMM2: 0, Node: n7()}, p); err == nil {
 		t.Error("zero area should fail")
 	}

@@ -136,28 +136,6 @@ func AmortizedKg(chipletKg float64, manufacturedParts int) (float64, error) {
 	return chipletKg / float64(manufacturedParts), nil
 }
 
-// SystemKg evaluates Eq. (12) for a set of chiplets: each chiplet's design
-// carbon is amortized over its manufacturing volume N_Mi, and the
-// communication-fabric design carbon is amortized over the system volume
-// N_S.
-func SystemKg(chipletKg []float64, nMi []int, commKg float64, nS int) (float64, error) {
-	if len(chipletKg) != len(nMi) {
-		return 0, fmt.Errorf("descarbon: %d chiplet carbons but %d volumes", len(chipletKg), len(nMi))
-	}
-	if nS < 1 {
-		return 0, fmt.Errorf("descarbon: system volume must be >= 1, got %d", nS)
-	}
-	var total float64
-	for i, kg := range chipletKg {
-		a, err := AmortizedKg(kg, nMi[i])
-		if err != nil {
-			return 0, err
-		}
-		total += a
-	}
-	return total + commKg/float64(nS), nil
-}
-
 // GatesFromTransistors converts a transistor budget into the
 // NAND2-equivalent gate count the timing model consumes.
 func GatesFromTransistors(transistors float64) float64 {

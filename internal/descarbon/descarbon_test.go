@@ -125,31 +125,6 @@ func TestAmortizationMonotone(t *testing.T) {
 	}
 }
 
-func TestSystemKg(t *testing.T) {
-	// Two chiplets at 1000 kg each amortized over 100k and 200k parts,
-	// plus 500 kg comm design over 100k systems.
-	got, err := SystemKg([]float64{1000, 1000}, []int{100_000, 200_000}, 500, 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1000.0/100_000 + 1000.0/200_000 + 500.0/100_000
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("SystemKg = %g, want %g", got, want)
-	}
-}
-
-func TestSystemKgErrors(t *testing.T) {
-	if _, err := SystemKg([]float64{1}, []int{1, 2}, 0, 1); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	if _, err := SystemKg([]float64{1}, []int{1}, 0, 0); err == nil {
-		t.Error("zero system volume should fail")
-	}
-	if _, err := SystemKg([]float64{1}, []int{0}, 0, 1); err == nil {
-		t.Error("zero chiplet volume should fail")
-	}
-}
-
 func TestParamsValidate(t *testing.T) {
 	bad := []func(*Params){
 		func(p *Params) { p.PowerW = 0 },

@@ -62,35 +62,3 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Sources returns the full catalog sorted by intensity (dirtiest first).
-func Sources() []Source {
-	out := make([]Source, len(catalog))
-	copy(out, catalog)
-	sort.Slice(out, func(i, j int) bool { return out[i].KgPerKWh > out[j].KgPerKWh })
-	return out
-}
-
-// Mix blends sources by share into one intensity; shares must be
-// positive and sum to 1 within 1e-6.
-func Mix(shares map[string]float64) (float64, error) {
-	if len(shares) == 0 {
-		return 0, fmt.Errorf("energy: empty mix")
-	}
-	var total, blended float64
-	for name, share := range shares {
-		if share <= 0 {
-			return 0, fmt.Errorf("energy: share of %q must be positive, got %g", name, share)
-		}
-		ci, err := Intensity(name)
-		if err != nil {
-			return 0, err
-		}
-		total += share
-		blended += share * ci
-	}
-	if total < 1-1e-6 || total > 1+1e-6 {
-		return 0, fmt.Errorf("energy: mix shares sum to %g, want 1", total)
-	}
-	return blended, nil
-}

@@ -1,9 +1,6 @@
 package energy
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestIntensityKnown(t *testing.T) {
 	coal, err := Intensity("coal")
@@ -20,25 +17,13 @@ func TestIntensityKnown(t *testing.T) {
 }
 
 func TestAllWithinTableI(t *testing.T) {
-	for _, s := range Sources() {
+	for _, s := range catalog {
 		if s.KgPerKWh < 0.030 || s.KgPerKWh > 0.700 {
 			t.Errorf("source %s intensity %g outside Table I range [0.030, 0.700]", s.Name, s.KgPerKWh)
 		}
 		if s.Description == "" {
 			t.Errorf("source %s lacks a description", s.Name)
 		}
-	}
-}
-
-func TestSourcesSortedDirtiestFirst(t *testing.T) {
-	srcs := Sources()
-	for i := 1; i < len(srcs); i++ {
-		if srcs[i].KgPerKWh > srcs[i-1].KgPerKWh {
-			t.Error("Sources() should sort dirtiest first")
-		}
-	}
-	if srcs[0].Name != "coal" {
-		t.Errorf("dirtiest source = %s, want coal", srcs[0].Name)
 	}
 }
 
@@ -50,33 +35,6 @@ func TestNamesComplete(t *testing.T) {
 	for i := 1; i < len(names); i++ {
 		if names[i] <= names[i-1] {
 			t.Error("Names() should be sorted")
-		}
-	}
-}
-
-func TestMix(t *testing.T) {
-	// Half coal, half wind: (0.7 + 0.03)/2.
-	got, err := Mix(map[string]float64{"coal": 0.5, "wind": 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.365) > 1e-12 {
-		t.Errorf("Mix = %g, want 0.365", got)
-	}
-}
-
-func TestMixErrors(t *testing.T) {
-	cases := []map[string]float64{
-		nil,
-		{"coal": 0.5},                // does not sum to 1
-		{"coal": 0.5, "wind": 0.6},   // sums above 1
-		{"coal": 1.0, "fusion": 0.0}, // non-positive share
-		{"fusion": 1.0},              // unknown source
-		{"coal": -0.5, "wind": 1.5},  // negative share
-	}
-	for i, m := range cases {
-		if _, err := Mix(m); err == nil {
-			t.Errorf("mix case %d should fail: %v", i, m)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func BenchmarkDisaggregate8Blocks(b *testing.B) {
 	base := fineGrained(6, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Disaggregate(base, db()); err != nil {
+		if _, err := DisaggregateCtx(context.Background(), base, db()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +66,7 @@ func BenchmarkDisaggregate10Blocks(b *testing.B) {
 	base := fineGrained(8, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Disaggregate(base, db()); err != nil {
+		if _, err := DisaggregateCtx(context.Background(), base, db()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,6 @@ package explore
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -42,7 +41,7 @@ type Point struct {
 // Label identifies the candidate by its node tuple (e.g. "[7 14 10]").
 // It is derived on demand rather than stored: a full-factorial sweep
 // holds up to a million points and the common consumers (Pareto
-// filtering, Best) never read a label, so eager formatting was pure
+// filtering) never read a label, so eager formatting was pure
 // hot-path overhead.
 func (p Point) Label() string { return fmt.Sprint(p.Nodes) }
 
@@ -86,24 +85,25 @@ func NodeSweep(base *core.System, db *tech.DB, nodes []int, cp cost.Params) ([]P
 // NodeSweepCtx is NodeSweep with cancellation and engine options
 // (worker count, progress callback). It compiles the sweep into a dense
 // per-(chiplet, node) table and evaluates it in Gray-code order (see
-// Compile); systems without a compiled fast path fall back to
-// NodeSweepReference. Both paths return bit-identical points in the
-// historical serial-walk order.
+// Compile); a multi-chiplet monolith, which Compile rejects, takes
+// NodeSweepPlanned's one-evaluation path. The points come in the
+// historical serial-walk order, bit-identical to NodeSweepReference.
 func NodeSweepCtx(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, error) {
 	points, _, err := NodeSweepPlanned(ctx, base, db, nodes, cp, opts...)
 	return points, err
 }
 
 // NodeSweepPlanned is NodeSweepCtx also returning the compiled plan the
-// sweep ran on (nil when the reference fallback ran), so callers can
-// surface plan statistics. It is the single home of the
-// compile-or-fall-back policy.
+// sweep ran on, so callers can surface plan statistics. The plan is nil
+// for a multi-chiplet monolith (the paper's monolithic baselines), which
+// Compile rejects: every block of a monolith sits on one die and so on
+// one node, and the sweep evaluates that die once (see sweepMonolith).
 func NodeSweepPlanned(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, *CompiledPlan, error) {
-	plan, err := Compile(base, db, nodes, cp)
-	if errors.Is(err, ErrNoFastPath) {
-		points, err := NodeSweepReference(ctx, base, db, nodes, cp, opts...)
+	if base.Monolithic && len(base.Chiplets) > 1 {
+		points, err := sweepMonolith(ctx, base, db, nodes, cp, opts...)
 		return points, nil, err
 	}
+	plan, err := Compile(base, db, nodes, cp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -114,11 +114,49 @@ func NodeSweepPlanned(ctx context.Context, base *core.System, db *tech.DB, nodes
 	return points, plan, nil
 }
 
+// sweepMonolith is the node sweep of a multi-chiplet monolith. A monolith
+// validates only when all its blocks share one node, so a point succeeds
+// only if its candidate digits all name the same node. In the serial walk
+// order the first point puts every block on nodes[0], and the first mixed
+// point is index k, the first k with nodes[k] != nodes[0]: every point
+// before it is a copy of the first. So the sweep evaluates the first
+// point once and fails with the first mixed point's error, or, when every
+// candidate is the same node (e.g. [7, 7]), returns len(nodes)^nc copies
+// of it — exactly what NodeSweepReference returns at one worker.
+func sweepMonolith(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, error) {
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("explore: no candidate nodes")
+	}
+	nc := len(base.Chiplets)
+	combos, err := comboCount(len(nodes), nc)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	first, err := evaluate(base, db, combo(0, nodes, nc), cp, nil)
+	if err != nil {
+		return nil, err
+	}
+	if k := slices.IndexFunc(nodes, func(n int) bool { return n != nodes[0] }); k >= 0 {
+		// Validation rejects every mixed monolith, so this fails with the
+		// reference's error.
+		_, err := evaluate(base, db, combo(k, nodes, nc), cp, nil)
+		return nil, err
+	}
+	return engine.Run(ctx, combos, func(_ context.Context, i int, _ *core.Hooks) (Point, error) {
+		pt := first
+		pt.Nodes = combo(i, nodes, nc)
+		return pt, nil
+	}, opts...)
+}
+
 // NodeSweepReference is the uncompiled sweep: every point clones the
 // system, re-validates it and re-evaluates each sub-model through the
-// engine's memo cache. It is the oracle the compiled path is tested
-// against (and the baseline its speedup is measured against), and the
-// fallback for systems Compile rejects.
+// engine's memo cache. It is the test oracle the compiled path and the
+// monolith path are checked against, and the baseline the compiled
+// path's speedup is measured against.
 func NodeSweepReference(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("explore: no candidate nodes")
@@ -174,21 +212,6 @@ var (
 	// ByArea minimizes package footprint.
 	ByArea Metric = func(p Point) float64 { return p.PackageAreaMM2 }
 )
-
-// Best returns the point minimizing the metric. It panics on an empty
-// slice (an authoring bug in experiment code).
-func Best(points []Point, m Metric) Point {
-	if len(points) == 0 {
-		panic("explore: Best on empty point set")
-	}
-	best := points[0]
-	for _, p := range points[1:] {
-		if m(p) < m(best) {
-			best = p
-		}
-	}
-	return best
-}
 
 // ParetoFront returns the subset of points not dominated under the given
 // objectives (all minimized): a point is dominated if some other point is

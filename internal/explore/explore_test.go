@@ -60,23 +60,25 @@ func TestNodeSweepErrors(t *testing.T) {
 	}
 }
 
+// minBy returns the first point minimizing m.
+func minBy(points []Point, m Metric) Point {
+	best := points[0]
+	for _, p := range points[1:] {
+		if m(p) < m(best) {
+			best = p
+		}
+	}
+	return best
+}
+
 // The paper's Section V-A result must fall out of the sweep: the best
 // embodied-carbon point is (7,14,10).
 func TestBestMatchesPaper(t *testing.T) {
 	points := sweep(t)
-	best := Best(points, ByEmbodied)
+	best := minBy(points, ByEmbodied)
 	if best.Label() != "[7 14 10]" {
 		t.Errorf("best embodied point = %s, want [7 14 10]", best.Label())
 	}
-}
-
-func TestBestPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Best on empty set should panic")
-		}
-	}()
-	Best(nil, ByEmbodied)
 }
 
 func TestParetoFrontProperties(t *testing.T) {
@@ -104,8 +106,8 @@ func TestParetoFrontProperties(t *testing.T) {
 		}
 	}
 	// Both single-objective optima are on the front.
-	bestEmb := Best(points, ByEmbodied)
-	bestCost := Best(points, ByCost)
+	bestEmb := minBy(points, ByEmbodied)
+	bestCost := minBy(points, ByCost)
 	var foundEmb, foundCost bool
 	for _, p := range front {
 		if p.Label() == bestEmb.Label() {
@@ -124,7 +126,7 @@ func TestParetoSingleObjective(t *testing.T) {
 	points := sweep(t)
 	front := ParetoFront(points, ByTotal)
 	// With one objective the front is exactly the set of minima.
-	best := Best(points, ByTotal)
+	best := minBy(points, ByTotal)
 	for _, p := range front {
 		if p.TotalKg != best.TotalKg {
 			t.Errorf("single-objective front contains non-minimal point %s", p.Label())
@@ -143,7 +145,7 @@ func TestParetoPanicsWithoutObjectives(t *testing.T) {
 
 func TestByAreaMetric(t *testing.T) {
 	points := sweep(t)
-	best := Best(points, ByArea)
+	best := minBy(points, ByArea)
 	// All-advanced nodes minimize area.
 	if best.Label() != "[7 7 7]" {
 		t.Errorf("smallest-area point = %s, want [7 7 7]", best.Label())

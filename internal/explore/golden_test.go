@@ -102,7 +102,7 @@ func TestPackagingPathsGolden(t *testing.T) {
 					}
 					writeSweep(&out, points)
 				}
-				plan, err := Disaggregate(&base, d)
+				plan, err := DisaggregateCtx(context.Background(), &base, d)
 				if err != nil {
 					t.Fatal(err)
 				}

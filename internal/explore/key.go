@@ -339,13 +339,3 @@ func (ky *Keyer) systemKey(prefix string, base *core.System) (string, error) {
 func PlanKey(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (string, error) {
 	return NewKeyer(db).SweepKey(base, nodes, cp)
 }
-
-// ParamKey is the one-shot form of Keyer.ParamKey.
-func ParamKey(base *core.System, db *tech.DB) (string, error) {
-	return NewKeyer(db).ParamKey(base)
-}
-
-// DisaggregateKey is the one-shot form of Keyer.DisaggregateKey.
-func DisaggregateKey(base *core.System, db *tech.DB) (string, error) {
-	return NewKeyer(db).DisaggregateKey(base)
-}

@@ -97,18 +97,18 @@ func TestParamAndDisaggregateKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sys := testcases.Random(rng, db)
 
-	pk, err := ParamKey(sys, db)
+	pk, err := NewKeyer(db).ParamKey(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dk, err := DisaggregateKey(sys, db)
+	dk, err := NewKeyer(db).DisaggregateKey(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pk2, _ := ParamKey(sys, db); pk2 != pk {
+	if pk2, _ := NewKeyer(db).ParamKey(sys); pk2 != pk {
 		t.Fatalf("ParamKey unstable: %s vs %s", pk, pk2)
 	}
-	if dk2, _ := DisaggregateKey(sys, db); dk2 != dk {
+	if dk2, _ := NewKeyer(db).DisaggregateKey(sys); dk2 != dk {
 		t.Fatalf("DisaggregateKey unstable: %s vs %s", dk, dk2)
 	}
 	if pk == dk {
@@ -118,10 +118,10 @@ func TestParamAndDisaggregateKeys(t *testing.T) {
 	mut := *sys
 	mut.Chiplets = append([]core.Chiplet(nil), sys.Chiplets...)
 	mut.Chiplets[0].Transistors *= 1.01
-	if mk, _ := ParamKey(&mut, db); mk == pk {
+	if mk, _ := NewKeyer(db).ParamKey(&mut); mk == pk {
 		t.Error("system perturbation did not change ParamKey")
 	}
-	if mk, _ := DisaggregateKey(&mut, db); mk == dk {
+	if mk, _ := NewKeyer(db).DisaggregateKey(&mut); mk == dk {
 		t.Error("system perturbation did not change DisaggregateKey")
 	}
 
@@ -133,10 +133,10 @@ func TestParamAndDisaggregateKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mk, _ := ParamKey(sys, db2); mk == pk {
+	if mk, _ := NewKeyer(db2).ParamKey(sys); mk == pk {
 		t.Error("database perturbation did not change ParamKey")
 	}
-	if mk, _ := DisaggregateKey(sys, db2); mk == dk {
+	if mk, _ := NewKeyer(db2).DisaggregateKey(sys); mk == dk {
 		t.Error("database perturbation did not change DisaggregateKey")
 	}
 }

@@ -69,8 +69,8 @@ type Plan struct {
 // DisaggregateStats counts the work of one compiled Disaggregate
 // search: the greedy steps and candidate evaluations, the per-search
 // merged-cell memo traffic, the pooled-scratch reuse, and the folded
-// incremental-floorplan counters (whose DiffFallbacks count the
-// candidates' block-set rebuilds).
+// floorplan-tree counters (whose DiffFallbacks count the candidates'
+// block-set rebuilds).
 type DisaggregateStats struct {
 	// Steps is the number of accepted merges; Candidates the number of
 	// pairwise merge evaluations across all steps.
@@ -119,12 +119,6 @@ func merge(a, b core.Chiplet) core.Chiplet {
 		NodeNm:            node,
 		ManufacturedParts: parts,
 	}
-}
-
-// Disaggregate runs the greedy merge search on the system's blocks and
-// returns the best grouping found.
-func Disaggregate(base *core.System, db *tech.DB) (*Plan, error) {
-	return DisaggregateCtx(context.Background(), base, db)
 }
 
 // mergeCandidate is one (i, j) pairwise merge considered in a greedy

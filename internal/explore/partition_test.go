@@ -40,12 +40,12 @@ func fineGrained(logicBlocks int, blockMM2 float64) *core.System {
 
 func TestDisaggregateErrors(t *testing.T) {
 	mono := testcases.GA102(db(), 7, 7, 7, true)
-	if _, err := Disaggregate(mono, db()); err == nil {
+	if _, err := DisaggregateCtx(context.Background(), mono, db()); err == nil {
 		t.Error("monolith input should fail")
 	}
 	bad := fineGrained(2, 20)
 	bad.Chiplets[0].Transistors = 0
-	if _, err := Disaggregate(bad, db()); err == nil {
+	if _, err := DisaggregateCtx(context.Background(), bad, db()); err == nil {
 		t.Error("invalid system should fail")
 	}
 }
@@ -54,7 +54,7 @@ func TestDisaggregateErrors(t *testing.T) {
 // optimizer must merge aggressively and beat the starting point.
 func TestMergesTinyBlocks(t *testing.T) {
 	base := fineGrained(6, 2) // 6 x 2mm^2 logic slivers: per-chiplet overhead dominates
-	plan, err := Disaggregate(base, db())
+	plan, err := DisaggregateCtx(context.Background(), base, db())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMergesTinyBlocks(t *testing.T) {
 // them alone.
 func TestKeepsHugeBlocksApart(t *testing.T) {
 	base := fineGrained(3, 300) // 3 x 300mm^2 logic slabs
-	plan, err := Disaggregate(base, db())
+	plan, err := DisaggregateCtx(context.Background(), base, db())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestMergeNodeChoice(t *testing.T) {
 
 // Determinism: same input, same plan.
 func TestDisaggregateDeterministic(t *testing.T) {
-	p1, err := Disaggregate(fineGrained(5, 15), db())
+	p1, err := DisaggregateCtx(context.Background(), fineGrained(5, 15), db())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Disaggregate(fineGrained(5, 15), db())
+	p2, err := DisaggregateCtx(context.Background(), fineGrained(5, 15), db())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDisaggregateDoesNotMutate(t *testing.T) {
 	base := fineGrained(4, 12)
 	before := len(base.Chiplets)
 	name0 := base.Chiplets[0].Name
-	if _, err := Disaggregate(base, db()); err != nil {
+	if _, err := DisaggregateCtx(context.Background(), base, db()); err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Chiplets) != before || base.Chiplets[0].Name != name0 {

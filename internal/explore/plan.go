@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -46,12 +45,6 @@ import (
 // nodesChunkBytes bounds the shared Nodes backing arrays RunCtx hands
 // out (the largest small-object size class).
 const nodesChunkBytes = 32 << 10
-
-// ErrNoFastPath reports that a system cannot be compiled into a dense
-// sweep plan and callers should fall back to the per-point reference
-// path. Today this only covers multi-chiplet monolithic bases, whose
-// sweeps are degenerate (every mixed-node combination fails validation).
-var ErrNoFastPath = errors.New("explore: system has no compiled fast path")
 
 // SweepStats counts the work a compiled plan performed; the CLI surfaces
 // it under -progress next to the engine cache statistics.
@@ -129,7 +122,8 @@ type CompiledPlan struct {
 // (see kernel.BuildTable); errors any point of the sweep would hit
 // (invalid base description, unsupported candidate node, sub-model
 // domain violations, missing cost table entries) surface here instead of
-// mid-sweep.
+// mid-sweep. A multi-chiplet monolith has no plan: its blocks share one
+// die, and NodeSweepCtx sweeps it with a single evaluation.
 func Compile(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*CompiledPlan, error) {
 	// BuildTable owns the shared preconditions (non-empty node list,
 	// system validation, node membership); Compile adds only the
@@ -140,7 +134,7 @@ func Compile(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*Comp
 		return nil, err
 	}
 	if base.Monolithic && nc > 1 {
-		return nil, ErrNoFastPath
+		return nil, fmt.Errorf("explore: cannot compile monolithic system %q: its %d blocks share one die (NodeSweepCtx sweeps it)", base.Name, nc)
 	}
 	tbl, err := kernel.BuildTable(base, db, nodes, cp)
 	if err != nil {
@@ -170,9 +164,6 @@ func Compile(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*Comp
 // Combos returns the number of design points the plan enumerates.
 func (p *CompiledPlan) Combos() int { return p.combos }
 
-// Nodes returns the candidate node list the plan was compiled for.
-func (p *CompiledPlan) Nodes() []int { return append([]int(nil), p.nodes...) }
-
 // Stats snapshots the plan's work counters (cumulative across runs).
 func (p *CompiledPlan) Stats() SweepStats {
 	p.fpMu.Lock()
@@ -187,11 +178,6 @@ func (p *CompiledPlan) Stats() SweepStats {
 		Floorplan:  fp,
 		PkgMemo:    pm,
 	}
-}
-
-// Run evaluates every point of the plan with default engine options.
-func (p *CompiledPlan) Run() ([]Point, error) {
-	return p.RunCtx(context.Background())
 }
 
 // RunCtx evaluates every point of the plan: workers walk contiguous

@@ -131,6 +131,8 @@ func TestSoAColumnsMatchAoSRandomized(t *testing.T) {
 // checkCompiledSweepMatchesReference runs 40 random trials from seed and
 // requires each compiled sweep, at 1 and 3 workers, to match
 // NodeSweepReference bit for bit (or to fail where the reference fails).
+// Each multi-chiplet trial also sweeps its monolithic twin through
+// checkMonolithSweep.
 func checkCompiledSweepMatchesReference(t *testing.T, seed int64) {
 	t.Helper()
 	d := db()
@@ -168,6 +170,14 @@ func checkCompiledSweepMatchesReference(t *testing.T, seed int64) {
 		}
 		if refErr == nil {
 			evaluated++
+		}
+		// The same blocks on one die: the monolith path, over the drawn
+		// nodes and over the first node repeated.
+		if len(base.Chiplets) > 1 {
+			mono := *base
+			mono.Monolithic = true
+			checkMonolithSweep(t, &mono, nodes)
+			checkMonolithSweep(t, &mono, []int{nodes[0], nodes[0]})
 		}
 	}
 	if evaluated < 20 {
@@ -274,24 +284,72 @@ func TestCompiledSweepSingleChiplet(t *testing.T) {
 	}
 }
 
-// Multi-chiplet monolithic bases have no fast path; NodeSweepCtx must
-// fall back to the reference and still produce its exact output.
+// Multi-chiplet monolithic bases have no compiled plan; NodeSweepCtx
+// evaluates their one die and must match the reference at one worker,
+// points and bits or error text: the GA102 monolith on one node, and the
+// EPYC-4 monolith on one node, on four nodes (mixed, so it fails) and
+// on a repeated node (2^5 copies of one point).
 func TestCompiledSweepMonolithicFallback(t *testing.T) {
 	d := db()
-	base := testcases.GA102(d, 7, 7, 7, true)
-	if _, err := Compile(base, d, []int{7}, cost.DefaultParams()); !errors.Is(err, ErrNoFastPath) {
-		t.Fatalf("Compile(monolithic) = %v, want ErrNoFastPath", err)
-	}
-	want, err := NodeSweepReference(context.Background(), base, d, []int{7}, cost.DefaultParams())
+	epyc, err := testcases.EPYCMonolith(d, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NodeSweepCtx(context.Background(), base, d, []int{7}, cost.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	ga102 := testcases.GA102(d, 7, 7, 7, true)
+	if _, err := Compile(ga102, d, []int{7}, cost.DefaultParams()); err == nil {
+		t.Fatal("Compile(monolithic) succeeded, want an error")
 	}
-	if len(got) != 1 || !pointsBitIdentical(got[0], want[0]) {
-		t.Fatalf("fallback output differs: %+v vs %+v", got, want)
+	for _, tc := range []struct {
+		sys     *core.System
+		nodes   []int
+		points  int
+		wantErr bool
+	}{
+		{ga102, []int{7}, 1, false},
+		{epyc, []int{7}, 1, false},
+		{epyc, []int{7, 10, 14, 22}, 0, true},
+		{epyc, []int{7, 7}, 32, false},
+	} {
+		checkMonolithSweep(t, tc.sys, tc.nodes)
+		got, err := NodeSweepCtx(context.Background(), tc.sys, d, tc.nodes, cost.DefaultParams())
+		if (err != nil) != tc.wantErr || len(got) != tc.points {
+			t.Fatalf("%s nodes %v: %d points, err %v; want %d points, error %v",
+				tc.sys.Name, tc.nodes, len(got), err, tc.points, tc.wantErr)
+		}
+	}
+}
+
+// checkMonolithSweep requires NodeSweepPlanned on a multi-chiplet
+// monolith to return no plan and NodeSweepReference's result at one
+// worker: the same points bit for bit, or the same error text.
+func checkMonolithSweep(t *testing.T, base *core.System, nodes []int) {
+	t.Helper()
+	d := db()
+	cp := cost.DefaultParams()
+	ctx := context.Background()
+	want, refErr := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(1))
+	for _, workers := range []int{1, 3} {
+		got, plan, err := NodeSweepPlanned(ctx, base, d, nodes, cp, engine.WithWorkers(workers))
+		if plan != nil {
+			t.Fatalf("%s nodes %v: monolith sweep returned a compiled plan", base.Name, nodes)
+		}
+		if refErr != nil {
+			if err == nil || err.Error() != refErr.Error() {
+				t.Fatalf("%s nodes %v: error %v, want the reference's %v", base.Name, nodes, err, refErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s nodes %v: %v (reference succeeded)", base.Name, nodes, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s nodes %v: %d points, want %d", base.Name, nodes, len(got), len(want))
+		}
+		for i := range want {
+			if !pointsBitIdentical(got[i], want[i]) {
+				t.Fatalf("%s nodes %v: workers=%d point %d differs\nwant %+v\ngot  %+v", base.Name, nodes, workers, i, want[i], got[i])
+			}
+		}
 	}
 }
 
@@ -409,7 +467,7 @@ func TestPlanParetoFrontCtx(t *testing.T) {
 	if total != 27 {
 		t.Fatalf("total = %d, want 27", total)
 	}
-	points, err := plan.Run()
+	points, err := plan.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +515,7 @@ func TestDisaggregateMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
-		plan, err := Disaggregate(tc.sys, db())
+		plan, err := DisaggregateCtx(context.Background(), tc.sys, db())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -564,7 +622,7 @@ func TestDisaggregateMatchesReferenceRandomized(t *testing.T) {
 // engage on a many-block search, and the pooled estimators' floorplan
 // counters must fold in the candidates' block-set rebuilds.
 func TestDisaggregateStepSpanningStats(t *testing.T) {
-	plan, err := Disaggregate(fineGrained(6, 2), db())
+	plan, err := DisaggregateCtx(context.Background(), fineGrained(6, 2), db())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,6 @@ func TestWalkRangeSegmentsReassembleBitIdentical(t *testing.T) {
 		sys := testcases.Random(rng, db)
 		nodes := testcases.RandomNodes(rng)
 		plan, err := Compile(sys, db, nodes, cp)
-		if err == ErrNoFastPath {
-			trial--
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -277,12 +277,6 @@ func (p *ParamPlan) captureCell(i int, cell *core.DieCell) {
 	p.cellNode[i] = cell.Node
 }
 
-// Base returns the compiled base system.
-func (p *ParamPlan) Base() *core.System { return p.base }
-
-// DB returns the compiled base database.
-func (p *ParamPlan) DB() *tech.DB { return p.db }
-
 // Stats snapshots the plan's work counters (cumulative across runs).
 func (p *ParamPlan) Stats() ParamStats {
 	return ParamStats{

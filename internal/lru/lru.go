@@ -115,22 +115,6 @@ func (c *Cache[V]) GetOrBuild(key string, build func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Get returns the resident value for key without building, reporting
-// whether it was found. In-flight builds do not count as resident (Get
-// never blocks).
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && e.elem != nil {
-		c.recency.MoveToFront(e.elem)
-		c.stats.Hits++
-		return e.val, true
-	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
-}
-
 // evictLocked drops least-recently-used completed entries until the
 // capacity bound holds. Callers hold c.mu.
 func (c *Cache[V]) evictLocked() {
@@ -154,9 +138,6 @@ func (c *Cache[V]) Len() int {
 	defer c.mu.Unlock()
 	return c.recency.Len()
 }
-
-// Capacity reports the configured bound (<= 0 means unbounded).
-func (c *Cache[V]) Capacity() int { return c.capacity }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache[V]) Stats() Stats {

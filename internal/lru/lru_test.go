@@ -54,20 +54,27 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c.GetOrBuild("b", mk("B"))
 	c.GetOrBuild("a", mk("A")) // touch a: b is now LRU
 	c.GetOrBuild("c", mk("C")) // evicts b
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b survived eviction")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a was evicted despite being recently used")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Fatal("c missing")
-	}
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+	// resident reports whether key is served without a build; probing a
+	// missing key builds and inserts it, so b is probed last.
+	resident := func(key string) bool {
+		built := false
+		c.GetOrBuild(key, func() (string, error) { built = true; return key, nil })
+		return !built
+	}
+	if !resident("a") {
+		t.Fatal("a was evicted despite being recently used")
+	}
+	if !resident("c") {
+		t.Fatal("c missing")
+	}
+	if resident("b") {
+		t.Fatal("b survived eviction")
 	}
 }
 

@@ -134,9 +134,3 @@ func Die(n *tech.Node, d tech.DesignType, areaMM2 float64, p Params) (Result, er
 	}
 	return res, nil
 }
-
-// DieForTransistors is Die with the area derived from the node's
-// area-scaling model for the given transistor count.
-func DieForTransistors(n *tech.Node, d tech.DesignType, transistors float64, p Params) (Result, error) {
-	return Die(n, d, n.Area(d, transistors), p)
-}

@@ -201,15 +201,19 @@ func TestOlderNodesCheaperPerArea(t *testing.T) {
 // crossover exists for logic: 65nm logic die carbon for a large block
 // exceeds the 7nm version.
 func TestNodeAreaTradeoffForLogic(t *testing.T) {
+	// dieFor sizes the die from the node's area-scaling model.
+	dieFor := func(n *tech.Node, d tech.DesignType, transistors float64, p Params) (Result, error) {
+		return Die(n, d, n.Area(d, transistors), p)
+	}
 	p := DefaultParams()
 	p.IncludeWastage = false
 	db := tech.Default()
 	const transistors = 10e9
-	new7, err := DieForTransistors(db.MustGet(7), tech.Logic, transistors, p)
+	new7, err := dieFor(db.MustGet(7), tech.Logic, transistors, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old65, err := DieForTransistors(db.MustGet(65), tech.Logic, transistors, p)
+	old65, err := dieFor(db.MustGet(65), tech.Logic, transistors, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +223,11 @@ func TestNodeAreaTradeoffForLogic(t *testing.T) {
 	}
 	// Analog barely scales, so moving analog to an older node should be
 	// roughly area-neutral and carbon-cheaper.
-	newA, err := DieForTransistors(db.MustGet(7), tech.Analog, 1e9, p)
+	newA, err := dieFor(db.MustGet(7), tech.Analog, 1e9, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldA, err := DieForTransistors(db.MustGet(14), tech.Analog, 1e9, p)
+	oldA, err := dieFor(db.MustGet(14), tech.Analog, 1e9, p)
 	if err != nil {
 		t.Fatal(err)
 	}

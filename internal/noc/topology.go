@@ -41,22 +41,6 @@ func NewMesh(n int, linkLengthMM float64, c Config) (*Topology, error) {
 	return &Topology{Routers: n, Cols: cols, Rows: rows, LinkLengthMM: linkLengthMM, Config: c}, nil
 }
 
-// Links returns the number of bidirectional mesh links actually present
-// for the (possibly partial) last row.
-func (t *Topology) Links() int {
-	links := 0
-	for i := 0; i < t.Routers; i++ {
-		col, row := i%t.Cols, i/t.Cols
-		if col+1 < t.Cols && i+1 < t.Routers && (i+1)/t.Cols == row {
-			links++ // east neighbour
-		}
-		if row+1 < t.Rows && i+t.Cols < t.Routers {
-			links++ // north neighbour
-		}
-	}
-	return links
-}
-
 // AverageHops returns the mean Manhattan router-to-router hop count over
 // all ordered endpoint pairs (the uniform-random traffic assumption).
 func (t *Topology) AverageHops() float64 {
@@ -77,28 +61,6 @@ func (t *Topology) AverageHops() float64 {
 		}
 	}
 	return total / float64(pairs)
-}
-
-// TotalRouterAreaMM2 returns the silicon area of all routers in the
-// given node.
-func (t *Topology) TotalRouterAreaMM2(n *tech.Node) (float64, error) {
-	a, err := AreaMM2(t.Config, n)
-	if err != nil {
-		return 0, err
-	}
-	return a * float64(t.Routers), nil
-}
-
-// TotalPowerW returns the aggregate router power plus link power. Link
-// dynamic power scales with wire capacitance (per-mm) at the operating
-// voltage and frequency.
-func (t *Topology) TotalPowerW(n *tech.Node, pp PowerParams) (float64, error) {
-	router, err := PowerW(t.Config, n, pp)
-	if err != nil {
-		return 0, err
-	}
-	link := linkPowerW(t.Config, n, pp, t.LinkLengthMM)
-	return router*float64(t.Routers) + link*float64(t.Links()), nil
 }
 
 // wireCapFPerMM is the interposer wire capacitance per mm (≈0.2 pF/mm).

@@ -47,24 +47,6 @@ func TestMeshDimensions(t *testing.T) {
 	}
 }
 
-func TestLinksHandCount(t *testing.T) {
-	// 2x2 full mesh: 4 links. 3 endpoints in a 2x2 grid: nodes 0,1,2:
-	// links 0-1 (east), 0-2 (north) = 2.
-	if got := mesh(t, 4).Links(); got != 4 {
-		t.Errorf("Links(4) = %d, want 4", got)
-	}
-	if got := mesh(t, 3).Links(); got != 2 {
-		t.Errorf("Links(3) = %d, want 2", got)
-	}
-	if got := mesh(t, 1).Links(); got != 0 {
-		t.Errorf("Links(1) = %d, want 0", got)
-	}
-	// 3x3 full mesh: 12 links.
-	if got := mesh(t, 9).Links(); got != 12 {
-		t.Errorf("Links(9) = %d, want 12", got)
-	}
-}
-
 func TestAverageHops(t *testing.T) {
 	// 2x1 mesh: the only pair is 1 hop apart.
 	if got := mesh(t, 2).AverageHops(); got != 1 {
@@ -90,45 +72,6 @@ func TestAverageHopsGrows(t *testing.T) {
 			t.Errorf("AverageHops(%d) = %g should exceed %g", n, h, prev)
 		}
 		prev = h
-	}
-}
-
-func TestTotalRouterArea(t *testing.T) {
-	n7 := tech.Default().MustGet(7)
-	m := mesh(t, 4)
-	total, err := m.TotalRouterAreaMM2(n7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, _ := AreaMM2(DefaultConfig(), n7)
-	if math.Abs(total-4*single) > 1e-12 {
-		t.Errorf("TotalRouterAreaMM2 = %g, want %g", total, 4*single)
-	}
-}
-
-func TestTotalPowerIncludesLinks(t *testing.T) {
-	n7 := tech.Default().MustGet(7)
-	pp := DefaultPowerParams()
-	m := mesh(t, 4)
-	total, err := m.TotalPowerW(n7, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, _ := PowerW(DefaultConfig(), n7, pp)
-	if total <= 4*router {
-		t.Errorf("total power %g should exceed router-only %g (links)", total, 4*router)
-	}
-	// Longer links burn more power.
-	far, err := NewMesh(4, 10.0, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	farPower, err := far.TotalPowerW(n7, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if farPower <= total {
-		t.Errorf("10mm links (%g W) should out-burn 1mm links (%g W)", farPower, total)
 	}
 }
 
@@ -219,12 +162,6 @@ func TestTopologyErrorPropagation(t *testing.T) {
 	n7 := tech.Default().MustGet(7)
 	m := mesh(t, 4)
 	m.Config.Ports = 0
-	if _, err := m.TotalRouterAreaMM2(n7); err == nil {
-		t.Error("corrupted config should fail area")
-	}
-	if _, err := m.TotalPowerW(n7, DefaultPowerParams()); err == nil {
-		t.Error("corrupted config should fail power")
-	}
 	if _, err := m.EnergyPerFlitJ(n7, DefaultPowerParams()); err == nil {
 		t.Error("corrupted config should fail energy")
 	}

@@ -75,29 +75,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestWriteMarkdown(t *testing.T) {
-	var b strings.Builder
-	if err := sample().WriteMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"### fig-test", "| name | value |", "| --- | --- |", "| alpha | 1.5000 |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-	// Pipes in cells must be escaped.
-	tbl := New("x", "", "c")
-	tbl.AddRow("a|b")
-	b.Reset()
-	if err := tbl.WriteMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `a\|b`) {
-		t.Error("pipe not escaped in markdown cell")
-	}
-}
-
 func TestColumn(t *testing.T) {
 	vals, err := sample().Column("value")
 	if err != nil {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -31,9 +30,6 @@ func bigTestSweep(t *testing.T, rng *rand.Rand, minCombos int) (*explore.Compile
 			t.Fatal(err)
 		}
 		plan, err := cat.Plan(key)
-		if errors.Is(err, explore.ErrNoFastPath) {
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

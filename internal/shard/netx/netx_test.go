@@ -46,9 +46,6 @@ func testSweep(t *testing.T, rng *rand.Rand) (*explore.CompiledPlan, *Registry, 
 			t.Fatal(err)
 		}
 		plan, err := cat.Plan(key)
-		if errors.Is(err, explore.ErrNoFastPath) {
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

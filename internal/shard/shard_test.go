@@ -29,9 +29,6 @@ func testSweep(t *testing.T, rng *rand.Rand) (*explore.CompiledPlan, *Catalog, s
 			t.Fatal(err)
 		}
 		plan, err := cat.Plan(key)
-		if errors.Is(err, explore.ErrNoFastPath) {
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,7 +86,7 @@ func TestRunMatchesReferenceCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(base, d, DefaultSpread(), 200, 2024)
+	got, err := RunCtx(context.Background(), base, d, DefaultSpread(), 200, 2024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,16 +127,11 @@ func (s *sampleStream) draw(rel float64) float64 {
 	return 1 + rel*(2*s.float64()-1)
 }
 
-// Run samples the system's embodied carbon n times with parameters drawn
-// uniformly within the spread (seeded: identical inputs give identical
-// distributions).
-func Run(base *core.System, db *tech.DB, spread Spread, n int, seed int64) (Distribution, error) {
-	return RunCtx(context.Background(), base, db, spread, n, seed)
-}
-
-// RunCtx is Run with cancellation and engine options. It runs on a
-// compiled parameter plan and is bit-identical to RunReference at any
-// worker count.
+// RunCtx samples the system's embodied carbon n times with parameters
+// drawn uniformly within the spread (seeded: identical inputs give
+// identical distributions), with cancellation and engine options. It
+// runs on a compiled parameter plan and is bit-identical to
+// RunReference at any worker count.
 func RunCtx(ctx context.Context, base *core.System, db *tech.DB, spread Spread, n int, seed int64, opts ...engine.Option) (Distribution, error) {
 	d, _, err := RunPlanned(ctx, base, db, spread, n, seed, opts...)
 	return d, err

@@ -13,24 +13,24 @@ func db() *tech.DB { return tech.Default() }
 
 func TestRunErrors(t *testing.T) {
 	base := testcases.GA102(db(), 7, 14, 10, false)
-	if _, err := Run(base, db(), DefaultSpread(), 5, 1); err == nil {
+	if _, err := RunCtx(context.Background(), base, db(), DefaultSpread(), 5, 1); err == nil {
 		t.Error("too few samples should fail")
 	}
 	bad := DefaultSpread()
 	bad.EPA = 0.9
-	if _, err := Run(base, db(), bad, 100, 1); err == nil {
+	if _, err := RunCtx(context.Background(), base, db(), bad, 100, 1); err == nil {
 		t.Error("excessive spread should fail")
 	}
 	broken := testcases.GA102(db(), 7, 14, 10, false)
 	broken.Chiplets[0].Transistors = 0
-	if _, err := Run(broken, db(), DefaultSpread(), 100, 1); err == nil {
+	if _, err := RunCtx(context.Background(), broken, db(), DefaultSpread(), 100, 1); err == nil {
 		t.Error("invalid system should fail")
 	}
 }
 
 func TestDistributionShape(t *testing.T) {
 	base := testcases.GA102(db(), 7, 14, 10, false)
-	d, err := Run(base, db(), DefaultSpread(), 200, 42)
+	d, err := RunCtx(context.Background(), base, db(), DefaultSpread(), 200, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +62,18 @@ func TestDistributionShape(t *testing.T) {
 
 func TestDeterministicSeed(t *testing.T) {
 	base := testcases.GA102(db(), 7, 14, 10, false)
-	d1, err := Run(base, db(), DefaultSpread(), 100, 7)
+	d1, err := RunCtx(context.Background(), base, db(), DefaultSpread(), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Run(base, db(), DefaultSpread(), 100, 7)
+	d2, err := RunCtx(context.Background(), base, db(), DefaultSpread(), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1 != d2 {
 		t.Error("same seed must reproduce the distribution exactly")
 	}
-	d3, err := Run(base, db(), DefaultSpread(), 100, 8)
+	d3, err := RunCtx(context.Background(), base, db(), DefaultSpread(), 100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDeterministicSeed(t *testing.T) {
 
 func TestZeroSpreadCollapses(t *testing.T) {
 	base := testcases.GA102(db(), 7, 14, 10, false)
-	d, err := Run(base, db(), Spread{}, 50, 1)
+	d, err := RunCtx(context.Background(), base, db(), Spread{}, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunDoesNotMutate(t *testing.T) {
 	base := testcases.GA102(db(), 7, 14, 10, false)
 	beforeCI := base.Mfg.CarbonIntensity
 	beforePower := base.Design.PowerW
-	if _, err := Run(base, db(), DefaultSpread(), 50, 3); err != nil {
+	if _, err := RunCtx(context.Background(), base, db(), DefaultSpread(), 50, 3); err != nil {
 		t.Fatal(err)
 	}
 	if base.Mfg.CarbonIntensity != beforeCI || base.Design.PowerW != beforePower {

@@ -65,11 +65,3 @@ func (w Wafer) WastedAreaPerDie(dieAreaMM2 float64) (float64, error) {
 	}
 	return (w.AreaMM2() - float64(dpw)*dieAreaMM2) / float64(dpw), nil
 }
-
-// UtilizationFraction returns the fraction of the wafer area covered by
-// dies: DPW * A_die / A_wafer in [0, 1). Smaller dies pack better and
-// waste less periphery, which is the effect Fig. 3 of the paper builds on.
-func (w Wafer) UtilizationFraction(dieAreaMM2 float64) float64 {
-	dpw := w.DiesPerWafer(dieAreaMM2)
-	return float64(dpw) * dieAreaMM2 / w.AreaMM2()
-}

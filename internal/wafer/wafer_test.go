@@ -110,19 +110,3 @@ func TestSmallerDiesWasteLess(t *testing.T) {
 		prev = wasted
 	}
 }
-
-func TestUtilizationFraction(t *testing.T) {
-	w := Default()
-	small := w.UtilizationFraction(25)
-	big := w.UtilizationFraction(625)
-	if !(small > big) {
-		t.Errorf("smaller dies should utilize the wafer better: %g vs %g", small, big)
-	}
-	f := func(a uint16) bool {
-		u := w.UtilizationFraction(float64(a%1000) + 1)
-		return u >= 0 && u < 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -7,11 +7,3 @@ func BenchmarkDie(b *testing.B) {
 		Die(628, 0.2)
 	}
 }
-
-func BenchmarkAssembly3D(b *testing.B) {
-	tiers := []float64{0.95, 0.93, 0.91, 0.89}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Assembly3D(tiers, 0.98)
-	}
-}

@@ -51,28 +51,6 @@ func Layered(perLayer float64, layers int) float64 {
 	return math.Pow(perLayer, float64(layers))
 }
 
-// Assembly3D returns the yield of stacking `tiers` dies where each
-// die-to-die bond succeeds with probability bondYield and each tier's die
-// yield is given in tierYields. Per Section V-B of the paper, "the package
-// yield is the product of the yield of each tier" with an additional bond
-// term per interface (tiers-1 bonds).
-func Assembly3D(tierYields []float64, bondYield float64) float64 {
-	if bondYield < 0 || bondYield > 1 {
-		panic(fmt.Sprintf("yieldmodel: bond yield %g outside [0, 1]", bondYield))
-	}
-	y := 1.0
-	for i, ty := range tierYields {
-		if ty < 0 || ty > 1 {
-			panic(fmt.Sprintf("yieldmodel: tier %d yield %g outside [0, 1]", i, ty))
-		}
-		y *= ty
-	}
-	if n := len(tierYields); n > 1 {
-		y *= math.Pow(bondYield, float64(n-1))
-	}
-	return y
-}
-
 // BondYieldFromPitch maps a bond pitch in micrometres to a per-interface
 // bonding yield. Finer pitches are harder to align, so yield falls as the
 // pitch shrinks (Section III-D(1)(e): Y(3D, p) accounts for bump
@@ -94,16 +72,4 @@ func BondYieldFromPitch(pitchUM float64) float64 {
 	}
 	frac := (pitchUM - loPitch) / (hiPitch - loPitch)
 	return loYield + frac*(hiYield-loYield)
-}
-
-// KnownGoodDies returns the expected number of good dies out of n
-// candidates with yield y.
-func KnownGoodDies(n int, y float64) float64 {
-	if n < 0 {
-		panic(fmt.Sprintf("yieldmodel: negative die count %d", n))
-	}
-	if y < 0 || y > 1 {
-		panic(fmt.Sprintf("yieldmodel: yield %g outside [0, 1]", y))
-	}
-	return float64(n) * y
 }

@@ -127,51 +127,6 @@ func TestLayered(t *testing.T) {
 	}
 }
 
-func TestAssembly3D(t *testing.T) {
-	// Two tiers at 0.9 each with one bond at 0.95: 0.9*0.9*0.95.
-	got := Assembly3D([]float64{0.9, 0.9}, 0.95)
-	want := 0.9 * 0.9 * 0.95
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Assembly3D = %g, want %g", got, want)
-	}
-	// Single tier: no bond penalty.
-	if got := Assembly3D([]float64{0.8}, 0.5); got != 0.8 {
-		t.Errorf("single tier Assembly3D = %g, want 0.8", got)
-	}
-	// Empty: yield 1.
-	if got := Assembly3D(nil, 0.9); got != 1 {
-		t.Errorf("empty Assembly3D = %g, want 1", got)
-	}
-}
-
-func TestAssembly3DMoreTiersLowerYield(t *testing.T) {
-	tiers := []float64{0.95, 0.95, 0.95, 0.95}
-	prev := 1.0
-	for n := 1; n <= len(tiers); n++ {
-		y := Assembly3D(tiers[:n], 0.98)
-		if y >= prev {
-			t.Errorf("assembly yield with %d tiers (%g) should be below %g", n, y, prev)
-		}
-		prev = y
-	}
-}
-
-func TestAssembly3DPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"bad bond yield": func() { Assembly3D([]float64{0.9}, 1.5) },
-		"bad tier yield": func() { Assembly3D([]float64{1.9}, 0.9) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestBondYieldFromPitch(t *testing.T) {
 	// Larger pitches bond more reliably (Fig. 11d trend).
 	if BondYieldFromPitch(10) >= BondYieldFromPitch(45) {
@@ -197,16 +152,4 @@ func TestBondYieldFromPitch(t *testing.T) {
 		}
 	}()
 	BondYieldFromPitch(0)
-}
-
-func TestKnownGoodDies(t *testing.T) {
-	if got := KnownGoodDies(100, 0.85); got != 85 {
-		t.Errorf("KnownGoodDies(100, 0.85) = %g, want 85", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative count should panic")
-		}
-	}()
-	KnownGoodDies(-1, 0.5)
 }
