@@ -51,8 +51,13 @@ func (p Point) Label() string { return fmt.Sprint(p.Nodes) }
 // the cap is a wall-clock guard, not a memory one.
 const MaxCombinations = 1_000_000
 
-// comboCount returns r^nc with overflow protection against the cap.
-func comboCount(r, nc int) (int, error) {
+// comboCount returns len(nodes)^nc with overflow protection against the
+// cap; an empty node list is an error.
+func comboCount(nodes []int, nc int) (int, error) {
+	if len(nodes) == 0 {
+		return 0, fmt.Errorf("explore: no candidate nodes")
+	}
+	r := len(nodes)
 	combos := 1
 	for i := 0; i < nc; i++ {
 		combos *= r
@@ -124,11 +129,8 @@ func NodeSweepPlanned(ctx context.Context, base *core.System, db *tech.DB, nodes
 // candidate is the same node (e.g. [7, 7]), returns len(nodes)^nc copies
 // of it — exactly what NodeSweepReference returns at one worker.
 func sweepMonolith(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("explore: no candidate nodes")
-	}
 	nc := len(base.Chiplets)
-	combos, err := comboCount(len(nodes), nc)
+	combos, err := comboCount(nodes, nc)
 	if err != nil {
 		return nil, err
 	}
@@ -158,11 +160,8 @@ func sweepMonolith(ctx context.Context, base *core.System, db *tech.DB, nodes []
 // monolith path are checked against, and the baseline the compiled
 // path's speedup is measured against.
 func NodeSweepReference(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("explore: no candidate nodes")
-	}
 	nc := len(base.Chiplets)
-	combos, err := comboCount(len(nodes), nc)
+	combos, err := comboCount(nodes, nc)
 	if err != nil {
 		return nil, err
 	}

@@ -245,16 +245,16 @@ func TestComboStreaming(t *testing.T) {
 			t.Errorf("combo(%d) = %v, want %v", i, got, w)
 		}
 	}
-	if n, err := comboCount(10, 6); err != nil || n != 1_000_000 {
-		t.Errorf("comboCount(10, 6) = %d, %v; want exactly the 1M cap", n, err)
+	if n, err := comboCount(make([]int, 10), 6); err != nil || n != 1_000_000 {
+		t.Errorf("comboCount(10 nodes, 6) = %d, %v; want exactly the 1M cap", n, err)
 	}
-	if _, err := comboCount(10, 7); err == nil {
+	if _, err := comboCount(make([]int, 10), 7); err == nil {
 		t.Error("comboCount beyond the cap must error")
 	}
 	// 7 nodes over 6 chiplets (117,649 combos) exceeded the old 100k cap
 	// and must now be admissible.
-	if n, err := comboCount(7, 6); err != nil || n != 117_649 {
-		t.Errorf("comboCount(7, 6) = %d, %v; want 117649 admissible", n, err)
+	if n, err := comboCount(make([]int, 7), 6); err != nil || n != 117_649 {
+		t.Errorf("comboCount(7 nodes, 6) = %d, %v; want 117649 admissible", n, err)
 	}
 }
 

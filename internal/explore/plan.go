@@ -125,11 +125,10 @@ type CompiledPlan struct {
 // mid-sweep. A multi-chiplet monolith has no plan: its blocks share one
 // die, and NodeSweepCtx sweeps it with a single evaluation.
 func Compile(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*CompiledPlan, error) {
-	// BuildTable owns the shared preconditions (non-empty node list,
-	// system validation, node membership); Compile adds only the
-	// sweep-specific ones.
+	// BuildTable owns the shared preconditions (system validation, node
+	// membership); Compile adds only the sweep-specific ones.
 	nc := len(base.Chiplets)
-	combos, err := comboCount(len(nodes), nc)
+	combos, err := comboCount(nodes, nc)
 	if err != nil {
 		return nil, err
 	}

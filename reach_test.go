@@ -3,8 +3,6 @@
 package ecochip
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -164,24 +162,25 @@ func linkedFuncs(t *testing.T, mains []string) map[string]bool {
 	t.Helper()
 	tmp := t.TempDir()
 	linked := map[string]bool{}
-	build := func(dir, srcDir, pkg string) {
-		bin := filepath.Join(tmp, strings.ReplaceAll(filepath.ToSlash(srcDir+"/"+pkg), "/", "_"))
-		cmd := exec.Command("go", "build", "-gcflags=all=-l", "-o", bin, pkg)
+	// build builds the main package in dir (relative to the module
+	// root, where the test runs) from dir itself, so bench/ builds in
+	// its own module.
+	build := func(dir string) {
+		mainPkg := filepath.ToSlash(dir)
+		bin := filepath.Join(tmp, strings.ReplaceAll(mainPkg, "/", "_"))
+		cmd := exec.Command("go", "build", "-gcflags=all=-l", "-o", bin, ".")
 		cmd.Dir = dir
 		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s in %s: %v\n%s", pkg, dir, err, out)
+			t.Fatalf("go build in %s: %v\n%s", dir, err, out)
 		}
 		out, err := exec.Command("go", "tool", "nm", bin).Output()
 		if err != nil {
 			t.Fatalf("go tool nm %s: %v", bin, err)
 		}
-		mainPkg := filepath.ToSlash(filepath.Join(dir, pkg))
-		sc := bufio.NewScanner(bytes.NewReader(out))
-		sc.Buffer(nil, 1<<20)
-		for sc.Scan() {
+		for _, line := range strings.Split(string(out), "\n") {
 			// "address type name"; a name may hold spaces (generic shapes
 			// such as go.shape.struct { ... }), so cut only twice.
-			_, rest, _ := strings.Cut(strings.TrimSpace(sc.Text()), " ")
+			_, rest, _ := strings.Cut(strings.TrimSpace(line), " ")
 			typ, sym, _ := strings.Cut(rest, " ")
 			if typ != "T" && typ != "t" {
 				continue
@@ -191,10 +190,9 @@ func linkedFuncs(t *testing.T, mains []string) map[string]bool {
 			}
 		}
 	}
-	for _, dir := range mains {
-		build(".", ".", "./"+filepath.ToSlash(dir))
+	for _, dir := range append(mains, "bench") {
+		build(dir)
 	}
-	build("bench", "bench", ".")
 	return linked
 }
 
