@@ -46,8 +46,8 @@ import (
 // out (the largest small-object size class).
 const nodesChunkBytes = 32 << 10
 
-// SweepStats counts the work a compiled plan performed; the CLI surfaces
-// it under -progress next to the engine cache statistics.
+// SweepStats counts the work a compiled plan performed; ecodse prints it
+// under -progress.
 type SweepStats struct {
 	// Points is the number of design points evaluated from the table.
 	// A walk evaluates all Combos() of them; an orbit-path front

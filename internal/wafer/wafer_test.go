@@ -110,3 +110,22 @@ func TestSmallerDiesWasteLess(t *testing.T) {
 		prev = wasted
 	}
 }
+
+// The dies DiesPerWafer places cover less than the wafer, and smaller
+// dies cover more of it (the periphery effect Fig. 3 of the paper
+// builds on).
+func TestUtilizationFraction(t *testing.T) {
+	w := Default()
+	utilization := func(a float64) float64 { return float64(w.DiesPerWafer(a)) * a / w.AreaMM2() }
+	small, big := utilization(25), utilization(625)
+	if !(small > big) {
+		t.Errorf("smaller dies should utilize the wafer better: %g vs %g", small, big)
+	}
+	f := func(a uint16) bool {
+		u := utilization(float64(a%1000) + 1)
+		return u >= 0 && u < 1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
