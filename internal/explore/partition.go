@@ -195,8 +195,9 @@ type commKey struct {
 	dies   int
 }
 
-// DisaggregateCtx is Disaggregate with cancellation and engine options.
-// Each greedy step evaluates all O(n^2) candidate merges through the
+// DisaggregateCtx runs the greedy merge search on the system's blocks
+// and returns the best grouping found, with cancellation and engine
+// options. Each greedy step evaluates all O(n^2) candidate merges through the
 // batch engine on the search's step-spanning compiled state (see the
 // file comment); one memo cache is shared across all steps because
 // successive steps re-price mostly unchanged die sets. The greedy
