@@ -23,9 +23,9 @@ const reachAllowlist = "testdata/reach-allowlist.txt"
 
 // TestReach is the link-reachability gate: every non-test function of
 // the module must be linked into some shipped binary — a cmd/*, an
-// examples/* or the bench/ driver — or be listed in the allowlist with
-// the reason it stays (a test oracle, a fixture, a cross-check of a
-// production formula). The binaries are built with inlining off, so
+// examples/* or the bench/ benchmark — or be listed in the allowlist
+// with the reason it stays (a test oracle, a fixture, a cross-check of
+// a production formula). The binaries are built with inlining off, so
 // every reachable function keeps its own symbol, and `go tool nm`
 // lists what the linker kept. Linker liveness keeps some methods that
 // are only reachable through interfaces, so the gate can miss dead
@@ -154,7 +154,7 @@ func recvName(e ast.Expr) string {
 }
 
 // linkedFuncs builds every main package of the module and the bench/
-// driver with inlining off and returns the set of the module's
+// benchmark with inlining off and returns the set of the module's
 // functions their symbol tables hold, keyed like declaredFuncs. A
 // package main symbol counts only for the binary built from its own
 // directory.
