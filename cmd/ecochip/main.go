@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,8 @@ import (
 
 	"ecochip/internal/config"
 	"ecochip/internal/core"
+	"ecochip/internal/cost"
+	"ecochip/internal/explore"
 	"ecochip/internal/report"
 	"ecochip/internal/tech"
 )
@@ -63,7 +66,7 @@ func run(designDir string, maxCombos, topN int, w io.Writer) error {
 		return err
 	}
 	if len(nodes) > 0 && !system.Monolithic && len(system.Chiplets) > 1 {
-		return explore(w, system, db, nodes, maxCombos, topN)
+		return sweep(w, system, db, nodes, maxCombos, topN)
 	}
 	return nil
 }
@@ -86,14 +89,9 @@ func printBreakdown(w io.Writer, rep *core.Report) error {
 	return s.Fprint(w)
 }
 
-// explore sweeps every node combination over the chiplets (bounded by
+// sweep evaluates every node combination over the chiplets (bounded by
 // maxCombos) and prints the best designs by embodied carbon.
-func explore(w io.Writer, base *core.System, db *tech.DB, nodes []int, maxCombos, topN int) error {
-	type result struct {
-		label string
-		emb   float64
-		tot   float64
-	}
+func sweep(w io.Writer, base *core.System, db *tech.DB, nodes []int, maxCombos, topN int) error {
 	nc := len(base.Chiplets)
 	combos := 1
 	for i := 0; i < nc; i++ {
@@ -103,43 +101,18 @@ func explore(w io.Writer, base *core.System, db *tech.DB, nodes []int, maxCombos
 				len(nodes), nc, maxCombos)
 		}
 	}
-	assign := make([]int, nc)
-	var results []result
-	var walk func(int) error
-	walk = func(i int) error {
-		if i == nc {
-			picked := make([]int, nc)
-			copy(picked, assign)
-			s, err := base.WithNodes(picked...)
-			if err != nil {
-				return err
-			}
-			rep, err := s.Evaluate(db)
-			if err != nil {
-				return err
-			}
-			results = append(results, result{fmt.Sprint(picked), rep.EmbodiedKg(), rep.TotalKg()})
-			return nil
-		}
-		for _, nm := range nodes {
-			assign[i] = nm
-			if err := walk(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil {
+	results, err := explore.NodeSweepCtx(context.Background(), base, db, nodes, cost.DefaultParams())
+	if err != nil {
 		return err
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].emb < results[j].emb })
+	sort.Slice(results, func(i, j int) bool { return results[i].EmbodiedKg < results[j].EmbodiedKg })
 	if topN > len(results) {
 		topN = len(results)
 	}
 	t := report.New(fmt.Sprintf("best %d of %d node combinations (by C_emb)", topN, len(results)), "",
 		"nodes", "cemb_kg", "ctot_kg")
 	for _, r := range results[:topN] {
-		t.AddRow(r.label, report.F(r.emb), report.F(r.tot))
+		t.AddRow(r.Label(), report.F(r.EmbodiedKg), report.F(r.TotalKg))
 	}
 	return t.Fprint(w)
 }
