@@ -375,3 +375,62 @@ func TestWriteErrorStatus(t *testing.T) {
 		})
 	}
 }
+
+// A multi-chiplet monolith has no compiled plan, but /v1/sweep still
+// answers it: the points (or their front) carry the bits of
+// explore.NodeSweepCtx, and a node list that mixes nodes fails with the
+// reference sweep's error, as ecodse -mode sweep does.
+func TestHandlerMonolithSweep(t *testing.T) {
+	db := tech.Default()
+	sys, err := testcases.EPYCMonolith(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(db, Config{})
+	ts := httptest.NewServer(Handler(srv))
+	defer ts.Close()
+	ctx := context.Background()
+	cp := cost.DefaultParams()
+
+	for _, nodes := range [][]int{{7}, {7, 7}} {
+		want, err := explore.NodeSweepCtx(ctx, sys, db, nodes, cp, engine.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("monolith sweep over %v", nodes)
+		resp := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", &SweepRequest{System: sys, Nodes: nodes})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", label, resp.StatusCode)
+		}
+		got := decodeBody[SweepResponse](t, resp)
+		if got.Front || got.Total != len(want) || got.Key == "" {
+			t.Fatalf("%s: envelope front=%v total=%d key=%q, want all %d points under a key",
+				label, got.Front, got.Total, got.Key, len(want))
+		}
+		assertSamePoints(t, want, got.Points, label)
+
+		objs := []string{"embodied", "cost"}
+		resp = postJSON(t, ts.Client(), ts.URL+"/v1/sweep", &SweepRequest{System: sys, Nodes: nodes, Objectives: objs})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s front: status %d", label, resp.StatusCode)
+		}
+		got = decodeBody[SweepResponse](t, resp)
+		if !got.Front || got.Total != len(want) {
+			t.Fatalf("%s front: envelope front=%v total=%d", label, got.Front, got.Total)
+		}
+		assertSamePoints(t, explore.ParetoFront(want, explore.ByEmbodied, explore.ByCost), got.Points, label+" front")
+	}
+
+	mixed := []int{7, 10}
+	_, refErr := explore.NodeSweepReference(ctx, sys, db, mixed, cp, engine.WithWorkers(1))
+	if refErr == nil {
+		t.Fatal("the reference must reject a monolith over mixed nodes")
+	}
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", &SweepRequest{System: sys, Nodes: mixed})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mixed-node monolith sweep: status %d, want 400", resp.StatusCode)
+	}
+	if e := decodeBody[map[string]string](t, resp); (*e)["error"] != refErr.Error() {
+		t.Fatalf("mixed-node monolith sweep: error %q, want the reference's %q", (*e)["error"], refErr.Error())
+	}
+}

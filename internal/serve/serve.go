@@ -197,7 +197,11 @@ type SweepResponse struct {
 	Points []explore.Point `json:"points"`
 }
 
-// Sweep runs a (possibly warm) compiled sweep.
+// Sweep runs a (possibly warm) compiled sweep. A multi-chiplet monolith,
+// which Compile rejects because its blocks share one die and so one
+// node, has no plan to cache: explore.NodeSweepCtx evaluates its die
+// once per request, and with objectives set the response is
+// explore.ParetoFront over those points.
 func (s *Server) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
 	release, err := s.admit.sweep.acquire(ctx)
 	if err != nil {
@@ -206,6 +210,9 @@ func (s *Server) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, 
 	defer release()
 	if req.System == nil {
 		return nil, fmt.Errorf("serve: sweep request carries no system")
+	}
+	if req.System.Monolithic && len(req.System.Chiplets) > 1 {
+		return s.sweepMonolith(ctx, req)
 	}
 	key, plan, err := s.sweepPlan(req.System, req.Nodes, req.costParams())
 	if err != nil {
@@ -230,6 +237,29 @@ func (s *Server) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, 
 		return nil, err
 	}
 	resp.Points = pts
+	return resp, nil
+}
+
+// sweepMonolith answers Sweep for a multi-chiplet monolith.
+func (s *Server) sweepMonolith(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
+	cp := req.costParams()
+	key, err := s.keyer.SweepKey(req.System, req.Nodes, cp)
+	if err != nil {
+		return nil, err
+	}
+	pts, err := explore.NodeSweepCtx(ctx, req.System, s.db, req.Nodes, cp, s.engineOpts()...)
+	if err != nil {
+		return nil, err
+	}
+	resp := &SweepResponse{Key: key, Total: len(pts), Points: pts}
+	if len(req.Objectives) > 0 {
+		ms, err := ParseObjectives(req.Objectives)
+		if err != nil {
+			return nil, err
+		}
+		resp.Front = true
+		resp.Points = explore.ParetoFront(pts, ms...)
+	}
 	return resp, nil
 }
 
