@@ -43,7 +43,7 @@ func epycDir(t *testing.T) string {
 }
 
 // The group -progress output must surface the disaggregate plan
-// statistics and the folded incremental-floorplan line on the
+// statistics and the folded floorplan-tree line on the
 // EPYC-scale testcase.
 func TestRunGroupProgressDisaggregateStats(t *testing.T) {
 	cfg := cfgFor("group")
@@ -59,7 +59,7 @@ func TestRunGroupProgressDisaggregateStats(t *testing.T) {
 	if !strings.Contains(s, "pooled-scratch reuses") {
 		t.Fatalf("group progress run missing pooled-scratch counter:\n%s", s)
 	}
-	if !strings.Contains(s, "incremental floorplan:") {
+	if !strings.Contains(s, "floorplan tree:") {
 		t.Fatalf("group progress run missing floorplan statistics:\n%s", s)
 	}
 	if !regexp.MustCompile(`\([0-9.]+% reuse\)`).MatchString(s) {

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The sweep -progress output must surface the incremental-floorplan
+// The sweep -progress output must surface the floorplan-tree
 // reuse statistics next to the compiled-plan counters (the example
 // design is multi-chiplet, so the packaging estimator runs).
 func TestRunSweepProgressFloorplanStats(t *testing.T) {
@@ -15,8 +15,8 @@ func TestRunSweepProgressFloorplanStats(t *testing.T) {
 	if err := run(exampleDir(t), cfg, &out, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stats.String(), "incremental floorplan:") {
-		t.Errorf("progress run missing incremental-floorplan statistics:\n%s", stats.String())
+	if !strings.Contains(stats.String(), "floorplan tree:") {
+		t.Errorf("progress run missing floorplan-tree statistics:\n%s", stats.String())
 	}
 }
 

@@ -88,7 +88,7 @@ func (s TreeStats) ReuseRate() float64 {
 // String renders the one-line summary CLIs print under -progress (the
 // single source of the format, so surfaces cannot drift).
 func (s TreeStats) String() string {
-	return fmt.Sprintf("incremental floorplan: %d memo / %d unchanged / %d+%d fallbacks / %d rebuilds (%.1f%% reuse)",
+	return fmt.Sprintf("floorplan tree: %d memo / %d unchanged / %d+%d fallbacks / %d rebuilds (%.1f%% reuse)",
 		s.MemoHits, s.Unchanged, s.Fallbacks, s.DiffFallbacks, s.Rebuilds, 100*s.ReuseRate())
 }
 
