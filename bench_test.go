@@ -230,9 +230,9 @@ func BenchmarkNodeSweepSerial(b *testing.B) {
 }
 
 // BenchmarkNodeSweepParallel measures the same 125-point sweep through
-// the uncompiled batch-engine path: worker-pool fan-out plus the shared
-// per-die memo cache and single-evaluation cost pricing (the PR 1
-// baseline the compiled plan is measured against).
+// the uncompiled batch-engine path: worker-pool fan-out of one full
+// evaluation and cost pricing per point (the baseline the compiled plan
+// is measured against).
 func BenchmarkNodeSweepParallel(b *testing.B) {
 	db := DefaultDB()
 	base := GA102(db, 7, 14, 10, false)

@@ -211,39 +211,23 @@ type CarbonDistribution = uncertainty.Distribution
 
 // Batch-evaluation engine (the parallel backend under every Section VI
 // workflow; see internal/engine).
-type (
-	// EngineOption configures a batch evaluation: worker count, shared
-	// memo cache, progress callback.
-	EngineOption = engine.Option
-	// EvalCache is the concurrency-safe memo cache of per-die sub-model
-	// results; share one across batches with WithCache.
-	EvalCache = engine.Cache
-	// EvalCacheStats reports cache hit counters.
-	EvalCacheStats = engine.Stats
-	// EvalHooks is the sub-model interception seam of a System
-	// evaluation (see System.EvaluateWith).
-	EvalHooks = core.Hooks
-)
+
+// EngineOption configures a batch evaluation: worker count and progress
+// callback.
+type EngineOption = engine.Option
 
 // Engine options.
 var (
 	// WithWorkers sets the worker count (0 = GOMAXPROCS, 1 = serial).
 	WithWorkers = engine.WithWorkers
-	// WithCache shares a memo cache across batch calls.
-	WithCache = engine.WithCache
-	// WithoutCache disables memoization (the uncached reference path).
-	WithoutCache = engine.WithoutCache
 	// WithProgress registers a (done, total) progress callback.
 	WithProgress = engine.WithProgress
 )
 
-// NewEvalCache returns an empty sub-model memo cache.
-func NewEvalCache() *EvalCache { return engine.NewCache() }
-
 // EvaluateBatch evaluates many systems against the database across a
-// worker pool with a shared memo cache. results[i] corresponds to
-// systems[i] and is byte-identical to systems[i].Evaluate(db) — the
-// parallelism and caching never change a float.
+// worker pool. results[i] corresponds to systems[i] and is
+// byte-identical to systems[i].Evaluate(db) — the parallelism never
+// changes a float.
 func EvaluateBatch(ctx context.Context, db *TechDB, systems []*System, opts ...EngineOption) ([]*Report, error) {
 	return engine.EvaluateBatch(ctx, db, systems, opts...)
 }

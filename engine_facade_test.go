@@ -2,8 +2,7 @@ package ecochip
 
 // Facade coverage of the batch-evaluation engine: the exported
 // EvaluateBatch / *Ctx workflows must behave exactly like their serial
-// counterparts while exposing the engine's knobs (workers, shared
-// cache, progress).
+// counterparts while exposing the engine's knobs (workers, progress).
 
 import (
 	"context"
@@ -19,11 +18,10 @@ func TestFacadeEvaluateBatch(t *testing.T) {
 		A15(db, 7, 14, 10, false),
 		EMR(db, 10, false),
 	}
-	cache := NewEvalCache()
 	var mu sync.Mutex
 	calls := 0
 	reports, err := EvaluateBatch(context.Background(), db, systems,
-		WithWorkers(2), WithCache(cache), WithProgress(func(done, total int) {
+		WithWorkers(2), WithProgress(func(done, total int) {
 			mu.Lock()
 			calls++
 			mu.Unlock()
@@ -45,9 +43,6 @@ func TestFacadeEvaluateBatch(t *testing.T) {
 	}
 	if calls != len(systems) {
 		t.Errorf("progress callback ran %d times, want %d", calls, len(systems))
-	}
-	if stats := cache.Stats(); stats.DieMisses == 0 {
-		t.Error("shared cache saw no die computations")
 	}
 }
 

@@ -186,13 +186,12 @@ func (s *System) Validate(db *tech.DB) error {
 	return nil
 }
 
-// Hooks lets an evaluation engine intercept the pure, expensive
-// sub-models of an evaluation with alternative implementations —
-// in practice the memoizing cache of internal/engine, which avoids
-// recomputing identical per-die results across the thousands of
-// near-duplicate systems a design-space sweep produces. A nil *Hooks or
-// a nil field falls back to the direct model call, so Evaluate(db) and
-// EvaluateWith(db, nil) are the same computation.
+// Hooks lets a caller serve the pure per-die sub-models of the die-cell
+// seam (CellFor, MonolithCell, CommDesignShareKg) from somewhere other
+// than a direct model call. kernel.ParamPlan is its user: it captures
+// which sub-model calls an evaluation makes and serves unperturbed ones
+// from its base tabulation. A nil *Hooks or a nil field falls back to
+// the direct model call.
 type Hooks struct {
 	// Die replaces mfg.Die.
 	Die func(n *tech.Node, d tech.DesignType, areaMM2 float64, p mfg.Params) (mfg.Result, error)
@@ -216,26 +215,20 @@ func (h *Hooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params) (floa
 
 // Evaluate runs the full ECO-CHIP carbon analysis of the system.
 func (s *System) Evaluate(db *tech.DB) (*Report, error) {
-	return s.EvaluateWith(db, nil)
-}
-
-// EvaluateWith is Evaluate with the sub-model hooks of a batch engine
-// (nil hooks reproduce Evaluate exactly).
-func (s *System) EvaluateWith(db *tech.DB, h *Hooks) (*Report, error) {
 	if err := s.Validate(db); err != nil {
 		return nil, err
 	}
 	if s.Monolithic || len(s.Chiplets) == 1 {
-		return s.evaluateMonolith(db, h)
+		return s.evaluateMonolith(db)
 	}
-	return s.evaluateHI(db, h)
+	return s.evaluateHI(db)
 }
 
 // evaluateMonolith merges all blocks onto one die: block areas are summed
 // (each block at its own density), yield applies to the merged area, and
 // there is no packaging term.
-func (s *System) evaluateMonolith(db *tech.DB, h *Hooks) (*Report, error) {
-	cell, err := s.MonolithCell(db, s.Chiplets[0].NodeNm, h)
+func (s *System) evaluateMonolith(db *tech.DB) (*Report, error) {
+	cell, err := s.MonolithCell(db, s.Chiplets[0].NodeNm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -271,12 +264,12 @@ func (s *System) nreParams() mfg.NREParams {
 // per-chiplet work is one DieCell each (the unit compiled sweep plans
 // tabulate); this function owns only the accumulation order and the
 // whole-package terms.
-func (s *System) evaluateHI(db *tech.DB, h *Hooks) (*Report, error) {
+func (s *System) evaluateHI(db *tech.DB) (*Report, error) {
 	rep := &Report{System: s.Name}
 
 	pkgChiplets := make([]pkgcarbon.Chiplet, len(s.Chiplets))
 	for i, c := range s.Chiplets {
-		cell, err := s.CellFor(db, c, c.NodeNm, h)
+		cell, err := s.CellFor(db, c, c.NodeNm, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +304,7 @@ func (s *System) evaluateHI(db *tech.DB, h *Hooks) (*Report, error) {
 	// Design carbon of the inter-die communication fabric (routers /
 	// PHYs), amortized over the system volume per Eq. (12). The fabric
 	// is synthesized once per system design.
-	share, err := s.CommDesignShareKg(db, s.Chiplets[0].NodeNm, len(s.Chiplets), h)
+	share, err := s.CommDesignShareKg(db, s.Chiplets[0].NodeNm, len(s.Chiplets), nil)
 	if err != nil {
 		return nil, err
 	}

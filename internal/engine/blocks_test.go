@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"ecochip/internal/core"
 )
 
 func TestRunScratchPerWorkerState(t *testing.T) {
@@ -17,7 +15,7 @@ func TestRunScratchPerWorkerState(t *testing.T) {
 	n := 64
 	owners := make([]*scratch, n)
 	_, err := RunScratch(context.Background(), n,
-		func(h *core.Hooks) (*scratch, error) {
+		func() (*scratch, error) {
 			return &scratch{id: int(created.Add(1))}, nil
 		},
 		func(_ context.Context, i int, sc *scratch) (int, error) {
@@ -41,7 +39,7 @@ func TestRunScratchPerWorkerState(t *testing.T) {
 func TestRunScratchInitError(t *testing.T) {
 	boom := errors.New("scratch init failed")
 	_, err := RunScratch(context.Background(), 8,
-		func(h *core.Hooks) (int, error) { return 0, boom },
+		func() (int, error) { return 0, boom },
 		func(_ context.Context, i int, _ int) (int, error) { return i, nil },
 		WithWorkers(2))
 	if !errors.Is(err, boom) {

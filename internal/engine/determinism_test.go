@@ -39,8 +39,8 @@ func fullFactorial(base *core.System, nodes []int) ([]*core.System, error) {
 // TestDeterminismFullFactorial is the acceptance test of the engine: a
 // 4-chiplet x 5-node full-factorial sweep (625 systems) evaluated
 // through EvaluateBatch must return byte-identical results to the serial
-// Evaluate loop — same point order, same floats — for every worker count
-// and with or without the memo cache.
+// Evaluate loop — same point order, same floats — for every worker
+// count.
 func TestDeterminismFullFactorial(t *testing.T) {
 	d := db()
 	base, err := testcases.GA102Split(d, 2, pkgcarbon.RDLFanout) // 2 digital + memory + analog = 4 chiplets
@@ -70,11 +70,9 @@ func TestDeterminismFullFactorial(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"serial-no-cache", []Option{WithWorkers(1), WithoutCache()}},
-		{"serial-cached", []Option{WithWorkers(1)}},
+		{"serial", []Option{WithWorkers(1)}},
 		{"parallel-2", []Option{WithWorkers(2)}},
 		{"parallel-8", []Option{WithWorkers(8)}},
-		{"parallel-shared-cache", []Option{WithWorkers(8), WithCache(NewCache())}},
 		{"parallel-default", nil},
 	} {
 		got, err := EvaluateBatch(context.Background(), d, systems, cfg.opts...)
@@ -84,36 +82,5 @@ func TestDeterminismFullFactorial(t *testing.T) {
 		for i := range systems {
 			assertReportsEqual(t, fmt.Sprintf("%s point %d", cfg.name, i), want[i], got[i])
 		}
-	}
-}
-
-// TestCacheHitRateOnSweep documents why the cache exists: the 625-system
-// factorial touches only 4 chiplets x 5 nodes = 20 distinct dies, so
-// almost every die lookup is a hit.
-func TestCacheHitRateOnSweep(t *testing.T) {
-	d := db()
-	base, err := testcases.GA102Split(d, 2, pkgcarbon.RDLFanout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	systems, err := fullFactorial(base, []int{7, 10, 14, 22, 28})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache()
-	if _, err := EvaluateBatch(context.Background(), d, systems, WithCache(c)); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	// 625 systems x 4 dies = 2500 lookups over <= 20 distinct dies
-	// (some (type, node) pairs coincide in area, so <= holds, not ==).
-	if s.DieHits+s.DieMisses != 2500 {
-		t.Errorf("die lookups = %d, want 2500", s.DieHits+s.DieMisses)
-	}
-	if s.DieMisses > 20 {
-		t.Errorf("die misses = %d, want <= 20 distinct dies", s.DieMisses)
-	}
-	if hr := s.HitRate(); hr < 0.95 {
-		t.Errorf("hit rate %.3f, want >= 0.95 on a full-factorial sweep", hr)
 	}
 }

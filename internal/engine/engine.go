@@ -7,9 +7,6 @@
 //   - index-addressed results: point i's result lands in slot i
 //     regardless of worker scheduling, so parallel output is
 //     byte-identical to the serial walk,
-//   - a concurrency-safe memo cache for the expensive pure sub-models
-//     (mfg.Die, descarbon.ChipletKg) that full-factorial sweeps would
-//     otherwise recompute thousands of times,
 //   - context cancellation with fail-fast error collection (the lowest
 //     observed failing index wins), and
 //   - an optional progress callback for long-running CLI sweeps.
@@ -35,8 +32,6 @@ import (
 // Options configures a batch run; build one from Option values.
 type Options struct {
 	workers  int
-	cache    *Cache
-	noCache  bool
 	progress func(done, total int)
 }
 
@@ -46,16 +41,6 @@ type Option func(*Options)
 // WithWorkers sets the worker count. Zero or negative selects
 // GOMAXPROCS; one gives a serial run (useful as a reference in tests).
 func WithWorkers(n int) Option { return func(o *Options) { o.workers = n } }
-
-// WithCache shares a memo cache across batch calls — e.g. the steps of a
-// greedy search, or the generations of a roadmap, which revisit the same
-// dies. A nil cache is ignored.
-func WithCache(c *Cache) Option { return func(o *Options) { o.cache = c } }
-
-// WithoutCache disables memoization entirely, making every task compute
-// its sub-models directly. Used to produce the uncached serial reference
-// path in equivalence tests and benchmarks.
-func WithoutCache() Option { return func(o *Options) { o.noCache = true } }
 
 // WithProgress registers a callback invoked after every completed point
 // with (completed, total). Calls are serialized; done is monotonically
@@ -81,20 +66,6 @@ func (o *Options) workerCount(n int) int {
 	return w
 }
 
-// hooks resolves the memoization hooks for this run: the shared cache if
-// one was provided, a fresh private cache by default, or nil direct
-// calls under WithoutCache.
-func (o *Options) hooks() *core.Hooks {
-	if o.noCache {
-		return nil
-	}
-	c := o.cache
-	if c == nil {
-		c = NewCache()
-	}
-	return c.Hooks()
-}
-
 // indexedErr pairs a task error with its point index so fail-fast error
 // reporting prefers the earliest failure observed: among the errors
 // that actually surfaced before cancellation stopped the batch, the
@@ -104,7 +75,7 @@ type indexedErr struct {
 	err   error
 }
 
-// Run evaluates fn(ctx, i, hooks) for i in [0, n) across the worker
+// Run evaluates fn(ctx, i) for i in [0, n) across the worker
 // pool and returns the results index-addressed. On the first task error
 // the context handed to the tasks is cancelled and the batch fails
 // fast, returning the lowest-index error observed (cancellation may
@@ -114,13 +85,11 @@ type indexedErr struct {
 // returns ctx.Err(). A panic inside a task is recovered into a
 // *PanicError (point index + stack) and fails the batch like any task
 // error, so one poisoned evaluation cannot take down a long-lived
-// serving process. The hooks argument carries the run's memo cache
-// (nil when caching is disabled) for forwarding to
-// core.System.EvaluateWith.
-func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int, h *core.Hooks) (T, error), opts ...Option) ([]T, error) {
+// serving process.
+func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error), opts ...Option) ([]T, error) {
 	return RunScratch(ctx, n,
-		func(h *core.Hooks) (*core.Hooks, error) { return h, nil },
-		func(ctx context.Context, i int, h *core.Hooks) (T, error) { return fn(ctx, i, h) },
+		func() (struct{}, error) { return struct{}{}, nil },
+		func(ctx context.Context, i int, _ struct{}) (T, error) { return fn(ctx, i) },
 		opts...)
 }
 
@@ -128,10 +97,9 @@ func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int, 
 // reusable report buffers, packaging estimators, floorplan arenas — that
 // is too expensive to rebuild per point and must not be shared across
 // goroutines. newScratch runs once on each worker goroutine before it
-// claims work, receiving the run's memo hooks (nil when caching is
-// disabled) so the scratch can capture them; fn then receives the
-// worker's scratch for every point it evaluates.
-func RunScratch[T, S any](ctx context.Context, n int, newScratch func(h *core.Hooks) (S, error), fn func(ctx context.Context, i int, scratch S) (T, error), opts ...Option) ([]T, error) {
+// claims work; fn then receives the worker's scratch for every point it
+// evaluates.
+func RunScratch[T, S any](ctx context.Context, n int, newScratch func() (S, error), fn func(ctx context.Context, i int, scratch S) (T, error), opts ...Option) ([]T, error) {
 	return RunScratchRelease(ctx, n, newScratch, nil, fn, opts...)
 }
 
@@ -141,13 +109,12 @@ func RunScratch[T, S any](ctx context.Context, n int, newScratch func(h *core.Ho
 // step-spanning pool (kernel.ScratchPool) can be returned to it and
 // keep their retained state warm for the next batch. A nil release is
 // ignored.
-func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func(h *core.Hooks) (S, error), release func(S), fn func(ctx context.Context, i int, scratch S) (T, error), opts ...Option) ([]T, error) {
+func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func() (S, error), release func(S), fn func(ctx context.Context, i int, scratch S) (T, error), opts ...Option) ([]T, error) {
 	o := buildOptions(opts)
 	results := make([]T, n)
 	if n == 0 {
 		return results, ctx.Err()
 	}
-	h := o.hooks()
 	workers := o.workerCount(n)
 
 	if workers == 1 {
@@ -156,7 +123,7 @@ func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func(h *
 		// small batches — no per-batch stack regrowth for recursive
 		// evaluators. Results and error selection are trivially
 		// identical to the one-worker pool.
-		scratch, err := safeScratch(h, newScratch)
+		scratch, err := safeScratch(newScratch)
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +156,7 @@ func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func(h *
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer pool.wg.Done()
-			scratch, err := safeScratch(h, newScratch)
+			scratch, err := safeScratch(newScratch)
 			if err != nil {
 				// A scratch failure poisons the whole run: report it
 				// ahead of any task error.
@@ -328,12 +295,10 @@ func (p *pool) err(ctx context.Context) error {
 }
 
 // EvaluateBatch evaluates every system against the database across the
-// worker pool, sharing one memo cache so identical per-die sub-results
-// (the bulk of a full-factorial sweep) are computed once. results[i] is
-// systems[i]'s report; the output is byte-identical to calling
-// systems[i].Evaluate(db) in order.
+// worker pool. results[i] is systems[i].Evaluate(db) — the same call, so
+// the output is byte-identical to evaluating the systems in order.
 func EvaluateBatch(ctx context.Context, db *tech.DB, systems []*core.System, opts ...Option) ([]*core.Report, error) {
-	return Run(ctx, len(systems), func(ctx context.Context, i int, h *core.Hooks) (*core.Report, error) {
-		return systems[i].EvaluateWith(db, h)
+	return Run(ctx, len(systems), func(_ context.Context, i int) (*core.Report, error) {
+		return systems[i].Evaluate(db)
 	}, opts...)
 }

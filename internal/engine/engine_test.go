@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"ecochip/internal/core"
-	"ecochip/internal/descarbon"
-	"ecochip/internal/mfg"
 	"ecochip/internal/tech"
 	"ecochip/internal/testcases"
 )
@@ -18,7 +20,7 @@ func db() *tech.DB { return tech.Default() }
 
 func TestRunIndexAddressing(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		got, err := Run(context.Background(), 100, func(_ context.Context, i int, _ *core.Hooks) (int, error) {
+		got, err := Run(context.Background(), 100, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		}, WithWorkers(workers))
 		if err != nil {
@@ -33,7 +35,7 @@ func TestRunIndexAddressing(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	got, err := Run(context.Background(), 0, func(_ context.Context, i int, _ *core.Hooks) (int, error) {
+	got, err := Run(context.Background(), 0, func(_ context.Context, i int) (int, error) {
 		t.Error("task ran for empty batch")
 		return 0, nil
 	})
@@ -44,7 +46,7 @@ func TestRunEmpty(t *testing.T) {
 
 func TestRunFailFast(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(context.Background(), 1000, func(_ context.Context, i int, _ *core.Hooks) (int, error) {
+	_, err := Run(context.Background(), 1000, func(_ context.Context, i int) (int, error) {
 		if i == 3 || i == 500 {
 			return 0, fmt.Errorf("task %d: %w", i, boom)
 		}
@@ -58,7 +60,7 @@ func TestRunFailFast(t *testing.T) {
 func TestRunSerialErrorIsLowestIndex(t *testing.T) {
 	// With one worker the walk is strictly ordered, so the error must be
 	// the first failing index — same as the old serial loops.
-	_, err := Run(context.Background(), 100, func(_ context.Context, i int, _ *core.Hooks) (int, error) {
+	_, err := Run(context.Background(), 100, func(_ context.Context, i int) (int, error) {
 		if i >= 10 {
 			return 0, fmt.Errorf("task %d failed", i)
 		}
@@ -73,7 +75,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	ran := 0
-	_, err := Run(ctx, 10000, func(_ context.Context, i int, _ *core.Hooks) (int, error) {
+	_, err := Run(ctx, 10000, func(_ context.Context, i int) (int, error) {
 		mu.Lock()
 		ran++
 		if ran == 5 {
@@ -95,7 +97,7 @@ func TestRunContextCancellation(t *testing.T) {
 func TestRunProgress(t *testing.T) {
 	var mu sync.Mutex
 	var seen []int
-	_, err := Run(context.Background(), 50, func(_ context.Context, i int, _ *core.Hooks) (int, error) {
+	_, err := Run(context.Background(), 50, func(_ context.Context, i int) (int, error) {
 		return i, nil
 	}, WithWorkers(4), WithProgress(func(done, total int) {
 		if total != 50 {
@@ -118,97 +120,9 @@ func TestRunProgress(t *testing.T) {
 	}
 }
 
-func TestCacheMemoizes(t *testing.T) {
-	c := NewCache()
-	n := db().MustGet(7)
-	p := mfg.DefaultParams()
-	r1, err := c.Die(n, tech.Logic, 100, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Die(n, tech.Logic, 100, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Error("cached die result differs from first computation")
-	}
-	direct, err := mfg.Die(n, tech.Logic, 100, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 != direct {
-		t.Error("cached die result differs from the direct model call")
-	}
-	s := c.Stats()
-	if s.DieMisses != 1 || s.DieHits != 1 {
-		t.Errorf("die stats = %+v, want 1 miss / 1 hit", s)
-	}
-
-	kg1, err := c.ChipletKg(1e6, n, descarbon.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg2, err := c.ChipletKg(1e6, n, descarbon.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	directKg, err := descarbon.ChipletKg(1e6, n, descarbon.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kg1 != kg2 || kg2 != directKg {
-		t.Error("cached design carbon differs from the direct model call")
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2", c.Len())
-	}
-	if hr := c.Stats().HitRate(); hr != 0.5 {
-		t.Errorf("hit rate = %g, want 0.5", hr)
-	}
-}
-
-func TestCacheDistinguishesParameters(t *testing.T) {
-	c := NewCache()
-	d := db()
-	n7, n14 := d.MustGet(7), d.MustGet(14)
-	p := mfg.DefaultParams()
-	greener := p
-	greener.CarbonIntensity = mfg.IntensityRenewable
-
-	r7, _ := c.Die(n7, tech.Logic, 100, p)
-	r14, _ := c.Die(n14, tech.Logic, 100, p)
-	rGreen, _ := c.Die(n7, tech.Logic, 100, greener)
-	rSmall, _ := c.Die(n7, tech.Logic, 50, p)
-	if r7 == r14 || r7 == rGreen || r7 == rSmall {
-		t.Error("distinct parameters must not collide in the cache")
-	}
-	// A cloned DB allocates fresh nodes, so perturbed what-if nodes never
-	// alias the base entries.
-	d2, err := d.Clone(func(n *tech.Node) { n.DefectDensity = tech.Clamp(n.DefectDensity*1.5, 0.07, 0.3) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	rClone, _ := c.Die(d2.MustGet(7), tech.Logic, 100, p)
-	if rClone == r7 {
-		t.Error("perturbed clone node must not share the base node's cache entry")
-	}
-	if c.Stats().DieMisses != 5 {
-		t.Errorf("die misses = %d, want 5", c.Stats().DieMisses)
-	}
-}
-
-func TestCacheErrorNotCached(t *testing.T) {
-	c := NewCache()
-	n := db().MustGet(7)
-	if _, err := c.Die(n, tech.Logic, -1, mfg.DefaultParams()); err == nil {
-		t.Fatal("negative area should error")
-	}
-	if c.Len() != 0 {
-		t.Error("errors must not be cached")
-	}
-}
-
+// TestEvaluateBatchMatchesSerial checks EvaluateBatch against Evaluate
+// bit for bit on hand-built testcases and 50 random systems spanning the
+// model's feature space, serially and across three workers.
 func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	d := db()
 	systems := []*core.System{
@@ -216,6 +130,10 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 		testcases.GA102(d, 7, 7, 7, true),
 		testcases.A15(d, 7, 14, 10, false),
 		testcases.EMR(d, 10, false),
+	}
+	rng := rand.New(rand.NewSource(23))
+	for range 50 {
+		systems = append(systems, testcases.Random(rng, d))
 	}
 	want := make([]*core.Report, len(systems))
 	for i, s := range systems {
@@ -225,7 +143,7 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 		}
 		want[i] = rep
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 3} {
 		got, err := EvaluateBatch(context.Background(), d, systems, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
@@ -233,6 +151,35 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 		for i := range systems {
 			assertReportsEqual(t, fmt.Sprintf("workers=%d system=%d", workers, i), want[i], got[i])
 		}
+	}
+}
+
+// TestEvaluateBatchOneULPApart batches a GA102 with a copy whose first
+// chiplet has one more ulp of transistors. The two are different
+// systems, so each report must carry the bits of its own Evaluate: a
+// batch that shared per-die results between near-equal inputs would hand
+// the copy the original's figures.
+func TestEvaluateBatchOneULPApart(t *testing.T) {
+	d := db()
+	base := testcases.GA102(d, 7, 14, 10, false)
+	bumped := *base
+	bumped.Chiplets = slices.Clone(base.Chiplets)
+	bumped.Chiplets[0].Transistors = math.Nextafter(bumped.Chiplets[0].Transistors, math.Inf(1))
+	systems := []*core.System{base, &bumped}
+
+	got, err := EvaluateBatch(context.Background(), d, systems, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*core.Report, len(systems))
+	for i, s := range systems {
+		if want[i], err = s.Evaluate(d); err != nil {
+			t.Fatal(err)
+		}
+		assertReportsEqual(t, fmt.Sprintf("system %d", i), want[i], got[i])
+	}
+	if want[0].MfgKg == want[1].MfgKg {
+		t.Fatal("the one-ulp copy must differ from the original in C_mfg, or this test checks nothing")
 	}
 }
 
@@ -247,33 +194,51 @@ func TestEvaluateBatchError(t *testing.T) {
 	}
 }
 
-// assertReportsEqual requires exact float equality on every exported
-// carbon figure — the byte-identical guarantee of the engine.
+// assertReportsEqual requires every field reachable from the two
+// reports — totals, per-chiplet rows and the packaging result with its
+// floorplan — to match, floats by math.Float64bits: the byte-identical
+// guarantee of the engine.
 func assertReportsEqual(t *testing.T, label string, want, got *core.Report) {
 	t.Helper()
-	if want.MfgKg != got.MfgKg || want.DesignKg != got.DesignKg ||
-		want.HIKg != got.HIKg || want.NREKg != got.NREKg ||
-		want.OperationalKg != got.OperationalKg {
-		t.Fatalf("%s: report differs from serial path:\nwant %+v\ngot  %+v", label, want, got)
-	}
-	if len(want.Chiplets) != len(got.Chiplets) {
-		t.Fatalf("%s: chiplet count differs", label)
-	}
-	for i := range want.Chiplets {
-		if want.Chiplets[i] != got.Chiplets[i] {
-			t.Fatalf("%s: chiplet %d differs:\nwant %+v\ngot  %+v", label, i, want.Chiplets[i], got.Chiplets[i])
+	w, g := reportFields(want), reportFields(got)
+	for path, wv := range w {
+		if gv, ok := g[path]; !ok || gv != wv {
+			t.Fatalf("%s: %s = %s, want %s", label, path, gv, wv)
 		}
 	}
-	if (want.Packaging == nil) != (got.Packaging == nil) {
-		t.Fatalf("%s: packaging presence differs", label)
-	}
-	if want.Packaging != nil {
-		// Compare scalar packaging fields; Floorplan is a pointer to a
-		// freshly allocated placement each run.
-		wp, gp := *want.Packaging, *got.Packaging
-		wp.Floorplan, gp.Floorplan = nil, nil
-		if wp != gp {
-			t.Fatalf("%s: packaging result differs:\nwant %+v\ngot  %+v", label, wp, gp)
+	for path, gv := range g {
+		if _, ok := w[path]; !ok {
+			t.Fatalf("%s: unexpected %s = %s", label, path, gv)
 		}
 	}
+}
+
+// reportFields flattens a report into path -> value, formatting floats
+// as their IEEE-754 bits so that equal values with different bits (and
+// NaNs) are told apart.
+func reportFields(r *core.Report) map[string]string {
+	out := map[string]string{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Float64:
+			out[path] = fmt.Sprintf("%#016x", math.Float64bits(v.Float()))
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(path, v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		case reflect.Int, reflect.Int64, reflect.String, reflect.Bool:
+			out[path] = fmt.Sprint(v)
+		}
+	}
+	walk("Report", reflect.ValueOf(r))
+	return out
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-
-	"ecochip/internal/core"
 )
 
 // PanicError is a panic recovered from a worker task, converted into an
@@ -52,11 +50,11 @@ func safeBlock(ctx context.Context, lo, hi int, tick func(), fn func(ctx context
 }
 
 // safeScratch invokes a scratch constructor with panic recovery.
-func safeScratch[S any](h *core.Hooks, newScratch func(h *core.Hooks) (S, error)) (s S, err error) {
+func safeScratch[S any](newScratch func() (S, error)) (s S, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return newScratch(h)
+	return newScratch()
 }

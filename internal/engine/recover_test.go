@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"ecochip/internal/core"
 )
 
 // A panicking point task must surface as a *PanicError naming the point,
@@ -14,7 +12,7 @@ import (
 // pooled goroutines alike).
 func TestRunRecoversTaskPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Run(context.Background(), 16, func(_ context.Context, i int, _ *core.Hooks) (int, error) {
+		_, err := Run(context.Background(), 16, func(_ context.Context, i int) (int, error) {
 			if i == 7 {
 				panic("poisoned point")
 			}
@@ -63,7 +61,7 @@ func TestRunBlocksRecoversBlockPanic(t *testing.T) {
 // not the process.
 func TestRunScratchRecoversConstructorPanic(t *testing.T) {
 	_, err := RunScratch(context.Background(), 4,
-		func(*core.Hooks) (int, error) { panic("bad scratch") },
+		func() (int, error) { panic("bad scratch") },
 		func(_ context.Context, i int, _ int) (int, error) { return i, nil },
 		WithWorkers(2))
 	var pe *PanicError

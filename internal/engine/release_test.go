@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"ecochip/internal/core"
 )
 
 // Every scratch a worker built must be released exactly once, on
@@ -16,7 +14,7 @@ func TestRunScratchReleaseReturnsEveryScratch(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		var mu sync.Mutex
 		built, released := 0, 0
-		newScratch := func(_ *core.Hooks) (int, error) {
+		newScratch := func() (int, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			built++
@@ -62,7 +60,7 @@ func TestRunScratchReleaseReturnsEveryScratch(t *testing.T) {
 // A nil release hook is the plain RunScratch behavior.
 func TestRunScratchReleaseNilHook(t *testing.T) {
 	got, err := RunScratchRelease(context.Background(), 5,
-		func(_ *core.Hooks) (struct{}, error) { return struct{}{}, nil },
+		func() (struct{}, error) { return struct{}{}, nil },
 		nil,
 		func(_ context.Context, i int, _ struct{}) (int, error) { return i + 1, nil },
 		WithWorkers(2))

@@ -111,7 +111,7 @@ func RunAll(db *tech.DB) ([]*report.Table, error) {
 // completion.
 func RunAllCtx(ctx context.Context, db *tech.DB, opts ...engine.Option) ([]*report.Table, error) {
 	ids := IDs()
-	return engine.Run(ctx, len(ids), func(_ context.Context, i int, _ *core.Hooks) (*report.Table, error) {
+	return engine.Run(ctx, len(ids), func(_ context.Context, i int) (*report.Table, error) {
 		t, err := Run(ids[i], db)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", ids[i], err)
@@ -120,8 +120,8 @@ func RunAllCtx(ctx context.Context, db *tech.DB, opts ...engine.Option) ([]*repo
 	}, opts...)
 }
 
-// evaluateAll batch-evaluates a slice of systems with the shared memo
-// cache — the common inner loop of the per-figure tuple sweeps.
+// evaluateAll batch-evaluates a slice of systems across the worker pool
+// — the common inner loop of the per-figure tuple sweeps.
 func evaluateAll(db *tech.DB, systems []*core.System) ([]*core.Report, error) {
 	return engine.EvaluateBatch(context.Background(), db, systems)
 }

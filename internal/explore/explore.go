@@ -9,8 +9,8 @@
 // All evaluation fans out through the internal/engine worker pool: node
 // combinations are generated by index (a streaming mixed-radix decode,
 // no recursive walk and no materialized combination list), evaluated in
-// parallel with a shared per-die memo cache, and returned in the exact
-// order of the historical serial walk.
+// parallel, and returned in the exact order of the historical serial
+// walk.
 package explore
 
 import (
@@ -137,17 +137,17 @@ func sweepMonolith(ctx context.Context, base *core.System, db *tech.DB, nodes []
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	first, err := evaluate(base, db, combo(0, nodes, nc), cp, nil)
+	first, err := evaluate(base, db, combo(0, nodes, nc), cp)
 	if err != nil {
 		return nil, err
 	}
 	if k := slices.IndexFunc(nodes, func(n int) bool { return n != nodes[0] }); k >= 0 {
 		// Validation rejects every mixed monolith, so this fails with the
 		// reference's error.
-		_, err := evaluate(base, db, combo(k, nodes, nc), cp, nil)
+		_, err := evaluate(base, db, combo(k, nodes, nc), cp)
 		return nil, err
 	}
-	return engine.Run(ctx, combos, func(_ context.Context, i int, _ *core.Hooks) (Point, error) {
+	return engine.Run(ctx, combos, func(_ context.Context, i int) (Point, error) {
 		pt := first
 		pt.Nodes = combo(i, nodes, nc)
 		return pt, nil
@@ -155,8 +155,7 @@ func sweepMonolith(ctx context.Context, base *core.System, db *tech.DB, nodes []
 }
 
 // NodeSweepReference is the uncompiled sweep: every point clones the
-// system, re-validates it and re-evaluates each sub-model through the
-// engine's memo cache. It is the test oracle the compiled path and the
+// system, re-validates it and re-evaluates every sub-model. It is the test oracle the compiled path and the
 // monolith path are checked against, and the baseline the compiled
 // path's speedup is measured against.
 func NodeSweepReference(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, error) {
@@ -165,17 +164,17 @@ func NodeSweepReference(ctx context.Context, base *core.System, db *tech.DB, nod
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(ctx, combos, func(_ context.Context, i int, h *core.Hooks) (Point, error) {
-		return evaluate(base, db, combo(i, nodes, nc), cp, h)
+	return engine.Run(ctx, combos, func(_ context.Context, i int) (Point, error) {
+		return evaluate(base, db, combo(i, nodes, nc), cp)
 	}, opts...)
 }
 
-func evaluate(base *core.System, db *tech.DB, picked []int, cp cost.Params, h *core.Hooks) (Point, error) {
+func evaluate(base *core.System, db *tech.DB, picked []int, cp cost.Params) (Point, error) {
 	s, err := base.WithNodes(picked...)
 	if err != nil {
 		return Point{}, err
 	}
-	rep, err := s.EvaluateWith(db, h)
+	rep, err := s.Evaluate(db)
 	if err != nil {
 		return Point{}, err
 	}

@@ -30,8 +30,8 @@ import (
 //
 //   - Merged-die cells are memoized per stable GROUP-PAIR id across
 //     steps: a candidate pair that survives a step unchanged re-reads
-//     its cell from a plain map instead of re-entering the mutex-guarded
-//     engine cache (and re-paying the merge's name concatenation).
+//     its cell from a flat arena instead of recomputing it (and
+//     re-paying the merge's name concatenation).
 //     Missing entries are filled serially before each step's parallel
 //     fan-out, so candidate evaluation itself never touches a lock.
 //   - The per-step unchanged-chiplet cells and communication design
@@ -139,13 +139,6 @@ type mergedCell struct {
 	cell core.DieCell
 }
 
-// candScratch is one worker's per-batch state: the run's memo hooks and
-// the pooled kernel arena (packaging estimator + descriptor buffer).
-type candScratch struct {
-	h  *core.Hooks
-	sc *kernel.Scratch
-}
-
 // disaggState is the step-spanning compiled state of one search. The
 // cell memos are flat arenas indexed by the dense group ids (initial
 // groups take 0..nc-1, each accepted merge mints the next id, and a
@@ -199,8 +192,8 @@ type commKey struct {
 // and returns the best grouping found, with cancellation and engine
 // options. Each greedy step evaluates all O(n^2) candidate merges through the
 // batch engine on the search's step-spanning compiled state (see the
-// file comment); one memo cache is shared across all steps because
-// successive steps re-price mostly unchanged die sets. The greedy
+// file comment), which successive steps share because they re-price
+// mostly unchanged die sets. The greedy
 // trajectory is bit-identical to DisaggregateReference.
 func DisaggregateCtx(ctx context.Context, base *core.System, db *tech.DB, opts ...engine.Option) (*Plan, error) {
 	ds, err := CompileDisaggregate(base, db)
@@ -215,19 +208,18 @@ func DisaggregateCtx(ctx context.Context, base *core.System, db *tech.DB, opts .
 // compile and a run so the serving layer can keep the search warm in a
 // plan cache (keyed by DisaggregateKey). Everything the greedy loop
 // tabulates is retained across runs: the merged-die and unchanged-die
-// cell memos, the communication-share memo, the engine cache behind the
-// full evaluations, and the pooled worker scratches with their warm
+// cell memos, the communication-share memo, and the pooled worker
+// scratches with their warm
 // floorplan trees. The trajectory is deterministic in (base, db), so a
 // warm re-run revisits exactly the memoized groups and pairs — it
 // re-prices almost nothing — and returns a Plan bit-identical to the
 // first run (and to a cold DisaggregateCtx), which the parity suite
 // pins. Runs serialize on the retained state; concurrent callers queue.
 type DisaggregateSearch struct {
-	base  *core.System // private clone; runs clone it again to mutate
-	db    *tech.DB
-	cache *engine.Cache
-	mu    sync.Mutex
-	st    *disaggState
+	base *core.System // private clone; runs clone it again to mutate
+	db   *tech.DB
+	mu   sync.Mutex
+	st   *disaggState
 }
 
 // CompileDisaggregate validates the system and builds the search's
@@ -262,14 +254,7 @@ func CompileDisaggregate(base *core.System, db *tech.DB) (*DisaggregateSearch, e
 	return &DisaggregateSearch{
 		base: template,
 		db:   db,
-		// Share one cache across every step — and across runs — unless a
-		// run's caller provides their own engine configuration. The cache
-		// backs the full evaluations (the starting point and the final
-		// 2 -> 1 merge); the per-step cell tabulation runs on the
-		// search's own flat memos instead, which dedup at least as well
-		// without the hashed-key layer.
-		cache: engine.NewCache(),
-		st:    st,
+		st:   st,
 	}, nil
 }
 
@@ -306,7 +291,6 @@ func (ds *DisaggregateSearch) Run(ctx context.Context, opts ...engine.Option) (*
 	for i := range st.ids {
 		st.ids[i] = i
 	}
-	opts = append([]engine.Option{engine.WithCache(ds.cache)}, opts...)
 
 	groups := make([][]string, nc)
 	for i, c := range current.Chiplets {
@@ -325,16 +309,9 @@ func (ds *DisaggregateSearch) Run(ctx context.Context, opts ...engine.Option) (*
 			return nil, err
 		}
 		evaluated, err := engine.RunScratchRelease(ctx, len(pairs),
-			func(h *core.Hooks) (*candScratch, error) {
-				sc, err := st.pool.Get()
-				if err != nil {
-					return nil, err
-				}
-				return &candScratch{h: h, sc: sc}, nil
-			},
-			func(cs *candScratch) { st.pool.Put(cs.sc) },
-			func(_ context.Context, k int, cs *candScratch) (float64, error) {
-				return st.evalMergeCandidate(current, &pairs[k], cs)
+			st.pool.Get, st.pool.Put,
+			func(_ context.Context, k int, sc *kernel.Scratch) (float64, error) {
+				return st.evalMergeCandidate(current, &pairs[k], sc)
 			}, opts...)
 		if err != nil {
 			return nil, err
@@ -565,22 +542,22 @@ func (st *disaggState) applyMergeIDs(current *core.System, i, j int) {
 // candidate's chiplet order is that of applyMerge — survivors in order,
 // the merged die last — and the reduction follows evaluateHI's
 // accumulation order exactly, so the result is bit-identical to
-// applyMerge(s, i, j).EvaluateWith(db, h).EmbodiedKg(). The survivor
+// applyMerge(s, i, j).Evaluate(db).EmbodiedKg(). The survivor
 // terms fold from the step's dense metric columns and the merged term
 // from the arena columns: the same additions in the same order as the
 // old DieCell-record walk, bit for bit.
-func (st *disaggState) evalMergeCandidate(s *core.System, c *mergeCandidate, cs *candScratch) (float64, error) {
+func (st *disaggState) evalMergeCandidate(s *core.System, c *mergeCandidate, sc *kernel.Scratch) (float64, error) {
 	if len(s.Chiplets) == 2 {
 		// The final merge collapses to a single die, which evaluates
 		// down the monolith path; take the reference route for it.
-		rep, err := applyMerge(s, c.i, c.j).EvaluateWith(st.db, cs.h)
+		rep, err := applyMerge(s, c.i, c.j).Evaluate(st.db)
 		if err != nil {
 			return 0, err
 		}
 		return rep.EmbodiedKg(), nil
 	}
 	var mfgKg, desKg, nreKg float64
-	pkgCh := cs.sc.ResizeChiplets(len(s.Chiplets) - 1)
+	pkgCh := sc.ResizeChiplets(len(s.Chiplets) - 1)
 	idx := 0
 	stepDes := st.stepDes[:len(st.stepMfg)]
 	stepNre := st.stepNre[:len(st.stepMfg)]
@@ -599,7 +576,7 @@ func (st *disaggState) evalMergeCandidate(s *core.System, c *mergeCandidate, cs 
 	desKg += st.mergedDes[m]
 	nreKg += st.mergedNre[m]
 	pkgCh[idx] = pkgcarbon.Chiplet{Name: st.mergedEntries[m].ch.Name, AreaMM2: st.mergedArea[m], Node: st.mergedNode[m]}
-	pkg, err := cs.sc.EstimatePackage()
+	pkg, err := sc.EstimatePackage()
 	if err != nil {
 		return 0, err
 	}

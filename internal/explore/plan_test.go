@@ -114,7 +114,7 @@ func pointsBitIdentical(a, b Point) bool {
 }
 
 // The compiled/incremental sweep must be byte-identical — same order,
-// same float bits — to the per-point EvaluateWith path across random
+// same float bits — to the per-point Evaluate path across random
 // systems, node sets, packaging archetypes and NRE/reuse flags, at any
 // worker count.
 func TestCompiledSweepMatchesReferenceRandomized(t *testing.T) {

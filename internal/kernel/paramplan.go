@@ -23,9 +23,8 @@ import (
 // perturbations — a cloned tech database with scaled defect density, a
 // scaled design-effort knob, a different lifetime. The uncompiled path
 // pays a full evaluation per perturbation: clone, re-validate,
-// re-floorplan, re-run every sub-model (the engine memo cache cannot
-// help across Monte Carlo samples, whose cloned *tech.Node keys never
-// repeat). But each perturbation leaves most sub-model inputs untouched:
+// re-floorplan, re-run every sub-model. But each perturbation leaves
+// most sub-model inputs untouched:
 //
 //   - chiplet areas read only the node density table, which no supported
 //     perturbation touches, so areas — and therefore the floorplan and
@@ -40,10 +39,10 @@ import (
 //
 // A Dirty set names the parameter groups a perturbation touched, and
 // Eval recomputes exactly the sub-models those groups feed, serving
-// everything else from the base tabulation through the core.Hooks seam —
-// the same seam the engine memo cache uses, so the assembly order (and
-// every float bit) of the result is the uncompiled path's by
-// construction. The randomized equivalence tests in internal/sensitivity
+// everything else from the base tabulation through the core.Hooks seam of
+// CellFor, MonolithCell and CommDesignShareKg — the calls Evaluate itself
+// makes — so the assembly order (and every float bit) of the result is
+// the uncompiled path's by construction. The randomized equivalence tests in internal/sensitivity
 // and internal/uncertainty guard the dirty-set mapping itself: if a new
 // sub-model dependency ever violates an invariance assumed here, those
 // tests break before any analysis result can drift.
@@ -103,7 +102,7 @@ const (
 const cellDirty = DirtyNodes | DirtyMfg | DirtyDesign | DirtyAreas | DirtyVolume
 
 // ParamStats counts the work a parameter plan performed; CLIs surface it
-// under -progress next to the engine cache statistics.
+// under -progress.
 type ParamStats struct {
 	// Evals is the number of perturbed points evaluated.
 	Evals uint64
@@ -353,7 +352,7 @@ func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params)
 // run on this same runner.
 func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scratch) (*core.System, *tech.DB, Dirty, error), opts ...engine.Option) ([]Totals, error) {
 	return engine.RunScratch(ctx, n,
-		func(*core.Hooks) (*Scratch, error) { return p.NewScratch() },
+		func() (*Scratch, error) { return p.NewScratch() },
 		func(_ context.Context, k int, sc *Scratch) (Totals, error) {
 			s, db, dirty, err := apply(k, sc)
 			if err != nil {
@@ -367,7 +366,7 @@ func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scrat
 // s and db are the perturbed descriptors (for untouched groups, pass the
 // base values), and dirty names the parameter groups the perturbation
 // touched. The result carries the exact float bits of
-// s.EvaluateWith(db, nil) — sub-models whose inputs the dirty set leaves
+// s.Evaluate(db) — sub-models whose inputs the dirty set leaves
 // untouched are served from the base tabulation, everything else is
 // recomputed through the same code paths the direct evaluation runs.
 // The contract is only as good as the dirty declaration: an under-declared

@@ -101,14 +101,11 @@ func Evaluate(db *tech.DB, generations []Generation) (*Report, error) {
 // EvaluateCtx is Evaluate with cancellation and engine options. The
 // generation walk itself is inherently sequential (which chiplets count
 // as reused depends on every earlier generation), but each generation's
-// reuse-aware and naive variants evaluate concurrently, and one memo
-// cache spans the whole roadmap — carried-over chiplets are exactly the
-// ones whose die results repeat generation after generation.
+// reuse-aware and naive variants evaluate concurrently.
 func EvaluateCtx(ctx context.Context, db *tech.DB, generations []Generation, opts ...engine.Option) (*Report, error) {
 	if len(generations) == 0 {
 		return nil, fmt.Errorf("roadmap: no generations")
 	}
-	opts = append([]engine.Option{engine.WithCache(engine.NewCache())}, opts...)
 	seen := map[chipletKey]bool{}
 	rep := &Report{}
 	for gi, gen := range generations {

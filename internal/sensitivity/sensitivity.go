@@ -186,17 +186,17 @@ func TornadoPlanned(ctx context.Context, base *core.System, db *tech.DB, rel flo
 
 // TornadoReference is the uncompiled tornado: the base point and both
 // perturbed points of every factor (2F+1 evaluations) fan out across the
-// batch engine, each as a full EvaluateWith through the engine's memo
-// cache. It is the oracle the compiled path is tested against and the
-// baseline its speedup is measured against.
+// batch engine, each as a full Evaluate. It is the oracle the compiled
+// path is tested against and the baseline its speedup is measured
+// against.
 func TornadoReference(ctx context.Context, base *core.System, db *tech.DB, rel float64, opts ...engine.Option) ([]Result, error) {
 	if rel <= 0 || rel >= 1 {
 		return nil, fmt.Errorf("sensitivity: relative perturbation %g outside (0, 1)", rel)
 	}
 	fs := factors()
-	kgs, err := engine.Run(ctx, 1+2*len(fs), func(_ context.Context, i int, h *core.Hooks) (float64, error) {
+	kgs, err := engine.Run(ctx, 1+2*len(fs), func(_ context.Context, i int) (float64, error) {
 		if i == 0 {
-			rep, err := base.EvaluateWith(db, h)
+			rep, err := base.Evaluate(db)
 			if err != nil {
 				return 0, err
 			}
@@ -209,7 +209,7 @@ func TornadoReference(ctx context.Context, base *core.System, db *tech.DB, rel f
 			scale = 1 + rel
 			side = "high"
 		}
-		kg, err := evalScaled(base, db, f, scale, h)
+		kg, err := evalScaled(base, db, f, scale)
 		if err != nil {
 			return 0, fmt.Errorf("sensitivity: factor %q %s: %w", f.name, side, err)
 		}
@@ -234,12 +234,12 @@ func assemble(fs []factor, kgs []float64) []Result {
 	return results
 }
 
-func evalScaled(base *core.System, db *tech.DB, f factor, scale float64, h *core.Hooks) (float64, error) {
+func evalScaled(base *core.System, db *tech.DB, f factor, scale float64) (float64, error) {
 	s, db2, err := f.apply(*base, db, scale)
 	if err != nil {
 		return 0, err
 	}
-	rep, err := s.EvaluateWith(db2, h)
+	rep, err := s.Evaluate(db2)
 	if err != nil {
 		return 0, err
 	}

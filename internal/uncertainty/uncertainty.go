@@ -155,7 +155,7 @@ func RunPlanned(ctx context.Context, base *core.System, db *tech.DB, spread Spre
 		return Distribution{}, nil, err
 	}
 	samples, err := engine.RunScratch(ctx, n,
-		func(*core.Hooks) (*kernel.Scratch, error) { return plan.NewScratch() },
+		func() (*kernel.Scratch, error) { return plan.NewScratch() },
 		func(_ context.Context, i int, sc *kernel.Scratch) (float64, error) {
 			rng := newSampleStream(seed, i)
 			d0Scale := rng.draw(spread.DefectDensity)
@@ -181,14 +181,13 @@ func RunPlanned(ctx context.Context, base *core.System, db *tech.DB, spread Spre
 
 // RunReference is the uncompiled Monte Carlo: every sample clones the
 // technology database, re-validates the perturbed system and runs a full
-// EvaluateWith through the engine's memo cache. It is the oracle the
-// compiled path is tested against and the baseline its speedup is
-// measured against.
+// Evaluate. It is the oracle the compiled path is tested against and the
+// baseline its speedup is measured against.
 func RunReference(ctx context.Context, base *core.System, db *tech.DB, spread Spread, n int, seed int64, opts ...engine.Option) (Distribution, error) {
 	if err := checkRun(base, db, spread, n); err != nil {
 		return Distribution{}, err
 	}
-	samples, err := engine.Run(ctx, n, func(_ context.Context, i int, h *core.Hooks) (float64, error) {
+	samples, err := engine.Run(ctx, n, func(_ context.Context, i int) (float64, error) {
 		rng := newSampleStream(seed, i)
 		d0Scale := rng.draw(spread.DefectDensity)
 		epaScale := rng.draw(spread.EPA)
@@ -202,7 +201,7 @@ func RunReference(ctx context.Context, base *core.System, db *tech.DB, spread Sp
 		s := *base
 		s.Mfg.CarbonIntensity = tech.Clamp(s.Mfg.CarbonIntensity*rng.draw(spread.FabIntensity), 0.030, 0.700)
 		s.Design.PowerW = s.Design.PowerW * rng.draw(spread.DesignTime)
-		rep, err := s.EvaluateWith(dbi, h)
+		rep, err := s.Evaluate(dbi)
 		if err != nil {
 			return 0, err
 		}
