@@ -209,11 +209,9 @@ var EPYCMonolith = testcases.EPYCMonolith
 // CarbonDistribution summarizes a Monte Carlo uncertainty run.
 type CarbonDistribution = uncertainty.Distribution
 
-// Batch-evaluation engine (the parallel backend under every Section VI
-// workflow; see internal/engine).
-
-// EngineOption configures a batch evaluation: worker count and progress
-// callback.
+// EngineOption configures a run of the batch-evaluation engine, the
+// parallel backend under every Section VI workflow (see
+// internal/engine): worker count and progress callback.
 type EngineOption = engine.Option
 
 // Engine options.

@@ -155,9 +155,10 @@ func sweepMonolith(ctx context.Context, base *core.System, db *tech.DB, nodes []
 }
 
 // NodeSweepReference is the uncompiled sweep: every point clones the
-// system, re-validates it and re-evaluates every sub-model. It is the test oracle the compiled path and the
-// monolith path are checked against, and the baseline the compiled
-// path's speedup is measured against.
+// system, re-validates it and re-evaluates every sub-model. It is the
+// test oracle the compiled path and the monolith path are checked
+// against, and the baseline the compiled path's speedup is measured
+// against.
 func NodeSweepReference(ctx context.Context, base *core.System, db *tech.DB, nodes []int, cp cost.Params, opts ...engine.Option) ([]Point, error) {
 	nc := len(base.Chiplets)
 	combos, err := comboCount(nodes, nc)

@@ -193,8 +193,8 @@ type commKey struct {
 // options. Each greedy step evaluates all O(n^2) candidate merges through the
 // batch engine on the search's step-spanning compiled state (see the
 // file comment), which successive steps share because they re-price
-// mostly unchanged die sets. The greedy
-// trajectory is bit-identical to DisaggregateReference.
+// mostly unchanged die sets. The greedy trajectory is bit-identical to
+// DisaggregateReference.
 func DisaggregateCtx(ctx context.Context, base *core.System, db *tech.DB, opts ...engine.Option) (*Plan, error) {
 	ds, err := CompileDisaggregate(base, db)
 	if err != nil {
@@ -209,8 +209,7 @@ func DisaggregateCtx(ctx context.Context, base *core.System, db *tech.DB, opts .
 // plan cache (keyed by DisaggregateKey). Everything the greedy loop
 // tabulates is retained across runs: the merged-die and unchanged-die
 // cell memos, the communication-share memo, and the pooled worker
-// scratches with their warm
-// floorplan trees. The trajectory is deterministic in (base, db), so a
+// scratches with their warm floorplan trees. The trajectory is deterministic in (base, db), so a
 // warm re-run revisits exactly the memoized groups and pairs — it
 // re-prices almost nothing — and returns a Plan bit-identical to the
 // first run (and to a cold DisaggregateCtx), which the parity suite

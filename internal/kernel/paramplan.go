@@ -42,10 +42,11 @@ import (
 // everything else from the base tabulation through the core.Hooks seam of
 // CellFor, MonolithCell and CommDesignShareKg — the calls Evaluate itself
 // makes — so the assembly order (and every float bit) of the result is
-// the uncompiled path's by construction. The randomized equivalence tests in internal/sensitivity
-// and internal/uncertainty guard the dirty-set mapping itself: if a new
-// sub-model dependency ever violates an invariance assumed here, those
-// tests break before any analysis result can drift.
+// the uncompiled path's by construction. The randomized equivalence
+// tests in internal/sensitivity and internal/uncertainty guard the
+// dirty-set mapping itself: if a new sub-model dependency ever violates
+// an invariance assumed here, those tests break before any analysis
+// result can drift.
 
 // Dirty flags name the parameter groups one perturbed evaluation
 // touched relative to the plan's base point. An empty set re-derives the
@@ -352,7 +353,7 @@ func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params)
 // run on this same runner.
 func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scratch) (*core.System, *tech.DB, Dirty, error), opts ...engine.Option) ([]Totals, error) {
 	return engine.RunScratch(ctx, n,
-		func() (*Scratch, error) { return p.NewScratch() },
+		p.NewScratch,
 		func(_ context.Context, k int, sc *Scratch) (Totals, error) {
 			s, db, dirty, err := apply(k, sc)
 			if err != nil {

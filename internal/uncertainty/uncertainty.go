@@ -155,7 +155,7 @@ func RunPlanned(ctx context.Context, base *core.System, db *tech.DB, spread Spre
 		return Distribution{}, nil, err
 	}
 	samples, err := engine.RunScratch(ctx, n,
-		func() (*kernel.Scratch, error) { return plan.NewScratch() },
+		plan.NewScratch,
 		func(_ context.Context, i int, sc *kernel.Scratch) (float64, error) {
 			rng := newSampleStream(seed, i)
 			d0Scale := rng.draw(spread.DefectDensity)
