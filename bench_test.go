@@ -509,6 +509,32 @@ func BenchmarkParetoFrontEPYC8(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeSweepMaterializeEPYC8 measures ecodse -mode sweep at EPYC
+// scale: compile the 8-CCD EPYC over four nodes, evaluate all 262,144
+// points into a slice (NodeSweepCtx, the NodeSweepPlanned path) and
+// reduce them to the carbon-cost front. The fresh walk serves most Gray
+// steps' package terms from its per-orbit table, and ParetoFront reads
+// the standard objectives by field.
+func BenchmarkNodeSweepMaterializeEPYC8(b *testing.B) {
+	db := DefaultDB()
+	base, err := EPYC(db, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		points, err := NodeSweepCtx(ctx, base, db, []int{7, 10, 14, 22}, DefaultCostParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if front := ParetoFront(points, SweepByEmbodied, SweepByCost); len(points) != 262144 || len(front) != 14 {
+			b.Fatalf("unexpected front: %d of %d, want 14 of 262144", len(front), len(points))
+		}
+	}
+}
+
 // BenchmarkNodeSweepIncremental measures the full streaming walk of an
 // already-compiled plan (no front reduction, no point slice): the raw
 // per-point cost of the incremental evaluation stack — Gray odometer,

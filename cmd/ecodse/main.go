@@ -200,6 +200,7 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 			s.Points, s.TableCells, s.GraySteps, s.BlockInits)
 		fmt.Fprintf(statsW, "point memo: %d hits, %d misses (%d collision recomputes), %d fills, %d forced evictions\n",
 			s.PkgMemo.Hits, s.PkgMemo.Misses, s.PkgMemo.Collisions, s.PkgMemo.Fills, s.PkgMemo.Evictions)
+		fmt.Fprintf(statsW, "orbit table: %d hits, %d misses\n", s.PkgMemo.OrbitHits, s.PkgMemo.OrbitMisses)
 		if fp := s.Floorplan; fp.Plans() > 0 {
 			fmt.Fprintln(statsW, fp)
 		}

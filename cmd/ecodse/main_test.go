@@ -43,6 +43,9 @@ func TestRunSweepProgressStats(t *testing.T) {
 	if !strings.Contains(stats.String(), "compiled plan:") {
 		t.Errorf("progress run missing compiled-plan statistics:\n%s", stats.String())
 	}
+	if !strings.Contains(stats.String(), "orbit table: ") {
+		t.Errorf("progress run missing orbit-table statistics:\n%s", stats.String())
+	}
 }
 
 func TestRunTornadoMode(t *testing.T) {

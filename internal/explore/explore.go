@@ -256,19 +256,24 @@ func ParetoFront(points []Point, objectives ...Metric) []Point {
 
 // pivotFilter returns, in input order, the indices of the points that
 // neither the knee nor any objective's first minimum dominates, with
-// their objective values (k per survivor, flat).
+// their objective values (k per survivor, flat). It reads each point's
+// objective values three times, so the standard metrics are read by
+// field (see objectiveReader) instead of through a call that copies the
+// point.
 func pivotFilter(points []Point, objectives []Metric) (idx []int, vals []float64) {
 	k := len(objectives)
+	obj := newObjectiveReader(objectives)
+	v := make([]float64, k)
 	lo, hi := make([]float64, k), make([]float64, k)
 	argmin := make([]int, k)
 	for i := range points {
-		for j, m := range objectives {
-			v := m(points[i])
-			if i == 0 || v < lo[j] {
-				lo[j], argmin[j] = v, i
+		obj.read(&points[i], v)
+		for j, x := range v {
+			if i == 0 || x < lo[j] {
+				lo[j], argmin[j] = x, i
 			}
-			if i == 0 || v > hi[j] {
-				hi[j] = v
+			if i == 0 || x > hi[j] {
+				hi[j] = x
 			}
 		}
 	}
@@ -282,10 +287,11 @@ func pivotFilter(points []Point, objectives []Metric) (idx []int, vals []float64
 	}
 	knee, best := 0, math.Inf(1)
 	for i := range points {
+		obj.read(&points[i], v)
 		score := 0.0
-		for j, m := range objectives {
+		for j, x := range v {
 			if span[j] != 0 {
-				score += (m(points[i]) - lo[j]) / span[j]
+				score += (x - lo[j]) / span[j]
 			}
 		}
 		if score < best {
@@ -296,17 +302,12 @@ func pivotFilter(points []Point, objectives []Metric) (idx []int, vals []float64
 	pivotIdx := append(argmin, knee)
 	slices.Sort(pivotIdx)
 	pivotIdx = slices.Compact(pivotIdx)
-	pivots := make([]float64, 0, len(pivotIdx)*k)
-	for _, i := range pivotIdx {
-		for _, m := range objectives {
-			pivots = append(pivots, m(points[i]))
-		}
+	pivots := make([]float64, len(pivotIdx)*k)
+	for q, i := range pivotIdx {
+		obj.read(&points[i], pivots[q*k:(q+1)*k])
 	}
-	v := make([]float64, k)
 	for i := range points {
-		for j, m := range objectives {
-			v[j] = m(points[i])
-		}
+		obj.read(&points[i], v)
 		dominated := false
 		for q := 0; q < len(pivots) && !dominated; q += k {
 			dominated = dominatesVals(pivots[q:q+k], v)
@@ -317,6 +318,42 @@ func pivotFilter(points []Point, objectives []Metric) (idx []int, vals []float64
 		}
 	}
 	return idx, vals
+}
+
+// objectiveReader reads a point's objective values: ByEmbodied, ByTotal,
+// ByCost and ByArea (recognized by code pointer, as the orbit path
+// does) straight from the point's fields, any other Metric through a
+// call. The values, and so every comparison made on them, are the
+// metric's own.
+type objectiveReader struct {
+	fields     []int // standardField of each objective
+	objectives []Metric
+}
+
+func newObjectiveReader(objectives []Metric) objectiveReader {
+	fields := make([]int, len(objectives))
+	for j, m := range objectives {
+		fields[j] = standardField(m)
+	}
+	return objectiveReader{fields: fields, objectives: objectives}
+}
+
+// read writes the objective values of p into v.
+func (o objectiveReader) read(p *Point, v []float64) {
+	for j, f := range o.fields {
+		switch f {
+		case 0:
+			v[j] = p.EmbodiedKg
+		case 1:
+			v[j] = p.TotalKg
+		case 2:
+			v[j] = p.CostUSD
+		case 3:
+			v[j] = p.PackageAreaMM2
+		default:
+			v[j] = o.objectives[j](*p)
+		}
+	}
 }
 
 // skyline2Keys is the two-objective final pass over the survivors idx

@@ -12,18 +12,31 @@ import (
 	"ecochip/internal/kernel"
 )
 
-// This file implements the orbit path of a barrier Pareto front.
-// Chiplets i, j >= 1 are interchangeable when their descriptions match
-// except for the name and their table rows are bit-equal at every
-// candidate node: swapping their nodes yields the same design. (Chiplet
-// 0 never is: it alone carries the fabric's design share, keyed by its
-// node.) An orbit is the set of node assignments that are permutations
-// of one another within each class of interchangeable chiplets; its
-// members agree bit for bit on package area and differ in the carbon
-// and cost sums only by the rounding of summing the same terms in a
-// different chiplet order (measured at <= 3.7e-16 relative).
+// This file implements orbits of node assignments: the orbit path of a
+// barrier Pareto front and the orbit rank that keys a walk's per-orbit
+// package table. Chiplets i, j >= 1 are interchangeable when their
+// descriptions match except for the name and their table rows are
+// bit-equal at every candidate node: swapping their nodes yields the
+// same design. (Chiplet 0 never is: it alone carries the fabric's design
+// share, keyed by its node.) An orbit is the set of node assignments
+// that are permutations of one another within each class of
+// interchangeable chiplets.
 //
-// The front then needs only part of the walk. One representative per
+// Members of an orbit package the same multiset of chiplet areas, so
+// they agree bit for bit on package area, on the architecture's package
+// carbon including the attach term, and on assembly yield; only the
+// routing fold (router/PHY carbon and power, summed in chiplet order)
+// and the carbon and cost sums depend on the order, and those differ
+// only by the rounding of summing the same terms in a different order
+// (measured at <= 3.7e-16 relative). The walk relies on the first
+// claim for its bits: a Gray step whose orbit the scratch has already
+// estimated serves those three terms from the per-orbit table and
+// re-folds only the routing, in chiplet order (see packagePoint in
+// plan.go). TestOrbitTableMatchesReferencePerArchitecture pins it for
+// every architecture, with and without flexible floorplans, and the
+// randomized sweep equivalence tests on random class twins.
+//
+// A barrier front needs only part of the walk. One representative per
 // orbit is evaluated, exactly as EvalPoint would, and the
 // representatives are folded into a skyline. An orbit is pruned when a
 // skyline member Q beats its representative R by the relative margin
@@ -40,13 +53,18 @@ import (
 const orbitEps = 1e-9
 
 // standardMetrics are the code pointers of the objectives that read only
-// orbit-invariant point fields. Any other Metric may read Nodes, which
-// differ across an orbit, so it keeps the full walk.
+// orbit-invariant point fields, indexed as objectiveReader.read reads
+// their fields. Any other Metric may read Nodes, which differ across an
+// orbit, so it keeps the full walk.
 var standardMetrics = [...]uintptr{
 	metricPtr(ByEmbodied), metricPtr(ByTotal), metricPtr(ByCost), metricPtr(ByArea),
 }
 
 func metricPtr(m Metric) uintptr { return reflect.ValueOf(m).Pointer() }
+
+// standardField returns m's index in standardMetrics, or -1 for a
+// custom metric.
+func standardField(m Metric) int { return slices.Index(standardMetrics[:], metricPtr(m)) }
 
 // orbitClasses returns the classes (of size >= 2) of interchangeable
 // chiplets of a multi-die table, each in ascending chiplet order.
@@ -110,21 +128,47 @@ func multisets(r, s int) int {
 }
 
 // setClasses records the plan's classes of interchangeable chiplets, the
-// chiplets outside them and the orbit count.
+// chiplets outside them and the orbit count, and precomputes the tables
+// the walk maintains its orbit rank with.
 func (p *CompiledPlan) setClasses(classes [][]int) {
 	p.classes = classes
-	inClass := make([]bool, p.nc)
+	p.classOf = make([]int, p.nc)
+	p.keyWeight = make([]int, p.nc)
+	for i := range p.classOf {
+		p.classOf[i] = -1
+	}
+	// Weights run from the rank's least significant digit, the last
+	// class's, to its most significant, the first free chiplet's (see
+	// orbitUnrank).
 	p.orbits = 1
-	for _, c := range p.classes {
-		p.orbits *= multisets(p.r, len(c))
-		for _, i := range c {
-			inClass[i] = true
+	size := 0 // the largest class
+	for c := len(classes) - 1; c >= 0; c-- {
+		for _, i := range classes[c] {
+			p.classOf[i], p.keyWeight[i] = c, p.orbits
+		}
+		p.orbits *= multisets(p.r, len(classes[c]))
+		size = max(size, len(classes[c]))
+	}
+	for i := p.nc - 1; i >= 0; i-- {
+		if p.classOf[i] < 0 {
+			p.keyWeight[i] = p.orbits
+			p.orbits *= p.r
 		}
 	}
 	for i := 0; i < p.nc; i++ {
-		if !inClass[i] {
+		if p.classOf[i] < 0 {
 			p.free = append(p.free, i)
-			p.orbits *= p.r
+		}
+	}
+	// rankSkip[rest*r+v] counts the non-decreasing sequences of rest+1
+	// positions over [0, r) whose first value lies below v: the ranks a
+	// class position with rest positions after it skips by holding v
+	// instead of 0.
+	p.rankSkip = make([]int, size*p.r)
+	for rest := 0; rest < size; rest++ {
+		row := p.rankSkip[rest*p.r : (rest+1)*p.r]
+		for v := 1; v < p.r; v++ {
+			row[v] = row[v-1] + multisets(p.r-(v-1), rest)
 		}
 	}
 }
@@ -137,7 +181,7 @@ func (p *CompiledPlan) useOrbits(objectives []Metric) bool {
 		return false
 	}
 	for _, m := range objectives {
-		if !slices.Contains(standardMetrics[:], metricPtr(m)) {
+		if standardField(m) < 0 {
 			return false
 		}
 	}
@@ -175,6 +219,73 @@ func (p *CompiledPlan) orbitUnrank(rank int, digits []int) {
 		digits[p.free[f]] = rank % p.r
 		rank /= p.r
 	}
+}
+
+// The walk keeps the orbit rank of its current point in its scratch,
+// the key of the per-orbit package table: the inverse of orbitUnrank,
+// maintained per Gray step. For each class it tallies below[v], the
+// members whose digit lies below v. A class digit is then the sum, over
+// the positions i of the class's sorted digit sequence s, of
+// rankSkip[rest_i][s_i] − rankSkip[rest_i][s_{i−1}] (rest_i positions
+// follow i, s_{−1} = 0): the sequences orbitUnrank skips at position i.
+
+// initOrbit rebuilds the scratch's class tallies and orbit rank from its
+// digits: O(nc + r) per class.
+func (p *CompiledPlan) initOrbit(sc *blockScratch) {
+	clear(sc.below)
+	sc.orbit = 0
+	for i, d := range sc.digits {
+		if c := p.classOf[i]; c >= 0 {
+			sc.below[c*(p.r+1)+d+1]++ // a count; prefix-summed below
+		} else {
+			sc.orbit += d * p.keyWeight[i]
+		}
+	}
+	for c, class := range p.classes {
+		below := sc.below[c*(p.r+1) : (c+1)*(p.r+1)]
+		rank, lo := 0, 0
+		for v := 0; v < p.r; v++ {
+			// below[v] is summed; below[v+1] still counts digit v. A run
+			// of v starts at sorted position below[v].
+			if below[v+1] > 0 {
+				row := p.rankSkip[(len(class)-1-below[v])*p.r:]
+				rank += row[v] - row[lo]
+				lo = v
+			}
+			below[v+1] += below[v]
+		}
+		sc.orbit += rank * p.keyWeight[class[0]]
+	}
+}
+
+// stepOrbit updates the tallies and orbit rank for a Gray step that
+// moved chiplet j from digit old to d = old±1, in O(1). A class's
+// sorted sequence changes at one position i — its last old on a step
+// up, its first on a step down — and only the rank terms of positions i
+// and i+1 read s_i.
+func (p *CompiledPlan) stepOrbit(sc *blockScratch, j, old, d int) {
+	c := p.classOf[j]
+	if c < 0 {
+		sc.orbit += (d - old) * p.keyWeight[j]
+		return
+	}
+	below := sc.below[c*(p.r+1) : (c+1)*(p.r+1)]
+	var i int
+	if d > old {
+		below[d]--
+		i = below[d]
+	} else {
+		i = below[old]
+		below[old]++
+	}
+	rest := len(p.classes[c]) - 1 - i
+	row := p.rankSkip[rest*p.r:]
+	delta := row[d] - row[old]
+	if rest > 0 {
+		row = p.rankSkip[(rest-1)*p.r:]
+		delta -= row[d] - row[old]
+	}
+	sc.orbit += delta * p.keyWeight[j]
 }
 
 // orbitNext steps digits from one representative to the next rank's.

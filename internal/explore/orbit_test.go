@@ -104,7 +104,11 @@ func TestOrbitClasses(t *testing.T) {
 // The orbit enumeration must visit every point of the space exactly
 // once: representatives from orbitUnrank and orbitNext agree rank by
 // rank, each is sorted within its classes, and the members of all
-// orbits partition the output slots.
+// orbits partition the output slots. The walk's orbit rank, the key of
+// the per-orbit package table, must equal orbitUnrank's rank at every
+// member of every orbit: rebuilt from scratch at the member (initOrbit,
+// a walk's first point) and maintained across every Gray step of a
+// full walk (stepOrbit).
 func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 	for _, tc := range []struct {
 		nc, r   int
@@ -113,6 +117,7 @@ func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 		{3, 4, [][]int{{1, 2}}},
 		{6, 3, [][]int{{1, 2}, {3, 4, 5}}},
 		{6, 2, [][]int{{1, 3, 5}, {2, 4}}},
+		{5, 5, [][]int{{1, 4}, {2, 3}}},
 		{7, 4, [][]int{{2, 3, 4, 5, 6}}},
 		{9, 4, [][]int{{1, 2, 3, 4, 5, 6, 7}}},
 	} {
@@ -123,7 +128,17 @@ func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 			p.combos *= tc.r
 		}
 		p.setClasses(tc.classes)
+		slotOf := func(digits []int) int {
+			slot := 0
+			for i, d := range digits {
+				slot += d * p.weight[i]
+			}
+			return slot
+		}
+		sc := newGrayScratch(tc.nc)
+		sc.below = make([]int, len(p.classes)*(p.r+1))
 		seen := make([]bool, p.combos)
+		rankOf := make([]int, p.combos) // by output slot
 		members := 0
 		step := make([]int, p.nc)
 		p.orbitUnrank(0, step)
@@ -145,15 +160,17 @@ func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 			}
 			digits := append([]int(nil), rep...)
 			for more := true; more; more = p.nextMember(digits) {
-				slot := 0
-				for i, d := range digits {
-					slot += d * p.weight[i]
-				}
+				slot := slotOf(digits)
 				if seen[slot] {
 					t.Fatalf("%+v: slot %d (%v) visited twice", tc, slot, digits)
 				}
 				seen[slot] = true
+				rankOf[slot] = rank
 				members++
+				copy(sc.digits, digits)
+				if p.initOrbit(sc); sc.orbit != rank {
+					t.Fatalf("%+v: member %v of orbit %d initializes to rank %d", tc, digits, rank, sc.orbit)
+				}
 			}
 			if !reflect.DeepEqual(digits, rep) {
 				t.Fatalf("%+v rank %d: member walk ended at %v, not the representative %v", tc, rank, digits, rep)
@@ -161,6 +178,18 @@ func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 		}
 		if members != p.combos {
 			t.Fatalf("%+v: %d members over %d orbits, want %d points", tc, members, p.orbits, p.combos)
+		}
+
+		p.grayInit(0, sc)
+		p.initOrbit(sc)
+		for k := 0; k < p.combos; k++ {
+			if k > 0 {
+				j, old, d := p.grayStep(sc)
+				p.stepOrbit(sc, j, old, d)
+			}
+			if want := rankOf[slotOf(sc.digits)]; sc.orbit != want {
+				t.Fatalf("%+v: Gray step %d at %v keeps rank %d, want %d", tc, k, sc.digits, sc.orbit, want)
+			}
 		}
 	}
 }
@@ -345,4 +374,96 @@ func TestOrbitFrontFreshPlanSkipsPackageMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameFront(t, first, again, "warm orbit front")
+}
+
+// A fresh walk serves its Gray steps' package terms from the per-orbit
+// table, and every served point must carry the estimator's bits. Each
+// packaging architecture, rigid and flexible, on EPYC-4 over four nodes
+// and EPYC-8 over two, runs three RunCtx calls on one fresh plan at 1
+// and 3 workers (the first fills and hits the orbit table; later runs
+// also fill and hit the per-point memo) against NodeSweepReference.
+func TestOrbitTableMatchesReferencePerArchitecture(t *testing.T) {
+	d := db()
+	cp := cost.DefaultParams()
+	ctx := context.Background()
+	for _, shape := range []struct {
+		ccds  int
+		nodes []int
+	}{
+		{4, []int{7, 10, 14, 22}},
+		{8, []int{7, 14}},
+	} {
+		for _, arch := range pkgcarbon.Architectures {
+			for _, flexible := range []bool{false, true} {
+				label := fmt.Sprintf("EPYC-%d %v flexible=%v", shape.ccds, arch, flexible)
+				sys, err := testcases.EPYC(d, shape.ccds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Packaging = pkgcarbon.DefaultParams(arch)
+				sys.Packaging.FlexibleFloorplan = flexible
+				want, err := NodeSweepReference(ctx, sys, d, shape.nodes, cp)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				for _, workers := range []int{1, 3} {
+					plan, err := Compile(sys, d, shape.nodes, cp)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for run := 0; run < 3; run++ {
+						got, err := plan.RunCtx(ctx, engine.WithWorkers(workers))
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for i := range want {
+							if !pointsBitIdentical(got[i], want[i]) {
+								t.Fatalf("%s workers=%d run %d: point %d differs\nwant %+v\ngot  %+v", label, workers, run, i, want[i], got[i])
+							}
+						}
+					}
+					if st := plan.Stats().PkgMemo; st.OrbitHits == 0 {
+						t.Fatalf("%s workers=%d: the orbit table served no point: %+v", label, workers, st)
+					}
+				}
+			}
+		}
+	}
+}
+
+// On a fresh plan every Gray step consults the per-orbit table exactly
+// once (within one run the point memo, when a pooled scratch consults
+// it, never hits), and a plan without interchangeable chiplets never
+// does.
+func TestOrbitTableCountsGraySteps(t *testing.T) {
+	d := db()
+	epyc4, err := testcases.EPYC(d, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		sys     *core.System
+		classes bool
+	}{
+		{"epyc4", epyc4, true},
+		{"ga102", testcases.GA102(d, 7, 14, 10, false), false},
+	} {
+		plan, err := Compile(tc.sys, d, []int{7, 10, 14, 22}, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.RunCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+		st := plan.Stats()
+		h, m := st.PkgMemo.OrbitHits, st.PkgMemo.OrbitMisses
+		if tc.classes && (h+m != st.GraySteps || h == 0) {
+			t.Errorf("%s: orbit table %d hits + %d misses, want %d Gray steps with some hits", tc.name, h, m, st.GraySteps)
+		}
+		if !tc.classes && h+m != 0 {
+			t.Errorf("%s: orbit table %d hits, %d misses on a plan without classes", tc.name, h, m)
+		}
+	}
 }

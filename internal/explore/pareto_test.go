@@ -1,11 +1,15 @@
 package explore
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+
+	"ecochip/internal/cost"
+	"ecochip/internal/testcases"
 )
 
 // paretoFrontReference is the front before the pivot prefilter: the
@@ -217,4 +221,46 @@ func FuzzParetoFront(f *testing.F) {
 			t.Fatalf("front %v, want %v", got, want)
 		}
 	})
+}
+
+// ParetoFront reads the standard objectives by field and custom metrics
+// by call; on the materialized EPYC-8 sweep (262,144 points) a front
+// under standard metrics must equal, bit for bit and in order, the
+// front under closures that read the same fields, for two, three and
+// four objectives and for a mix of both kinds.
+func TestParetoFrontFieldReadsMatchCalls(t *testing.T) {
+	d := db()
+	sys, err := testcases.EPYC(d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := NodeSweepCtx(context.Background(), sys, d, []int{7, 10, 14, 22}, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	embodied := func(p Point) float64 { return p.EmbodiedKg }
+	total := func(p Point) float64 { return p.TotalKg }
+	usd := func(p Point) float64 { return p.CostUSD }
+	area := func(p Point) float64 { return p.PackageAreaMM2 }
+	for _, tc := range []struct {
+		name             string
+		standard, custom []Metric
+	}{
+		{"embodied-cost", []Metric{ByEmbodied, ByCost}, []Metric{embodied, usd}},
+		{"total-area", []Metric{ByTotal, ByArea}, []Metric{total, area}},
+		{"embodied-cost-area", []Metric{ByEmbodied, ByCost, ByArea}, []Metric{embodied, usd, area}},
+		{"all four", []Metric{ByEmbodied, ByTotal, ByCost, ByArea}, []Metric{embodied, total, usd, area}},
+		{"mixed", []Metric{ByCost, area, ByEmbodied}, []Metric{usd, ByArea, embodied}},
+	} {
+		want := ParetoFront(points, tc.custom...)
+		got := ParetoFront(points, tc.standard...)
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: %d front points by field, %d by call", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if !pointsBitIdentical(got[i], want[i]) {
+				t.Fatalf("%s: front point %d\ngot  %+v\nwant %+v", tc.name, i, got[i], want[i])
+			}
+		}
+	}
 }

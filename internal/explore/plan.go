@@ -67,10 +67,13 @@ type SweepStats struct {
 	// many packaging estimates were served from the shape memo or an
 	// unchanged plan versus laid out or rebuilt from scratch.
 	Floorplan floorplan.TreeStats
-	// PkgMemo aggregates the per-worker point-memo counters; its
-	// Collisions field counts the recomputes forced by the memo's
+	// PkgMemo aggregates the per-worker package-memo counters. Hits and
+	// Misses count the per-point memo (re-walks of a pooled scratch);
+	// its Collisions field counts the recomputes forced by the memo's
 	// direct-mapped slot table (the observable an eviction policy would
-	// be justified by).
+	// be justified by). OrbitHits and OrbitMisses count the per-orbit
+	// table that Gray steps of a plan with interchangeable chiplets
+	// consult after the point memo: a hit runs only the routing fold.
 	PkgMemo kernel.PkgMemoStats
 }
 
@@ -95,9 +98,16 @@ type CompiledPlan struct {
 	// classes are the classes of interchangeable chiplets, free the
 	// chiplets outside them, and orbits the number of orbits of node
 	// assignments under permutations within each class (see orbit.go).
-	classes [][]int
-	free    []int
-	orbits  int
+	// classOf maps a chiplet to its class (-1 if free), keyWeight to the
+	// weight of its class's (or its own) digit in the orbit rank, and
+	// rankSkip is the table the walk ranks a class's digits with (see
+	// initOrbit).
+	classes   [][]int
+	free      []int
+	orbits    int
+	classOf   []int
+	keyWeight []int
+	rankSkip  []int
 
 	// scratches pools per-worker evaluation arenas across runs of this
 	// plan, so retained state — the estimator's floorplan tree, its
@@ -270,6 +280,13 @@ type blockScratch struct {
 	std    []int // standard mixed-radix digits of the current index
 	par    []int // parity of the standard value of the digits above i
 	picked []int // reusable Point.Nodes buffer
+	// below[c*(r+1)+v] is how many chiplets of class c sit at a digit
+	// below v, and orbit is the current point's orbit rank, the key of
+	// the per-orbit package table. A walk of more than one point
+	// rebuilds both at its start (initOrbit) and each Gray step updates
+	// them in O(1) (stepOrbit); plans without classes leave them empty.
+	below []int
+	orbit int
 	// rows is the current point's per-chiplet metric entries, gathered
 	// from the table's Cells and dollar rows: five dense nc-length slices
 	// packed in one backing array (mfg, design, NRE kg, die USD, NRE
@@ -325,6 +342,7 @@ func (p *CompiledPlan) getScratch() (*blockScratch, error) {
 		std:       make([]int, p.nc),
 		par:       make([]int, p.nc),
 		picked:    make([]int, p.nc),
+		below:     make([]int, len(p.classes)*(p.r+1)),
 		rows:      rows,
 		rowMfg:    rows[0*p.nc : 1*p.nc],
 		rowDes:    rows[1*p.nc : 2*p.nc],
@@ -371,6 +389,11 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 	sc.walks++
 
 	out := p.initAt(sc, lo)
+	// Only Gray steps read the orbit rank: a one-point walk (EvalPoint)
+	// never builds it.
+	if len(p.classes) > 0 && hi-lo > 1 {
+		p.initOrbit(sc)
+	}
 	pkgCh := sc.sc.Chiplets()
 	p.blockInits.Add(1)
 	steps := uint64(0)
@@ -387,6 +410,9 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 			if !p.monolith {
 				cell := &p.tbl.Cells[j][d]
 				pkgCh[j].AreaMM2, pkgCh[j].Node = cell.AreaMM2, cell.Node
+				if len(p.classes) > 0 {
+					p.stepOrbit(sc, j, old, d)
+				}
 			}
 			changed = j
 			steps++
@@ -432,16 +458,20 @@ func (p *CompiledPlan) initAt(sc *blockScratch, k int) (out int) {
 // buffers into out. Per-chiplet contributions are reduced in chiplet
 // order (see the file comment on why the totals are not running sums) as
 // a sequential fold over the five dense row slices the walk gathered
-// from the table for the current digits. Whole-package terms come from the scratch
-// estimator — through its single-changed-chiplet delta path when changed
-// names the Gray step's chiplet (changed < 0 runs the full estimate) —
-// and out.Nodes aliases the scratch's reusable buffer: callers that
-// retain the point must copy it. pointIdx is the point's standard
-// mixed-radix index, the key of the scratch's per-point package memo: a
-// pooled scratch that has estimated this exact point on an earlier walk
-// serves the package quadruple straight from the memo (the estimate is
-// pure in the digit vector, so the served bits are the estimator's own
-// prior output). A scratch on its first walk skips the memo entirely.
+// from the table for the current digits. out.Nodes aliases the
+// scratch's reusable buffer: callers that retain the point must copy
+// it.
+//
+// The whole-package terms come from the first of three sources that
+// has them. pointIdx is the point's standard mixed-radix index, the key
+// of the scratch's per-point package memo: a pooled scratch that has
+// estimated this exact point on an earlier walk serves the package
+// quadruple straight from the memo (the estimate is pure in the digit
+// vector, so the served bits are the estimator's own prior output). A
+// scratch on its first walk skips the memo entirely. Otherwise a Gray
+// step (changed names its chiplet) of a plan with interchangeable
+// chiplets consults the per-orbit table, and the estimator runs last
+// (see packagePoint).
 func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx int) error {
 	t := p.tbl
 	var mfgKg, desKg, nreKg, diesUSD, nreUSD float64
@@ -457,53 +487,39 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx 
 		nreUSD += rowNREUSD[i]
 	}
 
-	var hiKg, area, powerW float64
-	assemblyYield := 1.0
-	memo := sc.walks > 1 && !p.monolith
 	var v kernel.PkgPoint
-	hit := false
-	if memo {
-		v, hit = sc.sc.LoadPackagePoint(uint64(pointIdx), uint64(p.combos))
-	}
 	if p.monolith {
-		area = t.Cells[0][sc.digits[0]].AreaMM2
-	} else if hit {
-		hiKg, area, assemblyYield, powerW = v.HIKg, v.AreaMM2, v.AssemblyYield, v.RouterPowerW
-		desKg += t.CommShare[sc.digits[0]]
-		sc.estValid = false
+		v = kernel.PkgPoint{AreaMM2: t.Cells[0][sc.digits[0]].AreaMM2, AssemblyYield: 1}
 	} else {
-		var pkg *pkgcarbon.Result
-		var err error
-		if changed >= 0 && sc.estValid {
-			pkg, err = sc.sc.EstimatePackageDelta(changed)
-		} else {
-			pkg, err = sc.sc.EstimatePackage()
-		}
-		if err != nil {
-			return err
-		}
-		sc.estValid = true
-		desKg += t.CommShare[sc.digits[0]]
-		hiKg = pkg.TotalKg()
-		area = pkg.PackageAreaMM2
-		assemblyYield = pkg.AssemblyYield
-		powerW = pkg.RouterTotalPowerW
+		memo := sc.walks > 1
+		hit := false
 		if memo {
-			sc.sc.StorePackagePoint(uint64(pointIdx), uint64(p.combos),
-				kernel.PkgPoint{HIKg: hiKg, AreaMM2: area, AssemblyYield: assemblyYield, RouterPowerW: powerW})
+			v, hit = sc.sc.LoadPackagePoint(uint64(pointIdx), uint64(p.combos))
 		}
+		if hit {
+			sc.estValid = false
+		} else {
+			var err error
+			if v, err = p.packagePoint(sc, changed); err != nil {
+				return err
+			}
+			if memo {
+				sc.sc.StorePackagePoint(uint64(pointIdx), uint64(p.combos), v)
+			}
+		}
+		desKg += t.CommShare[sc.digits[0]]
 	}
 
 	var opKg float64
 	if t.HasOp {
-		v, err := sc.sc.OperationKg(t.Base.Operation, powerW)
+		kg, err := sc.sc.OperationKg(t.Base.Operation, v.RouterPowerW)
 		if err != nil {
 			return err
 		}
-		opKg = v
+		opKg = kg
 	}
 
-	asmUSD, err := t.Asm.USD(area, assemblyYield)
+	asmUSD, err := t.Asm.USD(v.AreaMM2, v.AssemblyYield)
 	if err != nil {
 		return err
 	}
@@ -511,15 +527,73 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx 
 	for i, d := range sc.digits {
 		sc.picked[i] = p.nodes[d]
 	}
-	embodied := mfgKg + desKg + hiKg + nreKg
+	embodied := mfgKg + desKg + v.HIKg + nreKg
 	*out = Point{
 		Nodes:          sc.picked,
 		EmbodiedKg:     embodied,
 		TotalKg:        embodied + opKg,
 		CostUSD:        diesUSD + asmUSD + nreUSD,
-		PackageAreaMM2: area,
+		PackageAreaMM2: v.AreaMM2,
 	}
 	return nil
+}
+
+// packagePoint returns the package quadruple of the scratch's current
+// point when the per-point memo did not serve it. A Gray step of a plan
+// with interchangeable chiplets looks the point's orbit up in the
+// scratch's per-orbit table: on a hit it re-folds only the routing
+// terms, in chiplet order, through the estimator's own routing method,
+// and adds them to the stored package carbon exactly as
+// pkgcarbon.Result.TotalKg does, so the bits are the estimator's (see
+// the invariance claim in orbit.go). Block inits (changed < 0) — a
+// walk's first point, every point of an orbit front and EvalPoint —
+// never touch the table. Otherwise the estimator runs, through its
+// single-changed-chiplet delta path when it estimated the previous
+// point of the walk, and a Gray step files the orbit's terms.
+//
+// A served point skips the estimator, so its retained floorplan no
+// longer tracks the walk: estValid drops and the next estimate runs in
+// full.
+func (p *CompiledPlan) packagePoint(sc *blockScratch, changed int) (kernel.PkgPoint, error) {
+	orbit := changed >= 0 && len(p.classes) > 0
+	var key uint64
+	if orbit {
+		key = uint64(sc.orbit)
+		if o, ok := sc.sc.LoadPackageOrbit(key, uint64(p.orbits)); ok {
+			r, err := sc.sc.PackageRouting()
+			if err != nil {
+				return kernel.PkgPoint{}, err
+			}
+			sc.estValid = false
+			return kernel.PkgPoint{
+				HIKg:          o.PackageKg + r.RoutingKg,
+				AreaMM2:       o.AreaMM2,
+				AssemblyYield: o.AssemblyYield,
+				RouterPowerW:  r.RouterTotalPowerW,
+			}, nil
+		}
+	}
+	var pkg *pkgcarbon.Result
+	var err error
+	if changed >= 0 && sc.estValid {
+		pkg, err = sc.sc.EstimatePackageDelta(changed)
+	} else {
+		pkg, err = sc.sc.EstimatePackage()
+	}
+	if err != nil {
+		return kernel.PkgPoint{}, err
+	}
+	sc.estValid = true
+	if orbit {
+		sc.sc.StorePackageOrbit(key, uint64(p.orbits),
+			kernel.PkgOrbit{PackageKg: pkg.PackageKg, AreaMM2: pkg.PackageAreaMM2, AssemblyYield: pkg.AssemblyYield})
+	}
+	return kernel.PkgPoint{
+		HIKg:          pkg.TotalKg(),
+		AreaMM2:       pkg.PackageAreaMM2,
+		AssemblyYield: pkg.AssemblyYield,
+		RouterPowerW:  pkg.RouterTotalPowerW,
+	}, nil
 }
 
 // grayInit seeds the scratch's odometer at sequence index k: the

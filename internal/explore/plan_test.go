@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -131,13 +132,12 @@ func TestSoAColumnsMatchAoSRandomized(t *testing.T) {
 // checkCompiledSweepMatchesReference runs 40 random trials from seed and
 // requires each compiled sweep, at 1 and 3 workers, to match
 // NodeSweepReference bit for bit (or to fail where the reference fails).
-// Each multi-chiplet trial also sweeps its monolithic twin through
-// checkMonolithSweep.
+// Each multi-chiplet trial also sweeps its class twin, whose Gray steps
+// go through the per-orbit package table, and its monolithic twin
+// through checkMonolithSweep.
 func checkCompiledSweepMatchesReference(t *testing.T, seed int64) {
 	t.Helper()
 	d := db()
-	cp := cost.DefaultParams()
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 
 	evaluated := 0
@@ -146,34 +146,13 @@ func checkCompiledSweepMatchesReference(t *testing.T, seed int64) {
 		nodes := randomNodeSet(rng)
 		label := fmt.Sprintf("seed %d trial %d (arch %v, %d chiplets, nodes %v, nre=%v)",
 			seed, trial, base.Packaging.Arch, len(base.Chiplets), nodes, base.IncludeNRE)
-
-		want, refErr := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(2))
-		for _, workers := range []int{1, 3} {
-			got, err := NodeSweepCtx(ctx, base, d, nodes, cp, engine.WithWorkers(workers))
-			if refErr != nil {
-				if err == nil {
-					t.Fatalf("%s: reference failed (%v) but compiled sweep succeeded", label, refErr)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: compiled sweep failed: %v", label, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
-			}
-			for i := range want {
-				if !pointsBitIdentical(got[i], want[i]) {
-					t.Fatalf("%s: workers=%d point %d differs\nwant %+v\ngot  %+v", label, workers, i, want[i], got[i])
-				}
-			}
-		}
-		if refErr == nil {
+		if checkSweepTrial(t, label, base, nodes) {
 			evaluated++
 		}
-		// The same blocks on one die: the monolith path, over the drawn
-		// nodes and over the first node repeated.
 		if len(base.Chiplets) > 1 {
+			checkSweepTrial(t, label+" class twin", classTwin(base), nodes)
+			// The same blocks on one die: the monolith path, over the
+			// drawn nodes and over the first node repeated.
 			mono := *base
 			mono.Monolithic = true
 			checkMonolithSweep(t, &mono, nodes)
@@ -183,6 +162,51 @@ func checkCompiledSweepMatchesReference(t *testing.T, seed int64) {
 	if evaluated < 20 {
 		t.Fatalf("seed %d: only %d of 40 random trials evaluated cleanly; generator too error-prone", seed, evaluated)
 	}
+}
+
+// checkSweepTrial requires the compiled sweep of base over nodes, at 1
+// and 3 workers, to match NodeSweepReference bit for bit, or to fail
+// where the reference fails; it reports whether the reference
+// succeeded.
+func checkSweepTrial(t *testing.T, label string, base *core.System, nodes []int) bool {
+	t.Helper()
+	d := db()
+	cp := cost.DefaultParams()
+	ctx := context.Background()
+	want, refErr := NodeSweepReference(ctx, base, d, nodes, cp, engine.WithWorkers(2))
+	for _, workers := range []int{1, 3} {
+		got, err := NodeSweepCtx(ctx, base, d, nodes, cp, engine.WithWorkers(workers))
+		if refErr != nil {
+			if err == nil {
+				t.Fatalf("%s: reference failed (%v) but compiled sweep succeeded", label, refErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: compiled sweep failed: %v", label, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if !pointsBitIdentical(got[i], want[i]) {
+				t.Fatalf("%s: workers=%d point %d differs\nwant %+v\ngot  %+v", label, workers, i, want[i], got[i])
+			}
+		}
+	}
+	return refErr == nil
+}
+
+// classTwin returns base with chiplet 1 replaced by two renamed copies
+// of itself, which Compile finds interchangeable: testcases.Random
+// alone almost never draws a class.
+func classTwin(base *core.System) *core.System {
+	twin := *base
+	a, b := base.Chiplets[1], base.Chiplets[1]
+	a.Name += "-a"
+	b.Name += "-b"
+	twin.Chiplets = slices.Concat(base.Chiplets[:1], []core.Chiplet{a, b}, base.Chiplets[2:])
+	return &twin
 }
 
 // An EPYC-style sweep over identical CCDs is the shape-memo workload:

@@ -14,9 +14,10 @@
 //   - Scratch: one worker's reusable arena — the packaging estimator
 //     (pkgcarbon.Estimator with its memoized floorplan tree, whose
 //     single-changed-chiplet delta path the Gray-code sweep walk drives
-//     through EstimatePackageDelta), chiplet descriptor buffer,
-//     operational-term memo and the tech.Sandbox for per-sample node
-//     perturbation.
+//     through EstimatePackageDelta), the per-point package memo and
+//     per-orbit package table that let a walk skip the estimator,
+//     chiplet descriptor buffer, operational-term memo and the
+//     tech.Sandbox for per-sample node perturbation.
 //   - ParamPlan: a compiled plan keyed by perturbed *tech.Node / system
 //     parameters. It tabulates every sub-result of the base point once
 //     and re-evaluates perturbations by recomputing only the sub-models
@@ -88,20 +89,72 @@ type Scratch struct {
 	// (PkgPoint) by the point's mixed-radix index and skip the estimator
 	// — the serving shape of a re-walked plan, and the same retained-
 	// state idea as the estimator's warm floorplan tree, one level up.
-	// Slot keys hold index+1 so the zero value means empty; when the
-	// point space outgrows the slot table the index hashes to a
-	// direct-mapped slot and a collision simply recomputes (the memo
-	// serves the estimator's own prior output, so it cannot change a
-	// bit either way). Lazy: sized by the first StorePackagePoint.
-	pkgPtKeys []uint64
-	pkgPtVals []PkgPoint
-	pkgPtSpan uint64 // point-space size the slots were sized for
-	pkgPtLive int    // occupied slots (gauge; resets with the table)
+	// Lazy: sized by the first StorePackagePoint.
+	pkgPt slotTable[PkgPoint]
+	// Per-orbit package table (sweep scratches of plans with
+	// interchangeable chiplets). Points that permute the nodes of
+	// interchangeable chiplets share their package area, package carbon
+	// and assembly yield bit for bit, so a fresh walk that has estimated
+	// one member of an orbit serves every later member's PkgOrbit by the
+	// orbit's dense rank and re-folds only the order-dependent routing
+	// terms (PackageRouting). Lazy: sized by the first StorePackageOrbit.
+	pkgOrbit  slotTable[PkgOrbit]
 	pkgPtStat PkgMemoStats
 }
 
-// PkgMemoStats counts the traffic of the per-point package memo. The
-// interesting counter is Collisions: lookups that missed because the
+// slotTable is a direct-mapped memo over a dense key space of span keys
+// (a point's mixed-radix index, an orbit's rank). Slot keys hold key+1,
+// so the zero value means empty; when the key space outgrows the slot
+// table the key hashes to a direct-mapped slot and a collision simply
+// recomputes. Every memo built on it serves the estimator's own prior
+// output for an input that determines it, so eviction changes speed,
+// never a bit.
+type slotTable[V any] struct {
+	keys []uint64
+	vals []V
+	span uint64 // key-space size the slots were sized for
+	live int    // occupied slots (gauge; resets with the table)
+}
+
+// lookup returns the value stored under key in a span-key space; hit
+// reports a stored entry, collided a slot held by a different key.
+func (t *slotTable[V]) lookup(key, span uint64) (v V, hit, collided bool) {
+	if t.span != span || len(t.keys) == 0 {
+		return v, false, false
+	}
+	slot := pkgPointSlot(key, span)
+	if k := t.keys[slot]; k != key+1 {
+		return v, false, k != 0
+	}
+	return t.vals[slot], true, false
+}
+
+// store records v under key in a span-key space, sizing (or resizing)
+// the slots on first use, and reports whether it claimed an empty slot
+// or evicted a different key's entry.
+func (t *slotTable[V]) store(key, span uint64, v V) (filled, evicted bool) {
+	if t.span != span || len(t.keys) == 0 {
+		n := min(span, 1<<pkgPointSlotBits)
+		t.keys = make([]uint64, n)
+		t.vals = make([]V, n)
+		t.span, t.live = span, 0
+	}
+	slot := pkgPointSlot(key, span)
+	switch k := t.keys[slot]; {
+	case k == 0:
+		filled = true
+		t.live++
+	case k != key+1:
+		evicted = true
+	}
+	t.keys[slot] = key + 1
+	t.vals[slot] = v
+	return filled, evicted
+}
+
+// PkgMemoStats counts the traffic of the per-point package memo and,
+// in OrbitHits/OrbitMisses, of the per-orbit package table. The
+// interesting point-memo counter is Collisions: lookups that missed because the
 // direct-mapped slot was occupied by a different point index, i.e. the
 // recomputes an eviction policy could win back. ROADMAP flags possible
 // pathological collision patterns under serving workloads; this makes
@@ -128,6 +181,14 @@ type PkgMemoStats struct {
 	// ROADMAP flagged) and would benefit from a larger or associative
 	// table.
 	Evictions uint64
+	// OrbitHits is the number of Gray steps whose package terms the
+	// per-orbit table served (only the routing fold ran); OrbitMisses
+	// the Gray steps that consulted it and ran the estimator. A walk
+	// consults the table only on a plan with interchangeable chiplets,
+	// only after the point memo missed (or was not consulted), and
+	// never for a walk's first point, so on a fresh walk
+	// OrbitHits+OrbitMisses equals its Gray steps.
+	OrbitHits, OrbitMisses uint64
 }
 
 // Add accumulates o into s.
@@ -137,16 +198,20 @@ func (s *PkgMemoStats) Add(o PkgMemoStats) {
 	s.Collisions += o.Collisions
 	s.Fills += o.Fills
 	s.Evictions += o.Evictions
+	s.OrbitHits += o.OrbitHits
+	s.OrbitMisses += o.OrbitMisses
 }
 
 // Delta returns the counters accumulated since prev was snapshotted.
 func (s PkgMemoStats) Delta(prev PkgMemoStats) PkgMemoStats {
 	return PkgMemoStats{
-		Hits:       s.Hits - prev.Hits,
-		Misses:     s.Misses - prev.Misses,
-		Collisions: s.Collisions - prev.Collisions,
-		Fills:      s.Fills - prev.Fills,
-		Evictions:  s.Evictions - prev.Evictions,
+		Hits:        s.Hits - prev.Hits,
+		Misses:      s.Misses - prev.Misses,
+		Collisions:  s.Collisions - prev.Collisions,
+		Fills:       s.Fills - prev.Fills,
+		Evictions:   s.Evictions - prev.Evictions,
+		OrbitHits:   s.OrbitHits - prev.OrbitHits,
+		OrbitMisses: s.OrbitMisses - prev.OrbitMisses,
 	}
 }
 
@@ -161,14 +226,22 @@ type PkgPoint struct {
 	HIKg, AreaMM2, AssemblyYield, RouterPowerW float64
 }
 
-// pkgPointSlotBits caps the per-point memo at 1<<pkgPointSlotBits slots
-// (4096 × 40 B ≈ 160 KiB per worker scratch); larger point spaces share
-// slots through the hash below.
+// PkgOrbit is the orbit-invariant slice of a package estimate: package
+// carbon (attach term included), package area and assembly yield, the
+// terms every member of an orbit of node assignments shares bit for
+// bit.
+type PkgOrbit struct {
+	PackageKg, AreaMM2, AssemblyYield float64
+}
+
+// pkgPointSlotBits caps each memo table at 1<<pkgPointSlotBits slots
+// (4096 × 40 B ≈ 160 KiB per worker scratch for the point memo, × 32 B
+// for the orbit table); larger key spaces share slots through the hash
+// below.
 const pkgPointSlotBits = 12
 
-// pkgPointSlot maps a point index to its memo slot: the identity when
-// the whole point space fits, a Fibonacci-hashed direct-mapped slot
-// otherwise.
+// pkgPointSlot maps a key to its memo slot: the identity when the whole
+// key space fits, a Fibonacci-hashed direct-mapped slot otherwise.
 func pkgPointSlot(idx, span uint64) uint64 {
 	if span <= 1<<pkgPointSlotBits {
 		return idx
@@ -180,46 +253,29 @@ func pkgPointSlot(idx, span uint64) uint64 {
 // index idx in a span-point space, if this scratch has estimated that
 // exact point before.
 func (sc *Scratch) LoadPackagePoint(idx, span uint64) (PkgPoint, bool) {
-	if sc.pkgPtSpan != span || len(sc.pkgPtKeys) == 0 {
-		sc.pkgPtStat.Misses++
-		return PkgPoint{}, false
+	v, hit, collided := sc.pkgPt.lookup(idx, span)
+	if hit {
+		sc.pkgPtStat.Hits++
+		return v, true
 	}
-	slot := pkgPointSlot(idx, span)
-	if key := sc.pkgPtKeys[slot]; key != idx+1 {
-		sc.pkgPtStat.Misses++
-		if key != 0 {
-			sc.pkgPtStat.Collisions++
-		}
-		return PkgPoint{}, false
+	sc.pkgPtStat.Misses++
+	if collided {
+		sc.pkgPtStat.Collisions++
 	}
-	sc.pkgPtStat.Hits++
-	return sc.pkgPtVals[slot], true
+	return v, false
 }
 
 // StorePackagePoint memoizes the package quadruple of point index idx
 // in a span-point space, sizing (or resizing) the slot table on first
 // use.
 func (sc *Scratch) StorePackagePoint(idx, span uint64, v PkgPoint) {
-	if sc.pkgPtSpan != span || len(sc.pkgPtKeys) == 0 {
-		n := span
-		if n > 1<<pkgPointSlotBits {
-			n = 1 << pkgPointSlotBits
-		}
-		sc.pkgPtKeys = make([]uint64, n)
-		sc.pkgPtVals = make([]PkgPoint, n)
-		sc.pkgPtSpan = span
-		sc.pkgPtLive = 0
-	}
-	slot := pkgPointSlot(idx, span)
-	switch key := sc.pkgPtKeys[slot]; {
-	case key == 0:
+	filled, evicted := sc.pkgPt.store(idx, span, v)
+	if filled {
 		sc.pkgPtStat.Fills++
-		sc.pkgPtLive++
-	case key != idx+1:
+	}
+	if evicted {
 		sc.pkgPtStat.Evictions++
 	}
-	sc.pkgPtKeys[slot] = idx + 1
-	sc.pkgPtVals[slot] = v
 }
 
 // PkgMemoOccupancy reports the point memo's live entry count against
@@ -228,7 +284,27 @@ func (sc *Scratch) StorePackagePoint(idx, span uint64, v PkgPoint) {
 // with growing Evictions is the thrashing signature serving workloads
 // watch for.
 func (sc *Scratch) PkgMemoOccupancy() (occupied, capacity int) {
-	return sc.pkgPtLive, len(sc.pkgPtKeys)
+	return sc.pkgPt.live, len(sc.pkgPt.keys)
+}
+
+// LoadPackageOrbit returns the orbit-invariant package terms of orbit
+// rank key in a span-orbit space, if this scratch has estimated a
+// member of that orbit before.
+func (sc *Scratch) LoadPackageOrbit(key, span uint64) (PkgOrbit, bool) {
+	v, hit, _ := sc.pkgOrbit.lookup(key, span)
+	if hit {
+		sc.pkgPtStat.OrbitHits++
+	} else {
+		sc.pkgPtStat.OrbitMisses++
+	}
+	return v, hit
+}
+
+// StorePackageOrbit records the orbit-invariant package terms of orbit
+// rank key in a span-orbit space, sizing the table (min(span, 4096)
+// slots) on first use.
+func (sc *Scratch) StorePackageOrbit(key, span uint64, v PkgOrbit) {
+	sc.pkgOrbit.store(key, span, v)
 }
 
 // NewSweepScratch builds the per-worker arena of a compiled node sweep:
@@ -285,6 +361,17 @@ func (sc *Scratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) 
 		return nil, fmt.Errorf("kernel: EstimatePackageDelta on a scratch without a packaging estimator (param-plan or monolith scratch)")
 	}
 	return sc.est.EstimateDelta(sc.pkgCh, changed)
+}
+
+// PackageRouting folds only the routing terms of the current chiplet
+// descriptors, in chiplet order, through the estimator's communication
+// caches — the fields EstimatePackage would return, bit for bit. A
+// per-orbit table hit pairs it with the orbit's stored terms.
+func (sc *Scratch) PackageRouting() (pkgcarbon.Routing, error) {
+	if sc.est == nil {
+		return pkgcarbon.Routing{}, fmt.Errorf("kernel: PackageRouting on a scratch without a packaging estimator (param-plan or monolith scratch)")
+	}
+	return sc.est.Routing(sc.pkgCh)
 }
 
 // FloorplanStats snapshots the scratch estimator's retained-tree reuse

@@ -444,16 +444,19 @@ func EstimateRouting(chiplets []Chiplet, p Params) (Routing, error) {
 	if err := p.Validate(); err != nil {
 		return Routing{}, err
 	}
-	var res Result
-	res.Arch = p.Arch
-	if err := addCommunication(&res, chiplets, &p, nil); err != nil {
-		return Routing{}, err
-	}
-	return Routing{
-		RoutingKg:               res.RoutingKg,
-		RouterAreaPerChipletMM2: res.RouterAreaPerChipletMM2,
-		RouterTotalPowerW:       res.RouterTotalPowerW,
-	}, nil
+	return routing(chiplets, &p, nil)
+}
+
+// Routing is EstimateRouting under the estimator's parameters, folded
+// through the estimator's communication caches: the routing terms of
+// the chiplet set, bit-identical to the corresponding fields of
+// Estimate. It skips Estimate's input checks, so chiplets must be a set
+// Estimate accepts (non-empty, positive areas, non-nil nodes). Compiled
+// sweeps use it on points whose package carbon, area and assembly yield
+// they already know from an earlier point with the same areas: only the
+// routing fold depends on which chiplet sits in which node.
+func (e *Estimator) Routing(chiplets []Chiplet) (Routing, error) {
+	return routing(chiplets, &e.p, &e.sc)
 }
 
 // commCell is a memoized per-node communication contribution.
@@ -812,39 +815,49 @@ func estimate3D(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 // Gray step changes one chiplet's node, so the other slots fold their
 // cached cells without re-hashing.
 func addCommunication(res *Result, chiplets []Chiplet, p *Params, sc *scratch) error {
-	switch res.Arch {
+	r, err := routing(chiplets, p, sc)
+	if err != nil {
+		return err
+	}
+	res.RoutingKg = r.RoutingKg
+	res.RouterAreaPerChipletMM2 = r.RouterAreaPerChipletMM2
+	res.RouterTotalPowerW = r.RouterTotalPowerW
+	return nil
+}
+
+// routing computes the communication terms addCommunication stores: the
+// one fold every estimate path and Estimator.Routing share.
+func routing(chiplets []Chiplet, p *Params, sc *scratch) (Routing, error) {
+	switch p.Arch {
 	case RDLFanout, SiliconBridge:
 		total, areaSum, _, err := commFold(sc, chiplets, p, false)
 		if err != nil {
-			return err
+			return Routing{}, err
 		}
-		res.RoutingKg = total
-		res.RouterAreaPerChipletMM2 = areaSum / float64(len(chiplets))
 		// PHYs are near-DC interfaces; their power is folded into the
 		// system power elsewhere. Keep router power zero here.
-		return nil
+		return Routing{RoutingKg: total, RouterAreaPerChipletMM2: areaSum / float64(len(chiplets))}, nil
 
 	case PassiveInterposer, ThreeD:
 		total, areaSum, powerSum, err := commFold(sc, chiplets, p, true)
 		if err != nil {
-			return err
+			return Routing{}, err
 		}
-		res.RoutingKg = total
-		res.RouterAreaPerChipletMM2 = areaSum / float64(len(chiplets))
-		res.RouterTotalPowerW = powerSum
-		return nil
+		return Routing{
+			RoutingKg:               total,
+			RouterAreaPerChipletMM2: areaSum / float64(len(chiplets)),
+			RouterTotalPowerW:       powerSum,
+		}, nil
 
 	case ActiveInterposer:
 		cc, err := commFor(sc, p.PackagingNode, p, true)
 		if err != nil {
-			return err
+			return Routing{}, err
 		}
 		n := float64(len(chiplets))
-		res.RoutingKg = n * cc.kg
-		res.RouterTotalPowerW = n * cc.powerW
-		return nil
+		return Routing{RoutingKg: n * cc.kg, RouterTotalPowerW: n * cc.powerW}, nil
 	}
-	return fmt.Errorf("pkgcarbon: unknown architecture %v", res.Arch)
+	return Routing{}, fmt.Errorf("pkgcarbon: unknown architecture %v", p.Arch)
 }
 
 // commFold sums the per-chiplet communication contributions as three
