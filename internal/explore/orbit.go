@@ -149,16 +149,14 @@ func (p *CompiledPlan) setClasses(classes [][]int) {
 		p.orbits *= multisets(p.r, len(classes[c]))
 		size = max(size, len(classes[c]))
 	}
-	for i := p.nc - 1; i >= 0; i-- {
-		if p.classOf[i] < 0 {
-			p.keyWeight[i] = p.orbits
-			p.orbits *= p.r
-		}
-	}
 	for i := 0; i < p.nc; i++ {
 		if p.classOf[i] < 0 {
 			p.free = append(p.free, i)
 		}
+	}
+	for f := len(p.free) - 1; f >= 0; f-- {
+		p.keyWeight[p.free[f]] = p.orbits
+		p.orbits *= p.r
 	}
 	// rankSkip[rest*r+v] counts the non-decreasing sequences of rest+1
 	// positions over [0, r) whose first value lies below v: the ranks a
