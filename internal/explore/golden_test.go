@@ -175,6 +175,38 @@ func TestDefaultRDLSweepGolden(t *testing.T) {
 	})
 }
 
+// Plan content keys are what a serving cache and a shard replica agree
+// on across processes and builds, so the keys of the two default-RDL
+// sweeps above and of the GA102 and EPYC-8 system plans are pinned: an
+// encoding change that moves them must bump keyVersion.
+func TestKeyGolden(t *testing.T) {
+	d := db()
+	epyc8, err := testcases.EPYC(d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga102 := testcases.GA102(d, 7, 10, 14, false)
+	ky := NewKeyer(d)
+	cp := cost.DefaultParams()
+	var out strings.Builder
+	for _, k := range []struct {
+		name string
+		key  func() (string, error)
+	}{
+		{"epyc8 sweep {7,10,14,22}", func() (string, error) { return ky.SweepKey(epyc8, []int{7, 10, 14, 22}, cp) }},
+		{"ga102 sweep {7,10,14,22,28}", func() (string, error) { return ky.SweepKey(ga102, []int{7, 10, 14, 22, 28}, cp) }},
+		{"ga102 param", func() (string, error) { return ky.ParamKey(ga102) }},
+		{"epyc8 disaggregate", func() (string, error) { return ky.DisaggregateKey(epyc8) }},
+	} {
+		key, err := k.key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s %s\n", k.name, key)
+	}
+	checkGolden(t, "keys.txt", out.String())
+}
+
 // The barrier Pareto fronts of symmetric plans — the 8-CCD EPYC under
 // every objective pair the sweep benchmark folds plus a three-objective
 // front, the 6-CCD EPYC over all seven mask nodes (823,543 points), and
