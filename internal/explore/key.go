@@ -109,11 +109,12 @@ func (w *keyWriter) node(n *tech.Node) {
 	}
 	w.int(n.Nm)
 	w.f64(n.DefectDensity)
-	var buf [8]entry[tech.DesignType]
+	// Count-prefixed (type, density) pairs in ascending type order, the
+	// layout of every keyed map in this stream.
 	w.int(len(n.Density))
-	for _, e := range sortedEntries(n.Density, buf[:]) {
-		w.int(int(e.k))
-		w.f64(e.v)
+	for d, v := range n.Density {
+		w.int(d)
+		w.f64(v)
 	}
 	w.f64(n.EPA)
 	w.f64(n.GasCFP)

@@ -24,7 +24,7 @@ var defaultNodes = []Node{
 	{
 		Nm:            7,
 		DefectDensity: 0.20,
-		Density:       map[DesignType]float64{Logic: 95, Memory: 145, Analog: 9.0},
+		Density:       [3]float64{Logic: 95, Memory: 145, Analog: 9.0},
 		EPA:           3.5, GasCFP: 0.40, MaterialCFP: 0.5,
 		EquipEfficiency: 1.00, EDAProductivity: 0.55,
 		Vdd: 0.70, EPLARDL: 0.200, EPLABridge: 0.350,
@@ -33,7 +33,7 @@ var defaultNodes = []Node{
 	{
 		Nm:            10,
 		DefectDensity: 0.15,
-		Density:       map[DesignType]float64{Logic: 61, Memory: 125, Analog: 8.5},
+		Density:       [3]float64{Logic: 61, Memory: 125, Analog: 8.5},
 		EPA:           2.75, GasCFP: 0.35, MaterialCFP: 0.5,
 		EquipEfficiency: 0.95, EDAProductivity: 0.62,
 		Vdd: 0.75, EPLARDL: 0.170, EPLABridge: 0.300,
@@ -42,7 +42,7 @@ var defaultNodes = []Node{
 	{
 		Nm:            14,
 		DefectDensity: 0.12,
-		Density:       map[DesignType]float64{Logic: 44, Memory: 110, Analog: 6.5},
+		Density:       [3]float64{Logic: 44, Memory: 110, Analog: 6.5},
 		EPA:           2.25, GasCFP: 0.30, MaterialCFP: 0.5,
 		EquipEfficiency: 0.90, EDAProductivity: 0.70,
 		Vdd: 0.80, EPLARDL: 0.150, EPLABridge: 0.260,
@@ -51,7 +51,7 @@ var defaultNodes = []Node{
 	{
 		Nm:            22,
 		DefectDensity: 0.10,
-		Density:       map[DesignType]float64{Logic: 20, Memory: 80, Analog: 5.8},
+		Density:       [3]float64{Logic: 20, Memory: 80, Analog: 5.8},
 		EPA:           1.70, GasCFP: 0.25, MaterialCFP: 0.5,
 		EquipEfficiency: 0.85, EDAProductivity: 0.78,
 		Vdd: 0.90, EPLARDL: 0.120, EPLABridge: 0.210,
@@ -60,7 +60,7 @@ var defaultNodes = []Node{
 	{
 		Nm:            28,
 		DefectDensity: 0.09,
-		Density:       map[DesignType]float64{Logic: 14, Memory: 60, Analog: 5.3},
+		Density:       [3]float64{Logic: 14, Memory: 60, Analog: 5.3},
 		EPA:           1.40, GasCFP: 0.20, MaterialCFP: 0.5,
 		EquipEfficiency: 0.80, EDAProductivity: 0.84,
 		Vdd: 1.00, EPLARDL: 0.100, EPLABridge: 0.180,
@@ -69,7 +69,7 @@ var defaultNodes = []Node{
 	{
 		Nm:            40,
 		DefectDensity: 0.08,
-		Density:       map[DesignType]float64{Logic: 8.2, Memory: 38, Analog: 4.6},
+		Density:       [3]float64{Logic: 8.2, Memory: 38, Analog: 4.6},
 		EPA:           1.10, GasCFP: 0.15, MaterialCFP: 0.5,
 		EquipEfficiency: 0.72, EDAProductivity: 0.92,
 		Vdd: 1.10, EPLARDL: 0.080, EPLABridge: 0.140,
@@ -78,7 +78,7 @@ var defaultNodes = []Node{
 	{
 		Nm:            65,
 		DefectDensity: 0.07,
-		Density:       map[DesignType]float64{Logic: 5.1, Memory: 20, Analog: 4.0},
+		Density:       [3]float64{Logic: 5.1, Memory: 20, Analog: 4.0},
 		EPA:           0.80, GasCFP: 0.10, MaterialCFP: 0.5,
 		EquipEfficiency: 0.60, EDAProductivity: 1.00,
 		Vdd: 1.20, EPLARDL: 0.050, EPLABridge: 0.100,

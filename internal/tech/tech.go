@@ -81,9 +81,10 @@ type Node struct {
 	// defect densities (Table I: 0.07 - 0.3 /cm^2).
 	DefectDensity float64
 
-	// Density maps each design type to its transistor density in
-	// MTr/mm^2 (Table I: 5 - 150 MTr/mm^2 across types and nodes).
-	Density map[DesignType]float64
+	// Density is the transistor density in MTr/mm^2 of each design
+	// type, indexed by DesignType (Table I: 5 - 150 MTr/mm^2 across
+	// types and nodes).
+	Density [3]float64
 
 	// EPA is the manufacturing energy per unit area in kWh/cm^2
 	// (Table I: 0.8 - 3.5 kWh/cm^2).
@@ -136,21 +137,22 @@ type Node struct {
 // the released tool divides as we do here.) transistors is an absolute
 // count, not millions.
 func (n *Node) Area(d DesignType, transistors float64) float64 {
-	density, ok := n.Density[d]
-	if !ok || density <= 0 {
-		panic(fmt.Sprintf("tech: node %dnm has no density for design type %s", n.Nm, d))
-	}
-	return transistors / (density * 1e6)
+	return transistors / (n.density(d) * 1e6)
 }
 
 // Transistors is the inverse of Area: the transistor count that fills the
 // given area (mm^2) for the design type at this node.
 func (n *Node) Transistors(d DesignType, areaMM2 float64) float64 {
-	density, ok := n.Density[d]
-	if !ok || density <= 0 {
+	return areaMM2 * n.density(d) * 1e6
+}
+
+// density returns the positive transistor density of d, and panics for
+// a design type outside DesignTypes or an unset (non-positive) density.
+func (n *Node) density(d DesignType) float64 {
+	if d < 0 || int(d) >= len(n.Density) || n.Density[d] <= 0 {
 		panic(fmt.Sprintf("tech: node %dnm has no density for design type %s", n.Nm, d))
 	}
-	return areaMM2 * density * 1e6
+	return n.Density[d]
 }
 
 // Validate checks that the node's parameters sit inside the ranges of
@@ -170,10 +172,7 @@ func (n *Node) Validate() error {
 		return err
 	}
 	for _, d := range DesignTypes {
-		density, ok := n.Density[d]
-		if !ok {
-			return fmt.Errorf("tech: node %dnm: missing density for %s", n.Nm, d)
-		}
+		density := n.Density[d]
 		// Analog density sits below the headline logic range; allow
 		// down to 1 MTr/mm^2 for it.
 		lo := 5.0
@@ -281,11 +280,6 @@ func (db *DB) Clone(mutate func(*Node)) (*DB, error) {
 	nodes := make([]Node, 0, len(db.nodes))
 	for _, nm := range db.Sizes() {
 		n := *db.nodes[nm]
-		density := make(map[DesignType]float64, len(n.Density))
-		for k, v := range n.Density {
-			density[k] = v
-		}
-		n.Density = density
 		if mutate != nil {
 			mutate(&n)
 		}
@@ -326,20 +320,7 @@ func (db *DB) NewSandbox() *Sandbox {
 // until the next Reset.
 func (sb *Sandbox) Reset(mutate func(*Node)) *DB {
 	for nm, dst := range sb.db.nodes {
-		src := sb.src.nodes[nm]
-		density := dst.Density
-		*dst = *src
-		// Density keys a previous mutate added must not leak into this
-		// sample: restore the map to exactly the source's key set.
-		for k := range density {
-			if _, ok := src.Density[k]; !ok {
-				delete(density, k)
-			}
-		}
-		for k, v := range src.Density {
-			density[k] = v
-		}
-		dst.Density = density
+		*dst = *sb.src.nodes[nm]
 		if mutate != nil {
 			mutate(dst)
 		}

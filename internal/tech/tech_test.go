@@ -2,6 +2,8 @@ package tech
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,14 +132,35 @@ func TestAreaKnownValue(t *testing.T) {
 	}
 }
 
+// Area and Transistors panic for an unset (zero) density and for a
+// design type outside DesignTypes, rather than index out of range.
 func TestAreaPanicsOnMissingDensity(t *testing.T) {
-	n := &Node{Nm: 7, Density: map[DesignType]float64{}}
-	defer func() {
-		if recover() == nil {
-			t.Error("Area should panic when density is missing")
+	zero := &Node{Nm: 7}
+	full := Default().MustGet(7)
+	for _, c := range []struct {
+		name string
+		n    *Node
+		d    DesignType
+	}{
+		{"zero logic density", zero, Logic},
+		{"DesignType(-1)", full, DesignType(-1)},
+		{"DesignType(3)", full, DesignType(3)},
+	} {
+		for fn, call := range map[string]func(){
+			"Area":        func() { c.n.Area(c.d, 1e9) },
+			"Transistors": func() { c.n.Transistors(c.d, 1) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "has no density for design type") {
+						t.Errorf("%s: %s panicked with %q, want the missing-density message", c.name, fn, msg)
+					}
+				}()
+				call()
+			}()
 		}
-	}()
-	n.Area(Logic, 1e9)
+	}
 }
 
 // Property: area is linear in transistor count and monotone decreasing in
@@ -218,19 +241,12 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{"EPLA RDL high", func(n *Node) { n.EPLARDL = 0.5 }},
 		{"EPLA bridge low", func(n *Node) { n.EPLABridge = 0.01 }},
 		{"wafer cost zero", func(n *Node) { n.WaferCostUSD = 0 }},
-		{"missing logic density", func(n *Node) {
-			n.Density = map[DesignType]float64{Memory: 100, Analog: 5}
-		}},
-		{"density out of range", func(n *Node) {
-			n.Density = map[DesignType]float64{Logic: 500, Memory: 100, Analog: 5}
-		}},
+		{"zero logic density", func(n *Node) { n.Density[Logic] = 0 }},
+		{"zero analog density", func(n *Node) { n.Density[Analog] = 0 }},
+		{"density out of range", func(n *Node) { n.Density[Logic] = 500 }},
 	}
 	for _, m := range mutations {
 		n := base
-		n.Density = map[DesignType]float64{}
-		for k, v := range base.Density {
-			n.Density[k] = v
-		}
 		m.mutate(&n)
 		if err := n.Validate(); err == nil {
 			t.Errorf("Validate() should reject %s", m.name)
@@ -272,7 +288,7 @@ func TestSandboxResetRestoresAndMutates(t *testing.T) {
 	if src.MustGet(7).DefectDensity != base {
 		t.Fatal("Reset mutated the source database")
 	}
-	// A second Reset must start from base values again, and density maps
+	// A second Reset must start from base values again, and densities
 	// must be private copies.
 	db = sb.Reset(func(n *Node) {
 		n.DefectDensity *= 1.0
@@ -282,7 +298,7 @@ func TestSandboxResetRestoresAndMutates(t *testing.T) {
 		t.Fatalf("Reset did not restore base values: %g, want %g", got, base)
 	}
 	if src.MustGet(7).Density[Logic] == db.MustGet(7).Density[Logic] {
-		t.Fatal("sandbox density map aliases the source database")
+		t.Fatal("sandbox densities alias the source database")
 	}
 	if db = sb.Reset(nil); db.MustGet(7).Density[Logic] != src.MustGet(7).Density[Logic] {
 		t.Fatal("Reset did not restore density values")
@@ -309,18 +325,57 @@ func TestSandboxMatchesClone(t *testing.T) {
 	}
 }
 
-// Density keys added by one Reset's mutate must not leak into later
-// resets: the sandbox must hand back exactly Clone's key set each time.
-func TestSandboxResetClearsAddedDensityKeys(t *testing.T) {
+// After a mutate that scales every density and scalar parameter,
+// Reset(nil) restores exactly Clone(nil), bit for bit in every field.
+func TestSandboxResetRestoresClone(t *testing.T) {
 	src := Default()
 	sb := src.NewSandbox()
-	phantom := DesignType(99)
-	db := sb.Reset(func(n *Node) { n.Density[phantom] = 1 })
-	if _, ok := db.MustGet(7).Density[phantom]; !ok {
-		t.Fatal("mutate-added density key missing from the mutated sandbox")
+	sb.Reset(func(n *Node) {
+		for d := range n.Density {
+			n.Density[d] *= 1.5
+		}
+		n.DefectDensity *= 1.5
+		n.EPA *= 1.5
+		n.GasCFP *= 1.5
+		n.MaterialCFP *= 1.5
+		n.EquipEfficiency *= 1.5
+		n.EDAProductivity *= 1.5
+		n.Vdd *= 1.5
+		n.EPLARDL *= 1.5
+		n.EPLABridge *= 1.5
+		n.WaferCostUSD *= 1.5
+	})
+	db := sb.Reset(nil)
+	cloned, err := src.Clone(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	db = sb.Reset(nil)
-	if _, ok := db.MustGet(7).Density[phantom]; ok {
-		t.Fatal("density key added by a previous Reset leaked into the next sample")
+	for _, nm := range src.Sizes() {
+		if got, want := nodeBits(db.MustGet(nm)), nodeBits(cloned.MustGet(nm)); !slices.Equal(got, want) {
+			t.Errorf("node %dnm: reset %x, clone %x", nm, got, want)
+		}
 	}
+}
+
+// nodeBits lists every field of n as a word: ints as themselves, floats
+// (and each density) as Float64bits.
+func nodeBits(n *Node) []uint64 {
+	var out []uint64
+	v := reflect.ValueOf(n).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			out = append(out, uint64(f.Int()))
+		case reflect.Float64:
+			out = append(out, math.Float64bits(f.Float()))
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				out = append(out, math.Float64bits(f.Index(j).Float()))
+			}
+		default:
+			panic("nodeBits: no encoding for field " + v.Type().Field(i).Name)
+		}
+	}
+	return out
 }
