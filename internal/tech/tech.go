@@ -19,7 +19,7 @@ package tech
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DesignType identifies the scaling class of a block or chiplet. The three
@@ -216,32 +216,45 @@ func (n *Node) Validate() error {
 // DB is an immutable set of technology nodes keyed by node size.
 // The zero value is unusable; construct with NewDB or use Default().
 type DB struct {
-	nodes map[int]*Node
+	nodes []Node // ascending Nm
 }
 
 // NewDB builds a database from the given nodes, validating each one.
 func NewDB(nodes []Node) (*DB, error) {
-	db := &DB{nodes: make(map[int]*Node, len(nodes))}
+	db := &DB{nodes: make([]Node, 0, len(nodes))}
 	for i := range nodes {
-		n := nodes[i]
+		n := &nodes[i]
 		if err := n.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := db.nodes[n.Nm]; dup {
+		at, dup := db.index(n.Nm)
+		if dup {
 			return nil, fmt.Errorf("tech: duplicate node %dnm", n.Nm)
 		}
-		db.nodes[n.Nm] = &n
+		db.nodes = slices.Insert(db.nodes, at, *n)
 	}
 	return db, nil
 }
 
+// index returns the position of node nm in db.nodes, or where it would
+// be inserted, and whether it is present. A database holds a handful of
+// nodes, so a scan beats a search.
+func (db *DB) index(nm int) (int, bool) {
+	for i := range db.nodes {
+		if nm <= db.nodes[i].Nm {
+			return i, nm == db.nodes[i].Nm
+		}
+	}
+	return len(db.nodes), false
+}
+
 // Get returns the node with the given size in nm.
 func (db *DB) Get(nm int) (*Node, error) {
-	n, ok := db.nodes[nm]
+	i, ok := db.index(nm)
 	if !ok {
 		return nil, fmt.Errorf("tech: unsupported node %dnm (supported: %v)", nm, db.Sizes())
 	}
-	return n, nil
+	return &db.nodes[i], nil
 }
 
 // MustGet is Get that panics on unknown nodes. It is intended for
@@ -256,17 +269,16 @@ func (db *DB) MustGet(nm int) *Node {
 
 // Sizes returns the supported node sizes in ascending order.
 func (db *DB) Sizes() []int {
-	sizes := make([]int, 0, len(db.nodes))
-	for nm := range db.nodes {
-		sizes = append(sizes, nm)
+	sizes := make([]int, len(db.nodes))
+	for i := range db.nodes {
+		sizes[i] = db.nodes[i].Nm
 	}
-	sort.Ints(sizes)
 	return sizes
 }
 
 // Has reports whether the database contains the node.
 func (db *DB) Has(nm int) bool {
-	_, ok := db.nodes[nm]
+	_, ok := db.index(nm)
 	return ok
 }
 
@@ -277,13 +289,11 @@ func (db *DB) Has(nm int) bool {
 // It is the supported way to run what-if analyses (e.g. sensitivity
 // sweeps) without touching the shared Default() database.
 func (db *DB) Clone(mutate func(*Node)) (*DB, error) {
-	nodes := make([]Node, 0, len(db.nodes))
-	for _, nm := range db.Sizes() {
-		n := *db.nodes[nm]
-		if mutate != nil {
-			mutate(&n)
+	nodes := slices.Clone(db.nodes)
+	if mutate != nil {
+		for i := range nodes {
+			mutate(&nodes[i])
 		}
-		nodes = append(nodes, n)
 	}
 	return NewDB(nodes)
 }
@@ -319,10 +329,10 @@ func (db *DB) NewSandbox() *Sandbox {
 // returned DB aliases the sandbox's private nodes and is only valid
 // until the next Reset.
 func (sb *Sandbox) Reset(mutate func(*Node)) *DB {
-	for nm, dst := range sb.db.nodes {
-		*dst = *sb.src.nodes[nm]
+	for i := range sb.db.nodes {
+		sb.db.nodes[i] = sb.src.nodes[i]
 		if mutate != nil {
-			mutate(dst)
+			mutate(&sb.db.nodes[i])
 		}
 	}
 	return sb.db
