@@ -146,6 +146,9 @@ func (s *System) Validate(db *tech.DB) error {
 		if c.Name == "" {
 			return fmt.Errorf("core: system %q chiplet %d has no name", s.Name, i)
 		}
+		if c.Type < tech.Logic || c.Type > tech.Analog {
+			return fmt.Errorf("core: chiplet %q has unknown design type %s", c.Name, c.Type)
+		}
 		if c.Transistors <= 0 {
 			return fmt.Errorf("core: chiplet %q has non-positive transistor count", c.Name)
 		}

@@ -52,6 +52,8 @@ func TestValidateErrors(t *testing.T) {
 		func(s *System) { s.Chiplets = nil },
 		func(s *System) { s.Chiplets[0].Name = "" },
 		func(s *System) { s.Chiplets[0].Transistors = 0 },
+		func(s *System) { s.Chiplets[0].Type = 3 },
+		func(s *System) { s.Chiplets[1].Type = -1 },
 		func(s *System) { s.Chiplets[0].NodeNm = 3 },
 		func(s *System) { s.Chiplets[0].ManufacturedParts = -1 },
 		func(s *System) { s.SystemVolume = -1 },

@@ -15,6 +15,7 @@ package lru
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -78,7 +79,9 @@ func New[V any](capacity int) *Cache[V] {
 // exactly one runs the builder (outside the cache lock), the rest block
 // until it settles and receive the same value or error. A failed build
 // is not cached — every waiter gets the error, the slot is cleared, and
-// the next caller retries from scratch.
+// the next caller retries from scratch. A build that panics settles the
+// same way, with an error naming the panic for the waiters, and the
+// panic then continues in the caller that ran the build.
 func (c *Cache[V]) GetOrBuild(key string, build func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -101,6 +104,16 @@ func (c *Cache[V]) GetOrBuild(key string, build func() (V, error)) (V, error) {
 	c.stats.Builds++
 	c.mu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			c.mu.Lock()
+			delete(c.entries, key)
+			c.mu.Unlock()
+			e.err = fmt.Errorf("lru: build of %s panicked: %v", key, r)
+			close(e.ready)
+			panic(r)
+		}
+	}()
 	e.val, e.err = build()
 
 	c.mu.Lock()

@@ -3,9 +3,11 @@ package lru
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGetOrBuildCachesValue(t *testing.T) {
@@ -154,6 +156,50 @@ func TestSingleFlightSharedError(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("failed build left a resident entry")
+	}
+}
+
+// A build that panics must not leave its key in flight: the panic
+// reaches the builder's caller, a coalesced waiter gets an error instead
+// of blocking forever, and the next call on the key builds afresh.
+func TestPanickingBuildSettles(t *testing.T) {
+	c := New[int](0)
+	gate := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.GetOrBuild("k", func() (int, error) {
+			<-gate
+			panic("boom")
+		})
+	}()
+	for c.Stats().Builds == 0 {
+	}
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.GetOrBuild("k", func() (int, error) { return 0, errors.New("waiter built") })
+		waiter <- err
+	}()
+	for c.Stats().Coalesced == 0 {
+	}
+	close(gate)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("builder's caller recovered %v, want the build's panic", r)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+			t.Fatalf("coalesced waiter got %v, want the panic as an error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coalesced waiter still blocked 10 s after the build panicked")
+	}
+	v, err := c.GetOrBuild("k", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("rebuild = %d, %v", v, err)
+	}
+	if s := c.Stats(); s.Builds != 2 || s.Coalesced != 1 || c.Len() != 1 {
+		t.Fatalf("stats = %+v, Len = %d; want 2 builds, 1 coalesced, 1 resident", s, c.Len())
 	}
 }
 

@@ -291,6 +291,50 @@ func TestHandlerErrors(t *testing.T) {
 	resp.Body.Close()
 }
 
+// A chiplet of unknown design type is a 400 on every endpoint that
+// compiles a plan, and stays one: the same body posted again must not
+// find a plan build left in flight by the first. The client deadline
+// turns a hung second request into a failure instead of a stalled test.
+func TestHandlerUnknownChipletType(t *testing.T) {
+	db := tech.Default()
+	ts := httptest.NewServer(Handler(NewServer(db, Config{})))
+	// Close waits for every handler; a hung one would stall the test.
+	defer func() {
+		if !t.Failed() {
+			ts.Close()
+		}
+	}()
+	client := ts.Client()
+	client.Timeout = 10 * time.Second
+	sys := ga102(t, db)
+	sys.Chiplets[0].Type = 7
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/whatif", &WhatIfRequest{System: sys, VolumeScale: 2}},
+		{"/v1/sweep", &SweepRequest{System: sys, Nodes: ga102Nodes}},
+		{"/v1/sweep/stream", &SweepRequest{System: sys, Nodes: ga102Nodes, Objectives: []string{"embodied", "cost"}}},
+		{"/v1/disaggregate", &DisaggregateRequest{System: sys}},
+	} {
+		buf, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for try := 1; try <= 2; try++ {
+			resp, err := client.Post(ts.URL+c.path, "application/json", bytes.NewReader(buf))
+			if err != nil {
+				t.Errorf("%s, post %d: %v", c.path, try, err)
+				continue
+			}
+			e := decodeBody[map[string]string](t, resp)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains((*e)["error"], "unknown design type") {
+				t.Errorf("%s, post %d: status %d, body %v; want 400 naming the design type", c.path, try, resp.StatusCode, *e)
+			}
+		}
+	}
+}
+
 // A body past maxBodyBytes is refused with 413 on every POST endpoint,
 // before it is decoded in full.
 func TestHandlerOversizeBody(t *testing.T) {
