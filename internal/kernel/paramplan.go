@@ -3,7 +3,7 @@ package kernel
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"ecochip/internal/core"
 	"ecochip/internal/descarbon"
@@ -103,14 +103,21 @@ const (
 const cellDirty = DirtyNodes | DirtyMfg | DirtyDesign | DirtyAreas | DirtyVolume
 
 // ParamStats counts the work a parameter plan performed; CLIs surface it
-// under -progress.
+// under -progress. Each scratch counts its own evaluations; the counts
+// reach the plan's Stats when the scratch is released (ParamPlan.Fold,
+// ScratchPool.Put).
 type ParamStats struct {
 	// Evals is the number of perturbed points evaluated.
 	Evals uint64
 	// DieRecomputes / DieTableHits split mfg.Die calls into recomputed
-	// (dirty) and served-from-table.
+	// (dirty) and served-from-table. A chiplet identical to its
+	// predecessor in every CellFor input (see sameDie) shares the
+	// predecessor's cell within one evaluation and makes no call, so it
+	// counts as neither: on EPYC-8 a node-dirty sample counts 2
+	// recomputes (one CCD run, one IOD), not 9.
 	DieRecomputes, DieTableHits uint64
-	// DesignRecomputes / DesignTableHits split descarbon.ChipletKg calls.
+	// DesignRecomputes / DesignTableHits split descarbon.ChipletKg calls
+	// (shared cells, as above, make none).
 	DesignRecomputes, DesignTableHits uint64
 	// PackageEstimates counts full packaging re-estimates (floorplan and
 	// all); FloorplanReuses counts packaging-dirty re-estimates served
@@ -124,6 +131,18 @@ type ParamStats struct {
 func (s ParamStats) String() string {
 	return fmt.Sprintf("param plan: %d evals; die %d recomputed / %d from table, design %d recomputed / %d from table, %d package re-estimates, %d floorplan reuses, %d routing refreshes",
 		s.Evals, s.DieRecomputes, s.DieTableHits, s.DesignRecomputes, s.DesignTableHits, s.PackageEstimates, s.FloorplanReuses, s.RoutingRefreshes)
+}
+
+// add accumulates o into s.
+func (s *ParamStats) add(o ParamStats) {
+	s.Evals += o.Evals
+	s.DieRecomputes += o.DieRecomputes
+	s.DieTableHits += o.DieTableHits
+	s.DesignRecomputes += o.DesignRecomputes
+	s.DesignTableHits += o.DesignTableHits
+	s.PackageEstimates += o.PackageEstimates
+	s.FloorplanReuses += o.FloorplanReuses
+	s.RoutingRefreshes += o.RoutingRefreshes
 }
 
 // ParamPlan is a compiled parameter-perturbation plan: the base system
@@ -161,11 +180,14 @@ type ParamPlan struct {
 	cellMfg, cellDes, cellNre, cellArea []float64
 	cellNode                            []*tech.Node
 	commShare                           float64
+	// cleanDie / cleanDes are the table hits a clean CellFor walk of the
+	// base would count (shared cells make no call), which the column
+	// fold counts in its place.
+	cleanDie, cleanDes uint64
 
-	evals                                    atomic.Uint64
-	dieCalls, dieHits                        atomic.Uint64
-	desCalls, desHits                        atomic.Uint64
-	pkgEstimates, fpReuses, routingRefreshes atomic.Uint64
+	// totals holds the counters of every released scratch (Fold).
+	mu     sync.Mutex
+	totals ParamStats
 }
 
 // pkgSnapshot is the tabulated base packaging result: every field of the
@@ -245,7 +267,14 @@ func CompileParams(base *core.System, db *tech.DB) (*ParamPlan, error) {
 		}
 		p.captureCell(i, &cell)
 		chiplets[i] = pkgcarbon.Chiplet{Name: base.Chiplets[i].Name, AreaMM2: cell.AreaMM2, Node: cell.Node}
+		if i == 0 || !sameDie(&base.Chiplets[i], &base.Chiplets[i-1]) {
+			p.cleanDie++
+			if !base.Chiplets[i].Reused {
+				p.cleanDes++
+			}
+		}
 	}
+	p.cleanDes++ // the communication fabric's share
 	pkg, err := pkgcarbon.Estimate(chiplets, base.Packaging)
 	if err != nil {
 		return nil, err
@@ -278,17 +307,25 @@ func (p *ParamPlan) captureCell(i int, cell *core.DieCell) {
 }
 
 // Stats snapshots the plan's work counters (cumulative across runs).
+// It counts the evaluations of released scratches only: Walk and the
+// Monte Carlo runner release theirs before returning, and a caller that
+// drives Eval on its own scratch calls Fold (or ScratchPool.Put) first.
 func (p *ParamPlan) Stats() ParamStats {
-	return ParamStats{
-		Evals:            p.evals.Load(),
-		DieRecomputes:    p.dieCalls.Load(),
-		DieTableHits:     p.dieHits.Load(),
-		DesignRecomputes: p.desCalls.Load(),
-		DesignTableHits:  p.desHits.Load(),
-		PackageEstimates: p.pkgEstimates.Load(),
-		FloorplanReuses:  p.fpReuses.Load(),
-		RoutingRefreshes: p.routingRefreshes.Load(),
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.totals
+}
+
+// Fold releases a scratch's counters: it adds them into the plan's
+// totals and zeroes them, so a scratch folded again later adds only its
+// new work. It is the release hook of the plan's batch runs
+// (engine.RunScratchRelease), the same idiom as explore's putScratch.
+func (p *ParamPlan) Fold(sc *Scratch) {
+	st := &sc.hooks.stats
+	p.mu.Lock()
+	p.totals.add(*st)
+	p.mu.Unlock()
+	*st = ParamStats{}
 }
 
 // NewScratch builds a per-worker arena for evaluating this plan.
@@ -301,18 +338,28 @@ func (p *ParamPlan) NewScratch() (*Scratch, error) {
 	return sc, nil
 }
 
+// sameDie reports whether two chiplets give CellFor the same inputs:
+// every field but Name, which only labels errors.
+func sameDie(a, b *core.Chiplet) bool {
+	return a.Type == b.Type && a.Transistors == b.Transistors && a.NodeNm == b.NodeNm &&
+		a.ManufacturedParts == b.ManufacturedParts && a.Reused == b.Reused
+}
+
 // commRow is the hooks row of the communication-fabric design carbon.
 const commRow = -1
 
 // paramHooks serves the plan's base tabulation through the core.Hooks
 // seam, recomputing a sub-model only when the current evaluation's dirty
 // set invalidates it. row tracks which chiplet (or commRow) the enclosing
-// CellFor / CommDesignShareKg call is evaluating.
+// CellFor / CommDesignShareKg call is evaluating. stats counts the
+// scratch's work until Fold hands it to the plan: plain fields, not
+// atomics shared by every worker.
 type paramHooks struct {
 	plan               *ParamPlan
 	row                int
 	dieDirty, desDirty bool
 	h                  core.Hooks
+	stats              ParamStats
 }
 
 func (ph *paramHooks) init(plan *ParamPlan) {
@@ -322,19 +369,19 @@ func (ph *paramHooks) init(plan *ParamPlan) {
 
 func (ph *paramHooks) die(n *tech.Node, d tech.DesignType, areaMM2 float64, p mfg.Params) (mfg.Result, error) {
 	if ph.dieDirty {
-		ph.plan.dieCalls.Add(1)
+		ph.stats.DieRecomputes++
 		return mfg.Die(n, d, areaMM2, p)
 	}
-	ph.plan.dieHits.Add(1)
+	ph.stats.DieTableHits++
 	return ph.plan.die[ph.row], nil
 }
 
 func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params) (float64, error) {
 	if ph.desDirty {
-		ph.plan.desCalls.Add(1)
+		ph.stats.DesignRecomputes++
 		return descarbon.ChipletKg(gates, n, p)
 	}
-	ph.plan.desHits.Add(1)
+	ph.stats.DesignTableHits++
 	if ph.row == commRow {
 		return ph.plan.commKg, nil
 	}
@@ -349,11 +396,11 @@ func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params)
 // buffers (PerturbNodes). Each worker drives a private scratch across
 // every point it evaluates, so custom perturbation studies inherit the
 // plan's scratch reuse and tabulated column folds without driving
-// engine.RunScratch themselves; the tornado and Monte Carlo analyses
-// run on this same runner.
+// engine.RunScratch themselves; the tornado analysis runs on this same
+// runner. Each worker's counters are folded into Stats when it finishes.
 func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scratch) (*core.System, *tech.DB, Dirty, error), opts ...engine.Option) ([]Totals, error) {
-	return engine.RunScratch(ctx, n,
-		p.NewScratch,
+	return engine.RunScratchRelease(ctx, n,
+		p.NewScratch, p.Fold,
 		func(_ context.Context, k int, sc *Scratch) (Totals, error) {
 			s, db, dirty, err := apply(k, sc)
 			if err != nil {
@@ -379,8 +426,8 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 	if err := s.Validate(db); err != nil {
 		return Totals{}, err
 	}
-	p.evals.Add(1)
 	ph := &sc.hooks
+	ph.stats.Evals++
 	ph.dieDirty = dirty&(DirtyNodes|DirtyMfg|DirtyAreas) != 0
 	ph.desDirty = dirty&(DirtyDesign|DirtyAreas) != 0
 
@@ -390,15 +437,15 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 	// table, and the assembly arithmetic sees base inputs), so the fold
 	// is the same additions in the same chiplet order over the same
 	// bits. The table-hit counters advance exactly as the hook-served
-	// walk would advance them.
+	// walk would advance them (cleanDie / cleanDes).
 	clean := dirty&cellDirty == 0
 
 	var t Totals
 	t.AssemblyYield = 1
 	if p.monolith {
 		if clean {
-			p.dieHits.Add(1)
-			p.desHits.Add(1)
+			ph.stats.DieTableHits++
+			ph.stats.DesignTableHits++
 			t.MfgKg = p.cellMfg[0]
 			t.DesignKg = p.cellDes[0]
 			t.NREKg = p.cellNre[0]
@@ -416,8 +463,8 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 		}
 	} else {
 		if clean {
-			p.dieHits.Add(uint64(p.nc))
-			p.desHits.Add(uint64(p.nc) + 1)
+			ph.stats.DieTableHits += p.cleanDie
+			ph.stats.DesignTableHits += p.cleanDes
 			cellDes := p.cellDes[:len(p.cellMfg)]
 			cellNre := p.cellNre[:len(p.cellMfg)]
 			for i, m := range p.cellMfg {
@@ -433,16 +480,24 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 				}
 			}
 		} else {
+			// A run of identical chiplets (EPYC's CCDs) shares one cell:
+			// CellFor is pure in the inputs sameDie compares plus s and
+			// db, so the shared cell carries the bits each member's own
+			// call would return, and the sums see them in chiplet order.
+			var cell core.DieCell
 			for i := range s.Chiplets {
-				ph.row = i
-				cell, err := s.CellFor(db, s.Chiplets[i], s.Chiplets[i].NodeNm, &ph.h)
-				if err != nil {
-					return Totals{}, err
+				c := &s.Chiplets[i]
+				if i == 0 || !sameDie(c, &s.Chiplets[i-1]) {
+					ph.row = i
+					var err error
+					if cell, err = s.CellFor(db, *c, c.NodeNm, &ph.h); err != nil {
+						return Totals{}, err
+					}
 				}
 				t.MfgKg += cell.MfgKg
 				t.DesignKg += cell.DesignKgAmortized
 				t.NREKg += cell.NREKg
-				sc.pkgCh[i] = pkgcarbon.Chiplet{Name: s.Chiplets[i].Name, AreaMM2: cell.AreaMM2, Node: cell.Node}
+				sc.pkgCh[i] = pkgcarbon.Chiplet{Name: c.Name, AreaMM2: cell.AreaMM2, Node: cell.Node}
 			}
 		}
 		switch {
@@ -459,10 +514,10 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 			var pkg *pkgcarbon.Result
 			var err error
 			if reuseFP {
-				p.fpReuses.Add(1)
+				ph.stats.FloorplanReuses++
 				pkg, err = pkgcarbon.EstimateOnFloorplan(sc.pkgCh, s.Packaging, p.fp)
 			} else {
-				p.pkgEstimates.Add(1)
+				ph.stats.PackageEstimates++
 				pkg, err = pkgcarbon.Estimate(sc.pkgCh, s.Packaging)
 			}
 			if err != nil {
@@ -476,7 +531,7 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 			// Only node parameters changed: areas — and with them the
 			// floorplan, package carbon and assembly yield — are intact;
 			// refresh just the node-dependent communication cells.
-			p.routingRefreshes.Add(1)
+			ph.stats.RoutingRefreshes++
 			r, err := pkgcarbon.EstimateRouting(sc.pkgCh, s.Packaging)
 			if err != nil {
 				return Totals{}, err

@@ -64,7 +64,8 @@ func TestParamPlanBaseEvalBitIdentical(t *testing.T) {
 // The dirty set controls exactly which sub-models recompute: a clean
 // eval serves everything from the table, a node-dirty eval re-runs die
 // manufacturing and refreshes routing but never re-floorplans, and a
-// packaging-dirty eval runs the full package model.
+// packaging-dirty eval runs the full package model. Stats reads the
+// counters after each Fold releases the scratch's.
 func TestParamPlanStatsTrackDirtySets(t *testing.T) {
 	d := db()
 	base := testcases.GA102(d, 7, 14, 10, false)
@@ -77,11 +78,16 @@ func TestParamPlanStatsTrackDirtySets(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc := uint64(len(base.Chiplets))
+	// The counters live in the scratch until it is released.
+	stats := func() ParamStats {
+		plan.Fold(sc)
+		return plan.Stats()
+	}
 
 	if _, err := plan.Eval(sc, base, d, 0); err != nil {
 		t.Fatal(err)
 	}
-	s := plan.Stats()
+	s := stats()
 	if s.Evals != 1 || s.DieRecomputes != 0 || s.DesignRecomputes != 0 || s.PackageEstimates != 0 || s.RoutingRefreshes != 0 {
 		t.Fatalf("clean eval should be all table hits: %+v", s)
 	}
@@ -96,7 +102,7 @@ func TestParamPlanStatsTrackDirtySets(t *testing.T) {
 	if _, err := plan.Eval(sc, base, dirtyDB, DirtyNodes); err != nil {
 		t.Fatal(err)
 	}
-	s = plan.Stats()
+	s = stats()
 	if s.DieRecomputes != nc || s.RoutingRefreshes != 1 || s.PackageEstimates != 0 {
 		t.Fatalf("node-dirty eval should recompute %d dies and refresh routing without a package estimate: %+v", nc, s)
 	}
@@ -109,7 +115,7 @@ func TestParamPlanStatsTrackDirtySets(t *testing.T) {
 	if _, err := plan.Eval(sc, &pkgSys, d, DirtyPackaging); err != nil {
 		t.Fatal(err)
 	}
-	if s = plan.Stats(); s.FloorplanReuses != 1 || s.PackageEstimates != 0 {
+	if s = stats(); s.FloorplanReuses != 1 || s.PackageEstimates != 0 {
 		t.Fatalf("packaging-dirty eval with untouched geometry should reuse the base floorplan: %+v", s)
 	}
 
@@ -120,7 +126,7 @@ func TestParamPlanStatsTrackDirtySets(t *testing.T) {
 	if _, err := plan.Eval(sc, &spacingSys, d, DirtyPackaging); err != nil {
 		t.Fatal(err)
 	}
-	if s = plan.Stats(); s.PackageEstimates != 1 || s.FloorplanReuses != 1 {
+	if s = stats(); s.PackageEstimates != 1 || s.FloorplanReuses != 1 {
 		t.Fatalf("geometry-dirty eval should run one full package estimate: %+v", s)
 	}
 
@@ -131,11 +137,11 @@ func TestParamPlanStatsTrackDirtySets(t *testing.T) {
 	copy(chiplets, base.Chiplets)
 	chiplets[0].Transistors *= 1.25
 	areaSys.Chiplets = chiplets
-	before := plan.Stats()
+	before := stats()
 	if _, err := plan.Eval(sc, &areaSys, d, DirtyAreas); err != nil {
 		t.Fatal(err)
 	}
-	s = plan.Stats()
+	s = stats()
 	if s.PackageEstimates != before.PackageEstimates+1 {
 		t.Fatalf("area-dirty eval should run a full package estimate: %+v", s)
 	}

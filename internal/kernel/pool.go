@@ -19,7 +19,8 @@ import (
 // The pool also owns the floorplan-stats accounting: Put folds the
 // increment of each scratch's retained-tree counters into the pool
 // totals (FloorplanStats), so callers get aggregate reuse rates without
-// double counting a scratch's history.
+// double counting a scratch's history. Put likewise folds a param-plan
+// scratch's counters into its plan (ParamPlan.Fold).
 type ScratchPool struct {
 	newFn func() (*Scratch, error)
 
@@ -54,9 +55,13 @@ func (p *ScratchPool) Get() (*Scratch, error) {
 	return p.newFn()
 }
 
-// Put folds the scratch's new floorplan work into the pool totals and
-// returns it for reuse.
+// Put folds the scratch's new floorplan work into the pool totals (and
+// a param-plan scratch's counters into its plan) and returns it for
+// reuse.
 func (p *ScratchPool) Put(sc *Scratch) {
+	if plan := sc.hooks.plan; plan != nil {
+		plan.Fold(sc)
+	}
 	cur := sc.FloorplanStats()
 	delta := cur.Delta(sc.fpFolded)
 	sc.fpFolded = cur

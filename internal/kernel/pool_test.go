@@ -5,6 +5,7 @@ import (
 
 	"ecochip/internal/pkgcarbon"
 	"ecochip/internal/tech"
+	"ecochip/internal/testcases"
 )
 
 func TestScratchPoolReuseAndStatsFolding(t *testing.T) {
@@ -73,4 +74,35 @@ func TestScratchPoolReuseAndStatsFolding(t *testing.T) {
 		}()
 		sc3.ResizeChiplets(3)
 	}()
+}
+
+// Put folds a param-plan scratch's counters into its plan, once.
+func TestScratchPoolFoldsParamStats(t *testing.T) {
+	d := tech.Default()
+	base := testcases.GA102(d, 7, 14, 10, false)
+	plan, err := CompileParams(base, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewScratchPool(plan.NewScratch)
+	sc, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Eval(sc, base, d, DirtyMfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Stats().Evals; got != 0 {
+		t.Fatalf("Stats counted an unreleased scratch: Evals = %d", got)
+	}
+	pool.Put(sc)
+	first := plan.Stats()
+	if first.Evals != 1 || first.DieRecomputes != uint64(len(base.Chiplets)) {
+		t.Fatalf("Put did not fold the scratch's counters: %+v", first)
+	}
+	sc, _ = pool.Get()
+	pool.Put(sc)
+	if got := plan.Stats(); got != first {
+		t.Fatalf("an idle scratch changed the folded stats: %+v vs %+v", got, first)
+	}
 }

@@ -869,10 +869,15 @@ func routing(chiplets []Chiplet, p *Params, sc *scratch) (Routing, error) {
 // dense fold cannot change a bit.
 func commFold(sc *scratch, chiplets []Chiplet, p *Params, fullRouter bool) (kgSum, areaSum, powerSum float64, err error) {
 	if cached := commSlots(sc, len(chiplets)); !cached {
-		for _, c := range chiplets {
-			cc, err := commFor(sc, c.Node, p, fullRouter)
-			if err != nil {
-				return 0, 0, 0, err
+		// Without a scratch there is no per-node memo; a run of chiplets
+		// on one node (EPYC's CCDs) still computes its cell once, since
+		// commFor is pure in the node and the fixed parameters.
+		var cc commCell
+		for i, c := range chiplets {
+			if i == 0 || c.Node != chiplets[i-1].Node {
+				if cc, err = commFor(sc, c.Node, p, fullRouter); err != nil {
+					return 0, 0, 0, err
+				}
 			}
 			kgSum += cc.kg
 			areaSum += cc.areaMM2

@@ -145,7 +145,8 @@ func RunCtx(ctx context.Context, base *core.System, db *tech.DB, spread Spread, 
 const mcDirty = kernel.DirtyNodes | kernel.DirtyMfg | kernel.DirtyDesign
 
 // RunPlanned is RunCtx also returning the compiled parameter plan the
-// sampling ran on, so callers can surface plan statistics.
+// sampling ran on, so callers can surface plan statistics: each worker's
+// counters are folded into plan.Stats when it finishes.
 func RunPlanned(ctx context.Context, base *core.System, db *tech.DB, spread Spread, n int, seed int64, opts ...engine.Option) (Distribution, *kernel.ParamPlan, error) {
 	if err := checkRun(base, db, spread, n); err != nil {
 		return Distribution{}, nil, err
@@ -154,8 +155,8 @@ func RunPlanned(ctx context.Context, base *core.System, db *tech.DB, spread Spre
 	if err != nil {
 		return Distribution{}, nil, err
 	}
-	samples, err := engine.RunScratch(ctx, n,
-		plan.NewScratch,
+	samples, err := engine.RunScratchRelease(ctx, n,
+		plan.NewScratch, plan.Fold,
 		func(_ context.Context, i int, sc *kernel.Scratch) (float64, error) {
 			rng := newSampleStream(seed, i)
 			d0Scale := rng.draw(spread.DefectDensity)
