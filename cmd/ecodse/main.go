@@ -163,27 +163,55 @@ func run(designDir string, cfg runConfig, w, statsW io.Writer) error {
 	}
 }
 
+// runSweep prints the embodied/cost Pareto front of the node sweep. A
+// local sweep of a non-monolith folds the front on the compiled plan
+// without materializing the points (ParetoFrontCtx, whose front is the
+// one ParetoFront returns over every point); on a plan with
+// interchangeable chiplets that fold evaluates one member per orbit.
+// Multi-chiplet monoliths and -shard-connect sweeps materialize the
+// points and fold them afterwards.
+//
+// Under -progress, the compiled-plan line's point count is the number
+// of points evaluated, which on the orbit path is below the candidate
+// count, and the orbit table reads 0 hits, 0 misses there: only Gray
+// steps consult it, and the orbit fold evaluates block inits.
 func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, nodes []int, cfg runConfig, opts []engine.Option) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("sweep mode needs node_list.txt in the design directory")
 	}
 	cp := cost.DefaultParams()
 
-	var points []explore.Point
+	var front []explore.Point
+	var candidates int
 	var plan *explore.CompiledPlan
 	var co *shard.Coordinator
 	var err error
-	if cfg.shardConnect != "" {
-		points, plan, co, err = runConnectedSweep(ctx, statsW, system, db, nodes, cp, cfg)
-	} else {
-		points, plan, err = explore.NodeSweepPlanned(ctx, system, db, nodes, cp, opts...)
-	}
-	if err != nil {
-		return err
+	switch {
+	case cfg.shardConnect != "":
+		var points []explore.Point
+		if points, plan, co, err = runConnectedSweep(ctx, statsW, system, db, nodes, cp, cfg); err != nil {
+			return err
+		}
+		front, candidates = explore.ParetoFront(points, explore.ByEmbodied, explore.ByCost), len(points)
+	case system.Monolithic && len(system.Chiplets) > 1:
+		// NodeSweepPlanned evaluates a multi-chiplet monolith's single
+		// die without compiling a plan: there are no plan statistics.
+		var points []explore.Point
+		if points, _, err = explore.NodeSweepPlanned(ctx, system, db, nodes, cp, opts...); err != nil {
+			return err
+		}
+		front, candidates = explore.ParetoFront(points, explore.ByEmbodied, explore.ByCost), len(points)
+	default:
+		if plan, err = explore.Compile(system, db, nodes, cp); err != nil {
+			return err
+		}
+		if front, _, err = plan.ParetoFrontCtx(ctx, []explore.Metric{explore.ByEmbodied, explore.ByCost}, opts...); err != nil {
+			return err
+		}
+		candidates = plan.Combos()
 	}
 
-	front := explore.ParetoFront(points, explore.ByEmbodied, explore.ByCost)
-	t := report.New(fmt.Sprintf("carbon-cost Pareto front (%d of %d candidates)", len(front), len(points)), "",
+	t := report.New(fmt.Sprintf("carbon-cost Pareto front (%d of %d candidates)", len(front), candidates), "",
 		"nodes", "cemb_kg", "ctot_kg", "cost_usd", "area_mm2")
 	for _, p := range front {
 		t.AddRow(p.Label(), report.F(p.EmbodiedKg), report.F(p.TotalKg), report.F(p.CostUSD), report.F(p.PackageAreaMM2))
@@ -191,9 +219,6 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 	if err := t.Fprint(w); err != nil {
 		return err
 	}
-	// plan is nil for a multi-chiplet monolith: NodeSweepPlanned
-	// evaluates its single die without compiling a plan, so there are no
-	// plan statistics to print.
 	if cfg.progress && plan != nil {
 		s := plan.Stats()
 		fmt.Fprintf(statsW, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits\n",

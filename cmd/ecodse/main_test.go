@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,20 +33,67 @@ func TestRunSweepMode(t *testing.T) {
 	}
 }
 
+// A local sweep folds the front on the compiled plan, so -progress
+// counts the points it evaluated. The example design has no
+// interchangeable chiplets: the fold walks every candidate. The EPYC-style
+// design's eight CCDs form one orbit class: the fold evaluates one
+// member per orbit (fewer points than candidates, no Gray steps), so
+// the orbit table, which only Gray steps consult, reads 0/0.
 func TestRunSweepProgressStats(t *testing.T) {
-	dir := exampleDir(t)
-	cfg := cfgFor("sweep")
-	cfg.progress = true
-	var out, stats strings.Builder
-	if err := run(dir, cfg, &out, &stats); err != nil {
+	epyc := epycDir(t)
+	if err := os.WriteFile(filepath.Join(epyc, "node_list.txt"), []byte("7\n14\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stats.String(), "compiled plan:") {
-		t.Errorf("progress run missing compiled-plan statistics:\n%s", stats.String())
+	for _, c := range []struct {
+		name, dir string
+		combos    int
+		orbits    bool
+	}{
+		{"example", exampleDir(t), -1, false},
+		{"epyc", epyc, 1 << 9, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := cfgFor("sweep")
+			cfg.progress = true
+			var out, stats strings.Builder
+			if err := run(c.dir, cfg, &out, &stats); err != nil {
+				t.Fatal(err)
+			}
+			var front, combos, points, cells, steps, inits int
+			if _, err := fmt.Sscanf(out.String(), "== carbon-cost Pareto front (%d of %d candidates) ==", &front, &combos); err != nil {
+				t.Fatalf("sweep header: %v\n%s", err, out.String())
+			}
+			if c.combos > 0 && combos != c.combos {
+				t.Errorf("header counts %d candidates, want %d", combos, c.combos)
+			}
+			line := statsLine(t, stats.String(), "compiled plan:")
+			if _, err := fmt.Sscanf(line, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits", &points, &cells, &steps, &inits); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			if got := statsLine(t, stats.String(), "orbit table:"); c.orbits && got != "orbit table: 0 hits, 0 misses" {
+				t.Errorf("orbit fold consulted the orbit table: %q", got)
+			}
+			if c.orbits {
+				if points >= combos || steps != 0 || inits != points {
+					t.Errorf("orbit fold: %d points, %d gray steps, %d block inits of %d candidates; want one block init per evaluated point, fewer than the candidates", points, steps, inits, combos)
+				}
+			} else if points != combos {
+				t.Errorf("walk evaluated %d points of %d candidates", points, combos)
+			}
+		})
 	}
-	if !strings.Contains(stats.String(), "orbit table: ") {
-		t.Errorf("progress run missing orbit-table statistics:\n%s", stats.String())
+}
+
+// statsLine returns the -progress line that starts with prefix.
+func statsLine(t *testing.T, stats, prefix string) string {
+	t.Helper()
+	for _, line := range strings.Split(stats, "\n") {
+		if line = strings.TrimSpace(line[strings.LastIndex(line, "\r")+1:]); strings.HasPrefix(line, prefix) {
+			return line
+		}
 	}
+	t.Fatalf("progress output has no %q line:\n%s", prefix, stats)
+	return ""
 }
 
 func TestRunTornadoMode(t *testing.T) {
