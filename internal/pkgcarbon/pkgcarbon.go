@@ -216,6 +216,11 @@ func (p Params) Validate() error {
 	if p.PackagingNode.Nm < 22 || p.PackagingNode.Nm > 65 {
 		return fmt.Errorf("pkgcarbon: packaging node %dnm outside Table I range [22, 65]", p.PackagingNode.Nm)
 	}
+	// The node may come from a request body rather than a tech.DB, so
+	// its parameters get the database's Table I checks too.
+	if err := p.PackagingNode.Validate(); err != nil {
+		return fmt.Errorf("pkgcarbon: packaging node: %w", err)
+	}
 	if p.CarbonIntensity < 0.030 || p.CarbonIntensity > 0.700 {
 		return fmt.Errorf("pkgcarbon: carbon intensity %g outside [0.030, 0.700]", p.CarbonIntensity)
 	}

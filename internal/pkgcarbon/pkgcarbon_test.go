@@ -79,6 +79,16 @@ func TestValidateRejects(t *testing.T) {
 		{"TSV pitch", func(p *Params) { p.Bond = TSV; p.BondPitchUM = 100 }},
 		{"hybrid pitch", func(p *Params) { p.Bond = HybridBond; p.BondPitchUM = 20 }},
 		{"router", func(p *Params) { p.Router.Ports = 0 }},
+		{"node EPA", func(p *Params) {
+			n := *p.PackagingNode
+			n.EPA = -3
+			p.PackagingNode = &n
+		}},
+		{"node EPLA RDL", func(p *Params) {
+			n := *p.PackagingNode
+			n.EPLARDL = -5
+			p.PackagingNode = &n
+		}},
 	}
 	for _, m := range mutations {
 		p := DefaultParams(RDLFanout)

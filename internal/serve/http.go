@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -28,7 +29,8 @@ import (
 // model rejects is a 400, and a body over maxBodyBytes is a 413. A
 // request shed by the per-family admission gates is a 429 with a
 // Retry-After header (whole seconds). A request whose client went away
-// mid-evaluation is a 499, and a recovered evaluation panic is a 500.
+// mid-evaluation is a 499, and a recovered panic — in an evaluation or
+// anywhere else in a handler, such as a plan build — is a 500.
 // Handlers are concurrency-safe (the server's caches single-flight
 // compiles), so the default one-goroutine-per-connection http.Server
 // drive is the intended concurrent serving mode.
@@ -68,7 +70,24 @@ func Handler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	return mux
+	return recoverPanics(mux)
+}
+
+// recoverPanics answers a panic that escapes h with writeError's 500
+// instead of net/http's dropped connection. http.ErrAbortHandler keeps
+// its meaning: the handler asked to abort the response.
+func recoverPanics(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if v := recover(); v != nil {
+				if v == http.ErrAbortHandler {
+					panic(v)
+				}
+				writeError(w, &engine.PanicError{Index: -1, Value: v, Stack: debug.Stack()})
+			}
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // StreamLine is one NDJSON line of a streamed front: snapshots carry

@@ -335,6 +335,58 @@ func TestHandlerUnknownChipletType(t *testing.T) {
 	}
 }
 
+// A packaging node outside Table I is a 400 on every endpoint: the
+// node arrives whole in the body, not from the server's database.
+func TestHandlerInvalidPackagingNode(t *testing.T) {
+	db := tech.Default()
+	ts := httptest.NewServer(Handler(NewServer(db, Config{})))
+	defer ts.Close()
+	sys := ga102(t, db)
+	node := *sys.Packaging.PackagingNode
+	node.EPA = -3
+	sys.Packaging.PackagingNode = &node
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/whatif", &WhatIfRequest{System: sys, VolumeScale: 2}},
+		{"/v1/sweep", &SweepRequest{System: sys, Nodes: ga102Nodes}},
+		{"/v1/sweep/stream", &SweepRequest{System: sys, Nodes: ga102Nodes, Objectives: []string{"embodied", "cost"}}},
+		{"/v1/disaggregate", &DisaggregateRequest{System: sys}},
+	} {
+		buf, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		e := decodeBody[map[string]string](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains((*e)["error"], "EPA = -3") {
+			t.Errorf("%s: status %d, body %v; want 400 naming the packaging node's EPA", c.path, resp.StatusCode, *e)
+		}
+	}
+}
+
+// A panic that escapes a handler (a plan build, not an evaluation the
+// engine recovers) reaches the client as a 500 with an error body, not
+// as a dropped connection.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	ts := httptest.NewServer(recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("plan build failed")
+	})))
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/v1/whatif", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatalf("client saw %v, want a 500 status", err)
+	}
+	e := decodeBody[map[string]string](t, resp)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains((*e)["error"], "plan build failed") {
+		t.Fatalf("status %d, body %v; want 500 naming the panic", resp.StatusCode, *e)
+	}
+}
+
 // A body past maxBodyBytes is refused with 413 on every POST endpoint,
 // before it is decoded in full.
 func TestHandlerOversizeBody(t *testing.T) {
