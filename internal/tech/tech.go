@@ -179,8 +179,10 @@ func (n *Node) Validate() error {
 		if d == Analog {
 			lo = 1.0
 		}
-		if err := check(d.String()+" density", density, lo, 150); err != nil {
-			return err
+		// Name the field only on failure: Validate runs on every
+		// evaluation's packaging node, and the concatenation allocates.
+		if density < lo || density > 150 {
+			return check(d.String()+" density", density, lo, 150)
 		}
 	}
 	if err := check("EPA", n.EPA, 0.8, 3.5); err != nil {

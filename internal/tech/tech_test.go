@@ -254,6 +254,25 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// Validate runs on every evaluation's packaging node, so a valid node
+// must pass without allocating, and a density failure still names its
+// design type.
+func TestValidateAllocationFree(t *testing.T) {
+	n := defaultNodes[0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate of a valid node made %v allocations, want 0", allocs)
+	}
+	n.Density[Memory] = 500
+	want := "tech: node 7nm: memory density = 500 outside Table I range [5, 150]"
+	if err := n.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate() = %v, want %q", err, want)
+	}
+}
+
 func TestNewDBRejectsDuplicates(t *testing.T) {
 	if _, err := NewDB([]Node{defaultNodes[0], defaultNodes[0]}); err == nil {
 		t.Error("NewDB should reject duplicate node sizes")
