@@ -601,7 +601,7 @@ func BenchmarkFloorplanIncremental(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats(); s.Fallbacks != uint64(b.N) || s.MemoHits > 0 {
+	if s := tr.Stats; s.Fallbacks != uint64(b.N) || s.MemoHits > 0 {
 		b.Fatalf("every update should miss the memo and lay out once: %+v", s)
 	}
 }
@@ -630,7 +630,7 @@ func BenchmarkFloorplanUpdateSortFlip(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats(); b.N > 16 && s.MemoHits == 0 {
+	if s := tr.Stats; b.N > 16 && s.MemoHits == 0 {
 		b.Fatalf("sort-flip benchmark never hit the shape memo: %+v", s)
 	}
 }

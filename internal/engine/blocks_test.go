@@ -14,10 +14,11 @@ func TestRunScratchPerWorkerState(t *testing.T) {
 	var created atomic.Int32
 	n := 64
 	owners := make([]*scratch, n)
-	_, err := RunScratch(context.Background(), n,
+	_, err := RunScratchRelease(context.Background(), n,
 		func() (*scratch, error) {
 			return &scratch{id: int(created.Add(1))}, nil
 		},
+		nil,
 		func(_ context.Context, i int, sc *scratch) (int, error) {
 			owners[i] = sc
 			return i, nil
@@ -38,8 +39,8 @@ func TestRunScratchPerWorkerState(t *testing.T) {
 
 func TestRunScratchInitError(t *testing.T) {
 	boom := errors.New("scratch init failed")
-	_, err := RunScratch(context.Background(), 8,
-		func() (int, error) { return 0, boom },
+	_, err := RunScratchRelease(context.Background(), 8,
+		func() (int, error) { return 0, boom }, nil,
 		func(_ context.Context, i int, _ int) (int, error) { return i, nil },
 		WithWorkers(2))
 	if !errors.Is(err, boom) {

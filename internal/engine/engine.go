@@ -12,8 +12,9 @@
 //   - an optional progress callback for long-running CLI sweeps.
 //
 // Compiled plans (internal/kernel, internal/explore) run on top of this
-// pool: RunScratch carries their per-worker scratch arenas (packaging
-// estimators, sandbox databases, operational-term memos) and RunBlocks
+// pool: RunScratchRelease carries their per-worker scratch arenas
+// (packaging estimators, sandbox databases, operational-term memos) and
+// releases each one's counters when its worker finishes, and RunBlocks
 // hands Gray-code walkers the contiguous index ranges their incremental
 // evaluation depends on.
 package engine
@@ -87,28 +88,23 @@ type indexedErr struct {
 // error, so one poisoned evaluation cannot take down a long-lived
 // serving process.
 func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error), opts ...Option) ([]T, error) {
-	return RunScratch(ctx, n,
-		func() (struct{}, error) { return struct{}{}, nil },
+	return RunScratchRelease(ctx, n,
+		func() (struct{}, error) { return struct{}{}, nil }, nil,
 		func(ctx context.Context, i int, _ struct{}) (T, error) { return fn(ctx, i) },
 		opts...)
 }
 
-// RunScratch is Run for evaluators that carry per-worker scratch state —
-// reusable report buffers, packaging estimators, floorplan arenas — that
-// is too expensive to rebuild per point and must not be shared across
-// goroutines. newScratch runs once on each worker goroutine before it
-// claims work; fn then receives the worker's scratch for every point it
-// evaluates.
-func RunScratch[T, S any](ctx context.Context, n int, newScratch func() (S, error), fn func(ctx context.Context, i int, scratch S) (T, error), opts ...Option) ([]T, error) {
-	return RunScratchRelease(ctx, n, newScratch, nil, fn, opts...)
-}
-
-// RunScratchRelease is RunScratch with a release hook: each worker's
-// scratch is handed to release when the worker finishes (whether the
-// batch succeeded, failed or was cancelled), so scratches drawn from a
-// step-spanning pool (kernel.ScratchPool) can be returned to it and
-// keep their retained state warm for the next batch. A nil release is
-// ignored.
+// RunScratchRelease is Run for evaluators that carry per-worker scratch
+// state — reusable report buffers, packaging estimators, floorplan
+// arenas — that is too expensive to rebuild per point and must not be
+// shared across goroutines. newScratch runs once on each worker
+// goroutine before it claims work; fn then receives the worker's
+// scratch for every point it evaluates. Each worker's scratch is handed
+// to release when the worker finishes (whether the batch succeeded,
+// failed or was cancelled), so its counters fold into their owner
+// (kernel.ParamPlan.Fold) or it returns to a step-spanning pool
+// (kernel.ScratchPool) that keeps its retained state warm for the next
+// batch. A nil release is ignored.
 func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func() (S, error), release func(S), fn func(ctx context.Context, i int, scratch S) (T, error), opts ...Option) ([]T, error) {
 	o := buildOptions(opts)
 	results := make([]T, n)

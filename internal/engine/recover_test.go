@@ -60,8 +60,8 @@ func TestRunBlocksRecoversBlockPanic(t *testing.T) {
 // A panicking scratch constructor poisons the run like a scratch error,
 // not the process.
 func TestRunScratchRecoversConstructorPanic(t *testing.T) {
-	_, err := RunScratch(context.Background(), 4,
-		func() (int, error) { panic("bad scratch") },
+	_, err := RunScratchRelease(context.Background(), 4,
+		func() (int, error) { panic("bad scratch") }, nil,
 		func(_ context.Context, i int, _ int) (int, error) { return i, nil },
 		WithWorkers(2))
 	var pe *PanicError

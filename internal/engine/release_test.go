@@ -57,7 +57,7 @@ func TestRunScratchReleaseReturnsEveryScratch(t *testing.T) {
 	}
 }
 
-// A nil release hook is the plain RunScratch behavior.
+// A nil release hook runs the batch without releasing anything.
 func TestRunScratchReleaseNilHook(t *testing.T) {
 	got, err := RunScratchRelease(context.Background(), 5,
 		func() (struct{}, error) { return struct{}{}, nil },

@@ -394,8 +394,8 @@ func (p *CompiledPlan) orbitFront(ctx context.Context, objectives []Metric, opts
 			copy(repVals[rank*k:], local.vals)
 			tick()
 		}
-		p.blockInits.Add(uint64(hi - lo))
-		p.points.Add(uint64(hi - lo))
+		sc.blockInits += uint64(hi - lo)
+		sc.points += uint64(hi - lo)
 		mu.Lock()
 		reps.merge(local)
 		mu.Unlock()
@@ -436,8 +436,8 @@ func (p *CompiledPlan) orbitFront(ctx context.Context, objectives []Metric, opts
 				n++
 			}
 		}
-		p.blockInits.Add(uint64(n))
-		p.points.Add(uint64(n))
+		sc.blockInits += uint64(n)
+		sc.points += uint64(n)
 		mu.Lock()
 		members.merge(local)
 		mu.Unlock()

@@ -39,7 +39,7 @@ import (
 //   - Worker scratches (the packaging estimator with its retained
 //     floorplan tree, per-node communication memo and per-area package
 //     memo) come from a kernel.ScratchPool that spans the whole search,
-//     so engine.RunScratch batches no longer rebuild them per step.
+//     so engine batches no longer rebuild them per step.
 //     Each candidate's changed die set rebuilds the retained floorplan
 //     tree from scratch.
 //
@@ -148,7 +148,7 @@ type mergedCell struct {
 // whole search's allocation profile flat.
 type disaggState struct {
 	db   *tech.DB
-	pool *kernel.ScratchPool
+	pool *kernel.ScratchPool[*kernel.SweepScratch]
 
 	nextID int
 	maxID  int   // bound on minted ids: 2*nc
@@ -160,6 +160,9 @@ type disaggState struct {
 	mergedEntries []mergedCell
 	commShares    map[commKey]float64 // (first survivor node, dies) -> design share
 	stats         DisaggregateStats
+	// fpMu guards stats.Floorplan while a run's workers release their
+	// scratches (foldFloorplan) concurrently.
+	fpMu sync.Mutex
 
 	// mergedMfg..mergedNode are the struct-of-arrays columns of the
 	// merged-cell arena's hot fields, appended in step with
@@ -247,14 +250,23 @@ func CompileDisaggregate(base *core.System, db *tech.DB) (*DisaggregateSearch, e
 		mergedEntries: make([]mergedCell, 0, nc*(nc-1)/4+nc),
 	}
 	pkg := template.Packaging
-	st.pool = kernel.NewScratchPool(func() (*kernel.Scratch, error) {
+	st.pool = kernel.NewScratchPool(func() (*kernel.SweepScratch, error) {
 		return kernel.NewSweepScratch(&pkg, nc)
-	})
+	}, st.foldFloorplan)
 	return &DisaggregateSearch{
 		base: template,
 		db:   db,
 		st:   st,
 	}, nil
+}
+
+// foldFloorplan is the scratch pool's release hook: it adds a
+// scratch's floorplan-tree counters into the search totals and zeroes
+// them.
+func (st *disaggState) foldFloorplan(sc *kernel.SweepScratch) {
+	st.fpMu.Lock()
+	sc.FoldFloorplan(&st.stats.Floorplan)
+	st.fpMu.Unlock()
 }
 
 // Stats snapshots the search's work counters. They accumulate across
@@ -266,7 +278,6 @@ func (ds *DisaggregateSearch) Stats() DisaggregateStats {
 	defer ds.mu.Unlock()
 	s := ds.st.stats
 	s.ScratchReuses = ds.st.pool.Reuses()
-	s.Floorplan = ds.st.pool.FloorplanStats()
 	return s
 }
 
@@ -309,7 +320,7 @@ func (ds *DisaggregateSearch) Run(ctx context.Context, opts ...engine.Option) (*
 		}
 		evaluated, err := engine.RunScratchRelease(ctx, len(pairs),
 			st.pool.Get, st.pool.Put,
-			func(_ context.Context, k int, sc *kernel.Scratch) (float64, error) {
+			func(_ context.Context, k int, sc *kernel.SweepScratch) (float64, error) {
 				return st.evalMergeCandidate(current, &pairs[k], sc)
 			}, opts...)
 		if err != nil {
@@ -353,7 +364,6 @@ func (ds *DisaggregateSearch) Run(ctx context.Context, opts ...engine.Option) (*
 	})
 	st.stats.Steps = uint64(steps)
 	st.stats.ScratchReuses = st.pool.Reuses()
-	st.stats.Floorplan = st.pool.FloorplanStats()
 	return &Plan{
 		System:     current,
 		Groups:     groups,
@@ -545,7 +555,7 @@ func (st *disaggState) applyMergeIDs(current *core.System, i, j int) {
 // terms fold from the step's dense metric columns and the merged term
 // from the arena columns: the same additions in the same order as the
 // old DieCell-record walk, bit for bit.
-func (st *disaggState) evalMergeCandidate(s *core.System, c *mergeCandidate, sc *kernel.Scratch) (float64, error) {
+func (st *disaggState) evalMergeCandidate(s *core.System, c *mergeCandidate, sc *kernel.SweepScratch) (float64, error) {
 	if len(s.Chiplets) == 2 {
 		// The final merge collapses to a single die, which evaluates
 		// down the monolith path; take the reference route for it.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ecochip/internal/core"
 	"ecochip/internal/cost"
@@ -23,14 +22,14 @@ import (
 // invariants — area, manufacturing result, design carbon, NRE share, die
 // dollar cost — so the hot loop replaces per-point cloning,
 // re-validation, mutex-guarded memo lookups and sub-model calls with
-// array indexing, and kernel.Scratch carries each worker's reusable
-// arena (packaging estimator, chiplet descriptors, operational-term
-// memo). This file owns the sweep-specific parts: combinations are
-// enumerated in mixed-radix reflected Gray-code order, so successive
-// points differ in exactly one chiplet — each step refreshes only the
-// changed chiplet's scratch state — and the result is addressed by the
-// point's mixed-radix output slot so the point order is identical to the
-// historical recursive walk.
+// array indexing, and kernel.SweepScratch carries each worker's
+// reusable arena (packaging estimator, chiplet descriptors, package
+// memos, operational-term memo). This file owns the sweep-specific
+// parts: combinations are enumerated in mixed-radix reflected
+// Gray-code order, so successive points differ in exactly one chiplet —
+// each step refreshes only the changed chiplet's scratch state — and
+// the result is addressed by the point's mixed-radix output slot so the
+// point order is identical to the historical recursive walk.
 //
 // One deliberate deviation from a textbook incremental evaluator: the
 // per-point metric totals are NOT maintained as running sums patched by
@@ -47,7 +46,11 @@ import (
 const nodesChunkBytes = 32 << 10
 
 // SweepStats counts the work a compiled plan performed; ecodse prints it
-// under -progress.
+// under -progress. Each worker scratch counts its own work, and the
+// counts reach the plan's Stats when the scratch is released at the end
+// of its walk (or of its EvalPoint call): they are added into the
+// plan's totals and zeroed, so Stats covers every finished run and a
+// second Stats call adds nothing.
 type SweepStats struct {
 	// Points is the number of design points evaluated from the table.
 	// A walk evaluates all Combos() of them; an orbit-path front
@@ -118,12 +121,9 @@ type CompiledPlan struct {
 	// verifies or is keyed by its exact inputs.
 	scratches sync.Pool
 
-	points, blockInits, graySteps atomic.Uint64
-	// Folded floorplan.TreeStats and point-memo counters of the
-	// per-block estimator scratches.
-	fpMu     sync.Mutex
-	fpTotals floorplan.TreeStats
-	pmTotals kernel.PkgMemoStats
+	// totals holds the counters of every released scratch (putScratch).
+	mu     sync.Mutex
+	totals SweepStats
 }
 
 // Compile builds the sweep plan for evaluating base under every
@@ -175,18 +175,11 @@ func (p *CompiledPlan) Combos() int { return p.combos }
 
 // Stats snapshots the plan's work counters (cumulative across runs).
 func (p *CompiledPlan) Stats() SweepStats {
-	p.fpMu.Lock()
-	fp := p.fpTotals
-	pm := p.pmTotals
-	p.fpMu.Unlock()
-	return SweepStats{
-		Points:     p.points.Load(),
-		BlockInits: p.blockInits.Load(),
-		GraySteps:  p.graySteps.Load(),
-		TableCells: len(p.tbl.Cells) * p.r,
-		Floorplan:  fp,
-		PkgMemo:    pm,
-	}
+	p.mu.Lock()
+	s := p.totals
+	p.mu.Unlock()
+	s.TableCells = len(p.tbl.Cells) * p.r
+	return s
 }
 
 // RunCtx evaluates every point of the plan: workers walk contiguous
@@ -269,12 +262,11 @@ func (p *CompiledPlan) nodesFor(idx int) []int {
 }
 
 // blockScratch is one worker's reusable per-point state: the Gray-code
-// odometer buffers, the reusable output point, and the kernel arena
+// odometer buffers, the reusable output point, the kernel arena
 // (packaging estimator with its retained floorplan tree, chiplet
-// descriptors, operational-term memo). Scratches are pooled on the plan
-// and survive across runs; folded records the floorplan counters
-// already folded into the plan totals, so each release folds only the
-// increment.
+// descriptors, package memos, operational-term memo) and the work
+// counters that putScratch folds into the plan. Scratches are pooled on
+// the plan and survive across runs.
 type blockScratch struct {
 	digits []int // current Gray digits (indices into plan.nodes)
 	std    []int // standard mixed-radix digits of the current index
@@ -297,7 +289,7 @@ type blockScratch struct {
 	rowMfg, rowDes, rowNre, rowUSD []float64
 	rowNREUSD                      []float64
 	pt                             Point
-	sc                             *kernel.Scratch
+	sc                             *kernel.SweepScratch
 	// estValid reports that the kernel scratch's packaging estimator ran
 	// on the previous point of the current walk, so a Gray step may take
 	// the single-changed-chiplet delta path. Serving a point from the
@@ -309,11 +301,10 @@ type blockScratch struct {
 	// visits each point of its segment once, so a scratch's first walk
 	// can never hit the per-point package memo: it neither reads nor
 	// fills it (sparing a fresh scratch the memo's allocation).
-	walks  int
-	folded floorplan.TreeStats
-	// memoFolded is the point-memo snapshot already folded into the
-	// plan totals (the PkgMemoStats twin of folded).
-	memoFolded kernel.PkgMemoStats
+	walks int
+	// points, blockInits and graySteps count the scratch's work since
+	// its last release (see SweepStats).
+	points, blockInits, graySteps uint64
 }
 
 // refreshRow regathers chiplet row i's five metric entries for node
@@ -332,7 +323,11 @@ func (p *CompiledPlan) getScratch() (*blockScratch, error) {
 	if v := p.scratches.Get(); v != nil {
 		return v.(*blockScratch), nil
 	}
-	ksc, err := p.tbl.NewScratch()
+	var pkg *pkgcarbon.Params
+	if !p.monolith {
+		pkg = &p.tbl.Base.Packaging
+	}
+	ksc, err := kernel.NewSweepScratch(pkg, p.nc)
 	if err != nil {
 		return nil, err
 	}
@@ -353,18 +348,20 @@ func (p *CompiledPlan) getScratch() (*blockScratch, error) {
 	}, nil
 }
 
-// putScratch folds the scratch's new floorplan and point-memo work into
-// the plan totals and returns it to the pool.
+// putScratch releases the scratch: its counters are added into the
+// plan totals and zeroed, and it returns to the pool.
 func (p *CompiledPlan) putScratch(sc *blockScratch) {
+	p.mu.Lock()
+	t := &p.totals
+	t.Points += sc.points
+	t.BlockInits += sc.blockInits
+	t.GraySteps += sc.graySteps
 	if !p.monolith {
-		cur := sc.sc.FloorplanStats()
-		mem := sc.sc.PkgMemoStats()
-		p.fpMu.Lock()
-		p.fpTotals.Add(cur.Delta(sc.folded))
-		p.pmTotals.Add(mem.Delta(sc.memoFolded))
-		p.fpMu.Unlock()
-		sc.folded, sc.memoFolded = cur, mem
+		sc.sc.FoldFloorplan(&t.Floorplan)
+		sc.sc.FoldMemo(&t.PkgMemo)
 	}
+	p.mu.Unlock()
+	sc.points, sc.blockInits, sc.graySteps = 0, 0, 0
 	p.scratches.Put(sc)
 }
 
@@ -395,7 +392,7 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 		p.initOrbit(sc)
 	}
 	pkgCh := sc.sc.Chiplets()
-	p.blockInits.Add(1)
+	sc.blockInits++
 	steps := uint64(0)
 
 	for k := lo; k < hi; k++ {
@@ -432,8 +429,8 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 		}
 		tick()
 	}
-	p.graySteps.Add(steps)
-	p.points.Add(uint64(hi - lo))
+	sc.graySteps += steps
+	sc.points += uint64(hi - lo)
 	return nil
 }
 

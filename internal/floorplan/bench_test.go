@@ -70,7 +70,7 @@ func benchTreeUpdate(b *testing.B, n int) {
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats(); s.Fallbacks != uint64(b.N) || s.MemoHits > 0 {
+	if s := tr.Stats; s.Fallbacks != uint64(b.N) || s.MemoHits > 0 {
 		b.Fatalf("every update should miss the memo and lay out once: %+v", s)
 	}
 }
@@ -110,7 +110,7 @@ func benchTreeDiff(b *testing.B, n int) {
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats(); s.DiffFallbacks != uint64(b.N) {
+	if s := tr.Stats; s.DiffFallbacks != uint64(b.N) {
 		b.Fatalf("every candidate plan should rebuild once: %+v", s)
 	}
 }

@@ -86,7 +86,7 @@ func TestTreeUpdateDimsMatchesScratchRandomized(t *testing.T) {
 			}
 			dimsIdentical(t, label, blocks, spacing, got)
 		}
-		total.Add(tr.Stats())
+		total.Add(tr.Stats)
 	}
 	if total.MemoHits == 0 || total.Fallbacks == 0 {
 		t.Errorf("sequence did not exercise memo hits and layouts: %+v", total)
@@ -121,15 +121,15 @@ func TestTreeMemoKeysAspectRatios(t *testing.T) {
 	first := *update(0, 100) // sorted areas 100 100 50, aspects 2 1 0.5
 	update(0, 50)
 	second := *update(1, 100) // sorted areas 100 100 50, aspects 0.5 1 2
-	if tr.Stats().MemoHits != 0 {
-		t.Fatalf("a shape with the same areas in another aspect order hit the memo: %+v", tr.Stats())
+	if tr.Stats.MemoHits != 0 {
+		t.Fatalf("a shape with the same areas in another aspect order hit the memo: %+v", tr.Stats)
 	}
 	if first.WidthMM == second.WidthMM && first.HeightMM == second.HeightMM {
 		t.Fatalf("test shapes should plan to different boxes: %+v", first)
 	}
 	update(1, 50)
 	update(0, 100)
-	if s := tr.Stats(); s.MemoHits != 2 {
+	if s := tr.Stats; s.MemoHits != 2 {
 		t.Errorf("revisited shapes should both hit: %+v", s)
 	}
 	// The hash separates these two shapes; the bit-for-bit key compare
@@ -154,7 +154,7 @@ func TestTreeMemoKeysAspectRatios(t *testing.T) {
 func hitOnce(t *testing.T, tr *Tree, blocks []Block, i int, a float64) {
 	t.Helper()
 	old := blocks[i].AreaMM2
-	before := tr.Stats().MemoHits
+	before := tr.Stats.MemoHits
 	for _, v := range []float64{a, old, a} {
 		blocks[i].AreaMM2 = v
 		got, err := tr.Update(i, v)
@@ -163,8 +163,8 @@ func hitOnce(t *testing.T, tr *Tree, blocks []Block, i int, a float64) {
 		}
 		dimsIdentical(t, "hitOnce", blocks, 0.5, got)
 	}
-	if tr.Stats().MemoHits == before {
-		t.Fatalf("expected a memo hit: %+v", tr.Stats())
+	if tr.Stats.MemoHits == before {
+		t.Fatalf("expected a memo hit: %+v", tr.Stats)
 	}
 }
 
@@ -194,13 +194,13 @@ func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 	// Block-set change: drop a CCD, append a merged die.
 	hitOnce(t, &tr, blocks, 0, 52.5)
 	edited := append(append([]Block{}, blocks[1:]...), Block{Name: "merged", AreaMM2: 126.5})
-	rebuilds := tr.Stats().DiffFallbacks
+	rebuilds := tr.Stats.DiffFallbacks
 	if got, err = tr.PlanDims(edited, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	dimsIdentical(t, "block-set change after hit", edited, 0.5, got)
-	if tr.Stats().DiffFallbacks != rebuilds+1 {
-		t.Errorf("shape change should count one block-set rebuild: %+v", tr.Stats())
+	if tr.Stats.DiffFallbacks != rebuilds+1 {
+		t.Errorf("shape change should count one block-set rebuild: %+v", tr.Stats)
 	}
 	if len(tr.memo.hash) != 0 {
 		t.Errorf("a block-set change must reset the memo: %d entries kept", len(tr.memo.hash))
@@ -209,14 +209,14 @@ func TestTreeMemoHitThenOtherEntryPoints(t *testing.T) {
 
 	// A missing Update after a hit lays out the repaired order.
 	hitOnce(t, &tr, blocks, 6, 88)
-	fallbacks := tr.Stats().Fallbacks
+	fallbacks := tr.Stats.Fallbacks
 	blocks[2].AreaMM2 = 300
 	if got, err = tr.Update(2, 300); err != nil {
 		t.Fatal(err)
 	}
 	dimsIdentical(t, "miss after hit", blocks, 0.5, got)
-	if tr.Stats().Fallbacks != fallbacks+1 {
-		t.Errorf("a miss after a hit should lay out once (one fallback): %+v", tr.Stats())
+	if tr.Stats.Fallbacks != fallbacks+1 {
+		t.Errorf("a miss after a hit should lay out once (one fallback): %+v", tr.Stats)
 	}
 }
 
@@ -256,19 +256,19 @@ func TestTreeMemoGrowthAndReset(t *testing.T) {
 	if n := len(tr.memo.hash); n != memoMaxSlots/2 || len(tr.memo.slots) != memoMaxSlots {
 		t.Fatalf("memo should stop at %d entries in %d slots: %d entries, %d slots", memoMaxSlots/2, memoMaxSlots, n, len(tr.memo.slots))
 	}
-	if s := tr.Stats(); s.MemoHits != 0 {
+	if s := tr.Stats; s.MemoHits != 0 {
 		t.Fatalf("distinct shapes hit the memo: %+v", s)
 	}
 	// The first shapes were stored, the last ones were not.
 	for _, k := range []int{0, memoMaxSlots - 1} {
-		hits := tr.Stats().MemoHits
+		hits := tr.Stats.MemoHits
 		blocks[2].AreaMM2 = shape(k)
 		got, err := tr.Update(2, shape(k))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dimsIdentical(t, fmt.Sprintf("revisit %d", k), blocks, 0.5, got)
-		if hit := tr.Stats().MemoHits > hits; hit != (k < memoMaxSlots/2) {
+		if hit := tr.Stats.MemoHits > hits; hit != (k < memoMaxSlots/2) {
 			t.Errorf("revisit of shape %d: hit=%v", k, hit)
 		}
 	}
@@ -342,7 +342,7 @@ func TestTreeStatsMemoHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := tr.Stats()
+	s := tr.Stats
 	if s.MemoHits != 1 || s.Unchanged != 1 || s.FastPath != 0 || s.Rebuilds != 1 || s.Fallbacks != 2 {
 		t.Fatalf("unexpected counters: %+v", s)
 	}
@@ -355,8 +355,8 @@ func TestTreeStatsMemoHits(t *testing.T) {
 	var sum TreeStats
 	sum.Add(s)
 	sum.Add(s)
-	if sum.MemoHits != 2 || sum.Delta(s) != s {
-		t.Errorf("Add/Delta lost MemoHits: sum %+v, delta %+v", sum, sum.Delta(s))
+	if sum.MemoHits != 2 || sum.Plans() != 2*s.Plans() {
+		t.Errorf("Add lost counts: sum %+v of twice %+v", sum, s)
 	}
 	if str := s.String(); !strings.Contains(str, ": 1 memo /") {
 		t.Errorf("String() does not report memo hits: %q", str)

@@ -92,20 +92,6 @@ func (s TreeStats) String() string {
 		s.MemoHits, s.Unchanged, s.Fallbacks, s.DiffFallbacks, s.Rebuilds, 100*s.ReuseRate())
 }
 
-// Delta returns the counter increments since prev, an earlier snapshot
-// of the same tree — how pooled scratches fold per-run work into an
-// aggregate without double counting their history.
-func (s TreeStats) Delta(prev TreeStats) TreeStats {
-	return TreeStats{
-		Rebuilds:      s.Rebuilds - prev.Rebuilds,
-		FastPath:      s.FastPath - prev.FastPath,
-		MemoHits:      s.MemoHits - prev.MemoHits,
-		Fallbacks:     s.Fallbacks - prev.Fallbacks,
-		DiffFallbacks: s.DiffFallbacks - prev.DiffFallbacks,
-		Unchanged:     s.Unchanged - prev.Unchanged,
-	}
-}
-
 // Tree is a memoized floorplanner of bounding boxes (see the file
 // comment). The zero value is ready to use: the first PlanDims call
 // sorts and lays out the blocks, and later PlanDims or Update calls
@@ -129,13 +115,14 @@ type Tree struct {
 	walkTmp   []int
 	walkToA   []bool
 
-	memo  shapeMemo
-	res   Result
-	stats TreeStats
-}
+	memo shapeMemo
+	res  Result
 
-// Stats snapshots the tree's work counters.
-func (t *Tree) Stats() TreeStats { return t.stats }
+	// Stats counts the tree's work. An owner releases the counts by
+	// adding them into its totals and zeroing the field
+	// (pkgcarbon.Estimator.FoldFloorplanStats).
+	Stats TreeStats
+}
 
 // PlanDims floorplans the blocks. It returns the previous Result when
 // no area changed, re-sorts and lays out when only areas changed, and
@@ -154,14 +141,14 @@ func (t *Tree) PlanDims(blocks []Block, spacingMM float64) (*Result, error) {
 		return nil, err
 	}
 	if !t.built || t.spacing != spacingMM {
-		t.stats.Rebuilds++
+		t.Stats.Rebuilds++
 		t.rebuild(blocks, spacingMM, total)
 		return &t.res, nil
 	}
 	if !t.sameShape(blocks) {
 		// The block set itself changed (removed, inserted or renamed
 		// blocks): start over.
-		t.stats.DiffFallbacks++
+		t.Stats.DiffFallbacks++
 		t.rebuild(blocks, spacingMM, total)
 		return &t.res, nil
 	}
@@ -173,10 +160,10 @@ func (t *Tree) PlanDims(blocks []Block, spacingMM float64) (*Result, error) {
 		}
 	}
 	if !changed {
-		t.stats.Unchanged++
+		t.Stats.Unchanged++
 		return &t.res, nil
 	}
-	t.stats.Fallbacks++
+	t.Stats.Fallbacks++
 	t.resort(len(t.blocks))
 	t.layout(total)
 	return &t.res, nil
@@ -200,7 +187,7 @@ func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 		return nil, errBlockArea(b)
 	}
 	if t.blocks[blockIdx].AreaMM2 == areaMM2 {
-		t.stats.Unchanged++
+		t.Stats.Unchanged++
 		return &t.res, nil
 	}
 	t.blocks[blockIdx].AreaMM2 = areaMM2
@@ -217,10 +204,10 @@ func (t *Tree) Update(blockIdx int, areaMM2 float64) (*Result, error) {
 	h := t.shapeHash()
 	if w, hgt, hit := t.memoLookup(h); hit {
 		t.res.WidthMM, t.res.HeightMM, t.res.ChipletAreaMM2 = w, hgt, total
-		t.stats.MemoHits++
+		t.Stats.MemoHits++
 		return &t.res, nil
 	}
-	t.stats.Fallbacks++
+	t.Stats.Fallbacks++
 	t.layout(total)
 	t.memoStore(h, t.res.WidthMM, t.res.HeightMM)
 	return &t.res, nil

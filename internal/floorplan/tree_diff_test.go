@@ -65,7 +65,7 @@ func TestTreeDiffMatchesScratchPlanRandomized(t *testing.T) {
 		}
 		boxBitIdentical(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
-	if s := tr.Stats(); s.DiffFallbacks == 0 {
+	if s := tr.Stats; s.DiffFallbacks == 0 {
 		t.Errorf("randomized edit sequence never changed the block set: %+v", s)
 	}
 }
@@ -109,7 +109,7 @@ func TestTreeDiffDisaggregateShape(t *testing.T) {
 			plans++
 		}
 	}
-	if s := tr.Stats(); s.DiffFallbacks != uint64(plans) {
+	if s := tr.Stats; s.DiffFallbacks != uint64(plans) {
 		t.Errorf("all %d candidate plans should count a block-set rebuild: %+v", plans, s)
 	}
 }
@@ -138,7 +138,7 @@ func TestTreeDiffForcedFallbacks(t *testing.T) {
 		{"two survivors", append(f[:2:2], Block{Name: "i", AreaMM2: 25})},
 	}
 	for k, e := range edits {
-		before := tr.Stats()
+		tr.Stats = TreeStats{}
 		want, err := sc.Plan(e.blocks, 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -148,8 +148,7 @@ func TestTreeDiffForcedFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		boxBitIdentical(t, e.why, want, got)
-		d := tr.Stats().Delta(before)
-		if d != (TreeStats{DiffFallbacks: 1}) {
+		if d := tr.Stats; d != (TreeStats{DiffFallbacks: 1}) {
 			t.Errorf("edit %d (%s): want exactly one DiffFallbacks, got %+v", k, e.why, d)
 		}
 	}

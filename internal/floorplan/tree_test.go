@@ -55,7 +55,7 @@ func TestTreePlanMatchesScratchPlan(t *testing.T) {
 		}
 		boxBitIdentical(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
-	s := tr.Stats()
+	s := tr.Stats
 	if s.Fallbacks == 0 {
 		t.Errorf("randomized plan sequence did not exercise same-shape layouts: %+v", s)
 	}
@@ -106,7 +106,7 @@ func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 			}
 			boxBitIdentical(t, fmt.Sprintf("round %d step %d", round, step), want, got)
 		}
-		total.Add(tr.Stats())
+		total.Add(tr.Stats)
 	}
 	if total.Fallbacks == 0 || total.MemoHits == 0 || total.Unchanged == 0 {
 		t.Errorf("random walk did not exercise layouts, memo hits and unchanged steps: %+v", total)
@@ -155,7 +155,7 @@ func TestTreeUpdateForcedFallbacks(t *testing.T) {
 		}
 		boxBitIdentical(t, fmt.Sprintf("step %d (%s)", i, st.why), want, got)
 	}
-	if s := tr.Stats(); s.Fallbacks == 0 {
+	if s := tr.Stats; s.Fallbacks == 0 {
 		t.Errorf("adversarial sequence never laid out the repaired order: %+v", s)
 	}
 }
@@ -193,7 +193,7 @@ func TestTreeRebuildOnShapeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	boxBitIdentical(t, "aspect change", want, got)
-	s := tr.Stats()
+	s := tr.Stats
 	if s.Rebuilds != 2 {
 		t.Errorf("initial plan + spacing change should rebuild twice: %+v", s)
 	}
@@ -259,7 +259,7 @@ func TestTreeStatsCounters(t *testing.T) {
 	if _, err := tr.Update(3, 51); err != nil { // revisited shape
 		t.Fatal(err)
 	}
-	s := tr.Stats()
+	s := tr.Stats
 	if s.Rebuilds != 1 || s.Unchanged != 1 || s.Fallbacks != 2 || s.MemoHits != 1 || s.FastPath != 0 {
 		t.Errorf("unexpected counters: %+v", s)
 	}
@@ -303,21 +303,20 @@ func TestTreeStatsEachCallCountsOnce(t *testing.T) {
 		{"Update memo hit", update(2, 40), TreeStats{MemoHits: 1}},
 	}
 	for _, st := range steps {
-		before := tr.Stats()
+		tr.Stats = TreeStats{} // count this step alone, as an owner's fold leaves it
 		got, err := st.call()
 		if err != nil {
 			t.Fatalf("%s: %v", st.kind, err)
 		}
 		dimsIdentical(t, st.kind, blocks, spacing, got)
-		after := tr.Stats()
-		if d := after.Delta(before); d != st.want {
+		if d := tr.Stats; d != st.want {
 			t.Errorf("%s: counted %+v, want %+v", st.kind, d, st.want)
 		}
-		if after.Plans() != before.Plans()+1 {
-			t.Errorf("%s: Plans() went from %d to %d, want one more", st.kind, before.Plans(), after.Plans())
+		if tr.Stats.Plans() != 1 {
+			t.Errorf("%s: Plans() = %d, want one", st.kind, tr.Stats.Plans())
 		}
-		if after.FastPath != 0 {
-			t.Errorf("%s: FastPath = %d, want 0", st.kind, after.FastPath)
+		if tr.Stats.FastPath != 0 {
+			t.Errorf("%s: FastPath = %d, want 0", st.kind, tr.Stats.FastPath)
 		}
 	}
 }

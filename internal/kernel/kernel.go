@@ -11,13 +11,17 @@
 //     communication design share — built through the same core seam
 //     (CellFor / MonolithCell) that Evaluate itself uses, so bit-identity
 //     holds by construction.
-//   - Scratch: one worker's reusable arena — the packaging estimator
-//     (pkgcarbon.Estimator with its memoized floorplan tree, whose
-//     single-changed-chiplet delta path the Gray-code sweep walk drives
-//     through EstimatePackageDelta), the per-point package memo and
-//     per-orbit package table that let a walk skip the estimator,
-//     chiplet descriptor buffer, operational-term memo and the
-//     tech.Sandbox for per-sample node perturbation.
+//   - SweepScratch: one worker's reusable arena for a node sweep or a
+//     Disaggregate search — the packaging estimator (pkgcarbon.Estimator
+//     with its memoized floorplan tree, whose single-changed-chiplet
+//     delta path the Gray-code sweep walk drives through
+//     EstimatePackageDelta), the per-point package memo and per-orbit
+//     package table that let a walk skip the estimator, the chiplet
+//     descriptor buffer and the operational-term memo.
+//   - Scratch: one worker's reusable arena for a ParamPlan — chiplet
+//     descriptors, the hooks serving the plan's base tabulation, the
+//     tech.Sandbox for per-sample node perturbation and the
+//     operational-term memo.
 //   - ParamPlan: a compiled plan keyed by perturbed *tech.Node / system
 //     parameters. It tabulates every sub-result of the base point once
 //     and re-evaluates perturbations by recomputing only the sub-models
@@ -28,11 +32,15 @@
 // the exact float bits of the uncompiled reference path (guarded by
 // randomized equivalence tests in the client packages), so callers can
 // switch paths freely for speed without perturbing a single result.
+//
+// Worker counters follow one idiom: each scratch counts its own work in
+// plain fields, and releasing the scratch adds the counts into its
+// owner's totals and zeroes them (ParamPlan.Fold, SweepScratch.FoldMemo
+// and FoldFloorplan), so an owner's Stats covers every released scratch
+// and a second Stats call adds nothing.
 package kernel
 
 import (
-	"fmt"
-
 	"ecochip/internal/floorplan"
 	"ecochip/internal/opcarbon"
 	"ecochip/internal/pkgcarbon"
@@ -59,47 +67,77 @@ func (t Totals) EmbodiedKg() float64 { return t.MfgKg + t.DesignKg + t.HIKg + t.
 // TotalKg returns C_tot exactly as core.Report.TotalKg computes it.
 func (t Totals) TotalKg() float64 { return t.EmbodiedKg() + t.OperationalKg }
 
-// Scratch is one worker's reusable evaluation arena. It is NOT safe for
-// concurrent use: batch engines build one per worker goroutine
-// (engine.RunScratch / engine.RunBlocks) and reuse it across every point
-// the worker evaluates.
+// Scratch is one worker's reusable arena for evaluating a ParamPlan:
+// the chiplet descriptor buffer, the hooks that serve the plan's base
+// tabulation, the tech.Sandbox for per-sample node perturbation and the
+// operational-term memo. It is NOT safe for concurrent use: batch
+// engines build one per worker goroutine (ParamPlan.NewScratch) and
+// reuse it across every point the worker evaluates.
 type Scratch struct {
 	pkgCh []pkgcarbon.Chiplet
-	est   *pkgcarbon.Estimator // sweep scratches only; nil for param plans
-
-	hooks paramHooks    // param-plan scratches only
+	hooks paramHooks
 	sb    *tech.Sandbox // lazy; built on first PerturbNodes
 	db    *tech.DB      // sandbox source (the plan's database)
+	op    opMemo
+}
 
-	// Last-value memo for the operational term: its input (spec, router
-	// power) is constant across whole sweeps and across all samples /
-	// node-side factors of a parameter plan.
-	opSpec   *opcarbon.Spec
-	opValid  bool
-	opPowerW float64
-	opKg     float64
+// SweepScratch is one worker's reusable arena for a compiled node sweep
+// or a Disaggregate search: the packaging estimator (with its memoized
+// floorplan tree, whose single-changed-chiplet path the Gray-code walk
+// drives through EstimatePackageDelta), the chiplet descriptor buffer,
+// the per-point package memo and per-orbit package table that let a
+// walk skip the estimator, their counters and the operational-term
+// memo. It is NOT safe for concurrent use.
+//
+// Counters live in the scratch until its owner releases it:
+// FoldFloorplan and FoldMemo add them into the owner's totals and zero
+// them, so a pooled scratch folded again later adds only its new work.
+type SweepScratch struct {
+	est   *pkgcarbon.Estimator // nil for a monolith sweep
+	pkgCh []pkgcarbon.Chiplet
+	op    opMemo
 
-	// fpFolded is the floorplan-stats snapshot already folded into a
-	// ScratchPool's totals (see ScratchPool.Put).
-	fpFolded floorplan.TreeStats
-
-	// Per-point package memo (sweep scratches). A compiled point's
-	// package estimate is pure in the point's digit vector, so once a
-	// scratch has estimated a point it can serve the folded quadruple
-	// (PkgPoint) by the point's mixed-radix index and skip the estimator
-	// — the serving shape of a re-walked plan, and the same retained-
-	// state idea as the estimator's warm floorplan tree, one level up.
-	// Lazy: sized by the first StorePackagePoint.
+	// Per-point package memo. A compiled point's package estimate is
+	// pure in the point's digit vector, so once a scratch has estimated
+	// a point it can serve the folded quadruple (PkgPoint) by the
+	// point's mixed-radix index and skip the estimator — the serving
+	// shape of a re-walked plan, and the same retained-state idea as the
+	// estimator's warm floorplan tree, one level up. Lazy: sized by the
+	// first StorePackagePoint.
 	pkgPt slotTable[PkgPoint]
-	// Per-orbit package table (sweep scratches of plans with
-	// interchangeable chiplets). Points that permute the nodes of
-	// interchangeable chiplets share their package area, package carbon
-	// and assembly yield bit for bit, so a fresh walk that has estimated
-	// one member of an orbit serves every later member's PkgOrbit by the
-	// orbit's dense rank and re-folds only the order-dependent routing
-	// terms (PackageRouting). Lazy: sized by the first StorePackageOrbit.
-	pkgOrbit  slotTable[PkgOrbit]
-	pkgPtStat PkgMemoStats
+	// Per-orbit package table (plans with interchangeable chiplets).
+	// Points that permute the nodes of interchangeable chiplets share
+	// their package area, package carbon and assembly yield bit for bit,
+	// so a fresh walk that has estimated one member of an orbit serves
+	// every later member's PkgOrbit by the orbit's dense rank and
+	// re-folds only the order-dependent routing terms (PackageRouting).
+	// Lazy: sized by the first StorePackageOrbit.
+	pkgOrbit slotTable[PkgOrbit]
+	memo     PkgMemoStats
+}
+
+// opMemo is the last-value memo for the operational term: its input
+// (spec, router power) is constant across whole sweeps and across all
+// samples / node-side factors of a parameter plan, so the memo
+// collapses almost every call.
+type opMemo struct {
+	spec   *opcarbon.Spec
+	valid  bool
+	powerW float64
+	kg     float64
+}
+
+// lifetimeKg returns spec.LifetimeKg(powerW) through the memo.
+func (m *opMemo) lifetimeKg(spec *opcarbon.Spec, powerW float64) (float64, error) {
+	if m.valid && m.spec == spec && m.powerW == powerW {
+		return m.kg, nil
+	}
+	kg, err := spec.LifetimeKg(powerW)
+	if err != nil {
+		return 0, err
+	}
+	m.spec, m.powerW, m.kg, m.valid = spec, powerW, kg, true
+	return kg, nil
 }
 
 // slotTable is a direct-mapped memo over a dense key space of span keys
@@ -113,7 +151,6 @@ type slotTable[V any] struct {
 	keys []uint64
 	vals []V
 	span uint64 // key-space size the slots were sized for
-	live int    // occupied slots (gauge; resets with the table)
 }
 
 // lookup returns the value stored under key in a span-key space; hit
@@ -137,13 +174,12 @@ func (t *slotTable[V]) store(key, span uint64, v V) (filled, evicted bool) {
 		n := min(span, 1<<pkgPointSlotBits)
 		t.keys = make([]uint64, n)
 		t.vals = make([]V, n)
-		t.span, t.live = span, 0
+		t.span = span
 	}
 	slot := pkgPointSlot(key, span)
 	switch k := t.keys[slot]; {
 	case k == 0:
 		filled = true
-		t.live++
 	case k != key+1:
 		evicted = true
 	}
@@ -202,22 +238,6 @@ func (s *PkgMemoStats) Add(o PkgMemoStats) {
 	s.OrbitMisses += o.OrbitMisses
 }
 
-// Delta returns the counters accumulated since prev was snapshotted.
-func (s PkgMemoStats) Delta(prev PkgMemoStats) PkgMemoStats {
-	return PkgMemoStats{
-		Hits:        s.Hits - prev.Hits,
-		Misses:      s.Misses - prev.Misses,
-		Collisions:  s.Collisions - prev.Collisions,
-		Fills:       s.Fills - prev.Fills,
-		Evictions:   s.Evictions - prev.Evictions,
-		OrbitHits:   s.OrbitHits - prev.OrbitHits,
-		OrbitMisses: s.OrbitMisses - prev.OrbitMisses,
-	}
-}
-
-// PkgMemoStats snapshots the scratch's per-point package-memo counters.
-func (sc *Scratch) PkgMemoStats() PkgMemoStats { return sc.pkgPtStat }
-
 // PkgPoint is the package-term quadruple one compiled sweep point folds
 // into its totals: heterogeneous-integration carbon, package area,
 // assembly yield and router power, exactly as returned by the package
@@ -249,69 +269,13 @@ func pkgPointSlot(idx, span uint64) uint64 {
 	return idx * 0x9e3779b97f4a7c15 >> (64 - pkgPointSlotBits)
 }
 
-// LoadPackagePoint returns the memoized package quadruple of point
-// index idx in a span-point space, if this scratch has estimated that
-// exact point before.
-func (sc *Scratch) LoadPackagePoint(idx, span uint64) (PkgPoint, bool) {
-	v, hit, collided := sc.pkgPt.lookup(idx, span)
-	if hit {
-		sc.pkgPtStat.Hits++
-		return v, true
-	}
-	sc.pkgPtStat.Misses++
-	if collided {
-		sc.pkgPtStat.Collisions++
-	}
-	return v, false
-}
-
-// StorePackagePoint memoizes the package quadruple of point index idx
-// in a span-point space, sizing (or resizing) the slot table on first
-// use.
-func (sc *Scratch) StorePackagePoint(idx, span uint64, v PkgPoint) {
-	filled, evicted := sc.pkgPt.store(idx, span, v)
-	if filled {
-		sc.pkgPtStat.Fills++
-	}
-	if evicted {
-		sc.pkgPtStat.Evictions++
-	}
-}
-
-// PkgMemoOccupancy reports the point memo's live entry count against
-// its slot capacity — a residency gauge (not a monotone counter, so it
-// lives beside PkgMemoStats rather than in it). A memo near capacity
-// with growing Evictions is the thrashing signature serving workloads
-// watch for.
-func (sc *Scratch) PkgMemoOccupancy() (occupied, capacity int) {
-	return sc.pkgPt.live, len(sc.pkgPt.keys)
-}
-
-// LoadPackageOrbit returns the orbit-invariant package terms of orbit
-// rank key in a span-orbit space, if this scratch has estimated a
-// member of that orbit before.
-func (sc *Scratch) LoadPackageOrbit(key, span uint64) (PkgOrbit, bool) {
-	v, hit, _ := sc.pkgOrbit.lookup(key, span)
-	if hit {
-		sc.pkgPtStat.OrbitHits++
-	} else {
-		sc.pkgPtStat.OrbitMisses++
-	}
-	return v, hit
-}
-
-// StorePackageOrbit records the orbit-invariant package terms of orbit
-// rank key in a span-orbit space, sizing the table (min(span, 4096)
-// slots) on first use.
-func (sc *Scratch) StorePackageOrbit(key, span uint64, v PkgOrbit) {
-	sc.pkgOrbit.store(key, span, v)
-}
-
-// NewSweepScratch builds the per-worker arena of a compiled node sweep:
-// a chiplet descriptor buffer for nc dies and, when pkg is non-nil (the
-// multi-chiplet path), a packaging estimator over the fixed parameters.
-func NewSweepScratch(pkg *pkgcarbon.Params, nc int) (*Scratch, error) {
-	sc := &Scratch{}
+// NewSweepScratch builds the per-worker arena of a compiled node sweep
+// or a Disaggregate search: a chiplet descriptor buffer for nc dies and
+// a packaging estimator over the fixed parameters. A monolith sweep,
+// which has no package, passes a nil pkg and uses only the operational
+// memo.
+func NewSweepScratch(pkg *pkgcarbon.Params, nc int) (*SweepScratch, error) {
+	sc := &SweepScratch{}
 	if pkg != nil {
 		est, err := pkgcarbon.NewEstimator(*pkg)
 		if err != nil {
@@ -323,30 +287,85 @@ func NewSweepScratch(pkg *pkgcarbon.Params, nc int) (*Scratch, error) {
 	return sc, nil
 }
 
+// LoadPackagePoint returns the memoized package quadruple of point
+// index idx in a span-point space, if this scratch has estimated that
+// exact point before.
+func (sc *SweepScratch) LoadPackagePoint(idx, span uint64) (PkgPoint, bool) {
+	v, hit, collided := sc.pkgPt.lookup(idx, span)
+	if hit {
+		sc.memo.Hits++
+		return v, true
+	}
+	sc.memo.Misses++
+	if collided {
+		sc.memo.Collisions++
+	}
+	return v, false
+}
+
+// StorePackagePoint memoizes the package quadruple of point index idx
+// in a span-point space, sizing (or resizing) the slot table on first
+// use.
+func (sc *SweepScratch) StorePackagePoint(idx, span uint64, v PkgPoint) {
+	filled, evicted := sc.pkgPt.store(idx, span, v)
+	if filled {
+		sc.memo.Fills++
+	}
+	if evicted {
+		sc.memo.Evictions++
+	}
+}
+
+// LoadPackageOrbit returns the orbit-invariant package terms of orbit
+// rank key in a span-orbit space, if this scratch has estimated a
+// member of that orbit before.
+func (sc *SweepScratch) LoadPackageOrbit(key, span uint64) (PkgOrbit, bool) {
+	v, hit, _ := sc.pkgOrbit.lookup(key, span)
+	if hit {
+		sc.memo.OrbitHits++
+	} else {
+		sc.memo.OrbitMisses++
+	}
+	return v, hit
+}
+
+// StorePackageOrbit records the orbit-invariant package terms of orbit
+// rank key in a span-orbit space, sizing the table (min(span, 4096)
+// slots) on first use.
+func (sc *SweepScratch) StorePackageOrbit(key, span uint64, v PkgOrbit) {
+	sc.pkgOrbit.store(key, span, v)
+}
+
+// FoldMemo releases the scratch's point-memo and orbit-table counters:
+// it adds them into *into and zeroes them.
+func (sc *SweepScratch) FoldMemo(into *PkgMemoStats) {
+	into.Add(sc.memo)
+	sc.memo = PkgMemoStats{}
+}
+
+// FoldFloorplan releases the estimator's floorplan-tree counters: it
+// adds them into *into and zeroes them.
+func (sc *SweepScratch) FoldFloorplan(into *floorplan.TreeStats) {
+	sc.est.FoldFloorplanStats(into)
+}
+
 // Chiplets returns the scratch-owned packaging descriptor buffer; sweep
 // walkers refresh only the entries their Gray step changed.
-func (sc *Scratch) Chiplets() []pkgcarbon.Chiplet { return sc.pkgCh }
+func (sc *SweepScratch) Chiplets() []pkgcarbon.Chiplet { return sc.pkgCh }
 
 // ResizeChiplets re-slices the packaging descriptor buffer to n dies
 // (within the construction capacity) and returns it — the shape of a
 // shrinking search like Disaggregate, where each greedy step packages
 // one fewer die on the same pooled scratch.
-func (sc *Scratch) ResizeChiplets(n int) []pkgcarbon.Chiplet {
-	if n > cap(sc.pkgCh) {
-		panic("kernel: ResizeChiplets beyond the scratch's construction capacity")
-	}
+func (sc *SweepScratch) ResizeChiplets(n int) []pkgcarbon.Chiplet {
 	sc.pkgCh = sc.pkgCh[:n]
 	return sc.pkgCh
 }
 
 // EstimatePackage runs the scratch estimator over the current chiplet
 // descriptors. The result is owned by the estimator and overwritten by
-// the next call. Only multi-chiplet sweep scratches carry an estimator;
-// calling this on a param-plan or monolith scratch is a usage error.
-func (sc *Scratch) EstimatePackage() (*pkgcarbon.Result, error) {
-	if sc.est == nil {
-		return nil, fmt.Errorf("kernel: EstimatePackage on a scratch without a packaging estimator (param-plan or monolith scratch)")
-	}
+// the next call.
+func (sc *SweepScratch) EstimatePackage() (*pkgcarbon.Result, error) {
 	return sc.est.Estimate(sc.pkgCh)
 }
 
@@ -356,10 +375,7 @@ func (sc *Scratch) EstimatePackage() (*pkgcarbon.Result, error) {
 // floorplan through its retained tree's single-block update and falls
 // back to the full path whenever the precondition cannot be verified,
 // so the result is bit-identical to EstimatePackage either way.
-func (sc *Scratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) {
-	if sc.est == nil {
-		return nil, fmt.Errorf("kernel: EstimatePackageDelta on a scratch without a packaging estimator (param-plan or monolith scratch)")
-	}
+func (sc *SweepScratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) {
 	return sc.est.EstimateDelta(sc.pkgCh, changed)
 }
 
@@ -367,35 +383,15 @@ func (sc *Scratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) 
 // descriptors, in chiplet order, through the estimator's communication
 // caches — the fields EstimatePackage would return, bit for bit. A
 // per-orbit table hit pairs it with the orbit's stored terms.
-func (sc *Scratch) PackageRouting() (pkgcarbon.Routing, error) {
-	if sc.est == nil {
-		return pkgcarbon.Routing{}, fmt.Errorf("kernel: PackageRouting on a scratch without a packaging estimator (param-plan or monolith scratch)")
-	}
+func (sc *SweepScratch) PackageRouting() (pkgcarbon.Routing, error) {
 	return sc.est.Routing(sc.pkgCh)
-}
-
-// FloorplanStats snapshots the scratch estimator's retained-tree reuse
-// counters (zero for scratches without an estimator).
-func (sc *Scratch) FloorplanStats() floorplan.TreeStats {
-	if sc.est == nil {
-		return floorplan.TreeStats{}
-	}
-	return sc.est.FloorplanStats()
 }
 
 // OperationKg returns spec.LifetimeKg(powerW) through the last-value
 // memo: the operational term's inputs are piecewise-constant across the
 // points a worker evaluates, so the memo collapses almost every call.
-func (sc *Scratch) OperationKg(spec *opcarbon.Spec, powerW float64) (float64, error) {
-	if sc.opValid && sc.opSpec == spec && sc.opPowerW == powerW {
-		return sc.opKg, nil
-	}
-	kg, err := spec.LifetimeKg(powerW)
-	if err != nil {
-		return 0, err
-	}
-	sc.opSpec, sc.opPowerW, sc.opKg, sc.opValid = spec, powerW, kg, true
-	return kg, nil
+func (sc *SweepScratch) OperationKg(spec *opcarbon.Spec, powerW float64) (float64, error) {
+	return sc.op.lifetimeKg(spec, powerW)
 }
 
 // PerturbNodes returns a perturbed database for one evaluation: the
@@ -405,9 +401,6 @@ func (sc *Scratch) OperationKg(spec *opcarbon.Spec, powerW float64) (float64, er
 // perturbation. The returned DB is only valid until the next
 // PerturbNodes call on this scratch.
 func (sc *Scratch) PerturbNodes(mutate func(*tech.Node)) *tech.DB {
-	if sc.db == nil {
-		panic("kernel: PerturbNodes on a sweep scratch; build one with ParamPlan.NewScratch")
-	}
 	if sc.sb == nil {
 		sc.sb = sc.db.NewSandbox()
 	}

@@ -6,7 +6,7 @@ import "testing"
 // the recomputes forced by direct-mapped slot collisions, the signal an
 // eviction policy would be justified by.
 func TestPkgMemoStatsCountsHitsMissesCollisions(t *testing.T) {
-	sc := &Scratch{}
+	sc := &SweepScratch{}
 	span := uint64(1) << (pkgPointSlotBits + 2) // force the hashed, collision-prone regime
 
 	// Cold lookup on an unsized table: a miss, not a collision.
@@ -32,7 +32,7 @@ func TestPkgMemoStatsCountsHitsMissesCollisions(t *testing.T) {
 		t.Fatal("hit for point 1 after its slot was evicted")
 	}
 
-	s := sc.PkgMemoStats()
+	s := sc.memo
 	if s.Hits != 1 {
 		t.Errorf("Hits = %d, want 1", s.Hits)
 	}
@@ -51,27 +51,42 @@ func TestPkgMemoStatsCountsHitsMissesCollisions(t *testing.T) {
 	if s.Evictions != 1 {
 		t.Errorf("Evictions = %d, want 1", s.Evictions)
 	}
-	if occ, cap := sc.PkgMemoOccupancy(); occ != 1 || cap != 1<<pkgPointSlotBits {
+	if occ, cap := occupancy(&sc.pkgPt); occ != 1 || cap != 1<<pkgPointSlotBits {
 		t.Errorf("occupancy = %d/%d, want 1/%d", occ, cap, 1<<pkgPointSlotBits)
 	}
-	if d := sc.PkgMemoStats().Delta(s); d != (PkgMemoStats{}) {
-		t.Errorf("Delta against the latest snapshot = %+v, want zero", d)
+	// Releasing hands the counts over and zeroes them: a second fold
+	// adds nothing.
+	var total PkgMemoStats
+	sc.FoldMemo(&total)
+	sc.FoldMemo(&total)
+	if total != s || sc.memo != (PkgMemoStats{}) {
+		t.Errorf("FoldMemo twice = %+v (scratch left %+v), want %+v once", total, sc.memo, s)
 	}
 }
 
+// occupancy reports a slot table's live entries against its capacity.
+func occupancy[V any](t *slotTable[V]) (occupied, capacity int) {
+	for _, k := range t.keys {
+		if k != 0 {
+			occupied++
+		}
+	}
+	return occupied, len(t.keys)
+}
+
 // Re-storing the same point must not inflate the fill or eviction
-// counters, and occupancy must track live entries, not store traffic.
+// counters, and the table must hold one entry per stored point.
 func TestPkgMemoOccupancyIdentitySpan(t *testing.T) {
-	sc := &Scratch{}
+	sc := &SweepScratch{}
 	span := uint64(16)
 	for idx := uint64(0); idx < span; idx++ {
 		sc.StorePackagePoint(idx, span, PkgPoint{})
 		sc.StorePackagePoint(idx, span, PkgPoint{}) // overwrite in place
 	}
-	if occ, cap := sc.PkgMemoOccupancy(); occ != int(span) || cap != int(span) {
+	if occ, cap := occupancy(&sc.pkgPt); occ != int(span) || cap != int(span) {
 		t.Errorf("occupancy = %d/%d, want %d/%d", occ, cap, span, span)
 	}
-	s := sc.PkgMemoStats()
+	s := sc.memo
 	if s.Fills != span {
 		t.Errorf("Fills = %d, want %d", s.Fills, span)
 	}
@@ -81,10 +96,10 @@ func TestPkgMemoOccupancyIdentitySpan(t *testing.T) {
 	// A span change rebuilds the table: occupancy resets, counters keep
 	// accumulating monotonically.
 	sc.StorePackagePoint(0, span*2, PkgPoint{})
-	if occ, cap := sc.PkgMemoOccupancy(); occ != 1 || cap != int(span*2) {
+	if occ, cap := occupancy(&sc.pkgPt); occ != 1 || cap != int(span*2) {
 		t.Errorf("occupancy after resize = %d/%d, want 1/%d", occ, cap, span*2)
 	}
-	if got := sc.PkgMemoStats().Fills; got != span+1 {
+	if got := sc.memo.Fills; got != span+1 {
 		t.Errorf("Fills after resize = %d, want %d", got, span+1)
 	}
 }
@@ -92,7 +107,7 @@ func TestPkgMemoOccupancyIdentitySpan(t *testing.T) {
 // Identity-mapped spans (the common small-sweep case) can never collide:
 // every miss must be a cold slot.
 func TestPkgMemoStatsNoCollisionsWithinSlotCapacity(t *testing.T) {
-	sc := &Scratch{}
+	sc := &SweepScratch{}
 	span := uint64(64)
 	for idx := uint64(0); idx < span; idx++ {
 		sc.LoadPackagePoint(idx, span)
@@ -103,7 +118,7 @@ func TestPkgMemoStatsNoCollisionsWithinSlotCapacity(t *testing.T) {
 			t.Fatalf("miss for stored point %d", idx)
 		}
 	}
-	s := sc.PkgMemoStats()
+	s := sc.memo
 	if s.Collisions != 0 {
 		t.Errorf("Collisions = %d, want 0 for an identity-mapped span", s.Collisions)
 	}

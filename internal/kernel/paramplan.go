@@ -105,7 +105,7 @@ const cellDirty = DirtyNodes | DirtyMfg | DirtyDesign | DirtyAreas | DirtyVolume
 // ParamStats counts the work a parameter plan performed; CLIs surface it
 // under -progress. Each scratch counts its own evaluations; the counts
 // reach the plan's Stats when the scratch is released (ParamPlan.Fold,
-// ScratchPool.Put).
+// the release hook of the plan's batch runs and pools).
 type ParamStats struct {
 	// Evals is the number of perturbed points evaluated.
 	Evals uint64
@@ -309,7 +309,8 @@ func (p *ParamPlan) captureCell(i int, cell *core.DieCell) {
 // Stats snapshots the plan's work counters (cumulative across runs).
 // It counts the evaluations of released scratches only: Walk and the
 // Monte Carlo runner release theirs before returning, and a caller that
-// drives Eval on its own scratch calls Fold (or ScratchPool.Put) first.
+// drives Eval on its own scratch calls Fold (or returns it to a
+// ScratchPool released by Fold) first.
 func (p *ParamPlan) Stats() ParamStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -319,7 +320,8 @@ func (p *ParamPlan) Stats() ParamStats {
 // Fold releases a scratch's counters: it adds them into the plan's
 // totals and zeroes them, so a scratch folded again later adds only its
 // new work. It is the release hook of the plan's batch runs
-// (engine.RunScratchRelease), the same idiom as explore's putScratch.
+// (engine.RunScratchRelease, or a ScratchPool built with it), the same
+// idiom as the sweep scratches' FoldMemo and FoldFloorplan.
 func (p *ParamPlan) Fold(sc *Scratch) {
 	st := &sc.hooks.stats
 	p.mu.Lock()
@@ -396,8 +398,9 @@ func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params)
 // buffers (PerturbNodes). Each worker drives a private scratch across
 // every point it evaluates, so custom perturbation studies inherit the
 // plan's scratch reuse and tabulated column folds without driving
-// engine.RunScratch themselves; the tornado analysis runs on this same
-// runner. Each worker's counters are folded into Stats when it finishes.
+// engine.RunScratchRelease themselves; the tornado analysis runs on this
+// same runner. Each worker's counters are folded into Stats when it
+// finishes.
 func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scratch) (*core.System, *tech.DB, Dirty, error), opts ...engine.Option) ([]Totals, error) {
 	return engine.RunScratchRelease(ctx, n,
 		p.NewScratch, p.Fold,
@@ -561,9 +564,9 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 		if dirty&DirtyOperation != 0 {
 			// The caller may have mutated the spec in place; pointer
 			// identity no longer proves the memo is current.
-			sc.opValid = false
+			sc.op.valid = false
 		}
-		op, err := sc.OperationKg(s.Operation, t.RouterPowerW)
+		op, err := sc.op.lifetimeKg(s.Operation, t.RouterPowerW)
 		if err != nil {
 			return Totals{}, err
 		}

@@ -1,28 +1,25 @@
 package kernel
 
-import (
-	"sync"
+import "sync"
 
-	"ecochip/internal/floorplan"
-)
-
-// ScratchPool is a step-spanning pool of worker scratches, modeled on
-// the scratch pooling of explore's CompiledPlan: a search that issues
-// many engine batches (the greedy steps of a Disaggregate run, the
-// requests of a serving front-end) draws warm scratches from the pool
-// instead of rebuilding estimators per batch, so retained state — the
-// packaging estimator's floorplan trees, its per-node communication
-// memo and its per-area package-term memo — survives across the whole
-// search. Safe because every retained cache verifies or is keyed by its
-// exact inputs, so a reused scratch can only be faster, never different.
+// ScratchPool is a step-spanning free list of worker scratches: a
+// search that issues many engine batches (the greedy steps of a
+// Disaggregate run, the requests of a serving front-end) draws warm
+// scratches from the pool instead of rebuilding them per batch, so
+// retained state — the packaging estimator's floorplan trees, its
+// per-node communication memo, a param plan's sandbox — survives across
+// the whole search. Safe because every retained cache verifies or is
+// keyed by its exact inputs, so a reused scratch can only be faster,
+// never different.
 //
-// The pool also owns the floorplan-stats accounting: Put folds the
-// increment of each scratch's retained-tree counters into the pool
-// totals (FloorplanStats), so callers get aggregate reuse rates without
-// double counting a scratch's history. Put likewise folds a param-plan
-// scratch's counters into its plan (ParamPlan.Fold).
-type ScratchPool struct {
-	newFn func() (*Scratch, error)
+// Put hands each returned scratch to the release hook given at
+// construction, which folds the scratch's counters into their owner
+// (ParamPlan.Fold for a param plan's pool, the search's floorplan fold
+// for Disaggregate). Concurrent Puts run the hook concurrently, so it
+// synchronizes its owner's totals itself.
+type ScratchPool[S any] struct {
+	newFn   func() (S, error)
+	release func(S)
 
 	// A mutex-guarded free list, not a sync.Pool: the pool's whole point
 	// is RETAINING warm state across batches, and sync.Pool may drop its
@@ -31,18 +28,18 @@ type ScratchPool struct {
 	// Pools are search-scoped, so the free list's lifetime is trivially
 	// bounded.
 	mu     sync.Mutex
-	free   []*Scratch
+	free   []S
 	reuses uint64
-	folded floorplan.TreeStats
 }
 
-// NewScratchPool builds a pool whose scratches come from newFn.
-func NewScratchPool(newFn func() (*Scratch, error)) *ScratchPool {
-	return &ScratchPool{newFn: newFn}
+// NewScratchPool builds a pool whose scratches come from newFn and are
+// released through release on every Put.
+func NewScratchPool[S any](newFn func() (S, error), release func(S)) *ScratchPool[S] {
+	return &ScratchPool[S]{newFn: newFn, release: release}
 }
 
 // Get draws a warm scratch from the pool or builds a fresh one.
-func (p *ScratchPool) Get() (*Scratch, error) {
+func (p *ScratchPool[S]) Get() (S, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		sc := p.free[n-1]
@@ -55,33 +52,18 @@ func (p *ScratchPool) Get() (*Scratch, error) {
 	return p.newFn()
 }
 
-// Put folds the scratch's new floorplan work into the pool totals (and
-// a param-plan scratch's counters into its plan) and returns it for
-// reuse.
-func (p *ScratchPool) Put(sc *Scratch) {
-	if plan := sc.hooks.plan; plan != nil {
-		plan.Fold(sc)
-	}
-	cur := sc.FloorplanStats()
-	delta := cur.Delta(sc.fpFolded)
-	sc.fpFolded = cur
+// Put releases the scratch's counters through the pool's hook and
+// returns it for reuse.
+func (p *ScratchPool[S]) Put(sc S) {
+	p.release(sc)
 	p.mu.Lock()
-	p.folded.Add(delta)
 	p.free = append(p.free, sc)
 	p.mu.Unlock()
 }
 
 // Reuses returns how many Get calls were served by a pooled scratch.
-func (p *ScratchPool) Reuses() uint64 {
+func (p *ScratchPool[S]) Reuses() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.reuses
-}
-
-// FloorplanStats returns the folded retained-tree counters of every
-// scratch returned through Put.
-func (p *ScratchPool) FloorplanStats() floorplan.TreeStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.folded
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"testing"
 
+	"ecochip/internal/floorplan"
 	"ecochip/internal/pkgcarbon"
 	"ecochip/internal/tech"
 	"ecochip/internal/testcases"
@@ -11,9 +12,10 @@ import (
 func TestScratchPoolReuseAndStatsFolding(t *testing.T) {
 	db := tech.Default()
 	pkg := pkgcarbon.DefaultParams(pkgcarbon.RDLFanout)
-	pool := NewScratchPool(func() (*Scratch, error) {
+	var folded floorplan.TreeStats
+	pool := NewScratchPool(func() (*SweepScratch, error) {
 		return NewSweepScratch(&pkg, 2)
-	})
+	}, func(sc *SweepScratch) { sc.FoldFloorplan(&folded) })
 
 	sc, err := pool.Get()
 	if err != nil {
@@ -29,14 +31,14 @@ func TestScratchPoolReuseAndStatsFolding(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Put(sc)
-	if got := pool.FloorplanStats(); got.Plans() == 0 {
-		t.Fatalf("Put should fold the scratch's floorplan work: %+v", got)
+	if folded.Plans() == 0 {
+		t.Fatalf("Put should fold the scratch's floorplan work: %+v", folded)
 	}
-	first := pool.FloorplanStats()
+	first := folded
 
 	// A second Get must return the same warm scratch (the free list
-	// guarantees retention, unlike a sync.Pool); Put folds only the
-	// increment (no double counting).
+	// guarantees retention, unlike a sync.Pool); its counters were
+	// zeroed by the first fold, so Put adds nothing (no double counting).
 	sc2, err := pool.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +50,8 @@ func TestScratchPoolReuseAndStatsFolding(t *testing.T) {
 		t.Fatalf("reuses = %d, want 1", pool.Reuses())
 	}
 	pool.Put(sc2)
-	if got := pool.FloorplanStats(); got != first {
-		t.Fatalf("idle scratch changed the folded stats: %+v vs %+v", got, first)
+	if folded != first {
+		t.Fatalf("idle scratch changed the folded stats: %+v vs %+v", folded, first)
 	}
 
 	sc3, _ := pool.Get()
@@ -62,8 +64,8 @@ func TestScratchPoolReuseAndStatsFolding(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Put(sc3)
-	if got := pool.FloorplanStats(); got.Plans() != first.Plans()+1 {
-		t.Fatalf("resized estimate should fold exactly one more plan: %+v vs %+v", got, first)
+	if folded.Plans() != first.Plans()+1 {
+		t.Fatalf("resized estimate should fold exactly one more plan: %+v vs %+v", folded, first)
 	}
 
 	func() {
@@ -76,7 +78,8 @@ func TestScratchPoolReuseAndStatsFolding(t *testing.T) {
 	}()
 }
 
-// Put folds a param-plan scratch's counters into its plan, once.
+// A pool built with ParamPlan.Fold folds a param-plan scratch's
+// counters into its plan, once.
 func TestScratchPoolFoldsParamStats(t *testing.T) {
 	d := tech.Default()
 	base := testcases.GA102(d, 7, 14, 10, false)
@@ -84,7 +87,7 @@ func TestScratchPoolFoldsParamStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewScratchPool(plan.NewScratch)
+	pool := NewScratchPool(plan.NewScratch, plan.Fold)
 	sc, err := pool.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -104,5 +107,28 @@ func TestScratchPoolFoldsParamStats(t *testing.T) {
 	pool.Put(sc)
 	if got := plan.Stats(); got != first {
 		t.Fatalf("an idle scratch changed the folded stats: %+v vs %+v", got, first)
+	}
+}
+
+// Every Put runs the release hook exactly once, on the scratch it
+// returns, whether the scratch was built fresh or reused.
+func TestScratchPoolPutRunsHookOnce(t *testing.T) {
+	type scratch struct{ released int }
+	pool := NewScratchPool(func() (*scratch, error) { return &scratch{}, nil },
+		func(sc *scratch) { sc.released++ })
+	a, _ := pool.Get()
+	b, _ := pool.Get()
+	if a == b {
+		t.Fatal("two outstanding Gets shared a scratch")
+	}
+	pool.Put(a)
+	if a.released != 1 || b.released != 0 {
+		t.Fatalf("after one Put: released %d and %d, want 1 and 0", a.released, b.released)
+	}
+	pool.Put(b)
+	c, _ := pool.Get() // the most recently returned scratch, b
+	pool.Put(c)
+	if a.released != 1 || b.released != 2 {
+		t.Fatalf("after three Puts: released %d and %d, want 1 and 2", a.released, b.released)
 	}
 }

@@ -135,11 +135,3 @@ func BuildTable(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*T
 	t.Asm = asm
 	return t, nil
 }
-
-// NewScratch builds a per-worker sweep arena sized for this table.
-func (t *Table) NewScratch() (*Scratch, error) {
-	if t.Monolith {
-		return NewSweepScratch(nil, 1)
-	}
-	return NewSweepScratch(&t.Base.Packaging, len(t.Base.Chiplets))
-}

@@ -417,10 +417,12 @@ func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, err
 	return res, nil
 }
 
-// FloorplanStats snapshots the floorplan tree's counters (memo hits,
-// unchanged plans, layouts, block-set rebuilds).
-func (e *Estimator) FloorplanStats() floorplan.TreeStats {
-	return e.sc.fp.Stats()
+// FoldFloorplanStats releases the floorplan tree's counters (memo hits,
+// unchanged plans, layouts, block-set rebuilds): it adds them into
+// *into and zeroes them.
+func (e *Estimator) FoldFloorplanStats(into *floorplan.TreeStats) {
+	into.Add(e.sc.fp.Stats)
+	e.sc.fp.Stats = floorplan.TreeStats{}
 }
 
 // Routing is the communication slice of a packaging Result: the only

@@ -66,7 +66,7 @@ func (c Config) withDefaults() Config {
 // operational-term memo) instead of rebuilding per call.
 type paramEntry struct {
 	plan *kernel.ParamPlan
-	pool *kernel.ScratchPool
+	pool *kernel.ScratchPool[*kernel.Scratch]
 }
 
 // Stats snapshots the server's three plan caches and the admission
@@ -380,7 +380,7 @@ func (s *Server) whatIfPerturb(ctx context.Context, req *WhatIfRequest) (*WhatIf
 		if err != nil {
 			return nil, err
 		}
-		return &paramEntry{plan: plan, pool: kernel.NewScratchPool(plan.NewScratch)}, nil
+		return &paramEntry{plan: plan, pool: kernel.NewScratchPool(plan.NewScratch, plan.Fold)}, nil
 	})
 	if err != nil {
 		return nil, err
