@@ -55,9 +55,9 @@ func main() {
 }
 
 // run executes one or all experiments, printing tables to w and
-// optionally writing CSVs into csvDir. A zero Options runs every
-// experiment exactly as experiments.Run would; the progress and
-// statistics sinks are honored by the experiments that support them,
+// optionally writing CSVs into csvDir. The tables do not depend on the
+// Options; the progress and statistics sinks are honored by the
+// experiments that support them,
 // which also forces the run-all fan-out serial so the progress stream
 // stays readable.
 func run(exp, csvDir string, opt experiments.Options, w io.Writer) error {

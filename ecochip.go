@@ -130,7 +130,9 @@ var (
 // Experiments reproduces a figure of the paper's evaluation by id
 // ("fig2a" ... "fig15b", "tbl1", plus "ext-*" extensions);
 // ExperimentIDs lists the known ids.
-func Experiments(id string, db *TechDB) (*Table, error) { return experiments.Run(id, db) }
+func Experiments(id string, db *TechDB) (*Table, error) {
+	return experiments.RunWith(id, db, experiments.Options{})
+}
 
 // ExperimentIDs lists every reproducible figure id.
 func ExperimentIDs() []string { return experiments.IDs() }

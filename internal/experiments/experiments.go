@@ -20,8 +20,9 @@ import (
 	"ecochip/internal/tech"
 )
 
-// Runner regenerates one figure's data.
-type Runner func(db *tech.DB) (*report.Table, error)
+// Runner regenerates one figure's data. Experiments whose inner loops
+// run on the batch engine honor the Options; the rest ignore them.
+type Runner func(db *tech.DB, o Options) (*report.Table, error)
 
 var registry = map[string]Runner{}
 
@@ -30,6 +31,11 @@ func register(id string, r Runner) {
 		panic("experiments: duplicate id " + id)
 	}
 	registry[id] = r
+}
+
+// plain adapts a figure runner without analysis knobs to a Runner.
+func plain(f func(db *tech.DB) (*report.Table, error)) Runner {
+	return func(db *tech.DB, _ Options) (*report.Table, error) { return f(db) }
 }
 
 // IDs returns all experiment ids in sorted order.
@@ -42,17 +48,8 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes the experiment with the given id.
-func Run(id string, db *tech.DB) (*report.Table, error) {
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
-	}
-	return r(db)
-}
-
 // Options tunes how analysis-engine-backed experiments evaluate; the
-// zero value reproduces Run exactly.
+// zero value is the default evaluation.
 type Options struct {
 	// Workers caps the evaluation workers (0 = GOMAXPROCS).
 	Workers int
@@ -72,27 +69,14 @@ func (o Options) engineOpts() []engine.Option {
 	return opts
 }
 
-// OptRunner is a Runner that honors analysis Options. Experiments whose
-// inner loops run on the batch engine register one in addition to their
-// plain Runner; everything else is served by Run's registry.
-type OptRunner func(db *tech.DB, o Options) (*report.Table, error)
-
-var optRegistry = map[string]OptRunner{}
-
-func registerOpt(id string, r OptRunner) {
-	if _, dup := optRegistry[id]; dup {
-		panic("experiments: duplicate opt id " + id)
-	}
-	optRegistry[id] = r
-}
-
-// RunWith executes the experiment honoring o where the experiment
-// supports it; experiments without analysis knobs ignore o.
+// RunWith executes the experiment with the given id under o; the table
+// is the same whatever the options.
 func RunWith(id string, db *tech.DB, o Options) (*report.Table, error) {
-	if r, ok := optRegistry[id]; ok {
-		return r(db, o)
+	r, ok := registry[id]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return Run(id, db)
+	return r(db, o)
 }
 
 // RunAll executes every registered experiment and returns the tables in
@@ -112,7 +96,7 @@ func RunAll(db *tech.DB) ([]*report.Table, error) {
 func RunAllCtx(ctx context.Context, db *tech.DB, opts ...engine.Option) ([]*report.Table, error) {
 	ids := IDs()
 	return engine.Run(ctx, len(ids), func(_ context.Context, i int) (*report.Table, error) {
-		t, err := Run(ids[i], db)
+		t, err := RunWith(ids[i], db, Options{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", ids[i], err)
 		}

@@ -47,7 +47,7 @@ func TestExtensionShapes(t *testing.T) {
 		}
 	}
 
-	par, err := Run("ext-pareto", db())
+	par, err := RunWith("ext-pareto", db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExtensionShapes(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("fig99", db()); err == nil {
+	if _, err := RunWith("fig99", db(), Options{}); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }
@@ -114,7 +114,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func mustRun(t *testing.T, id string) map[string][]float64 {
 	t.Helper()
-	tbl, err := Run(id, db())
+	tbl, err := RunWith(id, db(), Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -190,7 +190,7 @@ func TestFig6Shapes(t *testing.T) {
 // Fig. 7(a): the minimum C_mfg+C_HI tuple is (7,14,10); (10,10,10)
 // exceeds the monolith.
 func TestFig7aShape(t *testing.T) {
-	tbl, err := Run("fig7a", db())
+	tbl, err := RunWith("fig7a", db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFig7aShape(t *testing.T) {
 
 // Fig. 7(b): older-node designs are cheaper to design.
 func TestFig7bShape(t *testing.T) {
-	tbl, err := Run("fig7b", db())
+	tbl, err := RunWith("fig7b", db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestFig8Shapes(t *testing.T) {
 
 // Fig. 9: EMIB wins at Nc=2, RDL wins at Nc=8, interposers sit above RDL.
 func TestFig9Shape(t *testing.T) {
-	tbl, err := Run("fig9", db())
+	tbl, err := RunWith("fig9", db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestFig14Shape(t *testing.T) {
 // Fig. 15: cost trend mirrors carbon; assembly cost grows with Nc while
 // die cost falls.
 func TestFig15Shapes(t *testing.T) {
-	a, err := Run("fig15a", db())
+	a, err := RunWith("fig15a", db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestFig15Shapes(t *testing.T) {
 }
 
 func TestTableIRuns(t *testing.T) {
-	tbl, err := Run("tbl1", db())
+	tbl, err := RunWith("tbl1", db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,13 +22,11 @@ import (
 // communication overheads, and the NRE mask-carbon future-work study.
 
 func init() {
-	register("ext-tornado", func(db *tech.DB) (*report.Table, error) { return ExtTornado(db, Options{}) })
-	register("ext-pareto", ExtPareto)
-	register("ext-noc", ExtNoC)
-	register("ext-nre", ExtNRE)
-	register("ext-uncertainty", func(db *tech.DB) (*report.Table, error) { return ExtUncertainty(db, Options{}) })
-	registerOpt("ext-tornado", ExtTornado)
-	registerOpt("ext-uncertainty", ExtUncertainty)
+	register("ext-tornado", ExtTornado)
+	register("ext-pareto", plain(ExtPareto))
+	register("ext-noc", plain(ExtNoC))
+	register("ext-nre", plain(ExtNRE))
+	register("ext-uncertainty", ExtUncertainty)
 }
 
 // ExtUncertainty propagates Table I input uncertainty through the model

@@ -12,14 +12,14 @@ import (
 )
 
 func init() {
-	register("fig12a", Fig12a)
-	register("fig12b", Fig12b)
-	register("fig12c", Fig12c)
-	register("fig12d", Fig12d)
-	register("fig13", Fig13)
-	register("fig14", Fig14)
-	register("fig15a", Fig15a)
-	register("fig15b", Fig15b)
+	register("fig12a", plain(Fig12a))
+	register("fig12b", plain(Fig12b))
+	register("fig12c", plain(Fig12c))
+	register("fig12d", plain(Fig12d))
+	register("fig13", plain(Fig13))
+	register("fig14", plain(Fig14))
+	register("fig15a", plain(Fig15a))
+	register("fig15b", plain(Fig15b))
 }
 
 // reuseRatios is the N_Mi / N_S sweep of Fig. 12 with N_Mi fixed at

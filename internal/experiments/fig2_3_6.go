@@ -11,11 +11,11 @@ import (
 )
 
 func init() {
-	register("fig2a", Fig2a)
-	register("fig2b", Fig2b)
-	register("fig3b", Fig3b)
-	register("fig6a", Fig6a)
-	register("fig6b", Fig6b)
+	register("fig2a", plain(Fig2a))
+	register("fig2b", plain(Fig2b))
+	register("fig3b", plain(Fig3b))
+	register("fig6a", plain(Fig6a))
+	register("fig6b", plain(Fig6b))
 }
 
 // Fig2a sweeps the area of a monolithic 10 nm logic die up to 200 mm^2

@@ -9,12 +9,12 @@ import (
 )
 
 func init() {
-	register("fig7a", Fig7a)
-	register("fig7b", Fig7b)
-	register("fig7c", Fig7c)
-	register("fig7d", Fig7d)
-	register("fig8a", Fig8a)
-	register("fig8b", Fig8b)
+	register("fig7a", plain(Fig7a))
+	register("fig7b", plain(Fig7b))
+	register("fig7c", plain(Fig7c))
+	register("fig7d", plain(Fig7d))
+	register("fig8a", plain(Fig8a))
+	register("fig8b", plain(Fig8b))
 }
 
 func ga102ForTuple(db *tech.DB, nt nodeTuple) *core.System {

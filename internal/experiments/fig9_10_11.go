@@ -10,12 +10,12 @@ import (
 )
 
 func init() {
-	register("fig9", Fig9)
-	register("fig10", Fig10)
-	register("fig11a", Fig11a)
-	register("fig11b", Fig11b)
-	register("fig11c", Fig11c)
-	register("fig11d", Fig11d)
+	register("fig9", plain(Fig9))
+	register("fig10", plain(Fig10))
+	register("fig11a", plain(Fig11a))
+	register("fig11b", plain(Fig11b))
+	register("fig11c", plain(Fig11c))
+	register("fig11d", plain(Fig11d))
 }
 
 // Fig9 evaluates the HI overheads (C_HI split into package and routing)

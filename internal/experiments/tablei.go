@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("tbl1", TableI)
+	register("tbl1", plain(TableI))
 }
 
 // TableI renders the built-in per-node parameter database and verifies

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register("ext-validation", ExtValidation)
+	register("ext-validation", plain(ExtValidation))
 }
 
 // iPhone14TotalKg is the whole-product lifecycle CFP Apple reports for
