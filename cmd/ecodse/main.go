@@ -137,17 +137,6 @@ func run(designDir string, cfg runConfig, w, statsW io.Writer) error {
 	}
 
 	opts := []engine.Option{engine.WithWorkers(cfg.workers)}
-	if cfg.progress {
-		opts = append(opts, engine.WithProgress(func(done, total int) {
-			if done%1000 == 0 || done == total {
-				fmt.Fprintf(statsW, "\r%d/%d points", done, total)
-				if done == total {
-					fmt.Fprintln(statsW)
-				}
-			}
-		}))
-	}
-
 	ctx := context.Background()
 	switch cfg.mode {
 	case "sweep":
@@ -163,6 +152,26 @@ func run(designDir string, cfg runConfig, w, statsW io.Writer) error {
 	}
 }
 
+// withProgress appends the -progress reporter to opts when cfg asks for
+// it. The reporter prints "done/total unit", where unit names what the
+// engine's total counts in this mode.
+func withProgress(opts []engine.Option, cfg runConfig, statsW io.Writer, unit func(total int) string) []engine.Option {
+	if !cfg.progress {
+		return opts
+	}
+	return append(opts[:len(opts):len(opts)], engine.WithProgress(func(done, total int) {
+		if done%1000 == 0 || done == total {
+			fmt.Fprintf(statsW, "\r%d/%d %s", done, total, unit(total))
+			if done == total {
+				fmt.Fprintln(statsW)
+			}
+		}
+	}))
+}
+
+// counts returns a unit function that always names noun.
+func counts(noun string) func(int) string { return func(int) string { return noun } }
+
 // runSweep prints the embodied/cost Pareto front of the node sweep. A
 // local sweep of a non-monolith folds the front on the compiled plan
 // without materializing the points (ParetoFrontCtx, whose front is the
@@ -171,10 +180,14 @@ func run(designDir string, cfg runConfig, w, statsW io.Writer) error {
 // Multi-chiplet monoliths and -shard-connect sweeps materialize the
 // points and fold them afterwards.
 //
-// Under -progress, the compiled-plan line's point count is the number
-// of points evaluated, which on the orbit path is below the candidate
-// count, and the orbit table reads 0 hits, 0 misses there: only Gray
-// steps consult it, and the orbit fold evaluates block inits.
+// Under -progress, three counts describe one sweep. The header's
+// candidates are every node combination. The engine line counts points
+// on a walk, but orbits (one representative each) on the orbit fold.
+// The compiled-plan line counts the points evaluated, which on the
+// orbit path is the representatives plus the members of the orbits
+// that survive pruning, below the candidate count; the orbit table
+// reads 0 hits, 0 misses there: only Gray steps consult it, and the
+// orbit fold evaluates block inits.
 func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, nodes []int, cfg runConfig, opts []engine.Option) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("sweep mode needs node_list.txt in the design directory")
@@ -197,7 +210,7 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 		// NodeSweepPlanned evaluates a multi-chiplet monolith's single
 		// die without compiling a plan: there are no plan statistics.
 		var points []explore.Point
-		if points, _, err = explore.NodeSweepPlanned(ctx, system, db, nodes, cp, opts...); err != nil {
+		if points, _, err = explore.NodeSweepPlanned(ctx, system, db, nodes, cp, withProgress(opts, cfg, statsW, counts("points"))...); err != nil {
 			return err
 		}
 		front, candidates = explore.ParetoFront(points, explore.ByEmbodied, explore.ByCost), len(points)
@@ -205,10 +218,19 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 		if plan, err = explore.Compile(system, db, nodes, cp); err != nil {
 			return err
 		}
-		if front, _, err = plan.ParetoFrontCtx(ctx, []explore.Metric{explore.ByEmbodied, explore.ByCost}, opts...); err != nil {
+		// The orbit fold reports progress against the orbit count, which
+		// is below the candidate count whenever the fold is taken.
+		combos := plan.Combos()
+		unit := func(total int) string {
+			if total < combos {
+				return "orbits"
+			}
+			return "points"
+		}
+		if front, _, err = plan.ParetoFrontCtx(ctx, []explore.Metric{explore.ByEmbodied, explore.ByCost}, withProgress(opts, cfg, statsW, unit)...); err != nil {
 			return err
 		}
-		candidates = plan.Combos()
+		candidates = combos
 	}
 
 	t := report.New(fmt.Sprintf("carbon-cost Pareto front (%d of %d candidates)", len(front), candidates), "",
@@ -288,7 +310,7 @@ func runConnectedSweep(ctx context.Context, statsW io.Writer, system *core.Syste
 }
 
 func runTornado(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, opts []engine.Option) error {
-	results, plan, err := sensitivity.TornadoPlanned(ctx, system, db, cfg.rel, opts...)
+	results, plan, err := sensitivity.TornadoPlanned(ctx, system, db, cfg.rel, withProgress(opts, cfg, statsW, counts("evaluations"))...)
 	if err != nil {
 		return err
 	}
@@ -307,7 +329,7 @@ func runTornado(ctx context.Context, w, statsW io.Writer, system *core.System, d
 }
 
 func runGroup(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, opts []engine.Option) error {
-	plan, err := explore.DisaggregateCtx(ctx, system, db, opts...)
+	plan, err := explore.DisaggregateCtx(ctx, system, db, withProgress(opts, cfg, statsW, counts("candidates"))...)
 	if err != nil {
 		return err
 	}
@@ -329,7 +351,7 @@ func runGroup(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 }
 
 func runMC(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, cfg runConfig, opts []engine.Option) error {
-	d, plan, err := uncertainty.RunPlanned(ctx, system, db, uncertainty.DefaultSpread(), cfg.samples, cfg.seed, opts...)
+	d, plan, err := uncertainty.RunPlanned(ctx, system, db, uncertainty.DefaultSpread(), cfg.samples, cfg.seed, withProgress(opts, cfg, statsW, counts("samples"))...)
 	if err != nil {
 		return err
 	}

@@ -33,24 +33,28 @@ func TestRunSweepMode(t *testing.T) {
 	}
 }
 
-// A local sweep folds the front on the compiled plan, so -progress
-// counts the points it evaluated. The example design has no
-// interchangeable chiplets: the fold walks every candidate. The EPYC-style
-// design's eight CCDs form one orbit class: the fold evaluates one
-// member per orbit (fewer points than candidates, no Gray steps), so
-// the orbit table, which only Gray steps consult, reads 0/0.
+// A local sweep folds the front on the compiled plan, and -progress
+// names what each of its counts counts. The example design has no
+// interchangeable chiplets: the fold walks every candidate, and the
+// engine line counts those points. The EPYC-style design's eight CCDs
+// form one orbit class; over {7, 10, 14, 22} nm the fold evaluates one
+// member per orbit, so the engine line counts 1,920 orbits, the
+// compiled-plan line the 2,460 points evaluated (representatives plus
+// the members of unpruned orbits, no Gray steps) and the header all
+// 262,144 candidates. The orbit table, which only Gray steps consult,
+// reads 0/0.
 func TestRunSweepProgressStats(t *testing.T) {
 	epyc := epycDir(t)
-	if err := os.WriteFile(filepath.Join(epyc, "node_list.txt"), []byte("7\n14\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(epyc, "node_list.txt"), []byte("7\n10\n14\n22\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name, dir string
-		combos    int
-		orbits    bool
+		name, dir      string
+		combos, points int // -1: not pinned
+		engine         string
 	}{
-		{"example", exampleDir(t), -1, false},
-		{"epyc", epyc, 1 << 9, true},
+		{"example", exampleDir(t), -1, -1, ""},
+		{"epyc", epyc, 1 << 18, 2460, "1920/1920 orbits"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := cfgFor("sweep")
@@ -70,12 +74,20 @@ func TestRunSweepProgressStats(t *testing.T) {
 			if _, err := fmt.Sscanf(line, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits", &points, &cells, &steps, &inits); err != nil {
 				t.Fatalf("%q: %v", line, err)
 			}
-			if got := statsLine(t, stats.String(), "orbit table:"); c.orbits && got != "orbit table: 0 hits, 0 misses" {
+			engine := c.engine
+			if engine == "" {
+				engine = fmt.Sprintf("%d/%d points", combos, combos)
+			}
+			if got := statsLine(t, stats.String(), engine[:strings.Index(engine, "/")+1]); got != engine {
+				t.Errorf("engine progress line %q, want %q", got, engine)
+			}
+			orbits := c.engine != ""
+			if got := statsLine(t, stats.String(), "orbit table:"); orbits && got != "orbit table: 0 hits, 0 misses" {
 				t.Errorf("orbit fold consulted the orbit table: %q", got)
 			}
-			if c.orbits {
-				if points >= combos || steps != 0 || inits != points {
-					t.Errorf("orbit fold: %d points, %d gray steps, %d block inits of %d candidates; want one block init per evaluated point, fewer than the candidates", points, steps, inits, combos)
+			if orbits {
+				if points != c.points || steps != 0 || inits != points {
+					t.Errorf("orbit fold: %d points, %d gray steps, %d block inits of %d candidates; want %d points, each a block init", points, steps, inits, combos, c.points)
 				}
 			} else if points != combos {
 				t.Errorf("walk evaluated %d points of %d candidates", points, combos)
@@ -128,6 +140,9 @@ func TestRunMCProgressStats(t *testing.T) {
 	}
 	if !strings.Contains(stats.String(), "param plan:") {
 		t.Errorf("mc progress run missing parameter-plan statistics:\n%s", stats.String())
+	}
+	if got := statsLine(t, stats.String(), "50/"); got != "50/50 samples" {
+		t.Errorf("mc engine progress line %q, want %q", got, "50/50 samples")
 	}
 }
 
