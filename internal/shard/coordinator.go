@@ -562,7 +562,9 @@ func (r *runState) drive(ctx context.Context, t Transport) {
 			// Every block of the span completed under other leases and
 			// this one was cancelled early — the losing side of a hedge
 			// race, neither a replica failure nor a clean latency
-			// sample.
+			// sample. A half-open probe that lost so proved nothing:
+			// return its slot, or the breaker would wait on it forever.
+			tr.AbandonProbe(time.Now())
 		case err == nil && !expired:
 			lat := time.Since(start)
 			tr.Success(time.Now(), lat)

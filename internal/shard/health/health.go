@@ -244,7 +244,8 @@ func (t *Tracker) Retire() bool {
 }
 
 // AbandonProbe returns a claimed half-open slot unused: the caller got
-// no lease to probe with (run over, transport removed). The tracker
+// no lease to probe with (run over, transport removed), or its probe
+// lease lost a hedge race and was cancelled. The tracker
 // re-quarantines with the probe immediately due again, and the claim
 // is uncounted — an abandoned probe is not an attempt.
 func (t *Tracker) AbandonProbe(now time.Time) {

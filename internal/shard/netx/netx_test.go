@@ -719,12 +719,17 @@ func TestTCPAuthFailureRetiresTransport(t *testing.T) {
 	goodOpts.AuthToken = "s3cret"
 	good := DialTransport(addr, reg, goodOpts)
 	defer good.Close()
+	// The authenticated replica pauses per block, as the healthy ones of
+	// TestChaosStragglerHedges do: unpaced, it can finish every lease
+	// before the coordinator leases to the rejected one, and then
+	// nothing is retired.
+	paced := shard.Fault(good, shard.FaultSpec{Seed: 1, Delay: 2 * time.Millisecond})
 
 	cfg := fastCfg()
 	cfg.DisableFallback = true
 	cfg.BlockSize = 2
 	cfg.LeaseBlocks = 1
-	co := shard.NewCoordinator(plan, key, []shard.Transport{bad, good}, cfg)
+	co := shard.NewCoordinator(plan, key, []shard.Transport{bad, paced}, cfg)
 	got, err := co.Sweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -733,6 +738,11 @@ func TestTCPAuthFailureRetiresTransport(t *testing.T) {
 	st := co.Stats()
 	if st.ReplicasLost != 1 {
 		t.Fatalf("stats = %+v, want exactly the rejected transport retired", st)
+	}
+	// Retired at its first rejection, not after a trip and a spent
+	// probe budget of transient failures.
+	if st.ReplicaFailures != 0 || st.BreakerTrips != 0 {
+		t.Fatalf("stats = %+v, want the rejection to retire the transport at once", st)
 	}
 }
 
@@ -822,7 +832,11 @@ func TestTCPChaosStragglerFlap(t *testing.T) {
 		t.Cleanup(func() { cl.Close() })
 		return cl
 	}
-	steady := shard.Fault(mk(), shard.FaultSpec{Seed: 1, Delay: 2 * time.Millisecond})
+	// The steady replica paces its blocks so the sweep outlasts the
+	// flapper's breaker cycle (trip, a probe in the outage, a probe in
+	// the up phase that closes it): at 2 ms a block the sweep could end
+	// first under load, with the breaker still open.
+	steady := shard.Fault(mk(), shard.FaultSpec{Seed: 1, Delay: 10 * time.Millisecond})
 	straggler := shard.Fault(mk(), shard.FaultSpec{Seed: 2, Slow: 10 * time.Second})
 	flappy := shard.Fault(mk(), shard.FaultSpec{Seed: 3, FlapEvery: 4})
 
