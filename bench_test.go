@@ -512,9 +512,9 @@ func BenchmarkParetoFrontEPYC8(b *testing.B) {
 // BenchmarkNodeSweepMaterializeEPYC8 measures ecodse -mode sweep at EPYC
 // scale: compile the 8-CCD EPYC over four nodes, evaluate all 262,144
 // points into a slice (NodeSweepCtx, the NodeSweepPlanned path) and
-// reduce them to the carbon-cost front. The fresh walk serves most Gray
-// steps' package terms from its per-orbit table, and ParetoFront reads
-// the standard objectives by field.
+// reduce them to the carbon-cost front. The fresh walk serves most
+// points' package terms from its orbit-keyed package memo, and
+// ParetoFront reads the standard objectives by field.
 func BenchmarkNodeSweepMaterializeEPYC8(b *testing.B) {
 	db := DefaultDB()
 	base, err := EPYC(db, 8)

@@ -47,7 +47,7 @@ func startReplica(t *testing.T) (string, func()) {
 // The TCP-sharded sweep path (-shard-connect against in-process
 // replica daemons, pipelined leases) must print the exact table of the
 // in-process engine path, and -progress must surface the shard
-// protocol, wire and point-memo counters.
+// protocol, wire and package-memo counters.
 func TestRunSweepConnectedMatchesEngine(t *testing.T) {
 	dir := exampleDir(t)
 	var plain strings.Builder
@@ -77,8 +77,8 @@ func TestRunSweepConnectedMatchesEngine(t *testing.T) {
 	if !strings.Contains(stats.String(), "wire:") || !strings.Contains(stats.String(), "dials") {
 		t.Errorf("connected progress run missing wire statistics:\n%s", stats.String())
 	}
-	if !strings.Contains(stats.String(), "point memo:") {
-		t.Errorf("connected progress run missing point-memo statistics:\n%s", stats.String())
+	if !strings.Contains(stats.String(), "package memo:") {
+		t.Errorf("connected progress run missing package-memo statistics:\n%s", stats.String())
 	}
 }
 

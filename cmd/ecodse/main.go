@@ -185,9 +185,8 @@ func counts(noun string) func(int) string { return func(int) string { return nou
 // on a walk, but orbits (one representative each) on the orbit fold.
 // The compiled-plan line counts the points evaluated, which on the
 // orbit path is the representatives plus the members of the orbits
-// that survive pruning, below the candidate count; the orbit table
-// reads 0 hits, 0 misses there: only Gray steps consult it, and the
-// orbit fold evaluates block inits.
+// that survive pruning, below the candidate count; the package memo
+// reads 0 hits, 0 misses there: the orbit fold bypasses it.
 func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db *tech.DB, nodes []int, cfg runConfig, opts []engine.Option) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("sweep mode needs node_list.txt in the design directory")
@@ -245,9 +244,8 @@ func runSweep(ctx context.Context, w, statsW io.Writer, system *core.System, db 
 		s := plan.Stats()
 		fmt.Fprintf(statsW, "compiled plan: %d points from %d table cells, %d gray steps, %d block inits\n",
 			s.Points, s.TableCells, s.GraySteps, s.BlockInits)
-		fmt.Fprintf(statsW, "point memo: %d hits, %d misses (%d collision recomputes), %d fills, %d forced evictions\n",
+		fmt.Fprintf(statsW, "package memo: %d hits, %d misses (%d collision recomputes), %d fills, %d forced evictions\n",
 			s.PkgMemo.Hits, s.PkgMemo.Misses, s.PkgMemo.Collisions, s.PkgMemo.Fills, s.PkgMemo.Evictions)
-		fmt.Fprintf(statsW, "orbit table: %d hits, %d misses\n", s.PkgMemo.OrbitHits, s.PkgMemo.OrbitMisses)
 		if fp := s.Floorplan; fp.Plans() > 0 {
 			fmt.Fprintln(statsW, fp)
 		}

@@ -35,14 +35,15 @@ func TestRunSweepMode(t *testing.T) {
 
 // A local sweep folds the front on the compiled plan, and -progress
 // names what each of its counts counts. The example design has no
-// interchangeable chiplets: the fold walks every candidate, and the
-// engine line counts those points. The EPYC-style design's eight CCDs
-// form one orbit class; over {7, 10, 14, 22} nm the fold evaluates one
-// member per orbit, so the engine line counts 1,920 orbits, the
-// compiled-plan line the 2,460 points evaluated (representatives plus
-// the members of unpruned orbits, no Gray steps) and the header all
-// 262,144 candidates. The orbit table, which only Gray steps consult,
-// reads 0/0.
+// interchangeable chiplets: the fold walks every candidate, the engine
+// line counts those points, and the serial walk looks each of its 27
+// points up in the package memo once, finding none. The EPYC-style
+// design's eight CCDs form one orbit class; over {7, 10, 14, 22} nm the
+// fold evaluates one member per orbit, so the engine line counts 1,920
+// orbits, the compiled-plan line the 2,460 points evaluated
+// (representatives plus the members of unpruned orbits, no Gray steps)
+// and the header all 262,144 candidates. The orbit fold bypasses the
+// package memo, which reads 0/0.
 func TestRunSweepProgressStats(t *testing.T) {
 	epyc := epycDir(t)
 	if err := os.WriteFile(filepath.Join(epyc, "node_list.txt"), []byte("7\n10\n14\n22\n"), 0o644); err != nil {
@@ -52,9 +53,10 @@ func TestRunSweepProgressStats(t *testing.T) {
 		name, dir      string
 		combos, points int // -1: not pinned
 		engine         string
+		memo           string
 	}{
-		{"example", exampleDir(t), -1, -1, ""},
-		{"epyc", epyc, 1 << 18, 2460, "1920/1920 orbits"},
+		{"example", exampleDir(t), 27, -1, "", "package memo: 0 hits, 27 misses"},
+		{"epyc", epyc, 1 << 18, 2460, "1920/1920 orbits", "package memo: 0 hits, 0 misses"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := cfgFor("sweep")
@@ -82,8 +84,8 @@ func TestRunSweepProgressStats(t *testing.T) {
 				t.Errorf("engine progress line %q, want %q", got, engine)
 			}
 			orbits := c.engine != ""
-			if got := statsLine(t, stats.String(), "orbit table:"); orbits && got != "orbit table: 0 hits, 0 misses" {
-				t.Errorf("orbit fold consulted the orbit table: %q", got)
+			if got := statsLine(t, stats.String(), "package memo:"); !strings.HasPrefix(got, c.memo+" (") {
+				t.Errorf("package memo line %q, want %q", got, c.memo)
 			}
 			if orbits {
 				if points != c.points || steps != 0 || inits != points {

@@ -13,7 +13,7 @@ import (
 // EvalPoint must invert the Gray code exactly: for every output slot of
 // a full run, evaluating that slot's node assignment returns the same
 // float bits. The second pass re-asks every point so the scratch
-// serves the package term from the per-point memo — the serving-layer
+// serves the package terms from its package memo — the serving-layer
 // warm path — and must stay bit-identical.
 func TestEvalPointMatchesRunSlots(t *testing.T) {
 	d := tech.Default()
@@ -29,7 +29,7 @@ func TestEvalPointMatchesRunSlots(t *testing.T) {
 	}
 	// Both passes run on one pinned scratch: a pooled scratch may be
 	// dropped between calls (sync.Pool does so at random under -race),
-	// and only a scratch's repeat walks read the per-point memo.
+	// and each scratch has its own package memo.
 	sc, err := plan.getScratch()
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 )
 
 // This file implements orbits of node assignments: the orbit path of a
-// barrier Pareto front and the orbit rank that keys a walk's per-orbit
-// package table. Chiplets i, j >= 1 are interchangeable when their
+// barrier Pareto front and the orbit rank that keys a walk's package
+// memo. Chiplets i, j >= 1 are interchangeable when their
 // descriptions match except for the name and their table rows are
 // bit-equal at every candidate node: swapping their nodes yields the
 // same design. (Chiplet 0 never is: it alone carries the fabric's design
@@ -29,11 +29,11 @@ import (
 // and the carbon and cost sums depend on the order, and those differ
 // only by the rounding of summing the same terms in a different order
 // (measured at <= 3.7e-16 relative). The walk relies on the first
-// claim for its bits: a Gray step whose orbit the scratch has already
-// estimated serves those three terms from the per-orbit table and
-// re-folds only the routing, in chiplet order (see packagePoint in
-// plan.go). TestOrbitTableMatchesReferencePerArchitecture pins it for
-// every architecture, with and without flexible floorplans, and the
+// claim for its bits: a point whose orbit the scratch has already
+// estimated serves those three terms from the package memo and re-folds
+// only the routing, in chiplet order (see packagePoint in plan.go).
+// TestOrbitTableMatchesReferencePerArchitecture pins it for every
+// architecture, with and without flexible floorplans, and the
 // randomized sweep equivalence tests on random class twins.
 //
 // A barrier front needs only part of the walk. One representative per
@@ -220,7 +220,7 @@ func (p *CompiledPlan) orbitUnrank(rank int, digits []int) {
 }
 
 // The walk keeps the orbit rank of its current point in its scratch,
-// the key of the per-orbit package table: the inverse of orbitUnrank,
+// the key of the package memo: the inverse of orbitUnrank,
 // maintained per Gray step. For each class it tallies below[v], the
 // members whose digit lies below v. A class digit is then the sum, over
 // the positions i of the class's sorted digit sequence s, of
@@ -350,16 +350,21 @@ func nextPermutation(digits, idx []int) bool {
 
 // evalDigits evaluates the point with Gray digits digits into sc.pt as
 // a one-point walk at its sequence index (the EvalPoint shape) and
-// returns its output slot.
+// returns its output slot. It marks the orbit rank unknown, so the
+// point bypasses the package memo.
 func (p *CompiledPlan) evalDigits(sc *blockScratch, digits []int) (int, error) {
 	out := p.initAt(sc, p.grayIndex(digits))
-	return out, p.evalInto(sc, &sc.pt, -1, out)
+	sc.orbit = -1
+	return out, p.evalInto(sc, &sc.pt, -1)
 }
 
 // orbitFront is the barrier front of ParetoFrontCtx on the orbit path.
-// The representatives pass is one walk of each worker scratch, so a
-// fresh plan never allocates the per-point package memo; the engine's
-// progress callback counts representatives against the orbit count.
+// Every point it evaluates bypasses the package memo (evalDigits), so a
+// fresh plan's orbit front leaves the memo unallocated at any worker
+// count: its representatives are distinct orbits by construction, so a
+// lookup could never hit, and the members of the orbits that survive
+// pruning are few. The engine's progress callback counts
+// representatives against the orbit count.
 func (p *CompiledPlan) orbitFront(ctx context.Context, objectives []Metric, opts []engine.Option) ([]Point, error) {
 	k := len(objectives)
 	var mu sync.Mutex
@@ -371,7 +376,6 @@ func (p *CompiledPlan) orbitFront(ctx context.Context, objectives []Metric, opts
 			return err
 		}
 		defer p.putScratch(sc)
-		sc.walks++
 		local := newBlockFront(k)
 		digits := make([]int, p.nc)
 		p.orbitUnrank(lo, digits)

@@ -105,10 +105,11 @@ func TestOrbitClasses(t *testing.T) {
 // once: representatives from orbitUnrank and orbitNext agree rank by
 // rank, each is sorted within its classes, and the members of all
 // orbits partition the output slots. The walk's orbit rank, the key of
-// the per-orbit package table, must equal orbitUnrank's rank at every
-// member of every orbit: rebuilt from scratch at the member (initOrbit,
-// a walk's first point) and maintained across every Gray step of a
-// full walk (stepOrbit).
+// the package memo, must equal orbitUnrank's rank at every member of
+// every orbit: rebuilt from scratch at the member (initOrbit, a walk's
+// first point) and maintained across every Gray step of a full walk
+// (stepOrbit). Without classes every point is its own orbit, and the
+// rank is its output slot.
 func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 	for _, tc := range []struct {
 		nc, r   int
@@ -120,6 +121,7 @@ func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 		{5, 5, [][]int{{1, 4}, {2, 3}}},
 		{7, 4, [][]int{{2, 3, 4, 5, 6}}},
 		{9, 4, [][]int{{1, 2, 3, 4, 5, 6, 7}}},
+		{4, 3, nil},
 	} {
 		p := &CompiledPlan{nc: tc.nc, r: tc.r, combos: 1}
 		p.weight = make([]int, tc.nc)
@@ -166,6 +168,9 @@ func TestOrbitEnumerationPartitionsSpace(t *testing.T) {
 				}
 				seen[slot] = true
 				rankOf[slot] = rank
+				if len(p.classes) == 0 && rank != slot {
+					t.Fatalf("%+v: point %v has rank %d, want its slot %d", tc, digits, rank, slot)
+				}
 				members++
 				copy(sc.digits, digits)
 				if p.initOrbit(sc); sc.orbit != rank {
@@ -338,50 +343,60 @@ func TestOrbitFrontMatchesWalkRandomized(t *testing.T) {
 	}
 }
 
-// An orbit front counts as one walk of each scratch, so on a fresh plan
-// it never touches the per-point package memo, and a repeat call on the
-// warm plan returns the same bits. The first call is serial: in a
-// parallel run one block may finish and pool its scratch before another
-// block takes one, which then counts a second walk.
+// An orbit front bypasses the package memo, so on a fresh plan it makes
+// no lookup and no store at any worker count (a scratch one worker
+// releases may be drawn by another in the same pass), and a repeat call
+// on the warm plan returns the same bits without touching it either.
 func TestOrbitFrontFreshPlanSkipsPackageMemo(t *testing.T) {
 	d := db()
 	sys, err := testcases.EPYC(d, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Compile(sys, d, []int{7, 10, 14, 22}, cost.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	ms := []Metric{ByEmbodied, ByCost}
-	first, _, err := plan.ParetoFrontCtx(ctx, ms, engine.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
+	var first []Point
+	for _, workers := range []int{1, 2, 4} {
+		plan, err := Compile(sys, d, []int{7, 10, 14, 22}, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		front, _, err := plan.ParetoFrontCtx(ctx, ms, engine.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := plan.Stats()
+		if st.PkgMemo != (kernel.PkgMemoStats{}) {
+			t.Fatalf("workers=%d: fresh orbit front used the package memo: %+v", workers, st.PkgMemo)
+		}
+		if st.Points <= uint64(plan.orbits) || st.Points >= uint64(plan.Combos())/100 {
+			t.Fatalf("workers=%d: orbit front evaluated %d points; want just over the %d representatives", workers, st.Points, plan.orbits)
+		}
+		if st.BlockInits != st.Points || st.GraySteps != 0 {
+			t.Fatalf("workers=%d: orbit front stats %+v: every point is a one-point walk", workers, st)
+		}
+		if first == nil {
+			first = front
+		}
+		assertSameFront(t, first, front, fmt.Sprintf("orbit front at %d workers", workers))
+		again, _, err := plan.ParetoFrontCtx(ctx, ms, engine.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameFront(t, first, again, fmt.Sprintf("warm orbit front at %d workers", workers))
+		if st := plan.Stats(); st.PkgMemo != (kernel.PkgMemoStats{}) {
+			t.Fatalf("workers=%d: warm orbit front used the package memo: %+v", workers, st.PkgMemo)
+		}
 	}
-	st := plan.Stats()
-	if st.PkgMemo != (kernel.PkgMemoStats{}) {
-		t.Fatalf("fresh orbit front used the package memo: %+v", st.PkgMemo)
-	}
-	if st.Points <= uint64(plan.orbits) || st.Points >= uint64(plan.Combos())/100 {
-		t.Fatalf("orbit front evaluated %d points; want just over the %d representatives", st.Points, plan.orbits)
-	}
-	if st.BlockInits != st.Points || st.GraySteps != 0 {
-		t.Fatalf("orbit front stats %+v: every point is a one-point walk", st)
-	}
-	again, _, err := plan.ParetoFrontCtx(ctx, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameFront(t, first, again, "warm orbit front")
 }
 
-// A fresh walk serves its Gray steps' package terms from the per-orbit
-// table, and every served point must carry the estimator's bits. Each
-// packaging architecture, rigid and flexible, on EPYC-4 over four nodes
-// and EPYC-8 over two, runs three RunCtx calls on one fresh plan at 1
-// and 3 workers (the first fills and hits the orbit table; later runs
-// also fill and hit the per-point memo) against NodeSweepReference.
+// A walk serves the package terms of every orbit it has estimated from
+// the package memo, and every served point must carry the estimator's
+// bits. Each packaging architecture, rigid and flexible, on EPYC-4 over
+// four nodes and EPYC-8 over two, runs three RunCtx calls on one fresh
+// plan at 1 and 3 workers (the first fills and hits the memo; later
+// runs on the pooled scratches hit it from their first point) against
+// NodeSweepReference.
 func TestOrbitTableMatchesReferencePerArchitecture(t *testing.T) {
 	d := db()
 	cp := cost.DefaultParams()
@@ -422,8 +437,8 @@ func TestOrbitTableMatchesReferencePerArchitecture(t *testing.T) {
 							}
 						}
 					}
-					if st := plan.Stats().PkgMemo; st.OrbitHits == 0 {
-						t.Fatalf("%s workers=%d: the orbit table served no point: %+v", label, workers, st)
+					if st := plan.Stats().PkgMemo; st.Hits == 0 {
+						t.Fatalf("%s workers=%d: the package memo served no point: %+v", label, workers, st)
 					}
 				}
 			}
@@ -431,11 +446,11 @@ func TestOrbitTableMatchesReferencePerArchitecture(t *testing.T) {
 	}
 }
 
-// On a fresh plan every Gray step consults the per-orbit table exactly
-// once (within one run the point memo, when a pooled scratch consults
-// it, never hits), and a plan without interchangeable chiplets never
-// does.
-func TestOrbitTableCountsGraySteps(t *testing.T) {
+// A fresh walk looks every point's orbit rank up in the package memo
+// exactly once, block inits included. On a plan with interchangeable
+// chiplets later members of an orbit hit; on a plan without classes
+// every point is its own orbit, so a fresh walk only misses and fills.
+func TestPackageMemoCountsEveryWalkPoint(t *testing.T) {
 	d := db()
 	epyc4, err := testcases.EPYC(d, 4)
 	if err != nil {
@@ -458,12 +473,15 @@ func TestOrbitTableCountsGraySteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := plan.Stats()
-		h, m := st.PkgMemo.OrbitHits, st.PkgMemo.OrbitMisses
-		if tc.classes && (h+m != st.GraySteps || h == 0) {
-			t.Errorf("%s: orbit table %d hits + %d misses, want %d Gray steps with some hits", tc.name, h, m, st.GraySteps)
+		h, m := st.PkgMemo.Hits, st.PkgMemo.Misses
+		if h+m != st.Points || st.Points != uint64(plan.Combos()) {
+			t.Errorf("%s: package memo %d hits + %d misses, want %d points", tc.name, h, m, plan.Combos())
 		}
-		if !tc.classes && h+m != 0 {
-			t.Errorf("%s: orbit table %d hits, %d misses on a plan without classes", tc.name, h, m)
+		if tc.classes && h == 0 {
+			t.Errorf("%s: no package-memo hits on a plan with classes", tc.name)
+		}
+		if !tc.classes && (h != 0 || st.PkgMemo.Fills != m) {
+			t.Errorf("%s: %+v on a fresh walk without classes, want only misses, each filling a slot", tc.name, st.PkgMemo)
 		}
 	}
 }

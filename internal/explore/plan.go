@@ -70,13 +70,12 @@ type SweepStats struct {
 	// many packaging estimates were served from the shape memo or an
 	// unchanged plan versus laid out or rebuilt from scratch.
 	Floorplan floorplan.TreeStats
-	// PkgMemo aggregates the per-worker package-memo counters. Hits and
-	// Misses count the per-point memo (re-walks of a pooled scratch);
-	// its Collisions field counts the recomputes forced by the memo's
-	// direct-mapped slot table (the observable an eviction policy would
-	// be justified by). OrbitHits and OrbitMisses count the per-orbit
-	// table that Gray steps of a plan with interchangeable chiplets
-	// consult after the point memo: a hit runs only the routing fold.
+	// PkgMemo aggregates the per-worker package-memo counters. Every
+	// point of a walk (RunCtx, Walk, WalkRange, EvalPoint, a walked
+	// front) looks its orbit rank up once, so Hits+Misses counts those
+	// points; an orbit-path front bypasses the memo. Collisions counts
+	// the recomputes forced by the memo's direct-mapped slot table (the
+	// observable an eviction policy would be justified by).
 	PkgMemo kernel.PkgMemoStats
 }
 
@@ -264,7 +263,7 @@ func (p *CompiledPlan) nodesFor(idx int) []int {
 // blockScratch is one worker's reusable per-point state: the Gray-code
 // odometer buffers, the reusable output point, the kernel arena
 // (packaging estimator with its retained floorplan tree, chiplet
-// descriptors, package memos, operational-term memo) and the work
+// descriptors, package memo, operational-term memo) and the work
 // counters that putScratch folds into the plan. Scratches are pooled on
 // the plan and survive across runs.
 type blockScratch struct {
@@ -274,9 +273,9 @@ type blockScratch struct {
 	picked []int // reusable Point.Nodes buffer
 	// below[c*(r+1)+v] is how many chiplets of class c sit at a digit
 	// below v, and orbit is the current point's orbit rank, the key of
-	// the per-orbit package table. A walk of more than one point
+	// the package memo (-1: unknown, the memo is bypassed). Every walk
 	// rebuilds both at its start (initOrbit) and each Gray step updates
-	// them in O(1) (stepOrbit); plans without classes leave them empty.
+	// them in O(1) (stepOrbit); plans without classes leave below empty.
 	below []int
 	orbit int
 	// rows is the current point's per-chiplet metric entries, gathered
@@ -293,15 +292,10 @@ type blockScratch struct {
 	// estValid reports that the kernel scratch's packaging estimator ran
 	// on the previous point of the current walk, so a Gray step may take
 	// the single-changed-chiplet delta path. Serving a point from the
-	// per-point package memo skips the estimator and clears the flag:
-	// the next miss must re-run the full estimate because the retained
-	// floorplan no longer tracks the walk.
+	// package memo skips the estimator and clears the flag: the next
+	// miss must re-run the full estimate because the retained floorplan
+	// no longer tracks the walk.
 	estValid bool
-	// walks counts the walkBlock calls this scratch served. The walk
-	// visits each point of its segment once, so a scratch's first walk
-	// can never hit the per-point package memo: it neither reads nor
-	// fills it (sparing a fresh scratch the memo's allocation).
-	walks int
 	// points, blockInits and graySteps count the scratch's work since
 	// its last release (see SweepStats).
 	points, blockInits, graySteps uint64
@@ -383,12 +377,8 @@ func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx
 
 // walkScratch is walkBlock on a caller-held scratch.
 func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi int, visit func(idx int, pt *Point) error, tick func()) error {
-	sc.walks++
-
 	out := p.initAt(sc, lo)
-	// Only Gray steps read the orbit rank: a one-point walk (EvalPoint)
-	// never builds it.
-	if len(p.classes) > 0 && hi-lo > 1 {
+	if !p.monolith {
 		p.initOrbit(sc)
 	}
 	pkgCh := sc.sc.Chiplets()
@@ -407,9 +397,7 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 			if !p.monolith {
 				cell := &p.tbl.Cells[j][d]
 				pkgCh[j].AreaMM2, pkgCh[j].Node = cell.AreaMM2, cell.Node
-				if len(p.classes) > 0 {
-					p.stepOrbit(sc, j, old, d)
-				}
+				p.stepOrbit(sc, j, old, d)
 			}
 			changed = j
 			steps++
@@ -421,7 +409,7 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 				return err
 			}
 		}
-		if err := p.evalInto(sc, &sc.pt, changed, out); err != nil {
+		if err := p.evalInto(sc, &sc.pt, changed); err != nil {
 			return err
 		}
 		if err := visit(out, &sc.pt); err != nil {
@@ -457,19 +445,9 @@ func (p *CompiledPlan) initAt(sc *blockScratch, k int) (out int) {
 // a sequential fold over the five dense row slices the walk gathered
 // from the table for the current digits. out.Nodes aliases the
 // scratch's reusable buffer: callers that retain the point must copy
-// it.
-//
-// The whole-package terms come from the first of three sources that
-// has them. pointIdx is the point's standard mixed-radix index, the key
-// of the scratch's per-point package memo: a pooled scratch that has
-// estimated this exact point on an earlier walk serves the package
-// quadruple straight from the memo (the estimate is pure in the digit
-// vector, so the served bits are the estimator's own prior output). A
-// scratch on its first walk skips the memo entirely. Otherwise a Gray
-// step (changed names its chiplet) of a plan with interchangeable
-// chiplets consults the per-orbit table, and the estimator runs last
-// (see packagePoint).
-func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx int) error {
+// it. changed names the chiplet a Gray step moved (-1 for a walk's
+// first point); packagePoint supplies the whole-package terms.
+func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed int) error {
 	t := p.tbl
 	var mfgKg, desKg, nreKg, diesUSD, nreUSD float64
 	rowDes := sc.rowDes[:len(sc.rowMfg)]
@@ -484,25 +462,13 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx 
 		nreUSD += rowNREUSD[i]
 	}
 
-	var v kernel.PkgPoint
+	var v kernel.PkgTerms
 	if p.monolith {
-		v = kernel.PkgPoint{AreaMM2: t.Cells[0][sc.digits[0]].AreaMM2, AssemblyYield: 1}
+		v = kernel.PkgTerms{AreaMM2: t.Cells[0][sc.digits[0]].AreaMM2, AssemblyYield: 1}
 	} else {
-		memo := sc.walks > 1
-		hit := false
-		if memo {
-			v, hit = sc.sc.LoadPackagePoint(uint64(pointIdx), uint64(p.combos))
-		}
-		if hit {
-			sc.estValid = false
-		} else {
-			var err error
-			if v, err = p.packagePoint(sc, changed); err != nil {
-				return err
-			}
-			if memo {
-				sc.sc.StorePackagePoint(uint64(pointIdx), uint64(p.combos), v)
-			}
+		var err error
+		if v, err = p.packagePoint(sc, changed); err != nil {
+			return err
 		}
 		desKg += t.CommShare[sc.digits[0]]
 	}
@@ -524,7 +490,7 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx 
 	for i, d := range sc.digits {
 		sc.picked[i] = p.nodes[d]
 	}
-	embodied := mfgKg + desKg + v.HIKg + nreKg
+	embodied := mfgKg + desKg + v.HIKg() + nreKg
 	*out = Point{
 		Nodes:          sc.picked,
 		EmbodiedKg:     embodied,
@@ -535,39 +501,34 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed, pointIdx 
 	return nil
 }
 
-// packagePoint returns the package quadruple of the scratch's current
-// point when the per-point memo did not serve it. A Gray step of a plan
-// with interchangeable chiplets looks the point's orbit up in the
-// scratch's per-orbit table: on a hit it re-folds only the routing
-// terms, in chiplet order, through the estimator's own routing method,
-// and adds them to the stored package carbon exactly as
-// pkgcarbon.Result.TotalKg does, so the bits are the estimator's (see
-// the invariance claim in orbit.go). Block inits (changed < 0) — a
-// walk's first point, every point of an orbit front and EvalPoint —
-// never touch the table. Otherwise the estimator runs, through its
+// packagePoint returns the package terms of the scratch's current
+// point. A point of known orbit rank looks the rank up in the scratch's
+// package memo. On a hit the estimator is skipped; on a plan with
+// interchangeable chiplets the hit re-folds only the routing terms, in
+// chiplet order, through the estimator's own routing method, so with
+// the stored package carbon they carry the estimator's bits for this
+// member of the orbit (see the invariance claim in orbit.go). On a plan
+// without classes the rank is the point itself, and the stored terms
+// are its own. Otherwise the estimator runs, through its
 // single-changed-chiplet delta path when it estimated the previous
-// point of the walk, and a Gray step files the orbit's terms.
+// point of the walk, and the terms are filed under the rank.
 //
 // A served point skips the estimator, so its retained floorplan no
 // longer tracks the walk: estValid drops and the next estimate runs in
 // full.
-func (p *CompiledPlan) packagePoint(sc *blockScratch, changed int) (kernel.PkgPoint, error) {
-	orbit := changed >= 0 && len(p.classes) > 0
-	var key uint64
-	if orbit {
-		key = uint64(sc.orbit)
-		if o, ok := sc.sc.LoadPackageOrbit(key, uint64(p.orbits)); ok {
-			r, err := sc.sc.PackageRouting()
-			if err != nil {
-				return kernel.PkgPoint{}, err
-			}
+func (p *CompiledPlan) packagePoint(sc *blockScratch, changed int) (kernel.PkgTerms, error) {
+	key, span := uint64(sc.orbit), uint64(p.orbits)
+	if sc.orbit >= 0 {
+		if v, ok := sc.sc.LoadPackage(key, span); ok {
 			sc.estValid = false
-			return kernel.PkgPoint{
-				HIKg:          o.PackageKg + r.RoutingKg,
-				AreaMM2:       o.AreaMM2,
-				AssemblyYield: o.AssemblyYield,
-				RouterPowerW:  r.RouterTotalPowerW,
-			}, nil
+			if len(p.classes) > 0 {
+				r, err := sc.sc.PackageRouting()
+				if err != nil {
+					return kernel.PkgTerms{}, err
+				}
+				v.RoutingKg, v.RouterPowerW = r.RoutingKg, r.RouterTotalPowerW
+			}
+			return v, nil
 		}
 	}
 	var pkg *pkgcarbon.Result
@@ -578,19 +539,20 @@ func (p *CompiledPlan) packagePoint(sc *blockScratch, changed int) (kernel.PkgPo
 		pkg, err = sc.sc.EstimatePackage()
 	}
 	if err != nil {
-		return kernel.PkgPoint{}, err
+		return kernel.PkgTerms{}, err
 	}
 	sc.estValid = true
-	if orbit {
-		sc.sc.StorePackageOrbit(key, uint64(p.orbits),
-			kernel.PkgOrbit{PackageKg: pkg.PackageKg, AreaMM2: pkg.PackageAreaMM2, AssemblyYield: pkg.AssemblyYield})
-	}
-	return kernel.PkgPoint{
-		HIKg:          pkg.TotalKg(),
+	v := kernel.PkgTerms{
+		PackageKg:     pkg.PackageKg,
+		RoutingKg:     pkg.RoutingKg,
 		AreaMM2:       pkg.PackageAreaMM2,
 		AssemblyYield: pkg.AssemblyYield,
 		RouterPowerW:  pkg.RouterTotalPowerW,
-	}, nil
+	}
+	if sc.orbit >= 0 {
+		sc.sc.StorePackage(key, span, v)
+	}
+	return v, nil
 }
 
 // grayInit seeds the scratch's odometer at sequence index k: the
@@ -622,8 +584,8 @@ func (p *CompiledPlan) grayInit(k int, sc *blockScratch) {
 // plan inverts the Gray code to the point's sequence index and walks
 // that one-point range, so the returned point carries the exact float
 // bits of the same point in a full RunCtx — and a warm scratch serves
-// the package term straight from the per-point memo, skipping the
-// estimator entirely on repeat requests.
+// the package terms of the point's orbit from its package memo,
+// skipping the estimator on repeat requests.
 func (p *CompiledPlan) EvalPoint(ctx context.Context, nodes []int) (Point, error) {
 	sc, err := p.getScratch()
 	if err != nil {

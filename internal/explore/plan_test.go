@@ -132,9 +132,9 @@ func TestSoAColumnsMatchAoSRandomized(t *testing.T) {
 // checkCompiledSweepMatchesReference runs 40 random trials from seed and
 // requires each compiled sweep, at 1 and 3 workers, to match
 // NodeSweepReference bit for bit (or to fail where the reference fails).
-// Each multi-chiplet trial also sweeps its class twin, whose Gray steps
-// go through the per-orbit package table, and its monolithic twin
-// through checkMonolithSweep.
+// Each multi-chiplet trial also sweeps its class twin, whose twin
+// members share package-memo entries, and its monolithic twin through
+// checkMonolithSweep.
 func checkCompiledSweepMatchesReference(t *testing.T, seed int64) {
 	t.Helper()
 	d := db()
@@ -214,8 +214,8 @@ func classTwin(base *core.System) *core.System {
 // swap sort positions, and most points are served from the floorplan
 // tree's shape memo. The compiled sweep must stay bit-identical to the
 // reference at any worker count, and again on re-runs over the pooled
-// scratches: a scratch's second walk fills the per-point package memo
-// and its third is served from it.
+// scratches, which serve the package terms of the orbits an earlier
+// walk estimated from the package memo.
 func TestCompiledSweepIdenticalCCDsMatchesReference(t *testing.T) {
 	d := db()
 	base, err := testcases.EPYC(d, 4)
@@ -418,18 +418,11 @@ func TestPlanStatsAndReuse(t *testing.T) {
 	if s.TableCells != 9 {
 		t.Errorf("TableCells = %d, want 3 chiplets x 3 nodes = 9", s.TableCells)
 	}
-	// A fresh scratch's first walk can never revisit a point: the
-	// per-point package memo is neither read nor filled. (A serial run
-	// is one walk; parallel workers may hand a scratch on mid-run.)
-	serial, err := Compile(base, d, []int{7, 10, 14}, cost.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := serial.RunCtx(context.Background(), engine.WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	if pm := serial.Stats().PkgMemo; pm != (kernel.PkgMemoStats{}) {
-		t.Errorf("a first walk touched the point memo: %+v", pm)
+	// GA102 has no interchangeable chiplets, so each point is its own
+	// orbit: a first run looks each of them up once, misses and fills
+	// its slot, and never hits or evicts.
+	if want := (kernel.PkgMemoStats{Misses: 27, Fills: 27}); s.PkgMemo != want {
+		t.Errorf("first run's package memo: %+v, want %+v", s.PkgMemo, want)
 	}
 	// A plan is reusable: a second run returns identical points.
 	second, err := plan.RunCtx(context.Background(), engine.WithWorkers(5))

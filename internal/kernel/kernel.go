@@ -15,9 +15,9 @@
 //     Disaggregate search — the packaging estimator (pkgcarbon.Estimator
 //     with its memoized floorplan tree, whose single-changed-chiplet
 //     delta path the Gray-code sweep walk drives through
-//     EstimatePackageDelta), the per-point package memo and per-orbit
-//     package table that let a walk skip the estimator, the chiplet
-//     descriptor buffer and the operational-term memo.
+//     EstimatePackageDelta), the package memo keyed by orbit rank that
+//     lets a walk skip the estimator, the chiplet descriptor buffer and
+//     the operational-term memo.
 //   - Scratch: one worker's reusable arena for a ParamPlan — chiplet
 //     descriptors, the hooks serving the plan's base tabulation, the
 //     tech.Sandbox for per-sample node perturbation and the
@@ -85,9 +85,8 @@ type Scratch struct {
 // or a Disaggregate search: the packaging estimator (with its memoized
 // floorplan tree, whose single-changed-chiplet path the Gray-code walk
 // drives through EstimatePackageDelta), the chiplet descriptor buffer,
-// the per-point package memo and per-orbit package table that let a
-// walk skip the estimator, their counters and the operational-term
-// memo. It is NOT safe for concurrent use.
+// the package memo that lets a walk skip the estimator, its counters
+// and the operational-term memo. It is NOT safe for concurrent use.
 //
 // Counters live in the scratch until its owner releases it:
 // FoldFloorplan and FoldMemo add them into the owner's totals and zero
@@ -97,23 +96,20 @@ type SweepScratch struct {
 	pkgCh []pkgcarbon.Chiplet
 	op    opMemo
 
-	// Per-point package memo. A compiled point's package estimate is
-	// pure in the point's digit vector, so once a scratch has estimated
-	// a point it can serve the folded quadruple (PkgPoint) by the
-	// point's mixed-radix index and skip the estimator — the serving
-	// shape of a re-walked plan, and the same retained-state idea as the
-	// estimator's warm floorplan tree, one level up. Lazy: sized by the
-	// first StorePackagePoint.
-	pkgPt slotTable[PkgPoint]
-	// Per-orbit package table (plans with interchangeable chiplets).
-	// Points that permute the nodes of interchangeable chiplets share
-	// their package area, package carbon and assembly yield bit for bit,
-	// so a fresh walk that has estimated one member of an orbit serves
-	// every later member's PkgOrbit by the orbit's dense rank and
-	// re-folds only the order-dependent routing terms (PackageRouting).
-	// Lazy: sized by the first StorePackageOrbit.
-	pkgOrbit slotTable[PkgOrbit]
-	memo     PkgMemoStats
+	// Package memo: a direct-mapped table of PkgTerms keyed by the dense
+	// rank of a point's orbit (on a plan without interchangeable
+	// chiplets, its output slot). Every member of an orbit shares the
+	// stored package carbon, area and assembly yield bit for bit, so a
+	// scratch that has estimated one member serves the rest without the
+	// estimator. Slot keys hold key+1, so the zero value means empty;
+	// when the key space outgrows the slots, keys hash to a slot and a
+	// collision simply recomputes: a hit is the estimator's own earlier
+	// output for an input that fixes it, so eviction changes speed,
+	// never a bit. Lazy: sized by the first StorePackage.
+	keys []uint64
+	vals []PkgTerms
+	span uint64 // key-space size the slots were sized for
+	memo PkgMemoStats
 }
 
 // opMemo is the last-value memo for the operational term: its input
@@ -140,61 +136,10 @@ func (m *opMemo) lifetimeKg(spec *opcarbon.Spec, powerW float64) (float64, error
 	return kg, nil
 }
 
-// slotTable is a direct-mapped memo over a dense key space of span keys
-// (a point's mixed-radix index, an orbit's rank). Slot keys hold key+1,
-// so the zero value means empty; when the key space outgrows the slot
-// table the key hashes to a direct-mapped slot and a collision simply
-// recomputes. Every memo built on it serves the estimator's own prior
-// output for an input that determines it, so eviction changes speed,
-// never a bit.
-type slotTable[V any] struct {
-	keys []uint64
-	vals []V
-	span uint64 // key-space size the slots were sized for
-}
-
-// lookup returns the value stored under key in a span-key space; hit
-// reports a stored entry, collided a slot held by a different key.
-func (t *slotTable[V]) lookup(key, span uint64) (v V, hit, collided bool) {
-	if t.span != span || len(t.keys) == 0 {
-		return v, false, false
-	}
-	slot := pkgPointSlot(key, span)
-	if k := t.keys[slot]; k != key+1 {
-		return v, false, k != 0
-	}
-	return t.vals[slot], true, false
-}
-
-// store records v under key in a span-key space, sizing (or resizing)
-// the slots on first use, and reports whether it claimed an empty slot
-// or evicted a different key's entry.
-func (t *slotTable[V]) store(key, span uint64, v V) (filled, evicted bool) {
-	if t.span != span || len(t.keys) == 0 {
-		n := min(span, 1<<pkgPointSlotBits)
-		t.keys = make([]uint64, n)
-		t.vals = make([]V, n)
-		t.span = span
-	}
-	slot := pkgPointSlot(key, span)
-	switch k := t.keys[slot]; {
-	case k == 0:
-		filled = true
-	case k != key+1:
-		evicted = true
-	}
-	t.keys[slot] = key + 1
-	t.vals[slot] = v
-	return filled, evicted
-}
-
-// PkgMemoStats counts the traffic of the per-point package memo and,
-// in OrbitHits/OrbitMisses, of the per-orbit package table. The
-// interesting point-memo counter is Collisions: lookups that missed because the
-// direct-mapped slot was occupied by a different point index, i.e. the
-// recomputes an eviction policy could win back. ROADMAP flags possible
-// pathological collision patterns under serving workloads; this makes
-// them observable before any policy is built.
+// PkgMemoStats counts the package memo's traffic. The interesting
+// counter is Collisions: lookups that missed because the direct-mapped
+// slot held a different key, i.e. the recomputes an eviction policy
+// could win back.
 type PkgMemoStats struct {
 	// Hits is the number of points served straight from the memo.
 	Hits uint64
@@ -202,29 +147,17 @@ type PkgMemoStats struct {
 	// unsized tables and span changes included).
 	Misses uint64
 	// Collisions is the subset of Misses whose slot held a different
-	// point index — a recompute forced purely by the direct-mapped
-	// layout.
+	// key — a recompute forced purely by the direct-mapped layout.
 	Collisions uint64
 	// Fills is the number of stores that claimed an empty slot. Fills
-	// bounded well below the slot count means the workload's working
-	// set fits the table and Collisions noise is hash-induced, not
-	// capacity-induced.
+	// bounded well below the slot count means the working set fits the
+	// table and Collisions noise is hash-induced, not capacity-induced.
 	Fills uint64
 	// Evictions is the number of stores that overwrote a live entry of
-	// a different point index — the direct-mapped table's forced
-	// evictions. A serving workload whose Evictions grow linearly with
-	// traffic is thrashing the memo (the pathological collision pattern
-	// ROADMAP flagged) and would benefit from a larger or associative
-	// table.
+	// a different key — the direct-mapped table's forced evictions. A
+	// workload whose Evictions grow linearly with traffic is thrashing
+	// the memo and would benefit from a larger or associative table.
 	Evictions uint64
-	// OrbitHits is the number of Gray steps whose package terms the
-	// per-orbit table served (only the routing fold ran); OrbitMisses
-	// the Gray steps that consulted it and ran the estimator. A walk
-	// consults the table only on a plan with interchangeable chiplets,
-	// only after the point memo missed (or was not consulted), and
-	// never for a walk's first point, so on a fresh walk
-	// OrbitHits+OrbitMisses equals its Gray steps.
-	OrbitHits, OrbitMisses uint64
 }
 
 // Add accumulates o into s.
@@ -234,39 +167,35 @@ func (s *PkgMemoStats) Add(o PkgMemoStats) {
 	s.Collisions += o.Collisions
 	s.Fills += o.Fills
 	s.Evictions += o.Evictions
-	s.OrbitHits += o.OrbitHits
-	s.OrbitMisses += o.OrbitMisses
 }
 
-// PkgPoint is the package-term quadruple one compiled sweep point folds
-// into its totals: heterogeneous-integration carbon, package area,
-// assembly yield and router power, exactly as returned by the package
-// estimate of the point's digit vector.
-type PkgPoint struct {
-	HIKg, AreaMM2, AssemblyYield, RouterPowerW float64
+// PkgTerms is the package estimate one compiled sweep point folds into
+// its totals: package carbon (attach term included) and routing carbon,
+// whose sum is the heterogeneous-integration carbon exactly as
+// pkgcarbon.Result.TotalKg adds them, package area, assembly yield and
+// router power. The package carbon, area and assembly yield hold for
+// every member of the point's orbit; the routing carbon and router
+// power are those of the point that was estimated.
+type PkgTerms struct {
+	PackageKg, RoutingKg, AreaMM2, AssemblyYield, RouterPowerW float64
 }
 
-// PkgOrbit is the orbit-invariant slice of a package estimate: package
-// carbon (attach term included), package area and assembly yield, the
-// terms every member of an orbit of node assignments shares bit for
-// bit.
-type PkgOrbit struct {
-	PackageKg, AreaMM2, AssemblyYield float64
-}
+// HIKg returns the heterogeneous-integration carbon, as
+// pkgcarbon.Result.TotalKg computes it.
+func (t PkgTerms) HIKg() float64 { return t.PackageKg + t.RoutingKg }
 
-// pkgPointSlotBits caps each memo table at 1<<pkgPointSlotBits slots
-// (4096 × 40 B ≈ 160 KiB per worker scratch for the point memo, × 32 B
-// for the orbit table); larger key spaces share slots through the hash
-// below.
-const pkgPointSlotBits = 12
+// pkgSlotBits caps the package memo at 1<<pkgSlotBits slots (4096 ×
+// 48 B ≈ 192 KiB per worker scratch); larger key spaces share slots
+// through the hash below.
+const pkgSlotBits = 12
 
-// pkgPointSlot maps a key to its memo slot: the identity when the whole
-// key space fits, a Fibonacci-hashed direct-mapped slot otherwise.
-func pkgPointSlot(idx, span uint64) uint64 {
-	if span <= 1<<pkgPointSlotBits {
-		return idx
+// pkgSlot maps a key to its memo slot: the identity when the whole key
+// space fits, a Fibonacci-hashed direct-mapped slot otherwise.
+func pkgSlot(key, span uint64) uint64 {
+	if span <= 1<<pkgSlotBits {
+		return key
 	}
-	return idx * 0x9e3779b97f4a7c15 >> (64 - pkgPointSlotBits)
+	return key * 0x9e3779b97f4a7c15 >> (64 - pkgSlotBits)
 }
 
 // NewSweepScratch builds the per-worker arena of a compiled node sweep
@@ -287,57 +216,45 @@ func NewSweepScratch(pkg *pkgcarbon.Params, nc int) (*SweepScratch, error) {
 	return sc, nil
 }
 
-// LoadPackagePoint returns the memoized package quadruple of point
-// index idx in a span-point space, if this scratch has estimated that
-// exact point before.
-func (sc *SweepScratch) LoadPackagePoint(idx, span uint64) (PkgPoint, bool) {
-	v, hit, collided := sc.pkgPt.lookup(idx, span)
-	if hit {
-		sc.memo.Hits++
-		return v, true
+// LoadPackage returns the package terms stored under key in a span-key
+// space, if this scratch has estimated a point with that key before.
+func (sc *SweepScratch) LoadPackage(key, span uint64) (PkgTerms, bool) {
+	if sc.span == span && len(sc.keys) > 0 {
+		slot := pkgSlot(key, span)
+		switch k := sc.keys[slot]; {
+		case k == key+1:
+			sc.memo.Hits++
+			return sc.vals[slot], true
+		case k != 0:
+			sc.memo.Collisions++
+		}
 	}
 	sc.memo.Misses++
-	if collided {
-		sc.memo.Collisions++
-	}
-	return v, false
+	return PkgTerms{}, false
 }
 
-// StorePackagePoint memoizes the package quadruple of point index idx
-// in a span-point space, sizing (or resizing) the slot table on first
-// use.
-func (sc *SweepScratch) StorePackagePoint(idx, span uint64, v PkgPoint) {
-	filled, evicted := sc.pkgPt.store(idx, span, v)
-	if filled {
-		sc.memo.Fills++
+// StorePackage records v under key in a span-key space, sizing (or
+// resizing) the table to min(span, 4096) slots on first use.
+func (sc *SweepScratch) StorePackage(key, span uint64, v PkgTerms) {
+	if sc.span != span || len(sc.keys) == 0 {
+		n := min(span, 1<<pkgSlotBits)
+		sc.keys = make([]uint64, n)
+		sc.vals = make([]PkgTerms, n)
+		sc.span = span
 	}
-	if evicted {
+	slot := pkgSlot(key, span)
+	switch k := sc.keys[slot]; {
+	case k == 0:
+		sc.memo.Fills++
+	case k != key+1:
 		sc.memo.Evictions++
 	}
+	sc.keys[slot] = key + 1
+	sc.vals[slot] = v
 }
 
-// LoadPackageOrbit returns the orbit-invariant package terms of orbit
-// rank key in a span-orbit space, if this scratch has estimated a
-// member of that orbit before.
-func (sc *SweepScratch) LoadPackageOrbit(key, span uint64) (PkgOrbit, bool) {
-	v, hit, _ := sc.pkgOrbit.lookup(key, span)
-	if hit {
-		sc.memo.OrbitHits++
-	} else {
-		sc.memo.OrbitMisses++
-	}
-	return v, hit
-}
-
-// StorePackageOrbit records the orbit-invariant package terms of orbit
-// rank key in a span-orbit space, sizing the table (min(span, 4096)
-// slots) on first use.
-func (sc *SweepScratch) StorePackageOrbit(key, span uint64, v PkgOrbit) {
-	sc.pkgOrbit.store(key, span, v)
-}
-
-// FoldMemo releases the scratch's point-memo and orbit-table counters:
-// it adds them into *into and zeroes them.
+// FoldMemo releases the scratch's package-memo counters: it adds them
+// into *into and zeroes them.
 func (sc *SweepScratch) FoldMemo(into *PkgMemoStats) {
 	into.Add(sc.memo)
 	sc.memo = PkgMemoStats{}
@@ -382,7 +299,8 @@ func (sc *SweepScratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, er
 // PackageRouting folds only the routing terms of the current chiplet
 // descriptors, in chiplet order, through the estimator's communication
 // caches — the fields EstimatePackage would return, bit for bit. A
-// per-orbit table hit pairs it with the orbit's stored terms.
+// package-memo hit on a plan with interchangeable chiplets pairs it
+// with the orbit's stored terms.
 func (sc *SweepScratch) PackageRouting() (pkgcarbon.Routing, error) {
 	return sc.est.Routing(sc.pkgCh)
 }
