@@ -138,7 +138,63 @@ func (r *Report) EmbodiedKg() float64 { return r.MfgKg + r.DesignKg + r.HIKg + r
 func (r *Report) TotalKg() float64 { return r.EmbodiedKg() + r.OperationalKg }
 
 // Validate checks the system description against the model's domains.
-func (s *System) Validate(db *tech.DB) error {
+func (s *System) Validate(db *tech.DB) error { return s.ValidateGroups(db, CheckAll) }
+
+// Checks selects groups of Validate's checks.
+type Checks uint8
+
+const (
+	// CheckChiplets covers the chiplet descriptors (names, design types,
+	// transistor budgets, node membership in the database, volumes), the
+	// monolithic node mix and the system volume.
+	CheckChiplets Checks = 1 << iota
+	// CheckMfg covers Mfg.
+	CheckMfg
+	// CheckDesign covers Design.
+	CheckDesign
+	// CheckPackaging covers Packaging, which only multi-chiplet packages
+	// read.
+	CheckPackaging
+	// CheckOperation covers Operation, when set.
+	CheckOperation
+	// CheckAll is every group: Validate.
+	CheckAll = CheckChiplets | CheckMfg | CheckDesign | CheckPackaging | CheckOperation
+)
+
+// ValidateGroups runs the groups of Validate that c selects, in
+// Validate's order, so that when every other group is known valid it
+// returns exactly Validate's error. Compiled parameter plans use it to
+// re-check only the groups a perturbation touched.
+func (s *System) ValidateGroups(db *tech.DB, c Checks) error {
+	if c&CheckChiplets != 0 {
+		if err := s.validateChiplets(db); err != nil {
+			return err
+		}
+	}
+	if c&CheckMfg != 0 {
+		if err := s.Mfg.Validate(); err != nil {
+			return err
+		}
+	}
+	if c&CheckDesign != 0 {
+		if err := s.Design.Validate(); err != nil {
+			return err
+		}
+	}
+	if c&CheckPackaging != 0 && !s.Monolithic && len(s.Chiplets) > 1 {
+		if err := s.Packaging.Validate(); err != nil {
+			return err
+		}
+	}
+	if c&CheckOperation != 0 && s.Operation != nil {
+		if err := s.Operation.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *System) validateChiplets(db *tech.DB) error {
 	if len(s.Chiplets) == 0 {
 		return fmt.Errorf("core: system %q has no chiplets", s.Name)
 	}
@@ -169,22 +225,6 @@ func (s *System) Validate(db *tech.DB) error {
 	}
 	if s.SystemVolume < 0 {
 		return fmt.Errorf("core: system %q has negative volume", s.Name)
-	}
-	if err := s.Mfg.Validate(); err != nil {
-		return err
-	}
-	if err := s.Design.Validate(); err != nil {
-		return err
-	}
-	if !s.Monolithic && len(s.Chiplets) > 1 {
-		if err := s.Packaging.Validate(); err != nil {
-			return err
-		}
-	}
-	if s.Operation != nil {
-		if err := s.Operation.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -101,14 +101,16 @@ func SinglePassKg(gates float64, n *tech.Node, p Params) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	hours := SPRHours(gates, n)
-	return hours * p.PowerW / 1000 * p.CarbonIntensity, nil
+	return HoursKg(SPRHours(gates, n), p), nil
 }
 
 // TotalHours returns t_des,i per Eq. (13): N_des iterations of SP&R plus
 // analysis, plus verification time derived from the verification share of
 // the overall schedule (verif = share/(1-share) of the implementation
-// time).
+// time). It is the hours step of ChipletKg and reads only the gate
+// count, the node's EDA productivity and p's Iterations, VerifShare and
+// AnalyzeFactor, so a caller that evaluates one design under many design
+// powers or carbon intensities may keep its result.
 func TotalHours(gates float64, n *tech.Node, p Params) float64 {
 	spr := SPRHours(gates, n)
 	impl := (spr + p.AnalyzeFactor*spr) * float64(p.Iterations)
@@ -117,12 +119,19 @@ func TotalHours(gates float64, n *tech.Node, p Params) float64 {
 }
 
 // ChipletKg returns C_des,i: the full (unamortized) design carbon of one
-// chiplet with the given gate count in the given node.
+// chiplet with the given gate count in the given node. It validates p,
+// then runs the hours step (TotalHours) and the carbon step (HoursKg).
 func ChipletKg(gates float64, n *tech.Node, p Params) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	return TotalHours(gates, n, p) * p.PowerW / 1000 * p.CarbonIntensity, nil
+	return HoursKg(TotalHours(gates, n, p), p), nil
+}
+
+// HoursKg is the carbon step of ChipletKg: the carbon of the given
+// design CPU-hours, t_des * P_des * C_des,src. It does not validate p.
+func HoursKg(hours float64, p Params) float64 {
+	return hours * p.PowerW / 1000 * p.CarbonIntensity
 }
 
 // AmortizedKg returns the per-part design carbon: C_des,i / N_Mi for a

@@ -77,7 +77,6 @@ type Scratch struct {
 	pkgCh []pkgcarbon.Chiplet
 	hooks paramHooks
 	sb    *tech.Sandbox // lazy; built on first PerturbNodes
-	db    *tech.DB      // sandbox source (the plan's database)
 	op    opMemo
 }
 
@@ -314,13 +313,15 @@ func (sc *SweepScratch) OperationKg(spec *opcarbon.Spec, powerW float64) (float6
 
 // PerturbNodes returns a perturbed database for one evaluation: the
 // scratch's private sandbox copy of the plan's database with every node
-// reset to its base parameters and mutate applied — the allocation-free
-// equivalent of db.Clone(mutate) for per-sample Monte Carlo
-// perturbation. The returned DB is only valid until the next
-// PerturbNodes call on this scratch.
+// the plan reads reset to its base parameters and mutate applied — for
+// the plan's evaluations, the allocation-free equivalent of
+// db.Clone(mutate) for per-sample Monte Carlo perturbation. Nodes the
+// plan does not read keep their base parameters. The returned DB is
+// only valid until the next PerturbNodes call on this scratch.
 func (sc *Scratch) PerturbNodes(mutate func(*tech.Node)) *tech.DB {
+	plan := sc.hooks.plan
 	if sc.sb == nil {
-		sc.sb = sc.db.NewSandbox()
+		sc.sb = plan.db.NewSandbox()
 	}
-	return sc.sb.Reset(mutate)
+	return sc.sb.Reset(plan.nodes, mutate)
 }

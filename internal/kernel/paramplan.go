@@ -3,6 +3,7 @@ package kernel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ecochip/internal/core"
@@ -60,7 +61,9 @@ const (
 	// communication cells. It does NOT cover a node's EDAProductivity,
 	// which only the design-carbon model reads (a perturbation touching
 	// it must also set DirtyDesign), nor a node's Density table, which
-	// moves chiplet areas and needs DirtyAreas.
+	// moves chiplet areas and needs DirtyAreas. The perturbed database
+	// holds the same node sizes as the base's (db.Clone and
+	// Scratch.PerturbNodes keep them).
 	DirtyNodes Dirty = 1 << iota
 	// DirtyMfg marks a changed System.Mfg (fab carbon intensity, wafer,
 	// alpha), invalidating die manufacturing results.
@@ -164,6 +167,17 @@ type ParamPlan struct {
 	des    []float64    // descarbon.ChipletKg per chiplet
 	commKg float64      // ChipletKg of the communication fabric
 	pkg    pkgSnapshot
+	// hours are the rows' descarbon.TotalHours calls (commHours the
+	// communication fabric's): a design-dirty evaluation serves a row's
+	// hours while its inputs match, and recomputes only the carbon
+	// step. die rows serve their wafer geometry the same way.
+	hours     []hoursRow
+	commHours hoursRow
+	// nodes are the sizes of the database nodes the plan reads: its
+	// chiplets' nodes, each once. Scratch.PerturbNodes resets only
+	// these, and a node-dirty evaluation checks only that the perturbed
+	// database still holds them.
+	nodes []int
 	// fp is the base point's floorplan (nil for monoliths and 3D
 	// stacks): packaging-dirty evaluations whose geometry inputs match
 	// the base re-run the carbon model on top of it instead of
@@ -200,6 +214,12 @@ type pkgSnapshot struct {
 	routerPowerW  float64
 }
 
+// hoursRow is one tabulated descarbon.TotalHours call: the inputs that
+// vary by row (the plan's base Design supplies the rest) and the hours.
+type hoursRow struct {
+	gates, edaProductivity, hours float64
+}
+
 // capture returns hooks that compute sub-models directly while recording
 // each result into the plan's base tabulation at *row.
 func (p *ParamPlan) capture(row *int) *core.Hooks {
@@ -216,10 +236,11 @@ func (p *ParamPlan) capture(row *int) *core.Hooks {
 			if err != nil {
 				return 0, err
 			}
+			h := hoursRow{gates, n.EDAProductivity, descarbon.TotalHours(gates, n, dp)}
 			if *row == commRow {
-				p.commKg = kg
+				p.commKg, p.commHours = kg, h
 			} else {
-				p.des[*row] = kg
+				p.des[*row], p.hours[*row] = kg, h
 			}
 			return kg, nil
 		},
@@ -241,6 +262,12 @@ func CompileParams(base *core.System, db *tech.DB) (*ParamPlan, error) {
 	}
 	p.die = make([]mfg.Result, rows)
 	p.des = make([]float64, rows)
+	p.hours = make([]hoursRow, rows)
+	for _, c := range base.Chiplets {
+		if !slices.Contains(p.nodes, c.NodeNm) {
+			p.nodes = append(p.nodes, c.NodeNm)
+		}
+	}
 	cellCols := make([]float64, 4*rows)
 	p.cellMfg = cellCols[0*rows : 1*rows]
 	p.cellDes = cellCols[1*rows : 2*rows]
@@ -332,7 +359,7 @@ func (p *ParamPlan) Fold(sc *Scratch) {
 
 // NewScratch builds a per-worker arena for evaluating this plan.
 func (p *ParamPlan) NewScratch() (*Scratch, error) {
-	sc := &Scratch{db: p.db}
+	sc := &Scratch{}
 	sc.hooks.init(p)
 	if !p.monolith {
 		sc.pkgCh = make([]pkgcarbon.Chiplet, p.nc)
@@ -369,25 +396,50 @@ func (ph *paramHooks) init(plan *ParamPlan) {
 	ph.h = core.Hooks{Die: ph.die, ChipletKg: ph.chipletKg}
 }
 
-func (ph *paramHooks) die(n *tech.Node, d tech.DesignType, areaMM2 float64, p mfg.Params) (mfg.Result, error) {
-	if ph.dieDirty {
-		ph.stats.DieRecomputes++
-		return mfg.Die(n, d, areaMM2, p)
+// die serves mfg.Die. Eval has validated p (see ParamPlan.validate), so
+// a recompute runs only Die's two steps: the row's tabulated wafer
+// geometry serves while the area and the wafer inputs match the base,
+// and the carbon step re-runs on the perturbed node and fab parameters.
+func (ph *paramHooks) die(n *tech.Node, _ tech.DesignType, areaMM2 float64, p mfg.Params) (mfg.Result, error) {
+	row := &ph.plan.die[ph.row]
+	if !ph.dieDirty {
+		ph.stats.DieTableHits++
+		return *row, nil
 	}
-	ph.stats.DieTableHits++
-	return ph.plan.die[ph.row], nil
+	ph.stats.DieRecomputes++
+	g := mfg.Geometry{DiesPerWafer: row.DiesPerWafer, WastedAreaMM2: row.WastedAreaMM2}
+	if bp := &ph.plan.base.Mfg; areaMM2 != row.AreaMM2 || p.Wafer != bp.Wafer || p.IncludeWastage != bp.IncludeWastage {
+		var err error
+		if g, err = mfg.Place(areaMM2, p); err != nil {
+			return mfg.Result{}, err
+		}
+	}
+	return mfg.Carbon(n, areaMM2, g, p), nil
 }
 
+// chipletKg serves descarbon.ChipletKg the same way: p is validated,
+// the row's tabulated hours serve while their inputs match, and the
+// carbon step re-runs.
 func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params) (float64, error) {
-	if ph.desDirty {
-		ph.stats.DesignRecomputes++
-		return descarbon.ChipletKg(gates, n, p)
+	plan := ph.plan
+	if !ph.desDirty {
+		ph.stats.DesignTableHits++
+		if ph.row == commRow {
+			return plan.commKg, nil
+		}
+		return plan.des[ph.row], nil
 	}
-	ph.stats.DesignTableHits++
-	if ph.row == commRow {
-		return ph.plan.commKg, nil
+	ph.stats.DesignRecomputes++
+	row := &plan.commHours
+	if ph.row != commRow {
+		row = &plan.hours[ph.row]
 	}
-	return ph.plan.des[ph.row], nil
+	hours := row.hours
+	if bd := &plan.base.Design; gates != row.gates || n.EDAProductivity != row.edaProductivity ||
+		p.Iterations != bd.Iterations || p.VerifShare != bd.VerifShare || p.AnalyzeFactor != bd.AnalyzeFactor {
+		hours = descarbon.TotalHours(gates, n, p)
+	}
+	return descarbon.HoursKg(hours, p), nil
 }
 
 // Walk evaluates n perturbed points against the plan through the batch
@@ -425,8 +477,15 @@ func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scrat
 // silently serves stale sub-results, so new perturbation kinds need a
 // parity test against the direct evaluation, like the ones guarding the
 // tornado factors and Monte Carlo sampling.
+//
+// Validation follows the dirty set too: Eval re-checks only the groups
+// it names, in System.Validate's order, so an invalid perturbation
+// returns exactly s.Validate(db)'s error (see validate). The sub-models
+// it recomputes then skip their own parameter checks: mfg.Die and
+// descarbon.ChipletKg run as their unvalidated steps, and
+// pkgcarbon.EstimateRouting takes the base's validated packaging.
 func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) (Totals, error) {
-	if err := s.Validate(db); err != nil {
+	if err := p.validate(s, db, dirty); err != nil {
 		return Totals{}, err
 	}
 	ph := &sc.hooks
@@ -573,4 +632,37 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 		t.OperationalKg = op
 	}
 	return t, nil
+}
+
+// validate returns s.Validate(db)'s error while checking only the groups
+// dirty names, in Validate's order: every other group equals the base,
+// which CompileParams validated. Node parameters are not among
+// Validate's checks; a node-dirty database only has to hold the plan's
+// nodes, and when it does not, the chiplet checks name the first
+// chiplet whose node is missing, as Validate would.
+func (p *ParamPlan) validate(s *core.System, db *tech.DB, dirty Dirty) error {
+	var c core.Checks
+	if dirty&(DirtyAreas|DirtyVolume) != 0 {
+		c |= core.CheckChiplets
+	} else if dirty&DirtyNodes != 0 {
+		for _, nm := range p.nodes {
+			if !db.Has(nm) {
+				c |= core.CheckChiplets
+				break
+			}
+		}
+	}
+	if dirty&DirtyMfg != 0 {
+		c |= core.CheckMfg
+	}
+	if dirty&DirtyDesign != 0 {
+		c |= core.CheckDesign
+	}
+	if dirty&DirtyPackaging != 0 {
+		c |= core.CheckPackaging
+	}
+	if dirty&DirtyOperation != 0 {
+		c |= core.CheckOperation
+	}
+	return s.ValidateGroups(db, c)
 }

@@ -98,15 +98,54 @@ type Result struct {
 // TotalKg is the total manufacturing carbon of the die in kg CO2.
 func (r Result) TotalKg() float64 { return r.DieKg + r.WastageKg }
 
+// Geometry is where a die of a given area sits on the wafer: the
+// wafer-geometry step of Die, which reads only the die area, the wafer
+// and whether wastage is modeled. It is zero when wastage is not
+// modeled.
+type Geometry struct {
+	// DiesPerWafer is DPW from Eq. (7).
+	DiesPerWafer int
+	// WastedAreaMM2 is the amortized periphery waste per die, Eq. (8).
+	WastedAreaMM2 float64
+}
+
 // Die computes the manufacturing carbon of a die of the given area and
-// design type in the given node.
+// design type in the given node: it validates p, then runs the
+// wafer-geometry step (Place) and the carbon step (Carbon).
 func Die(n *tech.Node, d tech.DesignType, areaMM2 float64, p Params) (Result, error) {
-	if areaMM2 <= 0 {
-		return Result{}, fmt.Errorf("mfg: die area must be positive, got %g", areaMM2)
-	}
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
+	g, err := Place(areaMM2, p)
+	if err != nil {
+		return Result{}, err
+	}
+	return Carbon(n, areaMM2, g, p), nil
+}
+
+// Place is the wafer-geometry step of Die: it checks the die area and,
+// when p models wastage, lays the die out on p.Wafer (Eqs. (7)-(8)).
+// It reads only the area, p.Wafer and p.IncludeWastage, so a caller
+// that evaluates one die under many fab parameters may keep its
+// result. It does not validate p.
+func Place(areaMM2 float64, p Params) (Geometry, error) {
+	if areaMM2 <= 0 {
+		return Geometry{}, fmt.Errorf("mfg: die area must be positive, got %g", areaMM2)
+	}
+	if !p.IncludeWastage {
+		return Geometry{}, nil
+	}
+	dpw, wasted, err := p.Wafer.Layout(areaMM2)
+	if err != nil {
+		return Geometry{}, err
+	}
+	return Geometry{DiesPerWafer: dpw, WastedAreaMM2: wasted}, nil
+}
+
+// Carbon is the carbon step of Die: Eqs. (5)-(6) for a die of the given
+// area in node n on geometry g, which must be Place(areaMM2, p)'s
+// result. It does not validate p.
+func Carbon(n *tech.Node, areaMM2 float64, g Geometry, p Params) Result {
 	d0 := n.DefectDensity
 	if p.DefectDensityOverride > 0 {
 		d0 = p.DefectDensityOverride
@@ -124,13 +163,9 @@ func Die(n *tech.Node, d tech.DesignType, areaMM2 float64, p Params) (Result, er
 		DieKg:        cfpa * areaMM2 / 100,
 	}
 	if p.IncludeWastage {
-		wasted, err := p.Wafer.WastedAreaPerDie(areaMM2)
-		if err != nil {
-			return Result{}, err
-		}
-		res.DiesPerWafer = p.Wafer.DiesPerWafer(areaMM2)
-		res.WastedAreaMM2 = wasted
-		res.WastageKg = rawKgPerCM2 * wasted / 100
+		res.DiesPerWafer = g.DiesPerWafer
+		res.WastedAreaMM2 = g.WastedAreaMM2
+		res.WastageKg = rawKgPerCM2 * g.WastedAreaMM2 / 100
 	}
-	return res, nil
+	return res
 }

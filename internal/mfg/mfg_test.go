@@ -48,7 +48,7 @@ func TestDieWastageTerm(t *testing.T) {
 		t.Fatal("wastage term should be positive")
 	}
 	// The wastage term is raw (unyielded) carbon on the wasted area.
-	wasted, err := p.Wafer.WastedAreaPerDie(100)
+	_, wasted, err := p.Wafer.Layout(100)
 	if err != nil {
 		t.Fatal(err)
 	}

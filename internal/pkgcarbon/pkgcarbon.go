@@ -443,13 +443,13 @@ type Routing struct {
 // parameter plans use it to refresh the node-dependent slice of a
 // tabulated packaging result when only tech-node parameters (defect
 // density, EPA, ...) were perturbed: the floorplan and package carbon
-// depend on areas and the packaging node alone and stay valid.
+// depend on areas and the packaging node alone and stay valid. Like
+// Estimator.Routing it does not validate p: the caller passes
+// parameters that passed Params.Validate (a plan's validated base
+// packaging), and a perturbation that moves them re-runs Estimate.
 func EstimateRouting(chiplets []Chiplet, p Params) (Routing, error) {
 	if len(chiplets) == 0 {
 		return Routing{}, fmt.Errorf("pkgcarbon: no chiplets")
-	}
-	if err := p.Validate(); err != nil {
-		return Routing{}, err
 	}
 	return routing(chiplets, &p, nil)
 }

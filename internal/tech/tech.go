@@ -323,15 +323,22 @@ func (db *DB) NewSandbox() *Sandbox {
 	return &Sandbox{src: db, db: clone}
 }
 
-// Reset restores every node to the source database's parameters, applies
-// mutate to each (exactly as Clone would), and returns the sandbox
-// database. Unlike Clone it allocates nothing and skips re-validation —
-// it is the per-sample hot path of compiled Monte Carlo evaluation — so
-// the caller's mutate owns keeping parameters in range (see Clamp). The
-// returned DB aliases the sandbox's private nodes and is only valid
-// until the next Reset.
-func (sb *Sandbox) Reset(mutate func(*Node)) *DB {
-	for i := range sb.db.nodes {
+// Reset restores the nodes of the listed sizes to the source database's
+// parameters, applies mutate to each (exactly as Clone would), and
+// returns the sandbox database. Other nodes keep what they hold: the
+// source's parameters, unless an earlier Reset listed them; sizes the
+// database lacks are ignored. A caller that reads only a few nodes —
+// a compiled plan reads its chiplets' — lists just those. Unlike Clone
+// it allocates nothing and skips re-validation — it is the per-sample
+// hot path of compiled Monte Carlo evaluation — so the caller's mutate
+// owns keeping parameters in range (see Clamp). The returned DB aliases
+// the sandbox's private nodes and is only valid until the next Reset.
+func (sb *Sandbox) Reset(sizes []int, mutate func(*Node)) *DB {
+	for _, nm := range sizes {
+		i, ok := sb.db.index(nm)
+		if !ok {
+			continue
+		}
 		sb.db.nodes[i] = sb.src.nodes[i]
 		if mutate != nil {
 			mutate(&sb.db.nodes[i])

@@ -300,7 +300,7 @@ func TestSandboxResetRestoresAndMutates(t *testing.T) {
 	sb := src.NewSandbox()
 	base := src.MustGet(7).DefectDensity
 
-	db := sb.Reset(func(n *Node) { n.DefectDensity = 0.29 })
+	db := sb.Reset(src.Sizes(), func(n *Node) { n.DefectDensity = 0.29 })
 	if got := db.MustGet(7).DefectDensity; got != 0.29 {
 		t.Fatalf("Reset mutation not applied: %g", got)
 	}
@@ -309,7 +309,7 @@ func TestSandboxResetRestoresAndMutates(t *testing.T) {
 	}
 	// A second Reset must start from base values again, and densities
 	// must be private copies.
-	db = sb.Reset(func(n *Node) {
+	db = sb.Reset(src.Sizes(), func(n *Node) {
 		n.DefectDensity *= 1.0
 		n.Density[Logic] = n.Density[Logic] * 2
 	})
@@ -319,7 +319,7 @@ func TestSandboxResetRestoresAndMutates(t *testing.T) {
 	if src.MustGet(7).Density[Logic] == db.MustGet(7).Density[Logic] {
 		t.Fatal("sandbox densities alias the source database")
 	}
-	if db = sb.Reset(nil); db.MustGet(7).Density[Logic] != src.MustGet(7).Density[Logic] {
+	if db = sb.Reset(src.Sizes(), nil); db.MustGet(7).Density[Logic] != src.MustGet(7).Density[Logic] {
 		t.Fatal("Reset did not restore density values")
 	}
 }
@@ -335,7 +335,7 @@ func TestSandboxMatchesClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sandboxed := src.NewSandbox().Reset(mutate)
+	sandboxed := src.NewSandbox().Reset(src.Sizes(), mutate)
 	for _, nm := range src.Sizes() {
 		c, s := cloned.MustGet(nm), sandboxed.MustGet(nm)
 		if c.DefectDensity != s.DefectDensity || c.EPA != s.EPA || c.EDAProductivity != s.EDAProductivity {
@@ -344,12 +344,13 @@ func TestSandboxMatchesClone(t *testing.T) {
 	}
 }
 
-// After a mutate that scales every density and scalar parameter,
-// Reset(nil) restores exactly Clone(nil), bit for bit in every field.
+// After a mutate that scales every density and scalar parameter, a
+// Reset of every size with a nil mutate restores exactly Clone(nil), bit
+// for bit in every field.
 func TestSandboxResetRestoresClone(t *testing.T) {
 	src := Default()
 	sb := src.NewSandbox()
-	sb.Reset(func(n *Node) {
+	sb.Reset(src.Sizes(), func(n *Node) {
 		for d := range n.Density {
 			n.Density[d] *= 1.5
 		}
@@ -364,7 +365,7 @@ func TestSandboxResetRestoresClone(t *testing.T) {
 		n.EPLABridge *= 1.5
 		n.WaferCostUSD *= 1.5
 	})
-	db := sb.Reset(nil)
+	db := sb.Reset(src.Sizes(), nil)
 	cloned, err := src.Clone(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -372,6 +373,31 @@ func TestSandboxResetRestoresClone(t *testing.T) {
 	for _, nm := range src.Sizes() {
 		if got, want := nodeBits(db.MustGet(nm)), nodeBits(cloned.MustGet(nm)); !slices.Equal(got, want) {
 			t.Errorf("node %dnm: reset %x, clone %x", nm, got, want)
+		}
+	}
+}
+
+// A Reset that lists some sizes resets and mutates exactly those nodes:
+// the others keep the source's parameters, and an unknown size is
+// ignored.
+func TestSandboxResetListedOnly(t *testing.T) {
+	src := Default()
+	sb := src.NewSandbox()
+	db := sb.Reset([]int{7, 14, 999}, func(n *Node) { n.EPA = 3.0 })
+	for _, nm := range src.Sizes() {
+		got, want := db.MustGet(nm).EPA, src.MustGet(nm).EPA
+		if nm == 7 || nm == 14 {
+			want = 3.0
+		}
+		if got != want {
+			t.Errorf("node %dnm: EPA %g, want %g", nm, got, want)
+		}
+	}
+	// A later Reset of the same sizes starts from the source again.
+	db = sb.Reset([]int{7, 14}, nil)
+	for _, nm := range src.Sizes() {
+		if got, want := nodeBits(db.MustGet(nm)), nodeBits(src.MustGet(nm)); !slices.Equal(got, want) {
+			t.Errorf("node %dnm: reset %x, source %x", nm, got, want)
 		}
 	}
 }

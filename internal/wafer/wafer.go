@@ -55,13 +55,15 @@ func (w Wafer) DiesPerWafer(dieAreaMM2 float64) int {
 	return int(math.Floor(math.Pi * usableRadius * usableRadius / dieAreaMM2))
 }
 
-// WastedAreaPerDie returns A_wasted per Eq. (8): the wafer area not
-// occupied by any die, amortized across the dies on the wafer, in mm^2.
-// It returns an error when the die does not fit on the wafer at all.
-func (w Wafer) WastedAreaPerDie(dieAreaMM2 float64) (float64, error) {
-	dpw := w.DiesPerWafer(dieAreaMM2)
+// Layout returns both geometry terms of a die of the given area: DPW
+// per Eq. (7) and A_wasted per Eq. (8), the wafer area not occupied by
+// any die amortized across the dies on the wafer, in mm^2. It computes
+// DPW once, and returns an error when the die does not fit on the wafer
+// at all.
+func (w Wafer) Layout(dieAreaMM2 float64) (dpw int, wastedMM2 float64, err error) {
+	dpw = w.DiesPerWafer(dieAreaMM2)
 	if dpw == 0 {
-		return 0, fmt.Errorf("wafer: die of %g mm^2 does not fit on a %g mm wafer", dieAreaMM2, w.DiameterMM)
+		return 0, 0, fmt.Errorf("wafer: die of %g mm^2 does not fit on a %g mm wafer", dieAreaMM2, w.DiameterMM)
 	}
-	return (w.AreaMM2() - float64(dpw)*dieAreaMM2) / float64(dpw), nil
+	return dpw, (w.AreaMM2() - float64(dpw)*dieAreaMM2) / float64(dpw), nil
 }

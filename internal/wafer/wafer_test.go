@@ -47,8 +47,8 @@ func TestDiesPerWaferTooLarge(t *testing.T) {
 	if got := w.DiesPerWafer(2500); got != 0 {
 		t.Errorf("oversized die should give DPW 0, got %d", got)
 	}
-	if _, err := w.WastedAreaPerDie(2500); err == nil {
-		t.Error("WastedAreaPerDie should error when die does not fit")
+	if _, _, err := w.Layout(2500); err == nil {
+		t.Error("Layout should error when die does not fit")
 	}
 }
 
@@ -79,11 +79,11 @@ func TestWastedAreaAccounting(t *testing.T) {
 	w := Default()
 	f := func(a uint16) bool {
 		area := float64(a%800) + 1
-		wasted, err := w.WastedAreaPerDie(area)
-		if err != nil || wasted < 0 {
+		n, wasted, err := w.Layout(area)
+		if err != nil || wasted < 0 || n != w.DiesPerWafer(area) {
 			return false
 		}
-		dpw := float64(w.DiesPerWafer(area))
+		dpw := float64(n)
 		total := dpw*area + dpw*wasted
 		return math.Abs(total-w.AreaMM2()) < 1e-6*w.AreaMM2()
 	}
@@ -100,9 +100,9 @@ func TestSmallerDiesWasteLess(t *testing.T) {
 	areas := []float64{25, 100, 225, 400, 625}
 	prev := -1.0
 	for _, a := range areas {
-		wasted, err := w.WastedAreaPerDie(a)
+		_, wasted, err := w.Layout(a)
 		if err != nil {
-			t.Fatalf("WastedAreaPerDie(%g): %v", a, err)
+			t.Fatalf("Layout(%g): %v", a, err)
 		}
 		if wasted < prev {
 			t.Errorf("wasted area per die at %g mm^2 (%g) should exceed smaller-die value (%g)", a, wasted, prev)
