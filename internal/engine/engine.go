@@ -6,7 +6,8 @@
 //
 //   - index-addressed results: point i's result lands in slot i
 //     regardless of worker scheduling, so parallel output is
-//     byte-identical to the serial walk,
+//     byte-identical to the serial walk; workers claim short runs of
+//     consecutive indices, so light points pay one claim per run,
 //   - context cancellation with fail-fast error collection (the lowest
 //     observed failing index wins), and
 //   - an optional progress callback for long-running CLI sweeps.
@@ -105,6 +106,11 @@ func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 // (kernel.ParamPlan.Fold) or it returns to a step-spanning pool
 // (kernel.ScratchPool) that keeps its retained state warm for the next
 // batch. A nil release is ignored.
+//
+// Workers claim runs of consecutive indices (see runLen) and check for
+// cancellation once per run, so a failure or a cancelled context stops
+// each worker within the run it holds; a failure stops its own worker
+// at once, and the lowest failing index observed still wins.
 func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func() (S, error), release func(S), fn func(ctx context.Context, i int, scratch S) (T, error), opts ...Option) ([]T, error) {
 	o := buildOptions(opts)
 	results := make([]T, n)
@@ -126,17 +132,20 @@ func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func() (
 		if release != nil {
 			defer release(scratch)
 		}
-		for i := 0; i < n; i++ {
+		run := runLen(n, 1)
+		for lo := 0; lo < n; lo += run {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			res, err := safeCall(ctx, i, scratch, fn)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-			if o.progress != nil {
-				o.progress(i+1, n)
+			for i := lo; i < min(lo+run, n); i++ {
+				res, err := safeCall(ctx, i, scratch, fn)
+				if err != nil {
+					return nil, err
+				}
+				results[i] = res
+				if o.progress != nil {
+					o.progress(i+1, n)
+				}
 			}
 		}
 		return results, nil
@@ -146,6 +155,7 @@ func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func() (
 	defer cancel()
 
 	pool := newPool(cancel, o.progress, n)
+	run := runLen(n, workers)
 	var next atomic.Int64 // next unclaimed index
 
 	pool.wg.Add(workers)
@@ -163,20 +173,22 @@ func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func() (
 				defer release(scratch)
 			}
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				lo := int(next.Add(int64(run))) - run
+				if lo >= n {
 					return
 				}
 				if err := ctx.Err(); err != nil {
 					return
 				}
-				res, err := safeCall(ctx, i, scratch, fn)
-				if err != nil {
-					pool.fail(i, err)
-					return
+				for i := lo; i < min(lo+run, n); i++ {
+					res, err := safeCall(ctx, i, scratch, fn)
+					if err != nil {
+						pool.fail(i, err)
+						return
+					}
+					results[i] = res
+					pool.step()
 				}
-				results[i] = res
-				pool.step()
 			}
 		}()
 	}
@@ -186,6 +198,21 @@ func RunScratchRelease[T, S any](ctx context.Context, n int, newScratch func() (
 		return nil, err
 	}
 	return results, nil
+}
+
+// claimsPerWorker is how many runs of indices a worker claims, on
+// average, in one batch (see runLen).
+const claimsPerWorker = 16
+
+// runLen is the number of consecutive indices a worker of
+// RunScratchRelease claims at once: one atomic add and one ctx.Err per
+// run, and adjacent result slots written by one worker. A run is a
+// claimsPerWorker-th of a worker's fair share, so a long batch of light
+// points (Monte Carlo samples) claims rarely, while a short batch of
+// heavy points (ecoexp's 32 figures) still claims one index at a time
+// and keeps its balance.
+func runLen(n, workers int) int {
+	return max(1, n/(workers*claimsPerWorker))
 }
 
 // RunBlocks partitions [0, n) into one contiguous block per worker and
