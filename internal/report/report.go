@@ -5,9 +5,11 @@
 package report
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,12 +47,80 @@ func F(v float64) string {
 	case v == 0:
 		return "0"
 	case v >= 1000 || v <= -1000:
-		return strconv.FormatFloat(v, 'f', 0, 64)
+		return fixed(v, 0)
 	case v >= 10 || v <= -10:
-		return strconv.FormatFloat(v, 'f', 2, 64)
+		return fixed(v, 2)
 	default:
-		return strconv.FormatFloat(v, 'f', 4, 64)
+		return fixed(v, 4)
 	}
+}
+
+// pow10[i] is the least float64 not below 10^(i-4): the power itself
+// for i >= 4, and the float64 nearest it for 1e-4 ... 1e-1, which lies
+// above it (report_test checks both), so a >= pow10[i] is exactly
+// a >= 10^(i-4).
+var pow10 = [...]float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6,
+	1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17}
+
+// fixed is strconv.FormatFloat(v, 'f', prec, 64), byte for byte. The
+// 'f' format does not know its digit count in advance, so strconv takes
+// its slow arbitrary-precision path for it. fixed derives the count from
+// v's decimal exponent and takes strconv's correctly rounded
+// fixed-digit 'e' path, which rounds half to even as 'f' does. It falls
+// back to 'f' past 17 digits, below 10^-4, and for NaN and infinities.
+func fixed(v float64, prec int) string {
+	a := math.Abs(v)
+	if !(a >= pow10[0] && a < pow10[len(pow10)-1]) {
+		return strconv.FormatFloat(v, 'f', prec, 64)
+	}
+	e := -4 // 10^e <= a < 10^(e+1)
+	for a >= pow10[e+5] {
+		e++
+	}
+	digits := e + 1 + prec
+	if digits < 1 || digits > 17 {
+		return strconv.FormatFloat(v, 'f', prec, 64)
+	}
+	// b is [-]d[.ddd]e±XX.
+	var buf [32]byte
+	b := strconv.AppendFloat(buf[:0], v, 'e', digits-1, 64)
+	var out [40]byte
+	o := out[:0]
+	if b[0] == '-' {
+		o, b = append(o, '-'), b[1:]
+	}
+	m := bytes.IndexByte(b, 'e')
+	x := 0
+	for _, c := range b[m+2:] {
+		x = 10*x + int(c-'0')
+	}
+	if b[m+1] == '-' {
+		x = -x
+	}
+	dig := append(make([]byte, 0, 20), b[0])
+	if m > 1 {
+		dig = append(dig, b[2:m]...)
+	}
+	switch x {
+	case e:
+	case e + 1: // rounded up to a power of ten: 10...0, one digit short
+		dig = append(dig, '0')
+	default:
+		return strconv.FormatFloat(v, 'f', prec, 64)
+	}
+	if x >= 0 {
+		o = append(o, dig[:x+1]...)
+		if prec > 0 {
+			o = append(append(o, '.'), dig[x+1:]...)
+		}
+	} else {
+		o = append(o, '0', '.')
+		for i := -1; i > x; i-- {
+			o = append(o, '0')
+		}
+		o = append(o, dig...)
+	}
+	return string(o)
 }
 
 // I formats an integer cell.
