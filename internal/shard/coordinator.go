@@ -434,6 +434,14 @@ func (c *Coordinator) run(ctx context.Context, mode Mode, objectives []Objective
 		drivers.Wait()
 		close(driversDone)
 	}()
+	// The run returns only after every driver has: a driver still
+	// unwinding a cancelled lease (a straggler, or the lease whose last
+	// block completed the run) runs its transport's per-lease cleanup —
+	// netx drops the lease's routing entry — before the sweep is over.
+	defer func() {
+		cancel()
+		<-driversDone
+	}()
 
 	select {
 	case <-r.complete:
