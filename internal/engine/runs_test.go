@@ -18,9 +18,6 @@ func TestRunClaimsLength(t *testing.T) {
 			t.Errorf("runLen(32, %d) = %d, want 1", w, got)
 		}
 	}
-	if got := runLen(5, 8); got != 1 {
-		t.Errorf("runLen(5, 8) = %d, want 1", got)
-	}
 	for _, c := range []struct{ n, w int }{{500, 2}, {1500, 2}, {625, 4}, {1 << 20, 3}} {
 		run := runLen(c.n, c.w)
 		if run < 2 || run*c.w*claimsPerWorker > c.n {
