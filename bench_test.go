@@ -538,8 +538,8 @@ func BenchmarkNodeSweepMaterializeEPYC8(b *testing.B) {
 // BenchmarkNodeSweepIncremental measures the full streaming walk of an
 // already-compiled plan (no front reduction, no point slice): the raw
 // per-point cost of the incremental evaluation stack — Gray odometer,
-// memoized floorplan update, communication slot cache — on the
-// 4-chiplet × 5-node (625-point) GA102 split.
+// orbit-keyed package memo, retained floorplan tree, communication slot
+// cache — on the 4-chiplet × 5-node (625-point) GA102 split.
 func BenchmarkNodeSweepIncremental(b *testing.B) {
 	db := DefaultDB()
 	base, err := GA102Split(db, 2, RDLFanout)
@@ -567,18 +567,17 @@ func BenchmarkNodeSweepIncremental(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	// The tree serves a step without a layout from the shape memo or,
-	// when the step changed no area, from its previous Result.
+	// Every walked point is served by the package memo or planned once.
 	s := plan.Stats()
-	if s.Floorplan.MemoHits+s.Floorplan.Unchanged == 0 {
-		b.Fatalf("incremental sweep never hit the shape memo or an unchanged plan: %v", s.Floorplan)
+	if s.Floorplan.Plans()+s.PkgMemo.Hits != s.Points {
+		b.Fatalf("%d floorplans + %d package-memo hits != %d points", s.Floorplan.Plans(), s.PkgMemo.Hits, s.Points)
 	}
 }
 
-// BenchmarkFloorplanIncremental measures the floorplan tree's
-// single-area update at the EPYC chiplet count (9 dies): the per-Gray-
-// step floorplan cost of a compiled sweep whose step misses the shape
-// memo and lays the package out.
+// BenchmarkFloorplanIncremental measures the floorplan tree's PlanDims
+// with one changed area at the EPYC chiplet count (9 dies): the
+// floorplan cost of a compiled sweep's package-memo miss, one re-sort
+// and one layout.
 func BenchmarkFloorplanIncremental(b *testing.B) {
 	areas := []float64{512, 300, 200, 140, 100, 70, 50, 35, 25}
 	blocks := make([]floorplan.Block, len(areas))
@@ -590,48 +589,20 @@ func BenchmarkFloorplanIncremental(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Perturbing the smallest block keeps the sorted order, and an area
-	// that never recurs misses the shape memo, so each iteration
-	// measures one layout of an unchanged order.
+	// that never recurs changes the plan, so each iteration measures
+	// one layout of an unchanged order.
 	last := len(areas) - 1
 	base := areas[last]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Update(last, base+float64(i+1)*1e-9); err != nil {
+		blocks[last].AreaMM2 = base + float64(i+1)*1e-9
+		if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats; s.Fallbacks != uint64(b.N) || s.MemoHits > 0 {
-		b.Fatalf("every update should miss the memo and lay out once: %+v", s)
-	}
-}
-
-// BenchmarkFloorplanUpdateSortFlip measures the dims-only single-area
-// update on a step shape that reorders the sorted blocks: eight
-// identical CCDs beside an IO die, each step moving one CCD between two
-// node areas, so the changed CCD swaps sort positions with its twins on
-// every step. After the first cycle every step is served by the exact
-// shape memo (nine distinct sorted sequences recur).
-func BenchmarkFloorplanUpdateSortFlip(b *testing.B) {
-	blocks := make([]floorplan.Block, 0, 9)
-	for i := 0; i < 8; i++ {
-		blocks = append(blocks, floorplan.Block{Name: fmt.Sprintf("ccd%d", i), AreaMM2: 74})
-	}
-	blocks = append(blocks, floorplan.Block{Name: "io", AreaMM2: 416})
-	var tr floorplan.Tree
-	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
-		b.Fatal(err)
-	}
-	areas := [2]float64{52.5, 74}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Update(i%8, areas[i/8%2]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if s := tr.Stats; b.N > 16 && s.MemoHits == 0 {
-		b.Fatalf("sort-flip benchmark never hit the shape memo: %+v", s)
+	if s := tr.Stats; s.Fallbacks != uint64(b.N) {
+		b.Fatalf("every call should lay out once: %+v", s)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestRunGroupProgressDisaggregateStats(t *testing.T) {
 	if !strings.Contains(s, "floorplan tree:") {
 		t.Fatalf("group progress run missing floorplan statistics:\n%s", s)
 	}
-	if !regexp.MustCompile(`\([0-9.]+% reuse\)`).MatchString(s) {
-		t.Fatalf("no reuse rate in stats output:\n%s", s)
+	if !regexp.MustCompile(`floorplan tree: [0-9]+ unchanged / [0-9]+\+[0-9]+ fallbacks / [0-9]+ rebuilds`).MatchString(s) {
+		t.Fatalf("no floorplan counters in stats output:\n%s", s)
 	}
 }

@@ -257,9 +257,8 @@ type (
 	// (SweepPlan.ParetoFrontStream): the front of every point walked so
 	// far, with progress in 512-point blocks.
 	SweepFrontSnapshot = explore.FrontSnapshot
-	// FloorplanTreeStats counts how a memoized floorplan tree served its
-	// plans: shape-memo hits and unchanged plans versus layouts and
-	// from-scratch rebuilds.
+	// FloorplanTreeStats counts how a retained floorplan tree served its
+	// plans: unchanged plans versus layouts and from-scratch rebuilds.
 	FloorplanTreeStats = floorplan.TreeStats
 )
 

@@ -355,7 +355,7 @@ func nextPermutation(digits, idx []int) bool {
 func (p *CompiledPlan) evalDigits(sc *blockScratch, digits []int) (int, error) {
 	out := p.initAt(sc, p.grayIndex(digits))
 	sc.orbit = -1
-	return out, p.evalInto(sc, &sc.pt, -1)
+	return out, p.evalInto(sc, &sc.pt)
 }
 
 // orbitFront is the barrier front of ParetoFrontCtx on the orbit path.

@@ -36,12 +36,12 @@ import (
 //     fan-out, so candidate evaluation itself never touches a lock.
 //   - The per-step unchanged-chiplet cells and communication design
 //     shares are tabulated the same way.
-//   - Worker scratches (the packaging estimator with its retained
-//     floorplan tree, per-node communication memo and per-area package
-//     memo) come from a kernel.ScratchPool that spans the whole search,
-//     so engine batches no longer rebuild them per step.
-//     Each candidate's changed die set rebuilds the retained floorplan
-//     tree from scratch.
+//   - Worker scratches (the packaging estimator with its per-node
+//     communication memo and per-area package memo) come from a
+//     kernel.ScratchPool that spans the whole search, so engine batches
+//     no longer rebuild them per step. The estimator's floorplan tree
+//     serves nothing here: each candidate's changed die set rebuilds it
+//     from scratch.
 //
 // The greedy trajectory stays bit-identical to the evaluate-per-candidate
 // reference (DisaggregateReference) because every memoized value is a
@@ -80,8 +80,7 @@ type DisaggregateStats struct {
 	// for a candidate pair carried over from an earlier step.
 	MergedCellHits, MergedCellMisses uint64
 	// ScratchReuses counts engine batches served by a pooled worker
-	// scratch (warm estimator memos and floorplan trees) instead of a
-	// fresh build.
+	// scratch (warm estimator memos) instead of a fresh build.
 	ScratchReuses uint64
 	// Floorplan folds the pooled estimators' retained-tree counters.
 	Floorplan floorplan.TreeStats
@@ -212,11 +211,12 @@ func DisaggregateCtx(ctx context.Context, base *core.System, db *tech.DB, opts .
 // plan cache (keyed by DisaggregateKey). Everything the greedy loop
 // tabulates is retained across runs: the merged-die and unchanged-die
 // cell memos, the communication-share memo, and the pooled worker
-// scratches with their warm floorplan trees. The trajectory is deterministic in (base, db), so a
-// warm re-run revisits exactly the memoized groups and pairs — it
-// re-prices almost nothing — and returns a Plan bit-identical to the
-// first run (and to a cold DisaggregateCtx), which the parity suite
-// pins. Runs serialize on the retained state; concurrent callers queue.
+// scratches with their warm estimator memos. The trajectory is
+// deterministic in (base, db), so a warm re-run revisits exactly the
+// memoized groups and pairs — it re-prices almost nothing — and returns
+// a Plan bit-identical to the first run (and to a cold DisaggregateCtx),
+// which the parity suite pins. Runs serialize on the retained state;
+// concurrent callers queue.
 type DisaggregateSearch struct {
 	base *core.System // private clone; runs clone it again to mutate
 	db   *tech.DB

@@ -67,8 +67,8 @@ type SweepStats struct {
 	// TableCells is the size of the precomputed die table.
 	TableCells int
 	// Floorplan aggregates the per-worker floorplan-tree counters: how
-	// many packaging estimates were served from the shape memo or an
-	// unchanged plan versus laid out or rebuilt from scratch.
+	// many packaging estimates reused an unchanged plan versus laid out
+	// or rebuilt from scratch.
 	Floorplan floorplan.TreeStats
 	// PkgMemo aggregates the per-worker package-memo counters. Every
 	// point of a walk (RunCtx, Walk, WalkRange, EvalPoint, a walked
@@ -112,12 +112,11 @@ type CompiledPlan struct {
 	rankSkip  []int
 
 	// scratches pools per-worker evaluation arenas across runs of this
-	// plan, so retained state — the estimator's floorplan tree, its
+	// plan, so retained state — the package memo, the estimator's
 	// communication cells and package-term memo — survives from one
-	// request to the next. A re-walk of the same block then starts on a
-	// warm tree (often the Unchanged fast path) instead of rebuilding
-	// it. Safe because the plan is immutable and every retained cache
-	// verifies or is keyed by its exact inputs.
+	// request to the next, and a re-walk of the same block serves its
+	// points from the package memo. Safe because the plan is immutable
+	// and every retained cache verifies or is keyed by its exact inputs.
 	scratches sync.Pool
 
 	// totals holds the counters of every released scratch (putScratch).
@@ -289,13 +288,6 @@ type blockScratch struct {
 	rowNREUSD                      []float64
 	pt                             Point
 	sc                             *kernel.SweepScratch
-	// estValid reports that the kernel scratch's packaging estimator ran
-	// on the previous point of the current walk, so a Gray step may take
-	// the single-changed-chiplet delta path. Serving a point from the
-	// package memo skips the estimator and clears the flag: the next
-	// miss must re-run the full estimate because the retained floorplan
-	// no longer tracks the walk.
-	estValid bool
 	// points, blockInits and graySteps count the scratch's work since
 	// its last release (see SweepStats).
 	points, blockInits, graySteps uint64
@@ -361,11 +353,10 @@ func (p *CompiledPlan) putScratch(sc *blockScratch) {
 
 // walkBlock walks the Gray-code segment [lo, hi) of the combination
 // sequence, streaming each evaluated point (and its output slot) to
-// visit from a block-local scratch. Each Gray step names the single
-// changed chiplet, and the packaging estimate for the point runs
-// through the kernel scratch's delta path: the floorplan tree repairs
-// its sorted order for that one chiplet and serves a recurring shape
-// from its memo instead of re-planning.
+// visit from a block-local scratch. Each Gray step refreshes only the
+// changed chiplet's rows and packaging descriptor; the point's package
+// terms come from the package memo or, on a miss, one estimate over
+// the current descriptors.
 func (p *CompiledPlan) walkBlock(ctx context.Context, lo, hi int, visit func(idx int, pt *Point) error, tick func()) error {
 	sc, err := p.getScratch()
 	if err != nil {
@@ -387,7 +378,6 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 
 	for k := lo; k < hi; k++ {
 		// The first point of a block builds its full scratch state.
-		changed := -1
 		if k > lo {
 			// Successive Gray codes differ in exactly one digit: refresh
 			// only that chiplet's scratch state and output weight.
@@ -399,17 +389,16 @@ func (p *CompiledPlan) walkScratch(ctx context.Context, sc *blockScratch, lo, hi
 				pkgCh[j].AreaMM2, pkgCh[j].Node = cell.AreaMM2, cell.Node
 				p.stepOrbit(sc, j, old, d)
 			}
-			changed = j
 			steps++
 		}
 		// Cancellation is polled every 64 points: a context check per
-		// point was measurable against the delta-path evaluation cost.
+		// point was measurable against the per-point evaluation cost.
 		if (k-lo)&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if err := p.evalInto(sc, &sc.pt, changed); err != nil {
+		if err := p.evalInto(sc, &sc.pt); err != nil {
 			return err
 		}
 		if err := visit(out, &sc.pt); err != nil {
@@ -445,9 +434,8 @@ func (p *CompiledPlan) initAt(sc *blockScratch, k int) (out int) {
 // a sequential fold over the five dense row slices the walk gathered
 // from the table for the current digits. out.Nodes aliases the
 // scratch's reusable buffer: callers that retain the point must copy
-// it. changed names the chiplet a Gray step moved (-1 for a walk's
-// first point); packagePoint supplies the whole-package terms.
-func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed int) error {
+// it. packagePoint supplies the whole-package terms.
+func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point) error {
 	t := p.tbl
 	var mfgKg, desKg, nreKg, diesUSD, nreUSD float64
 	rowDes := sc.rowDes[:len(sc.rowMfg)]
@@ -467,7 +455,7 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed int) error
 		v = kernel.PkgTerms{AreaMM2: t.Cells[0][sc.digits[0]].AreaMM2, AssemblyYield: 1}
 	} else {
 		var err error
-		if v, err = p.packagePoint(sc, changed); err != nil {
+		if v, err = p.packagePoint(sc); err != nil {
 			return err
 		}
 		desKg += t.CommShare[sc.digits[0]]
@@ -509,18 +497,12 @@ func (p *CompiledPlan) evalInto(sc *blockScratch, out *Point, changed int) error
 // the stored package carbon they carry the estimator's bits for this
 // member of the orbit (see the invariance claim in orbit.go). On a plan
 // without classes the rank is the point itself, and the stored terms
-// are its own. Otherwise the estimator runs, through its
-// single-changed-chiplet delta path when it estimated the previous
-// point of the walk, and the terms are filed under the rank.
-//
-// A served point skips the estimator, so its retained floorplan no
-// longer tracks the walk: estValid drops and the next estimate runs in
-// full.
-func (p *CompiledPlan) packagePoint(sc *blockScratch, changed int) (kernel.PkgTerms, error) {
+// are its own. Otherwise the estimator runs over the current chiplet
+// descriptors and the terms are filed under the rank.
+func (p *CompiledPlan) packagePoint(sc *blockScratch) (kernel.PkgTerms, error) {
 	key, span := uint64(sc.orbit), uint64(p.orbits)
 	if sc.orbit >= 0 {
 		if v, ok := sc.sc.LoadPackage(key, span); ok {
-			sc.estValid = false
 			if len(p.classes) > 0 {
 				r, err := sc.sc.PackageRouting()
 				if err != nil {
@@ -531,17 +513,10 @@ func (p *CompiledPlan) packagePoint(sc *blockScratch, changed int) (kernel.PkgTe
 			return v, nil
 		}
 	}
-	var pkg *pkgcarbon.Result
-	var err error
-	if changed >= 0 && sc.estValid {
-		pkg, err = sc.sc.EstimatePackageDelta(changed)
-	} else {
-		pkg, err = sc.sc.EstimatePackage()
-	}
+	pkg, err := sc.sc.EstimatePackage()
 	if err != nil {
 		return kernel.PkgTerms{}, err
 	}
-	sc.estValid = true
 	v := kernel.PkgTerms{
 		PackageKg:     pkg.PackageKg,
 		RoutingKg:     pkg.RoutingKg,

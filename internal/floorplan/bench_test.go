@@ -43,13 +43,11 @@ func BenchmarkPlanFlexible8(b *testing.B) {
 	}
 }
 
-// benchTreeUpdate measures a single-area Update that misses the shape
-// memo: the per-Gray-step floorplan cost of a compiled sweep step that
-// lays the package out. Areas that never recur keep the memo from
-// serving a step, perturbing the globally smallest block keeps it in
-// place in the sorted order, and the benchmark asserts every step took
-// exactly one layout.
-func benchTreeUpdate(b *testing.B, n int) {
+// benchTreePlanDims measures a PlanDims call with one changed area:
+// the floorplan cost of a compiled sweep's package-memo miss, one
+// re-sort and one layout. Areas that never recur perturb the globally
+// smallest block, and the benchmark asserts every call laid out once.
+func benchTreePlanDims(b *testing.B, n int) {
 	b.Helper()
 	blocks := benchBlocks(n)
 	smallest := 0
@@ -65,18 +63,19 @@ func benchTreeUpdate(b *testing.B, n int) {
 	base := blocks[smallest].AreaMM2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Update(smallest, base-float64(i+1)*1e-9); err != nil {
+		blocks[smallest].AreaMM2 = base - float64(i+1)*1e-9
+		if _, err := tr.PlanDims(blocks, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if s := tr.Stats; s.Fallbacks != uint64(b.N) || s.MemoHits > 0 {
-		b.Fatalf("every update should miss the memo and lay out once: %+v", s)
+	if s := tr.Stats; s.Fallbacks != uint64(b.N) {
+		b.Fatalf("every call should lay out once: %+v", s)
 	}
 }
 
-func BenchmarkTreeUpdate8(b *testing.B)  { benchTreeUpdate(b, 8) }
-func BenchmarkTreeUpdate32(b *testing.B) { benchTreeUpdate(b, 32) }
+func BenchmarkTreePlanDims8(b *testing.B)  { benchTreePlanDims(b, 8) }
+func BenchmarkTreePlanDims32(b *testing.B) { benchTreePlanDims(b, 32) }
 
 // benchTreeDiff measures a block-set change on the Disaggregate
 // candidate shape — two survivors removed, one merged die appended —

@@ -11,7 +11,7 @@ import (
 )
 
 // Fuzz target for the floorplanner's structural invariants and the
-// memoized Tree's parity, seeded with the chiplet areas of the
+// retained Tree's parity, seeded with the chiplet areas of the
 // EPYC and GA102 testcases (the external test package avoids the
 // floorplan -> testcases import cycle).
 //
@@ -23,16 +23,16 @@ import (
 //  3. ChipletAreaMM2 is conserved (it carries the exact bits of the
 //     in-order block-area sum),
 //  4. the Tree's bounding box and total are bit-identical to the
-//     from-scratch plan's, after the first plan and after a single-area
-//     Update,
+//     from-scratch plan's, after the first plan and after a PlanDims of
+//     the block list with one area changed,
 //  5. after a remove/insert delta (one block dropped, one fresh block
 //     appended — the Disaggregate candidate shape), the tree's
 //     block-set rebuild box is bit-identical to a from-scratch plan,
 //     whose invariants still hold;
-//  6. a tree driven through a sequence of single-block Updates (areas
-//     drawn from the input's own areas, so identical blocks swap sort
-//     positions and shapes recur in the shape memo) returns the
-//     from-scratch bounding box after every step.
+//  6. a tree driven through a sequence of single-area PlanDims steps
+//     (areas drawn from the input's own areas, so identical blocks swap
+//     sort positions and shapes recur) returns the from-scratch
+//     bounding box after every step.
 
 // chipletAreas extracts the per-chiplet die areas of a testcase system.
 func chipletAreas(t interface{ Fatal(...any) }, ccds int) (epyc, ga102 []float64) {
@@ -65,8 +65,8 @@ func FuzzFloorplanInvariants(f *testing.F) {
 	// The trailing (removeIdx, insertArea) pair seeds the remove/insert
 	// delta: drop one block, append a fresh one — the merge shape of a
 	// Disaggregate candidate.
-	// The trailing uint64 packs the dims-only Update sequence, one step
-	// per byte (see dimsSteps).
+	// The trailing uint64 packs the dims-only single-area step sequence,
+	// one step per byte (see dimsSteps).
 	f.Add(uint8(len(epyc)), 0.5, e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7], uint8(0), 2*e[0], uint8(3), e[0]+e[1], uint64(0x0a1b2c3d4e5f6071))
 	f.Add(uint8(len(epyc)), 0.1, e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7], uint8(7), e[7]/3, uint8(0), e[6]+e[7], uint64(0x3f01873f01873f01))
 	f.Add(uint8(len(ga102)), 0.5, g[0], g[1], g[2], 0.0, 0.0, 0.0, 0.0, 0.0, uint8(1), g[2], uint8(2), g[0]+g[1], uint64(0x8811228811228811))
@@ -107,7 +107,7 @@ func FuzzFloorplanInvariants(f *testing.F) {
 		}
 		compareBoxes(t, "tree build", res, tres)
 
-		// Update step: perturb one block and require both the
+		// Single-area step: perturb one block and require both the
 		// invariants and bit-parity with a fresh plan.
 		j := int(idx) % int(n)
 		if !(newArea > 0) || newArea > 1e8 || math.IsInf(newArea, 0) {
@@ -118,9 +118,9 @@ func FuzzFloorplanInvariants(f *testing.F) {
 		if err != nil {
 			t.Fatalf("perturbed input rejected: %v", err)
 		}
-		got, err := tr.Update(j, newArea)
+		got, err := tr.PlanDims(blocks, spacing)
 		if err != nil {
-			t.Fatalf("tree update rejected a valid perturbation: %v", err)
+			t.Fatalf("tree rejected a valid perturbation: %v", err)
 		}
 		checkInvariants(t, "update", blocks, want, spacing)
 		compareBoxes(t, "tree update", want, got)
@@ -146,7 +146,7 @@ func FuzzFloorplanInvariants(f *testing.F) {
 	})
 }
 
-// dimsSteps drives a tree over blocks through the Update
+// dimsSteps drives a tree over blocks through the single-area PlanDims
 // sequence packed in steps, twice over so that shapes recur: byte k
 // moves block (b & 7) % n to the initial area of block (b>>3 & 7) % n,
 // scaled by 1.5 when the top bit is set. Every step must return the
@@ -167,15 +167,15 @@ func dimsSteps(t *testing.T, blocks []floorplan.Block, spacing float64, steps ui
 			a *= 1.5
 		}
 		cur[j].AreaMM2 = a
-		got, err := tr.Update(j, a)
+		got, err := tr.PlanDims(cur, spacing)
 		if err != nil {
-			t.Fatalf("update %d rejected a valid area: %v", k, err)
+			t.Fatalf("step %d rejected a valid area: %v", k, err)
 		}
 		want, err := floorplan.Plan(cur, spacing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareBoxes(t, fmt.Sprintf("update %d", k), want, got)
+		compareBoxes(t, fmt.Sprintf("step %d", k), want, got)
 	}
 }
 

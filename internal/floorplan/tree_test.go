@@ -24,6 +24,18 @@ func boxBitIdentical(t *testing.T, label string, want, got *Result) {
 	}
 }
 
+// dimsIdentical checks a tree result against a from-scratch plan of
+// blocks at float-bit granularity.
+func dimsIdentical(t *testing.T, label string, blocks []Block, spacing float64, got *Result) {
+	t.Helper()
+	var sc Scratch
+	want, err := sc.Plan(blocks, spacing)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	boxBitIdentical(t, label, want, got)
+}
+
 // One Tree fed arbitrary block sets through PlanDims must stay bit
 // identical to the from-scratch planner, whatever mix of rebuilds and
 // same-shape layouts it takes internally.
@@ -64,9 +76,10 @@ func TestTreePlanMatchesScratchPlan(t *testing.T) {
 	}
 }
 
-// Update must match a from-scratch plan after every single-area step of
-// a random walk, including steps that change nothing, whether the step
-// is served by a layout, the shape memo or the previous Result.
+// PlanDims must match a from-scratch plan after every single-area step
+// of a random walk (the step a compiled sweep's package-memo miss
+// plans), including steps that change nothing, whether the step is
+// laid out or served by the previous Result.
 func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sc Scratch
@@ -92,7 +105,7 @@ func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 			case 1:
 				blocks[idx].AreaMM2 *= 1 + 0.01*rng.Float64() // tiny nudge: usually keeps topology
 			case 2:
-				// re-assert the current value: a no-op update
+				// re-assert the current value: a no-op step
 			default:
 				blocks[idx].AreaMM2 = blocks[(idx+1)%n].AreaMM2 // force an area tie
 			}
@@ -100,7 +113,7 @@ func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tr.Update(idx, blocks[idx].AreaMM2)
+			got, err := tr.PlanDims(blocks, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,15 +121,15 @@ func TestTreeUpdateMatchesScratchPlan(t *testing.T) {
 		}
 		total.Add(tr.Stats)
 	}
-	if total.Fallbacks == 0 || total.MemoHits == 0 || total.Unchanged == 0 {
-		t.Errorf("random walk did not exercise layouts, memo hits and unchanged steps: %+v", total)
+	if total.Fallbacks == 0 || total.Unchanged == 0 {
+		t.Errorf("random walk did not exercise layouts and unchanged steps: %+v", total)
 	}
 }
 
 // Adversarial single-area perturbation sequences: each step is designed
 // to flip the sorted order or an area-balanced partition decision, so
-// the O(n) order repair must land every block where a full sort would,
-// and the layout of the repaired order must still be bit-identical.
+// the re-sort must land every block where a full sort would, and the
+// layout must still be bit-identical.
 func TestTreeUpdateForcedFallbacks(t *testing.T) {
 	blocks := []Block{
 		{Name: "a", AreaMM2: 400},
@@ -149,20 +162,77 @@ func TestTreeUpdateForcedFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.Update(st.idx, st.area)
+		got, err := tr.PlanDims(blocks, 0.5)
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", i, st.why, err)
 		}
 		boxBitIdentical(t, fmt.Sprintf("step %d (%s)", i, st.why), want, got)
 	}
-	if s := tr.Stats; s.Fallbacks == 0 {
-		t.Errorf("adversarial sequence never laid out the repaired order: %+v", s)
+	if s := tr.Stats; s.Fallbacks != uint64(len(steps)) {
+		t.Errorf("every adversarial step should lay out once: %+v", s)
+	}
+}
+
+// sweepBlocks builds k identical CCD-style blocks plus odd ones, each
+// block drawing its area from a small per-kind pool — the shape of a
+// compiled node sweep, where every Gray step moves one die between a
+// handful of node areas and identical dies swap sort positions.
+func sweepBlocks(rng *rand.Rand, k, odd int, aspects bool) (blocks []Block, pools [][]float64) {
+	ccd := []float64{74, 52.5, 61.25, 88}
+	for i := 0; i < k; i++ {
+		blocks = append(blocks, Block{Name: fmt.Sprintf("ccd%d", i), AreaMM2: ccd[rng.Intn(len(ccd))]})
+		pools = append(pools, ccd)
+	}
+	for i := 0; i < odd; i++ {
+		pool := []float64{416, 61.25, 150 + 50*rng.Float64(), 20 + rng.Float64()}
+		b := Block{Name: fmt.Sprintf("odd%d", i), AreaMM2: pool[rng.Intn(len(pool))]}
+		if aspects {
+			b.AspectRatio = 0.5 + rng.Float64()
+		}
+		blocks = append(blocks, b)
+		pools = append(pools, pool)
+	}
+	return blocks, pools
+}
+
+// Randomized sweep-shaped single-area steps through PlanDims over
+// identical blocks, exact area ties (pools share values across kinds)
+// and non-uniform aspect ratios: every step re-sorts blocks whose
+// twins swap sort positions and must still match from scratch.
+func TestTreeUpdateDimsMatchesScratchRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	var total TreeStats
+	for round := 0; round < 40; round++ {
+		k, odd := 2+rng.Intn(7), rng.Intn(3)
+		blocks, pools := sweepBlocks(rng, k, odd, round%3 == 2)
+		spacing := []float64{0.1, 0.5, 1}[round%3]
+		var tr Tree
+		if _, err := tr.PlanDims(blocks, spacing); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 300; step++ {
+			i := rng.Intn(len(blocks))
+			if rng.Intn(10) == 0 {
+				blocks[i].AreaMM2 = 1 + 400*rng.Float64() // a shape never seen before
+			} else {
+				blocks[i].AreaMM2 = pools[i][rng.Intn(len(pools[i]))]
+			}
+			got, err := tr.PlanDims(blocks, spacing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dimsIdentical(t, fmt.Sprintf("round %d step %d", round, step), blocks, spacing, got)
+		}
+		total.Add(tr.Stats)
+	}
+	if total.Unchanged == 0 || total.Fallbacks == 0 {
+		t.Errorf("sequence did not exercise unchanged plans and layouts: %+v", total)
 	}
 }
 
 // Spacing changes count as Rebuilds; block-set and aspect changes
-// count one DiffFallbacks each (and still match) — never serving a
-// box or memo entry of the previous shape either way.
+// count one DiffFallbacks each (and still match) — never serving the
+// box of the previous shape either way.
 func TestTreeRebuildOnShapeChange(t *testing.T) {
 	var tr Tree
 	var sc Scratch
@@ -197,71 +267,111 @@ func TestTreeRebuildOnShapeChange(t *testing.T) {
 	if s.Rebuilds != 2 {
 		t.Errorf("initial plan + spacing change should rebuild twice: %+v", s)
 	}
-	if s.DiffFallbacks != 2 || s.FastPath != 0 || s.MemoHits != 0 {
+	if s.DiffFallbacks != 2 || s.FastPath != 0 || s.Fallbacks != 0 || s.Unchanged != 0 {
 		t.Errorf("count and aspect changes should each count one block-set rebuild and nothing else: %+v", s)
 	}
 }
 
+// Rejected inputs leave the kept state intact: the next plan is still
+// served against the last good one.
 func TestTreeUpdateErrors(t *testing.T) {
 	var tr Tree
-	if _, err := tr.Update(0, 10); err == nil {
-		t.Error("Update before PlanDims should fail")
-	}
-	if _, err := tr.PlanDims([]Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 5}}, 0.5); err != nil {
+	good := []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 5}}
+	if _, err := tr.PlanDims(good, 0.5); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := tr.Update(2, 10); err == nil {
-		t.Error("out-of-range index should fail")
-	}
-	if _, err := tr.Update(-1, 10); err == nil {
-		t.Error("negative index should fail")
-	}
-	if _, err := tr.Update(0, -3); err == nil {
-		t.Error("non-positive area should fail")
 	}
 	if _, err := tr.PlanDims(nil, 0.5); err == nil {
 		t.Error("empty block list should fail")
 	}
-	if _, err := tr.PlanDims([]Block{{Name: "a", AreaMM2: 10}}, 7); err == nil {
+	if _, err := tr.PlanDims(good[:1], 7); err == nil {
 		t.Error("out-of-range spacing should fail")
 	}
-	// The tree must survive rejected inputs: the kept state still
-	// serves the last good plan.
-	res, err := tr.Update(1, 6)
+	if _, err := tr.PlanDims([]Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: -3}}, 0.5); err == nil {
+		t.Error("non-positive area should fail")
+	}
+	tr.Stats = TreeStats{}
+	res, err := tr.PlanDims(good, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dimsIdentical(t, "after rejected inputs", []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: 6}}, 0.5, res)
+	dimsIdentical(t, "unchanged after rejected inputs", good, 0.5, res)
+	if tr.Stats != (TreeStats{Unchanged: 1}) {
+		t.Errorf("rejected inputs disturbed the kept state: %+v", tr.Stats)
+	}
+	good[1].AreaMM2 = 6
+	if res, err = tr.PlanDims(good, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	dimsIdentical(t, "after rejected inputs", good, 0.5, res)
 }
 
-// Sanity-check the counters: a same-area update is Unchanged, every new
-// shape is a Fallback (laid out from scratch) whether or not it moves
-// the block in the sorted order, a revisited shape is a MemoHit, and
-// FastPath stays zero.
+// NaN areas are rejected at every entry point: the stable sort never
+// moves a block across a NaN, and layoutDims's inline max assumes
+// ordered dims.
+func TestNaNAreasRejected(t *testing.T) {
+	nan := math.NaN()
+	blocks := []Block{{Name: "a", AreaMM2: 10}, {Name: "b", AreaMM2: nan}, {Name: "c", AreaMM2: 20}}
+	if _, err := Plan(blocks, 0.5); err == nil {
+		t.Error("Plan accepted a NaN area")
+	}
+	if _, err := PlanFlexible(blocks, 0.5, nil); err == nil {
+		t.Error("PlanFlexible accepted a NaN area")
+	}
+	var tr Tree
+	if _, err := tr.PlanDims(blocks, 0.5); err == nil {
+		t.Error("Tree.PlanDims accepted a NaN area")
+	}
+	blocks[1].AreaMM2 = 5
+	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	blocks[1].AreaMM2 = nan
+	if _, err := tr.PlanDims(blocks, 0.5); err == nil {
+		t.Error("Tree.PlanDims accepted a NaN area on a built tree")
+	}
+	blocks[1].AreaMM2 = 6
+	got, err := tr.PlanDims(blocks, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dimsIdentical(t, "after rejected NaN", blocks, 0.5, got)
+}
+
+// Sanity-check the counters: a same-area plan is Unchanged, every
+// changed area is a Fallback (laid out from scratch) whether or not it
+// moves the block in the sorted order or revisits an earlier shape,
+// and FastPath stays zero. Add carries the counts and String prints
+// them.
 func TestTreeStatsCounters(t *testing.T) {
 	blocks := []Block{
 		{Name: "a", AreaMM2: 400}, {Name: "b", AreaMM2: 200},
 		{Name: "c", AreaMM2: 100}, {Name: "d", AreaMM2: 50},
 	}
 	var tr Tree
-	if _, err := tr.PlanDims(blocks, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Update(3, 50); err != nil { // same area
-		t.Fatal(err)
-	}
-	if _, err := tr.Update(3, 51); err != nil { // tiny nudge, topology intact
-		t.Fatal(err)
-	}
-	if _, err := tr.Update(3, 5000); err != nil { // sort flip
-		t.Fatal(err)
-	}
-	if _, err := tr.Update(3, 51); err != nil { // revisited shape
-		t.Fatal(err)
+	for _, a := range []float64{
+		50,   // first plan
+		50,   // same area
+		51,   // tiny nudge, topology intact
+		5000, // sort flip
+		51,   // revisited shape
+	} {
+		blocks[3].AreaMM2 = a
+		if _, err := tr.PlanDims(blocks, 0.5); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := tr.Stats
-	if s.Rebuilds != 1 || s.Unchanged != 1 || s.Fallbacks != 2 || s.MemoHits != 1 || s.FastPath != 0 {
+	if s != (TreeStats{Rebuilds: 1, Unchanged: 1, Fallbacks: 3}) {
 		t.Errorf("unexpected counters: %+v", s)
+	}
+	var sum TreeStats
+	sum.Add(s)
+	sum.Add(s)
+	if sum.Fallbacks != 6 || sum.Plans() != 2*s.Plans() {
+		t.Errorf("Add lost counts: sum %+v of twice %+v", sum, s)
+	}
+	if str, want := s.String(), "floorplan tree: 1 unchanged / 3+0 fallbacks / 1 rebuilds"; str != want {
+		t.Errorf("String() = %q, want %q", str, want)
 	}
 }
 
@@ -273,10 +383,10 @@ func TestTreeStatsEachCallCountsOnce(t *testing.T) {
 	spacing := 0.5
 	var tr Tree
 	plan := func() (*Result, error) { return tr.PlanDims(blocks, spacing) }
-	update := func(i int, a float64) func() (*Result, error) {
+	area := func(i int, a float64) func() (*Result, error) {
 		return func() (*Result, error) {
 			blocks[i].AreaMM2 = a
-			return tr.Update(i, a)
+			return plan()
 		}
 	}
 	steps := []struct {
@@ -293,14 +403,11 @@ func TestTreeStatsEachCallCountsOnce(t *testing.T) {
 			blocks = append(blocks, Block{Name: "d", AreaMM2: 20})
 			return plan()
 		}, TreeStats{DiffFallbacks: 1}},
-		{"unchanged PlanDims", plan, TreeStats{Unchanged: 1}},
-		{"unchanged Update", update(1, 60), TreeStats{Unchanged: 1}},
-		{"Update memo miss", update(2, 40), TreeStats{Fallbacks: 1}},
-		{"area-changed PlanDims", func() (*Result, error) {
-			blocks[2].AreaMM2 = 30
-			return plan()
-		}, TreeStats{Fallbacks: 1}},
-		{"Update memo hit", update(2, 40), TreeStats{MemoHits: 1}},
+		{"unchanged plan", plan, TreeStats{Unchanged: 1}},
+		{"same area re-asserted", area(1, 60), TreeStats{Unchanged: 1}},
+		{"area change", area(2, 40), TreeStats{Fallbacks: 1}},
+		{"area change back", area(2, 30), TreeStats{Fallbacks: 1}},
+		{"revisited area", area(2, 40), TreeStats{Fallbacks: 1}},
 	}
 	for _, st := range steps {
 		tr.Stats = TreeStats{} // count this step alone, as an owner's fold leaves it

@@ -13,11 +13,9 @@
 //     holds by construction.
 //   - SweepScratch: one worker's reusable arena for a node sweep or a
 //     Disaggregate search — the packaging estimator (pkgcarbon.Estimator
-//     with its memoized floorplan tree, whose single-changed-chiplet
-//     delta path the Gray-code sweep walk drives through
-//     EstimatePackageDelta), the package memo keyed by orbit rank that
-//     lets a walk skip the estimator, the chiplet descriptor buffer and
-//     the operational-term memo.
+//     with its retained floorplan tree), the package memo keyed by orbit
+//     rank that lets a walk skip the estimator, the chiplet descriptor
+//     buffer and the operational-term memo.
 //   - Scratch: one worker's reusable arena for a ParamPlan — chiplet
 //     descriptors, the hooks serving the plan's base tabulation, the
 //     tech.Sandbox for per-sample node perturbation and the
@@ -81,11 +79,10 @@ type Scratch struct {
 }
 
 // SweepScratch is one worker's reusable arena for a compiled node sweep
-// or a Disaggregate search: the packaging estimator (with its memoized
-// floorplan tree, whose single-changed-chiplet path the Gray-code walk
-// drives through EstimatePackageDelta), the chiplet descriptor buffer,
-// the package memo that lets a walk skip the estimator, its counters
-// and the operational-term memo. It is NOT safe for concurrent use.
+// or a Disaggregate search: the packaging estimator (with its retained
+// floorplan tree), the chiplet descriptor buffer, the package memo that
+// lets a walk skip the estimator, its counters and the operational-term
+// memo. It is NOT safe for concurrent use.
 //
 // Counters live in the scratch until its owner releases it:
 // FoldFloorplan and FoldMemo add them into the owner's totals and zero
@@ -283,16 +280,6 @@ func (sc *SweepScratch) ResizeChiplets(n int) []pkgcarbon.Chiplet {
 // the next call.
 func (sc *SweepScratch) EstimatePackage() (*pkgcarbon.Result, error) {
 	return sc.est.Estimate(sc.pkgCh)
-}
-
-// EstimatePackageDelta is EstimatePackage when only chiplet descriptor
-// `changed` differs from the previous estimate on this scratch — the
-// Gray-step shape of a compiled sweep walk. The estimator routes the
-// floorplan through its retained tree's single-block update and falls
-// back to the full path whenever the precondition cannot be verified,
-// so the result is bit-identical to EstimatePackage either way.
-func (sc *SweepScratch) EstimatePackageDelta(changed int) (*pkgcarbon.Result, error) {
-	return sc.est.EstimateDelta(sc.pkgCh, changed)
 }
 
 // PackageRouting folds only the routing terms of the current chiplet

@@ -6,11 +6,11 @@ import "sync"
 // search that issues many engine batches (the greedy steps of a
 // Disaggregate run, the requests of a serving front-end) draws warm
 // scratches from the pool instead of rebuilding them per batch, so
-// retained state — the packaging estimator's floorplan trees, its
-// per-node communication memo, a param plan's sandbox — survives across
-// the whole search. Safe because every retained cache verifies or is
-// keyed by its exact inputs, so a reused scratch can only be faster,
-// never different.
+// retained state — the packaging estimator's per-node communication
+// memo and per-area package-term memo, a param plan's sandbox — survives
+// across the whole search. Safe because every retained cache verifies
+// or is keyed by its exact inputs, so a reused scratch can only be
+// faster, never different.
 //
 // Put hands each returned scratch to the release hook given at
 // construction, which folds the scratch's counters into their owner
@@ -23,8 +23,8 @@ type ScratchPool[S any] struct {
 
 	// A mutex-guarded free list, not a sync.Pool: the pool's whole point
 	// is RETAINING warm state across batches, and sync.Pool may drop its
-	// contents at any GC — which would silently discard the memos and
-	// trees mid-search (and make reuse statistics GC-timing-dependent).
+	// contents at any GC — which would silently discard the memos
+	// mid-search (and make reuse statistics GC-timing-dependent).
 	// Pools are search-scoped, so the free list's lifetime is trivially
 	// bounded.
 	mu     sync.Mutex

@@ -65,9 +65,11 @@ func TestEstimatorMatchesEstimate(t *testing.T) {
 	}
 }
 
-// EstimateDelta must reproduce a full Estimate bit for bit across long
-// single-changed-chiplet walks — area changes, node changes, both at
-// once — for every architecture.
+// Estimator.Estimate must reproduce a full Estimate bit for bit across
+// long single-changed-chiplet walks — area changes, node changes, both
+// at once — for every architecture: the step shape of a compiled sweep
+// walk, whose retained floorplan tree and communication caches carry
+// over from the previous step.
 func TestEstimateDeltaMatchesEstimate(t *testing.T) {
 	db := tech.Default()
 	sizes := db.Sizes()
@@ -79,10 +81,8 @@ func TestEstimateDeltaMatchesEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 		chiplets := randChiplets(rng, db)
-		// Seed the retained state; a delta before any estimate must also
-		// work (it falls back to the full path internally).
-		if _, err := est.EstimateDelta(chiplets, 0); err != nil {
-			t.Fatalf("%v: first delta: %v", arch, err)
+		if _, err := est.Estimate(chiplets); err != nil {
+			t.Fatalf("%v: first estimate: %v", arch, err)
 		}
 		for step := 0; step < 200; step++ {
 			i := rng.Intn(len(chiplets))
@@ -96,20 +96,20 @@ func TestEstimateDeltaMatchesEstimate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v step %d: %v", arch, step, err)
 			}
-			got, err := est.EstimateDelta(chiplets, i)
+			got, err := est.Estimate(chiplets)
 			if err != nil {
-				t.Fatalf("%v step %d: delta: %v", arch, step, err)
+				t.Fatalf("%v step %d: estimator: %v", arch, step, err)
 			}
 			if !resultsBitIdentical(want, got) {
-				t.Fatalf("%v step %d: delta diverges\nwant %+v\ngot  %+v", arch, step, want, got)
+				t.Fatalf("%v step %d: estimator diverges\nwant %+v\ngot  %+v", arch, step, want, got)
 			}
 		}
 	}
 }
 
-// A delta whose preconditions do not hold (different chiplet count or
-// names) must fall back to the full path, never serve a stale tree —
-// on the retained-tree path (RDL) and on the from-scratch bridge path.
+// A chiplet set whose count or names changed since the previous
+// estimate must be planned afresh, never served from a stale tree — on
+// the retained-tree path (RDL) and on the from-scratch bridge path.
 func TestEstimateDeltaFallsBackOnShapeChange(t *testing.T) {
 	for _, arch := range []Architecture{RDLFanout, SiliconBridge} {
 		p := DefaultParams(arch)
@@ -126,12 +126,12 @@ func TestEstimateDeltaFallsBackOnShapeChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := est.EstimateDelta(b, 1)
+		got, err := est.Estimate(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resultsBitIdentical(want, got) {
-			t.Fatalf("%v: count-changed delta diverges:\nwant %+v\ngot  %+v", arch, want, got)
+			t.Fatalf("%v: count-changed estimate diverges:\nwant %+v\ngot  %+v", arch, want, got)
 		}
 		c := chipletsOf(7, 100, 50, 25, 10)
 		c[2].Name = "other"
@@ -139,16 +139,18 @@ func TestEstimateDeltaFallsBackOnShapeChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = est.EstimateDelta(c, 2)
+		got, err = est.Estimate(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resultsBitIdentical(want, got) {
-			t.Fatalf("%v: name-changed delta diverges:\nwant %+v\ngot  %+v", arch, want, got)
+			t.Fatalf("%v: name-changed estimate diverges:\nwant %+v\ngot  %+v", arch, want, got)
 		}
 	}
 }
 
+// A chiplet changed since a valid estimate is validated again: the
+// retained state never lets an invalid chiplet through.
 func TestEstimateDeltaValidatesChangedChiplet(t *testing.T) {
 	db := tech.Default()
 	est, err := NewEstimator(DefaultParams(RDLFanout))
@@ -163,12 +165,12 @@ func TestEstimateDeltaValidatesChangedChiplet(t *testing.T) {
 		t.Fatal(err)
 	}
 	chips[1].AreaMM2 = -4
-	if _, err := est.EstimateDelta(chips, 1); err == nil {
+	if _, err := est.Estimate(chips); err == nil {
 		t.Error("non-positive area should fail")
 	}
 	chips[1].AreaMM2 = 50
 	chips[1].Node = nil
-	if _, err := est.EstimateDelta(chips, 1); err == nil {
+	if _, err := est.Estimate(chips); err == nil {
 		t.Error("nil node should fail")
 	}
 }

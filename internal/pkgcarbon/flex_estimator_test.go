@@ -36,8 +36,8 @@ func TestEstimatorFlexibleMatchesEstimate(t *testing.T) {
 	}
 }
 
-// EstimateDelta on flexible floorplans must stay bit-identical to a
-// full Estimate across long single-changed-chiplet walks.
+// Estimator.Estimate on flexible floorplans must stay bit-identical to
+// a full Estimate across long single-changed-chiplet walks.
 func TestEstimateDeltaFlexibleMatchesEstimate(t *testing.T) {
 	db := tech.Default()
 	sizes := db.Sizes()
@@ -50,8 +50,8 @@ func TestEstimateDeltaFlexibleMatchesEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 		chiplets := randChiplets(rng, db)
-		if _, err := est.EstimateDelta(chiplets, 0); err != nil {
-			t.Fatalf("%v: first delta: %v", arch, err)
+		if _, err := est.Estimate(chiplets); err != nil {
+			t.Fatalf("%v: first estimate: %v", arch, err)
 		}
 		for step := 0; step < 120; step++ {
 			i := rng.Intn(len(chiplets))
@@ -65,12 +65,12 @@ func TestEstimateDeltaFlexibleMatchesEstimate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v step %d: %v", arch, step, err)
 			}
-			got, err := est.EstimateDelta(chiplets, i)
+			got, err := est.Estimate(chiplets)
 			if err != nil {
-				t.Fatalf("%v step %d: delta: %v", arch, step, err)
+				t.Fatalf("%v step %d: estimator: %v", arch, step, err)
 			}
 			if !resultsBitIdentical(want, got) {
-				t.Fatalf("%v step %d: delta diverges\nwant %+v\ngot  %+v", arch, step, want, got)
+				t.Fatalf("%v step %d: estimator diverges\nwant %+v\ngot  %+v", arch, step, want, got)
 			}
 		}
 	}

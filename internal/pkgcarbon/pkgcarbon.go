@@ -337,12 +337,9 @@ func Estimate(chiplets []Chiplet, p Params) (*Result, error) {
 // re-allocating identical intermediate storage.
 //
 // The floorplanner behind Estimate is a floorplan.Tree, which keeps the
-// sorted block order, an exact memo of bounding boxes by sorted shape,
-// and its last result (every box bit-identical to a from-scratch plan).
-// EstimateDelta is the explicit single-changed-chiplet seam a Gray-code
-// sweep step uses: the tree repairs its order and serves a recurring
-// shape from the memo. A changed chiplet set (a Disaggregate merge
-// candidate) makes the tree start over. Silicon bridges (which read
+// block set and its last result: an estimate that changes no area
+// reuses the box, any other re-sorts and lays out (every box
+// bit-identical to a from-scratch plan). Silicon bridges (which read
 // adjacencies) and flexible floorplans (shape curves) plan from scratch
 // on every call.
 //
@@ -373,53 +370,9 @@ func (e *Estimator) Estimate(chiplets []Chiplet) (*Result, error) {
 	return estimateWith(chiplets, &e.p, &e.sc)
 }
 
-// EstimateDelta is Estimate when only chiplets[changed] differs (in
-// area and/or node) from the chiplet set of the previous call on this
-// estimator — the Gray-step shape of a compiled sweep walk. The
-// floorplan goes through the retained tree's single-block update
-// (served from its exact shape memo when the sorted area sequence
-// recurs) and the communication cells of unchanged chiplets are served
-// from the per-chiplet cache; everything is bit-identical to a full
-// Estimate by construction. When the precondition cannot be verified
-// cheaply (first call, different chiplet count or names), or the
-// floorplan is not the retained tree's (3D stacks, silicon bridges,
-// flexible floorplans), it falls back to the full Estimate.
-func (e *Estimator) EstimateDelta(chiplets []Chiplet, changed int) (*Result, error) {
-	sc := &e.sc
-	if e.p.Arch == ThreeD || e.p.Arch == SiliconBridge || e.p.FlexibleFloorplan ||
-		changed < 0 || changed >= len(chiplets) ||
-		len(sc.blocks) != len(chiplets) ||
-		sc.blocks[changed].Name != chiplets[changed].Name {
-		return e.Estimate(chiplets)
-	}
-	c := chiplets[changed]
-	// Other chiplets are unchanged since the previous (validated) call;
-	// only the changed one needs the input checks.
-	if c.AreaMM2 <= 0 {
-		return nil, fmt.Errorf("pkgcarbon: chiplet %q has non-positive area", c.Name)
-	}
-	if c.Node == nil {
-		return nil, fmt.Errorf("pkgcarbon: chiplet %q has no technology node", c.Name)
-	}
-	sc.blocks[changed].AreaMM2 = c.AreaMM2
-	fp, err := sc.fp.Update(changed, c.AreaMM2)
-	if err != nil {
-		return nil, err
-	}
-	// Reuse the scratch Result without re-zeroing: finishEstimate
-	// rewrites every field this (fixed) architecture's path writes, and
-	// the fields it never writes were zeroed by the first full estimate
-	// and can never have been set since.
-	res := &sc.res
-	if err := finishEstimate(res, chiplets, &e.p, fp, sc); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// FoldFloorplanStats releases the floorplan tree's counters (memo hits,
-// unchanged plans, layouts, block-set rebuilds): it adds them into
-// *into and zeroes them.
+// FoldFloorplanStats releases the floorplan tree's counters (unchanged
+// plans, layouts, block-set rebuilds): it adds them into *into and
+// zeroes them.
 func (e *Estimator) FoldFloorplanStats(into *floorplan.TreeStats) {
 	into.Add(e.sc.fp.Stats)
 	e.sc.fp.Stats = floorplan.TreeStats{}
@@ -577,9 +530,8 @@ func estimateWith(chiplets []Chiplet, p *Params, sc *scratch) (*Result, error) {
 
 // finishEstimate runs everything after the floorplan: the architecture
 // package-carbon model, the attach term and the communication overhead.
-// It is shared by the full path, the single-changed-chiplet delta path
-// and EstimateOnFloorplan, so the float expressions (and their order)
-// cannot diverge between them.
+// It is shared by the full path and EstimateOnFloorplan, so the float
+// expressions (and their order) cannot diverge between them.
 func finishEstimate(res *Result, chiplets []Chiplet, p *Params, fp *floorplan.Result, sc *scratch) error {
 	res.Arch = p.Arch
 	res.PackageAreaMM2 = fp.AreaMM2()
