@@ -19,7 +19,7 @@ func TestCellsReassembleReport(t *testing.T) {
 
 	var mfgKg, desKg, nreKg float64
 	for i, c := range s.Chiplets {
-		cell, err := s.CellFor(db(), c, c.NodeNm, nil)
+		cell, err := s.CellFor(db(), c, c.NodeNm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestCellsReassembleReport(t *testing.T) {
 		t.Errorf("cell NREKg sum %v != report %v", nreKg, rep.NREKg)
 	}
 	// DesignKg additionally carries the communication-fabric share.
-	share, err := s.CommDesignShareKg(db(), s.Chiplets[0].NodeNm, len(s.Chiplets), nil)
+	share, err := s.CommDesignShareKg(db(), s.Chiplets[0].NodeNm, len(s.Chiplets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCellForReused(t *testing.T) {
 	s := threeChiplet(7, 14, 10)
 	s.IncludeNRE = true
 	s.Chiplets[0].Reused = true
-	cell, err := s.CellFor(db(), s.Chiplets[0], 7, nil)
+	cell, err := s.CellFor(db(), s.Chiplets[0], 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMonolithCellMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := s.MonolithCell(db(), 7, nil)
+	cell, err := s.MonolithCell(db(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

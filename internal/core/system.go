@@ -229,33 +229,6 @@ func (s *System) validateChiplets(db *tech.DB) error {
 	return nil
 }
 
-// Hooks lets a caller serve the pure per-die sub-models of the die-cell
-// seam (CellFor, MonolithCell, CommDesignShareKg) from somewhere other
-// than a direct model call. kernel.ParamPlan is its user: it captures
-// which sub-model calls an evaluation makes and serves unperturbed ones
-// from its base tabulation. A nil *Hooks or a nil field falls back to
-// the direct model call.
-type Hooks struct {
-	// Die replaces mfg.Die.
-	Die func(n *tech.Node, d tech.DesignType, areaMM2 float64, p mfg.Params) (mfg.Result, error)
-	// ChipletKg replaces descarbon.ChipletKg.
-	ChipletKg func(gates float64, n *tech.Node, p descarbon.Params) (float64, error)
-}
-
-func (h *Hooks) die(n *tech.Node, d tech.DesignType, areaMM2 float64, p mfg.Params) (mfg.Result, error) {
-	if h != nil && h.Die != nil {
-		return h.Die(n, d, areaMM2, p)
-	}
-	return mfg.Die(n, d, areaMM2, p)
-}
-
-func (h *Hooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params) (float64, error) {
-	if h != nil && h.ChipletKg != nil {
-		return h.ChipletKg(gates, n, p)
-	}
-	return descarbon.ChipletKg(gates, n, p)
-}
-
 // Evaluate runs the full ECO-CHIP carbon analysis of the system.
 func (s *System) Evaluate(db *tech.DB) (*Report, error) {
 	if err := s.Validate(db); err != nil {
@@ -271,7 +244,7 @@ func (s *System) Evaluate(db *tech.DB) (*Report, error) {
 // (each block at its own density), yield applies to the merged area, and
 // there is no packaging term.
 func (s *System) evaluateMonolith(db *tech.DB) (*Report, error) {
-	cell, err := s.MonolithCell(db, s.Chiplets[0].NodeNm, nil)
+	cell, err := s.MonolithCell(db, s.Chiplets[0].NodeNm)
 	if err != nil {
 		return nil, err
 	}
@@ -308,11 +281,11 @@ func (s *System) nreParams() mfg.NREParams {
 // tabulate); this function owns only the accumulation order and the
 // whole-package terms.
 func (s *System) evaluateHI(db *tech.DB) (*Report, error) {
-	rep := &Report{System: s.Name}
+	rep := &Report{System: s.Name, Chiplets: make([]ChipletReport, 0, len(s.Chiplets))}
 
 	pkgChiplets := make([]pkgcarbon.Chiplet, len(s.Chiplets))
 	for i, c := range s.Chiplets {
-		cell, err := s.CellFor(db, c, c.NodeNm, nil)
+		cell, err := s.CellFor(db, c, c.NodeNm)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +320,7 @@ func (s *System) evaluateHI(db *tech.DB) (*Report, error) {
 	// Design carbon of the inter-die communication fabric (routers /
 	// PHYs), amortized over the system volume per Eq. (12). The fabric
 	// is synthesized once per system design.
-	share, err := s.CommDesignShareKg(db, s.Chiplets[0].NodeNm, len(s.Chiplets), nil)
+	share, err := s.CommDesignShareKg(db, s.Chiplets[0].NodeNm, len(s.Chiplets))
 	if err != nil {
 		return nil, err
 	}

@@ -401,7 +401,7 @@ func (st *disaggState) compileStep(current *core.System) ([]mergeCandidate, erro
 	for i, c := range current.Chiplets {
 		id := st.ids[i]
 		if !st.singleOK[id] {
-			cell, err := current.CellFor(st.db, c, c.NodeNm, nil)
+			cell, err := current.CellFor(st.db, c, c.NodeNm)
 			if err != nil {
 				return nil, err
 			}
@@ -435,7 +435,7 @@ func (st *disaggState) compileStep(current *core.System) ([]mergeCandidate, erro
 				} else {
 					st.stats.MergedCellMisses++
 					merged := merge(current.Chiplets[i], current.Chiplets[j])
-					cell, err := current.CellFor(st.db, merged, merged.NodeNm, nil)
+					cell, err := current.CellFor(st.db, merged, merged.NodeNm)
 					if err != nil {
 						return nil, err
 					}
@@ -462,7 +462,7 @@ func (st *disaggState) compileStep(current *core.System) ([]mergeCandidate, erro
 				share, ok := st.commShares[ck]
 				if !ok {
 					var err error
-					share, err = current.CommDesignShareKg(st.db, ck.nodeNm, ck.dies, nil)
+					share, err = current.CommDesignShareKg(st.db, ck.nodeNm, ck.dies)
 					if err != nil {
 						return nil, err
 					}
@@ -501,7 +501,7 @@ func (st *disaggState) baseEmbodied(current *core.System) (float64, error) {
 	for i, c := range current.Chiplets {
 		id := st.ids[i]
 		if !st.singleOK[id] {
-			cell, err := current.CellFor(st.db, c, c.NodeNm, nil)
+			cell, err := current.CellFor(st.db, c, c.NodeNm)
 			if err != nil {
 				return 0, err
 			}
@@ -518,7 +518,7 @@ func (st *disaggState) baseEmbodied(current *core.System) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	share, err := current.CommDesignShareKg(st.db, current.Chiplets[0].NodeNm, n, nil)
+	share, err := current.CommDesignShareKg(st.db, current.Chiplets[0].NodeNm, n)
 	if err != nil {
 		return 0, err
 	}

@@ -17,14 +17,14 @@
 //     rank that lets a walk skip the estimator, the chiplet descriptor
 //     buffer and the operational-term memo.
 //   - Scratch: one worker's reusable arena for a ParamPlan — chiplet
-//     descriptors, the hooks serving the plan's base tabulation, the
-//     tech.Sandbox for per-sample node perturbation and the
-//     operational-term memo.
+//     descriptors, the node lookups of the plan's runs, its work
+//     counters, the tech.Sandbox for per-sample node perturbation and
+//     the operational-term memo.
 //   - ParamPlan: a compiled plan keyed by perturbed *tech.Node / system
-//     parameters. It tabulates every sub-result of the base point once
-//     and re-evaluates perturbations by recomputing only the sub-models
-//     a Dirty set names, serving everything else from the table through
-//     the core.Hooks seam.
+//     parameters. It tabulates the model steps of each run of identical
+//     chiplets in the base point once and re-evaluates perturbations by
+//     walking those runs, re-running only the steps a Dirty set names
+//     and serving everything else from the table.
 //
 // The contract everywhere is bit-identity: a compiled evaluation returns
 // the exact float bits of the uncompiled reference path (guarded by
@@ -66,14 +66,20 @@ func (t Totals) EmbodiedKg() float64 { return t.MfgKg + t.DesignKg + t.HIKg + t.
 func (t Totals) TotalKg() float64 { return t.EmbodiedKg() + t.OperationalKg }
 
 // Scratch is one worker's reusable arena for evaluating a ParamPlan:
-// the chiplet descriptor buffer, the hooks that serve the plan's base
-// tabulation, the tech.Sandbox for per-sample node perturbation and the
-// operational-term memo. It is NOT safe for concurrent use: batch
-// engines build one per worker goroutine (ParamPlan.NewScratch) and
-// reuse it across every point the worker evaluates.
+// the chiplet descriptor buffer, the node lookups of the plan's runs,
+// the work counters, the tech.Sandbox for per-sample node perturbation
+// and the operational-term memo. It is NOT safe for concurrent use:
+// batch engines build one per worker goroutine (ParamPlan.NewScratch)
+// and reuse it across every point the worker evaluates.
 type Scratch struct {
-	pkgCh []pkgcarbon.Chiplet
-	hooks paramHooks
+	plan  *ParamPlan
+	pkgCh []pkgcarbon.Chiplet // nil for a monolith plan
+	// nodes holds nodeDB's node of each plan run (see runNodes).
+	nodeDB *tech.DB
+	nodes  []*tech.Node
+	// stats counts the scratch's work until Fold hands it to the plan:
+	// plain fields, not atomics shared by every worker.
+	stats ParamStats
 	sb    *tech.Sandbox // lazy; built on first PerturbNodes
 	op    opMemo
 }
@@ -306,9 +312,8 @@ func (sc *SweepScratch) OperationKg(spec *opcarbon.Spec, powerW float64) (float6
 // plan does not read keep their base parameters. The returned DB is
 // only valid until the next PerturbNodes call on this scratch.
 func (sc *Scratch) PerturbNodes(mutate func(*tech.Node)) *tech.DB {
-	plan := sc.hooks.plan
 	if sc.sb == nil {
-		sc.sb = plan.db.NewSandbox()
+		sc.sb = sc.plan.db.NewSandbox()
 	}
-	return sc.sb.Reset(plan.nodes, mutate)
+	return sc.sb.Reset(sc.plan.nodes, mutate)
 }

@@ -35,19 +35,30 @@ import (
 //   - descarbon.ChipletKg reads only the node's EDA productivity and
 //     System.Design;
 //   - the packaging communication cells read the chiplets' node fab
-//     parameters; the rest of C_HI reads areas and System.Packaging;
-//   - amortizations are cheap divisions, recomputed unconditionally.
+//     parameters for their carbon, and only node sizes, densities and
+//     supply voltages for their router/PHY area and power; the rest of
+//     C_HI reads areas and System.Packaging;
+//   - amortizations are cheap divisions, recomputed whenever a cell is.
 //
+// CompileParams splits the base's chiplets into runs of identical dies
+// (see sameDie) and tabulates each run's model steps once: its area, the
+// wafer geometry and die carbon, the design hours and carbon, the
+// amortization volume and the finished cell. It also tabulates the
+// packaging estimate, each node run's router or PHY endpoint
+// (pkgcarbon.RoutingTable) and the communication fabric's design hours.
 // A Dirty set names the parameter groups a perturbation touched, and
-// Eval recomputes exactly the sub-models those groups feed, serving
-// everything else from the base tabulation through the core.Hooks seam of
-// CellFor, MonolithCell and CommDesignShareKg — the calls Evaluate itself
-// makes — so the assembly order (and every float bit) of the result is
-// the uncompiled path's by construction. The randomized equivalence
-// tests in internal/sensitivity and internal/uncertainty guard the
-// dirty-set mapping itself: if a new sub-model dependency ever violates
-// an invariance assumed here, those tests break before any analysis
-// result can drift.
+// Eval walks the runs calling the model steps directly — mfg.Carbon (and
+// mfg.Place only when the area or wafer inputs moved),
+// descarbon.HoursKg (and TotalHours only when its inputs moved) — for
+// exactly the sub-models those groups feed, serving everything else from
+// the tabulation. Each cell is assembled by core.System.AssembleCell, the
+// arithmetic CellFor and MonolithCell share, and added once per run
+// member in chiplet order, so every float bit of the result is the
+// uncompiled path's. The randomized equivalence tests in
+// internal/sensitivity and internal/uncertainty guard the dirty-set
+// mapping itself: if a new sub-model dependency ever violates an
+// invariance assumed here, those tests break before any analysis result
+// can drift.
 
 // Dirty flags name the parameter groups one perturbed evaluation
 // touched relative to the plan's base point. An empty set re-derives the
@@ -63,7 +74,10 @@ const (
 	// it must also set DirtyDesign), nor a node's Density table, which
 	// moves chiplet areas and needs DirtyAreas. The perturbed database
 	// holds the same node sizes as the base's (db.Clone and
-	// Scratch.PerturbNodes keep them).
+	// Scratch.PerturbNodes keep them). Nor does it cover a node's Vdd,
+	// which only router power reads: the plan tabulates each node's
+	// router power, so a perturbation touching Vdd must also set
+	// DirtyPackaging.
 	DirtyNodes Dirty = 1 << iota
 	// DirtyMfg marks a changed System.Mfg (fab carbon intensity, wafer,
 	// alpha), invalidating die manufacturing results.
@@ -92,17 +106,16 @@ const (
 	// per evaluation, like the tornado factors, miss the memo anyway).
 	DirtyOperation
 	// DirtyVolume marks changed amortization volumes (SystemVolume,
-	// ManufacturedParts). The per-chiplet sub-model walk recomputes
-	// amortizations unconditionally — they are single divisions — but
-	// the flag gates the tabulated-cell column fold (see cellDirty),
-	// which serves amortized fields: a volume perturbation must set it.
+	// ManufacturedParts). Eval then re-derives the runs from the
+	// perturbed chiplets and recomputes their amortizations, which an
+	// evaluation disjoint from cellDirty serves with the tabulated
+	// cells: a volume perturbation must set it.
 	DirtyVolume
 )
 
 // cellDirty names the parameter groups that invalidate some field of a
-// tabulated die cell. A dirty set disjoint from it lets Eval fold the
-// base cells' metric columns directly instead of re-walking CellFor
-// per chiplet.
+// tabulated die cell. A dirty set disjoint from it lets Eval add each
+// run's tabulated cell instead of re-running its steps.
 const cellDirty = DirtyNodes | DirtyMfg | DirtyDesign | DirtyAreas | DirtyVolume
 
 // ParamStats counts the work a parameter plan performed; CLIs surface it
@@ -112,15 +125,15 @@ const cellDirty = DirtyNodes | DirtyMfg | DirtyDesign | DirtyAreas | DirtyVolume
 type ParamStats struct {
 	// Evals is the number of perturbed points evaluated.
 	Evals uint64
-	// DieRecomputes / DieTableHits split mfg.Die calls into recomputed
-	// (dirty) and served-from-table. A chiplet identical to its
-	// predecessor in every CellFor input (see sameDie) shares the
-	// predecessor's cell within one evaluation and makes no call, so it
-	// counts as neither: on EPYC-8 a node-dirty sample counts 2
-	// recomputes (one CCD run, one IOD), not 9.
+	// DieRecomputes / DieTableHits split an evaluation's die cells into
+	// recomputed (the die carbon step re-ran) and served-from-table. A
+	// run of chiplets identical in every cell input (see sameDie) shares
+	// one cell, which counts once: on EPYC-8 a node-dirty sample counts
+	// 2 recomputes (one CCD run, one IOD), not 9.
 	DieRecomputes, DieTableHits uint64
-	// DesignRecomputes / DesignTableHits split descarbon.ChipletKg calls
-	// (shared cells, as above, make none).
+	// DesignRecomputes / DesignTableHits split the design-carbon steps
+	// the same way: one per run of non-reused chiplets (a monolith's
+	// merged die included) and one for the communication fabric.
 	DesignRecomputes, DesignTableHits uint64
 	// PackageEstimates counts full packaging re-estimates (floorplan and
 	// all); FloorplanReuses counts packaging-dirty re-estimates served
@@ -150,29 +163,35 @@ func (s *ParamStats) add(o ParamStats) {
 
 // ParamPlan is a compiled parameter-perturbation plan: the base system
 // validated once and every expensive pure sub-result of its evaluation —
-// per-chiplet manufacturing results and design carbon, the packaging
-// estimate, the communication-fabric design carbon — tabulated for reuse
-// across perturbed evaluations. A plan is immutable after CompileParams
-// and safe for concurrent use; per-worker mutable state lives in the
-// Scratch.
+// each run's die manufacturing result and design carbon, the packaging
+// estimate, the routing endpoints, the communication-fabric design
+// carbon — tabulated for reuse across perturbed evaluations. A plan is
+// immutable after CompileParams and safe for concurrent use; per-worker
+// mutable state lives in the Scratch.
 type ParamPlan struct {
 	base     *core.System
 	db       *tech.DB
-	nc       int
 	monolith bool
 
-	// The base tabulation, served through the Hooks seam when a
-	// perturbation's dirty set leaves the sub-model's inputs untouched.
-	die    []mfg.Result // per chiplet (monolith: one merged row)
-	des    []float64    // descarbon.ChipletKg per chiplet
-	commKg float64      // ChipletKg of the communication fabric
-	pkg    pkgSnapshot
-	// hours are the rows' descarbon.TotalHours calls (commHours the
-	// communication fabric's): a design-dirty evaluation serves a row's
-	// hours while its inputs match, and recomputes only the carbon
-	// step. die rows serve their wafer geometry the same way.
-	hours     []hoursRow
-	commHours hoursRow
+	// runs are the base's runs of identical chiplets in chiplet order
+	// (a monolith: one run, its merged die), and runOf maps each chiplet
+	// to its run. An evaluation that re-derives runs from perturbed
+	// chiplets serves a new run's untouched steps from the base run of
+	// its first member.
+	runs  []dieRun
+	runOf []int
+	// comm is the communication fabric's design-hours row, commKg its
+	// design carbon and commShare that carbon amortized over the system
+	// volume.
+	comm      hoursRow
+	commKg    float64
+	commShare float64
+	pkg       pkgSnapshot
+	// pkgCh are the base packaging descriptors, which each scratch's
+	// buffer starts from, and routing their tabulated routing
+	// endpoints: a node-dirty evaluation re-runs only their carbon step.
+	pkgCh   []pkgcarbon.Chiplet
+	routing *pkgcarbon.RoutingTable
 	// nodes are the sizes of the database nodes the plan reads: its
 	// chiplets' nodes, each once. Scratch.PerturbNodes resets only
 	// these, and a node-dirty evaluation checks only that the perturbed
@@ -184,24 +203,29 @@ type ParamPlan struct {
 	// re-floorplanning. The Result is plan-owned and read-only.
 	fp *floorplan.Result
 
-	// cellMfg..cellNode are the struct-of-arrays columns of the base
-	// point's die cells, and commShare the base communication design
-	// share, captured by CompileParams. An evaluation whose dirty set is
-	// disjoint from cellDirty folds these columns in chiplet order — the
-	// same additions, in the same order, over the exact bits a clean
-	// CellFor walk would reproduce — instead of re-walking the
-	// per-chiplet sub-model seam.
-	cellMfg, cellDes, cellNre, cellArea []float64
-	cellNode                            []*tech.Node
-	commShare                           float64
-	// cleanDie / cleanDes are the table hits a clean CellFor walk of the
-	// base would count (shared cells make no call), which the column
-	// fold counts in its place.
-	cleanDie, cleanDes uint64
-
 	// totals holds the counters of every released scratch (Fold).
 	mu     sync.Mutex
 	totals ParamStats
+}
+
+// dieRun is one run of consecutive chiplets identical in every cell
+// input (see sameDie) and the base tabulation of its die cell's model
+// steps.
+type dieRun struct {
+	first, n int // the members: chiplets first .. first+n-1
+	// cell is the base cell; its Node and AreaMM2 are the run's node in
+	// the base database and its area.
+	cell core.DieCell
+	// m is the base die result: mfg.Carbon on the geometry
+	// mfg.Place(area, base.Mfg) returned, which serves while the area
+	// and the wafer inputs match.
+	m mfg.Result
+	// hours and desKg are the base design hours and unamortized design
+	// carbon (zero for a reused run).
+	hours  hoursRow
+	desKg  float64
+	parts  int // the amortization volume
+	reused bool
 }
 
 // pkgSnapshot is the tabulated base packaging result: every field of the
@@ -220,31 +244,9 @@ type hoursRow struct {
 	gates, edaProductivity, hours float64
 }
 
-// capture returns hooks that compute sub-models directly while recording
-// each result into the plan's base tabulation at *row.
-func (p *ParamPlan) capture(row *int) *core.Hooks {
-	return &core.Hooks{
-		Die: func(n *tech.Node, d tech.DesignType, areaMM2 float64, mp mfg.Params) (mfg.Result, error) {
-			m, err := mfg.Die(n, d, areaMM2, mp)
-			if err == nil {
-				p.die[*row] = m
-			}
-			return m, err
-		},
-		ChipletKg: func(gates float64, n *tech.Node, dp descarbon.Params) (float64, error) {
-			kg, err := descarbon.ChipletKg(gates, n, dp)
-			if err != nil {
-				return 0, err
-			}
-			h := hoursRow{gates, n.EDAProductivity, descarbon.TotalHours(gates, n, dp)}
-			if *row == commRow {
-				p.commKg, p.commHours = kg, h
-			} else {
-				p.des[*row], p.hours[*row] = kg, h
-			}
-			return kg, nil
-		},
-	}
+// newHoursRow runs descarbon.TotalHours and records its row.
+func newHoursRow(gates float64, n *tech.Node, p descarbon.Params) hoursRow {
+	return hoursRow{gates, n.EDAProductivity, descarbon.TotalHours(gates, n, p)}
 }
 
 // CompileParams validates the base (system, database) pair once and
@@ -255,54 +257,42 @@ func CompileParams(base *core.System, db *tech.DB) (*ParamPlan, error) {
 		return nil, err
 	}
 	nc := len(base.Chiplets)
-	p := &ParamPlan{base: base, db: db, nc: nc, monolith: base.Monolithic || nc == 1}
-	rows := nc
-	if p.monolith {
-		rows = 1
-	}
-	p.die = make([]mfg.Result, rows)
-	p.des = make([]float64, rows)
-	p.hours = make([]hoursRow, rows)
+	p := &ParamPlan{base: base, db: db, monolith: base.Monolithic || nc == 1, runOf: make([]int, nc)}
 	for _, c := range base.Chiplets {
 		if !slices.Contains(p.nodes, c.NodeNm) {
 			p.nodes = append(p.nodes, c.NodeNm)
 		}
 	}
-	cellCols := make([]float64, 4*rows)
-	p.cellMfg = cellCols[0*rows : 1*rows]
-	p.cellDes = cellCols[1*rows : 2*rows]
-	p.cellNre = cellCols[2*rows : 3*rows]
-	p.cellArea = cellCols[3*rows : 4*rows]
-	p.cellNode = make([]*tech.Node, rows)
-
-	row := 0
-	rec := p.capture(&row)
 	if p.monolith {
-		cell, err := base.MonolithCell(db, base.Chiplets[0].NodeNm, rec)
+		node := db.MustGet(base.Chiplets[0].NodeNm)
+		area, gates := base.MonolithDie(node)
+		r, err := compileRun(base, node, area, gates, base.Volume(), false, nil)
 		if err != nil {
 			return nil, err
 		}
-		p.captureCell(0, &cell)
+		r.n = 1
+		p.runs = []dieRun{r}
 		return p, nil
 	}
-	chiplets := make([]pkgcarbon.Chiplet, nc)
+	p.pkgCh = make([]pkgcarbon.Chiplet, nc)
 	for i := range base.Chiplets {
-		row = i
-		cell, err := base.CellFor(db, base.Chiplets[i], base.Chiplets[i].NodeNm, rec)
-		if err != nil {
-			return nil, err
-		}
-		p.captureCell(i, &cell)
-		chiplets[i] = pkgcarbon.Chiplet{Name: base.Chiplets[i].Name, AreaMM2: cell.AreaMM2, Node: cell.Node}
-		if i == 0 || !sameDie(&base.Chiplets[i], &base.Chiplets[i-1]) {
-			p.cleanDie++
-			if !base.Chiplets[i].Reused {
-				p.cleanDes++
+		c := &base.Chiplets[i]
+		if i > 0 && sameDie(c, &base.Chiplets[i-1]) {
+			p.runs[len(p.runs)-1].n++
+		} else {
+			node := db.MustGet(c.NodeNm)
+			r, err := compileRun(base, node, node.Area(c.Type, c.Transistors), chipletGates(c), chipletParts(c), c.Reused, c)
+			if err != nil {
+				return nil, err
 			}
+			r.first, r.n = i, 1
+			p.runs = append(p.runs, r)
 		}
+		p.runOf[i] = len(p.runs) - 1
+		cell := &p.runs[len(p.runs)-1].cell
+		p.pkgCh[i] = pkgcarbon.Chiplet{Name: c.Name, AreaMM2: cell.AreaMM2, Node: cell.Node}
 	}
-	p.cleanDes++ // the communication fabric's share
-	pkg, err := pkgcarbon.Estimate(chiplets, base.Packaging)
+	pkg, err := pkgcarbon.Estimate(p.pkgCh, base.Packaging)
 	if err != nil {
 		return nil, err
 	}
@@ -314,23 +304,66 @@ func CompileParams(base *core.System, db *tech.DB) (*ParamPlan, error) {
 		assemblyYield: pkg.AssemblyYield,
 		routerPowerW:  pkg.RouterTotalPowerW,
 	}
-	row = commRow
-	share, err := base.CommDesignShareKg(db, base.Chiplets[0].NodeNm, nc, rec)
+	if p.routing, err = pkgcarbon.NewRoutingTable(p.pkgCh, base.Packaging); err != nil {
+		return nil, err
+	}
+	// The communication fabric's design carbon: CommDesignShareKg's
+	// steps, with the hours tabulated.
+	gates, err := base.CommGates(nc)
 	if err != nil {
 		return nil, err
 	}
-	p.commShare = share
+	p.comm = newHoursRow(gates, p.runs[0].cell.Node, base.Design)
+	p.commKg = descarbon.HoursKg(p.comm.hours, base.Design)
+	p.commShare = p.commKg / float64(base.Volume())
 	return p, nil
 }
 
-// captureCell records one base die cell's hot fields into the plan's
-// metric columns.
-func (p *ParamPlan) captureCell(i int, cell *core.DieCell) {
-	p.cellMfg[i] = cell.MfgKg
-	p.cellDes[i] = cell.DesignKgAmortized
-	p.cellNre[i] = cell.NREKg
-	p.cellArea[i] = cell.AreaMM2
-	p.cellNode[i] = cell.Node
+// compileRun tabulates one run's model steps on the validated base:
+// mfg.Die and descarbon.ChipletKg as their unvalidated steps, then the
+// cell. c names the chiplet for errors (nil for a monolith's merged
+// die, whose errors MonolithCell leaves unwrapped).
+func compileRun(base *core.System, node *tech.Node, area, gates float64, parts int, reused bool, c *core.Chiplet) (dieRun, error) {
+	g, err := mfg.Place(area, base.Mfg)
+	if err != nil {
+		return dieRun{}, dieError(c, err)
+	}
+	r := dieRun{m: mfg.Carbon(node, area, g, base.Mfg), parts: parts, reused: reused}
+	if !reused {
+		r.hours = newHoursRow(gates, node, base.Design)
+		r.desKg = descarbon.HoursKg(r.hours.hours, base.Design)
+	}
+	if err := base.AssembleCell(&r.cell, node, area, &r.m, r.desKg, parts, reused); err != nil {
+		return dieRun{}, err
+	}
+	return r, nil
+}
+
+// dieError wraps a die-step error as CellFor does for chiplet c, or
+// leaves it unwrapped for a monolith's merged die (c nil).
+func dieError(c *core.Chiplet, err error) error {
+	if c == nil {
+		return err
+	}
+	return c.DieError(err)
+}
+
+// chipletGates is the gate count a chiplet's design carbon covers (none
+// for a reused chiplet), as CellFor derives it.
+func chipletGates(c *core.Chiplet) float64 {
+	if c.Reused {
+		return 0
+	}
+	return descarbon.GatesFromTransistors(c.Transistors)
+}
+
+// chipletParts is a chiplet's amortization volume, as CellFor resolves
+// it.
+func chipletParts(c *core.Chiplet) int {
+	if c.ManufacturedParts == 0 {
+		return core.DefaultVolume
+	}
+	return c.ManufacturedParts
 }
 
 // Stats snapshots the plan's work counters (cumulative across runs).
@@ -350,21 +383,19 @@ func (p *ParamPlan) Stats() ParamStats {
 // (engine.RunScratchRelease, or a ScratchPool built with it), the same
 // idiom as the sweep scratches' FoldMemo and FoldFloorplan.
 func (p *ParamPlan) Fold(sc *Scratch) {
-	st := &sc.hooks.stats
 	p.mu.Lock()
-	p.totals.add(*st)
+	p.totals.add(sc.stats)
 	p.mu.Unlock()
-	*st = ParamStats{}
+	sc.stats = ParamStats{}
 }
 
 // NewScratch builds a per-worker arena for evaluating this plan.
 func (p *ParamPlan) NewScratch() (*Scratch, error) {
-	sc := &Scratch{}
-	sc.hooks.init(p)
-	if !p.monolith {
-		sc.pkgCh = make([]pkgcarbon.Chiplet, p.nc)
-	}
-	return sc, nil
+	return &Scratch{
+		plan:  p,
+		pkgCh: slices.Clone(p.pkgCh),
+		nodes: make([]*tech.Node, len(p.runs)),
+	}, nil
 }
 
 // sameDie reports whether two chiplets give CellFor the same inputs:
@@ -374,74 +405,6 @@ func sameDie(a, b *core.Chiplet) bool {
 		a.ManufacturedParts == b.ManufacturedParts && a.Reused == b.Reused
 }
 
-// commRow is the hooks row of the communication-fabric design carbon.
-const commRow = -1
-
-// paramHooks serves the plan's base tabulation through the core.Hooks
-// seam, recomputing a sub-model only when the current evaluation's dirty
-// set invalidates it. row tracks which chiplet (or commRow) the enclosing
-// CellFor / CommDesignShareKg call is evaluating. stats counts the
-// scratch's work until Fold hands it to the plan: plain fields, not
-// atomics shared by every worker.
-type paramHooks struct {
-	plan               *ParamPlan
-	row                int
-	dieDirty, desDirty bool
-	h                  core.Hooks
-	stats              ParamStats
-}
-
-func (ph *paramHooks) init(plan *ParamPlan) {
-	ph.plan = plan
-	ph.h = core.Hooks{Die: ph.die, ChipletKg: ph.chipletKg}
-}
-
-// die serves mfg.Die. Eval has validated p (see ParamPlan.validate), so
-// a recompute runs only Die's two steps: the row's tabulated wafer
-// geometry serves while the area and the wafer inputs match the base,
-// and the carbon step re-runs on the perturbed node and fab parameters.
-func (ph *paramHooks) die(n *tech.Node, _ tech.DesignType, areaMM2 float64, p mfg.Params) (mfg.Result, error) {
-	row := &ph.plan.die[ph.row]
-	if !ph.dieDirty {
-		ph.stats.DieTableHits++
-		return *row, nil
-	}
-	ph.stats.DieRecomputes++
-	g := mfg.Geometry{DiesPerWafer: row.DiesPerWafer, WastedAreaMM2: row.WastedAreaMM2}
-	if bp := &ph.plan.base.Mfg; areaMM2 != row.AreaMM2 || p.Wafer != bp.Wafer || p.IncludeWastage != bp.IncludeWastage {
-		var err error
-		if g, err = mfg.Place(areaMM2, p); err != nil {
-			return mfg.Result{}, err
-		}
-	}
-	return mfg.Carbon(n, areaMM2, g, p), nil
-}
-
-// chipletKg serves descarbon.ChipletKg the same way: p is validated,
-// the row's tabulated hours serve while their inputs match, and the
-// carbon step re-runs.
-func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params) (float64, error) {
-	plan := ph.plan
-	if !ph.desDirty {
-		ph.stats.DesignTableHits++
-		if ph.row == commRow {
-			return plan.commKg, nil
-		}
-		return plan.des[ph.row], nil
-	}
-	ph.stats.DesignRecomputes++
-	row := &plan.commHours
-	if ph.row != commRow {
-		row = &plan.hours[ph.row]
-	}
-	hours := row.hours
-	if bd := &plan.base.Design; gates != row.gates || n.EDAProductivity != row.edaProductivity ||
-		p.Iterations != bd.Iterations || p.VerifShare != bd.VerifShare || p.AnalyzeFactor != bd.AnalyzeFactor {
-		hours = descarbon.TotalHours(gates, n, p)
-	}
-	return descarbon.HoursKg(hours, p), nil
-}
-
 // Walk evaluates n perturbed points against the plan through the batch
 // engine, returning their Totals indexed by point. apply builds point
 // k's perturbed (system, database, dirty) triple — for untouched groups
@@ -449,7 +412,7 @@ func (ph *paramHooks) chipletKg(gates float64, n *tech.Node, p descarbon.Params)
 // Eval's contract — using the worker's scratch for any per-evaluation
 // buffers (PerturbNodes). Each worker drives a private scratch across
 // every point it evaluates, so custom perturbation studies inherit the
-// plan's scratch reuse and tabulated column folds without driving
+// plan's scratch reuse and tabulated run walk without driving
 // engine.RunScratchRelease themselves; the tornado analysis runs on this
 // same runner. Each worker's counters are folded into Stats when it
 // finishes.
@@ -471,7 +434,7 @@ func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scrat
 // touched. The result carries the exact float bits of
 // s.Evaluate(db) — sub-models whose inputs the dirty set leaves
 // untouched are served from the base tabulation, everything else is
-// recomputed through the same code paths the direct evaluation runs.
+// recomputed through the model steps the direct evaluation runs.
 // The contract is only as good as the dirty declaration: an under-declared
 // set (see the flag docs for which node fields belong to which group)
 // silently serves stale sub-results, so new perturbation kinds need a
@@ -480,88 +443,38 @@ func (p *ParamPlan) Walk(ctx context.Context, n int, apply func(k int, sc *Scrat
 //
 // Validation follows the dirty set too: Eval re-checks only the groups
 // it names, in System.Validate's order, so an invalid perturbation
-// returns exactly s.Validate(db)'s error (see validate). The sub-models
-// it recomputes then skip their own parameter checks: mfg.Die and
-// descarbon.ChipletKg run as their unvalidated steps, and
-// pkgcarbon.EstimateRouting takes the base's validated packaging.
+// returns exactly s.Validate(db)'s error (see validate). The steps it
+// re-runs then skip their own parameter checks: mfg.Die and
+// descarbon.ChipletKg run as their unvalidated steps, and the routing
+// refresh keeps the base's validated packaging.
 func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) (Totals, error) {
 	if err := p.validate(s, db, dirty); err != nil {
 		return Totals{}, err
 	}
-	ph := &sc.hooks
-	ph.stats.Evals++
-	ph.dieDirty = dirty&(DirtyNodes|DirtyMfg|DirtyAreas) != 0
-	ph.desDirty = dirty&(DirtyDesign|DirtyAreas) != 0
-
-	// An evaluation that touches no cell input folds the tabulated cell
-	// columns directly: the clean CellFor walk would reproduce the base
-	// cells bit for bit (every sub-model it runs is served from the
-	// table, and the assembly arithmetic sees base inputs), so the fold
-	// is the same additions in the same chiplet order over the same
-	// bits. The table-hit counters advance exactly as the hook-served
-	// walk would advance them (cleanDie / cleanDes).
-	clean := dirty&cellDirty == 0
-
+	sc.stats.Evals++
+	bm, bd := &p.base.Mfg, &p.base.Design
+	st := steps{
+		s:        s,
+		clean:    dirty&cellDirty == 0,
+		die:      dirty&(DirtyNodes|DirtyMfg|DirtyAreas) != 0,
+		des:      dirty&(DirtyDesign|DirtyAreas) != 0,
+		geometry: s.Mfg.Wafer == bm.Wafer && s.Mfg.IncludeWastage == bm.IncludeWastage,
+		hours: s.Design.Iterations == bd.Iterations && s.Design.VerifShare == bd.VerifShare &&
+			s.Design.AnalyzeFactor == bd.AnalyzeFactor,
+	}
 	var t Totals
 	t.AssemblyYield = 1
-	if p.monolith {
-		if clean {
-			ph.stats.DieTableHits++
-			ph.stats.DesignTableHits++
-			t.MfgKg = p.cellMfg[0]
-			t.DesignKg = p.cellDes[0]
-			t.NREKg = p.cellNre[0]
-			t.PackageAreaMM2 = p.cellArea[0]
-		} else {
-			ph.row = 0
-			cell, err := s.MonolithCell(db, s.Chiplets[0].NodeNm, &ph.h)
-			if err != nil {
-				return Totals{}, err
-			}
-			t.MfgKg = cell.MfgKg
-			t.DesignKg = cell.DesignKgAmortized
-			t.NREKg = cell.NREKg
-			t.PackageAreaMM2 = cell.AreaMM2
-		}
+	var node0 *tech.Node // the first chiplet's node, which hosts the fabric
+	var err error
+	if dirty&(DirtyAreas|DirtyVolume) != 0 {
+		node0, err = sc.rederive(&st, db, &t)
 	} else {
-		if clean {
-			ph.stats.DieTableHits += p.cleanDie
-			ph.stats.DesignTableHits += p.cleanDes
-			cellDes := p.cellDes[:len(p.cellMfg)]
-			cellNre := p.cellNre[:len(p.cellMfg)]
-			for i, m := range p.cellMfg {
-				t.MfgKg += m
-				t.DesignKg += cellDes[i]
-				t.NREKg += cellNre[i]
-			}
-			if dirty&DirtyPackaging != 0 {
-				// The only clean branch below that reads the descriptor
-				// buffer; areas and nodes are the tabulated base ones.
-				for i := range s.Chiplets {
-					sc.pkgCh[i] = pkgcarbon.Chiplet{Name: s.Chiplets[i].Name, AreaMM2: p.cellArea[i], Node: p.cellNode[i]}
-				}
-			}
-		} else {
-			// A run of identical chiplets (EPYC's CCDs) shares one cell:
-			// CellFor is pure in the inputs sameDie compares plus s and
-			// db, so the shared cell carries the bits each member's own
-			// call would return, and the sums see them in chiplet order.
-			var cell core.DieCell
-			for i := range s.Chiplets {
-				c := &s.Chiplets[i]
-				if i == 0 || !sameDie(c, &s.Chiplets[i-1]) {
-					ph.row = i
-					var err error
-					if cell, err = s.CellFor(db, *c, c.NodeNm, &ph.h); err != nil {
-						return Totals{}, err
-					}
-				}
-				t.MfgKg += cell.MfgKg
-				t.DesignKg += cell.DesignKgAmortized
-				t.NREKg += cell.NREKg
-				sc.pkgCh[i] = pkgcarbon.Chiplet{Name: c.Name, AreaMM2: cell.AreaMM2, Node: cell.Node}
-			}
-		}
+		node0, err = sc.walkRuns(&st, db, &t)
+	}
+	if err != nil {
+		return Totals{}, err
+	}
+	if !p.monolith {
 		switch {
 		case dirty&(DirtyAreas|DirtyPackaging) != 0:
 			// The packaging estimate must re-run. With areas intact and
@@ -574,12 +487,11 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 				s.Packaging.SpacingMM == p.base.Packaging.SpacingMM &&
 				s.Packaging.FlexibleFloorplan == p.base.Packaging.FlexibleFloorplan
 			var pkg *pkgcarbon.Result
-			var err error
 			if reuseFP {
-				ph.stats.FloorplanReuses++
+				sc.stats.FloorplanReuses++
 				pkg, err = pkgcarbon.EstimateOnFloorplan(sc.pkgCh, s.Packaging, p.fp)
 			} else {
-				ph.stats.PackageEstimates++
+				sc.stats.PackageEstimates++
 				pkg, err = pkgcarbon.Estimate(sc.pkgCh, s.Packaging)
 			}
 			if err != nil {
@@ -593,11 +505,8 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 			// Only node parameters changed: areas — and with them the
 			// floorplan, package carbon and assembly yield — are intact;
 			// refresh just the node-dependent communication cells.
-			ph.stats.RoutingRefreshes++
-			r, err := pkgcarbon.EstimateRouting(sc.pkgCh, s.Packaging)
-			if err != nil {
-				return Totals{}, err
-			}
+			sc.stats.RoutingRefreshes++
+			r := p.routing.Routing(sc.pkgCh)
 			t.HIKg = p.pkg.packageKg + r.RoutingKg
 			t.PackageAreaMM2 = p.pkg.areaMM2
 			t.AssemblyYield = p.pkg.assemblyYield
@@ -608,16 +517,11 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 			t.AssemblyYield = p.pkg.assemblyYield
 			t.RouterPowerW = p.pkg.routerPowerW
 		}
-		if clean {
-			t.DesignKg += p.commShare
-		} else {
-			ph.row = commRow
-			share, err := s.CommDesignShareKg(db, s.Chiplets[0].NodeNm, len(s.Chiplets), &ph.h)
-			if err != nil {
-				return Totals{}, err
-			}
-			t.DesignKg += share
+		share, err := sc.commShare(&st, node0, dirty)
+		if err != nil {
+			return Totals{}, err
 		}
+		t.DesignKg += share
 	}
 	if s.Operation != nil {
 		if dirty&DirtyOperation != 0 {
@@ -632,6 +536,192 @@ func (p *ParamPlan) Eval(sc *Scratch, s *core.System, db *tech.DB, dirty Dirty) 
 		t.OperationalKg = op
 	}
 	return t, nil
+}
+
+// steps is one evaluation's view of the tabulated model steps: which
+// ones re-run, and which tabulated inputs still hold.
+type steps struct {
+	s *core.System
+	// clean: no cell input moved, so every run's tabulated cell holds.
+	clean bool
+	// die / des: the die carbon / design carbon step re-runs.
+	die, des bool
+	// geometry: the wafer inputs match the base, so a run's tabulated
+	// wafer geometry holds while its area does.
+	geometry bool
+	// hours: the design-effort inputs match the base, so a tabulated
+	// hours row holds while its gates and EDA productivity do.
+	hours bool
+}
+
+// walkRuns adds the cells of the plan's own runs into t, in chiplet
+// order, for an evaluation whose chiplets are the base's. It returns
+// the first run's node.
+func (sc *Scratch) walkRuns(st *steps, db *tech.DB, t *Totals) (*tech.Node, error) {
+	p := sc.plan
+	if st.clean {
+		for k := range p.runs {
+			b := &p.runs[k]
+			sc.stats.DieTableHits++
+			if !b.reused {
+				sc.stats.DesignTableHits++
+			}
+			sc.add(t, &b.cell, st.s.Chiplets, b.first, b.n)
+		}
+		return p.runs[0].cell.Node, nil
+	}
+	nodes := sc.runNodes(db)
+	var cell core.DieCell
+	for k := range p.runs {
+		b := &p.runs[k]
+		var c *core.Chiplet
+		if !p.monolith {
+			c = &st.s.Chiplets[b.first]
+		}
+		if err := sc.cell(&cell, st, b, nodes[k], b.cell.AreaMM2, b.hours.gates, b.parts, b.reused, c); err != nil {
+			return nil, err
+		}
+		sc.add(t, &cell, st.s.Chiplets, b.first, b.n)
+	}
+	return nodes[0], nil
+}
+
+// rederive adds the cells of an area- or volume-dirty evaluation into
+// t: the runs of identical chiplets re-derived from s.Chiplets (a
+// perturbation that scales one CCD splits EPYC's run), each cell's
+// untouched steps served from the base run of its first member. It
+// returns the first chiplet's node.
+func (sc *Scratch) rederive(st *steps, db *tech.DB, t *Totals) (*tech.Node, error) {
+	p, chiplets := sc.plan, st.s.Chiplets
+	if p.monolith {
+		node := db.MustGet(chiplets[0].NodeNm)
+		area, gates := st.s.MonolithDie(node)
+		var cell core.DieCell
+		if err := sc.cell(&cell, st, &p.runs[0], node, area, gates, st.s.Volume(), false, nil); err != nil {
+			return nil, err
+		}
+		sc.add(t, &cell, chiplets, 0, 1)
+		return node, nil
+	}
+	var node0 *tech.Node
+	var cell core.DieCell
+	for i := 0; i < len(chiplets); {
+		c := &chiplets[i]
+		n := 1
+		for i+n < len(chiplets) && sameDie(&chiplets[i+n], &chiplets[i+n-1]) {
+			n++
+		}
+		node := db.MustGet(c.NodeNm)
+		if i == 0 {
+			node0 = node
+		}
+		if err := sc.cell(&cell, st, &p.runs[p.runOf[i]], node, node.Area(c.Type, c.Transistors), chipletGates(c), chipletParts(c), c.Reused, c); err != nil {
+			return nil, err
+		}
+		sc.add(t, &cell, chiplets, i, n)
+		i += n
+	}
+	return node0, nil
+}
+
+// cell evaluates one run's die cell into *dst from its inputs in this
+// evaluation (node, area, design gates, amortization volume, reused
+// flag), running the steps st names and serving the rest from the base
+// run b. c names the run's first chiplet for errors (nil for a
+// monolith).
+func (sc *Scratch) cell(dst *core.DieCell, st *steps, b *dieRun, node *tech.Node, area, gates float64, parts int, reused bool, c *core.Chiplet) error {
+	m := &b.m
+	var fresh mfg.Result
+	if st.die {
+		sc.stats.DieRecomputes++
+		g := mfg.Geometry{DiesPerWafer: b.m.DiesPerWafer, WastedAreaMM2: b.m.WastedAreaMM2}
+		if !st.geometry || area != b.cell.AreaMM2 {
+			var err error
+			if g, err = mfg.Place(area, st.s.Mfg); err != nil {
+				return dieError(c, err)
+			}
+		}
+		fresh = mfg.Carbon(node, area, g, st.s.Mfg)
+		m = &fresh
+	} else {
+		sc.stats.DieTableHits++
+	}
+	desKg := b.desKg
+	if !reused {
+		if st.des {
+			sc.stats.DesignRecomputes++
+			desKg = descarbon.HoursKg(st.hoursFor(&b.hours, gates, node), st.s.Design)
+		} else {
+			sc.stats.DesignTableHits++
+		}
+	}
+	return st.s.AssembleCell(dst, node, area, m, desKg, parts, reused)
+}
+
+// hoursFor returns descarbon.TotalHours(gates, node, s.Design): the
+// tabulated row's hours while its inputs hold.
+func (st *steps) hoursFor(row *hoursRow, gates float64, node *tech.Node) float64 {
+	if st.hours && gates == row.gates && node.EDAProductivity == row.edaProductivity {
+		return row.hours
+	}
+	return descarbon.TotalHours(gates, node, st.s.Design)
+}
+
+// add adds a run's cell into t once per member, in chiplet order, and
+// refreshes the members' packaging descriptors that changed.
+func (sc *Scratch) add(t *Totals, cell *core.DieCell, chiplets []core.Chiplet, first, n int) {
+	for i := first; i < first+n; i++ {
+		t.MfgKg += cell.MfgKg
+		t.DesignKg += cell.DesignKgAmortized
+		t.NREKg += cell.NREKg
+	}
+	if sc.pkgCh == nil { // a monolith has no package
+		t.PackageAreaMM2 = cell.AreaMM2
+		return
+	}
+	for i := first; i < first+n; i++ {
+		if pc := &sc.pkgCh[i]; pc.Node != cell.Node || pc.AreaMM2 != cell.AreaMM2 || pc.Name != chiplets[i].Name {
+			*pc = pkgcarbon.Chiplet{Name: chiplets[i].Name, AreaMM2: cell.AreaMM2, Node: cell.Node}
+		}
+	}
+}
+
+// commShare returns the communication fabric's amortized design carbon,
+// as CommDesignShareKg computes it with the fabric hosted on node0.
+func (sc *Scratch) commShare(st *steps, node0 *tech.Node, dirty Dirty) (float64, error) {
+	p := sc.plan
+	if st.clean {
+		sc.stats.DesignTableHits++
+		return p.commShare, nil
+	}
+	kg := p.commKg
+	if st.des {
+		sc.stats.DesignRecomputes++
+		gates := p.comm.gates
+		if dirty&DirtyPackaging != 0 {
+			var err error
+			if gates, err = st.s.CommGates(len(st.s.Chiplets)); err != nil {
+				return 0, err
+			}
+		}
+		kg = descarbon.HoursKg(st.hoursFor(&p.comm, gates, node0), st.s.Design)
+	} else {
+		sc.stats.DesignTableHits++
+	}
+	return kg / float64(st.s.Volume()), nil
+}
+
+// runNodes returns db's node of each of the plan's runs. The lookups
+// are cached while db is the scratch's last database: a sandbox from
+// PerturbNodes keeps its node pointers for the scratch's lifetime.
+func (sc *Scratch) runNodes(db *tech.DB) []*tech.Node {
+	if db != sc.nodeDB {
+		for k := range sc.plan.runs {
+			sc.nodes[k] = db.MustGet(sc.plan.runs[k].cell.Node.Nm)
+		}
+		sc.nodeDB = db
+	}
+	return sc.nodes
 }
 
 // validate returns s.Validate(db)'s error while checking only the groups

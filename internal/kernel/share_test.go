@@ -53,6 +53,19 @@ func epyc8(t *testing.T, d *tech.DB) *core.System {
 	return s
 }
 
+// epyc8NRE is EPYC-8 with the NRE extension and the given number of
+// reused CCDs, the first ones: 0 or 8 keep one run of eight CCDs,
+// anything between splits it into a reused and a designed run.
+func epyc8NRE(t *testing.T, d *tech.DB, reused int) *core.System {
+	t.Helper()
+	s := epyc8(t, d)
+	s.IncludeNRE = true
+	for i := range s.Chiplets[:8] {
+		s.Chiplets[i].Reused = i < reused
+	}
+	return s
+}
+
 // assertTotalsMatchReport compares every Totals term with the report of
 // the direct evaluation, bit for bit.
 func assertTotalsMatchReport(t *testing.T, label string, tot Totals, rep *core.Report) {
@@ -147,9 +160,9 @@ func checkSharedCellsParity(t *testing.T, label string, base *core.System, d *te
 	}
 }
 
-// A shared cell makes no sub-model call, so it counts as neither a
-// recompute nor a table hit; the clean column fold counts exactly the
-// table hits the hook-served walk would.
+// A run's shared cell counts once, as a recompute or a table hit; a
+// clean walk of the tabulated cells counts exactly the table hits a
+// table-served walk that re-derives the runs does.
 func TestParamPlanSharedCellsCounting(t *testing.T) {
 	d := db()
 	base := epyc8(t, d)
@@ -166,14 +179,15 @@ func TestParamPlanSharedCellsCounting(t *testing.T) {
 		if _, err := plan.Eval(sc, s, db, dirty); err != nil {
 			t.Fatal(err)
 		}
-		st := sc.hooks.stats
+		st := sc.stats
 		plan.Fold(sc)
 		return st
 	}
-	// CCDs are reused (no design call): the walk calls mfg.Die for the
-	// CCD run and the IOD, and ChipletKg for the IOD and the fabric.
+	// CCDs are reused (no design step): the walk serves a die cell for
+	// the CCD run and the IOD, and design carbon for the IOD and the
+	// fabric.
 	clean := eval(base, d, 0)
-	walked := eval(base, d, DirtyVolume) // a table-served CellFor walk
+	walked := eval(base, d, DirtyVolume) // re-derived runs, served steps
 	want := ParamStats{Evals: 1, DieTableHits: 2, DesignTableHits: 2}
 	if clean != want || walked != want {
 		t.Fatalf("clean fold counts %+v, table-served walk %+v, want %+v", clean, walked, want)
@@ -187,6 +201,58 @@ func TestParamPlanSharedCellsCounting(t *testing.T) {
 	}
 	if got := plan.Stats().Evals; got != 3 {
 		t.Fatalf("folded Evals = %d, want 3", got)
+	}
+}
+
+// An area- or volume-dirty evaluation re-derives the runs from the
+// perturbed chiplets: perturbing one CCD of EPYC-8 splits its run of
+// eight into three (CCDs 0-3, 4, 5-7), so the walk counts four die cells
+// with the IO die, where the base walk counts two. The CCDs are reused,
+// so the design steps are the IO die's and the fabric's either way.
+func TestParamPlanRunWalkSplitsRuns(t *testing.T) {
+	d := db()
+	base := epyc8(t, d)
+	plan, err := CompileParams(base, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := plan.NewScratch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfgSys := *base
+	mfgSys.Mfg.CarbonIntensity *= 0.5
+	oneCCD := func(f func(c *core.Chiplet)) *core.System {
+		s := *base
+		s.Chiplets = append([]core.Chiplet(nil), base.Chiplets...)
+		f(&s.Chiplets[4])
+		return &s
+	}
+	for _, c := range []struct {
+		name  string
+		s     *core.System
+		dirty Dirty
+		want  ParamStats
+	}{
+		{"base", &mfgSys, DirtyMfg, ParamStats{Evals: 1, DieRecomputes: 2, DesignTableHits: 2}},
+		{"area", oneCCD(func(c *core.Chiplet) { c.Transistors *= 1.1 }), DirtyAreas,
+			ParamStats{Evals: 1, DieRecomputes: 4, DesignRecomputes: 2, PackageEstimates: 1}},
+		{"volume", oneCCD(func(c *core.Chiplet) { c.ManufacturedParts = 40_000 }), DirtyVolume,
+			ParamStats{Evals: 1, DieTableHits: 4, DesignTableHits: 2}},
+	} {
+		tot, err := plan.Eval(sc, c.s, d, c.dirty)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rep, err := c.s.Evaluate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertTotalsMatchReport(t, c.name, tot, rep)
+		if got := sc.stats; got != c.want {
+			t.Errorf("%s: stats %+v, want %+v", c.name, got, c.want)
+		}
+		plan.Fold(sc)
 	}
 }
 

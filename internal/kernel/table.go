@@ -90,9 +90,9 @@ func BuildTable(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*T
 			var cell core.DieCell
 			var err error
 			if t.Monolith {
-				cell, err = base.MonolithCell(db, nm, nil)
+				cell, err = base.MonolithCell(db, nm)
 			} else {
-				cell, err = base.CellFor(db, base.Chiplets[i], nm, nil)
+				cell, err = base.CellFor(db, base.Chiplets[i], nm)
 			}
 			if err != nil {
 				return nil, err
@@ -115,7 +115,7 @@ func BuildTable(base *core.System, db *tech.DB, nodes []int, cp cost.Params) (*T
 	if !t.Monolith {
 		t.CommShare = make([]float64, len(nodes))
 		for j, nm := range nodes {
-			share, err := base.CommDesignShareKg(db, nm, nc, nil)
+			share, err := base.CommDesignShareKg(db, nm, nc)
 			if err != nil {
 				return nil, err
 			}

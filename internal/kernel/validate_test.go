@@ -126,24 +126,36 @@ func TestParamPlanEvalValidationParity(t *testing.T) {
 
 // A die- or design-dirty evaluation serves the tabulated wafer geometry
 // and design hours while their inputs match the base and recomputes them
-// when they move. Either way the totals carry the direct evaluation's
-// bits: perturbations that keep the geometry and hours (fab intensity,
-// design power), and ones that move them (wafer, wastage, iterations,
-// verification share, analysis factor, EDA productivity, areas).
+// when they move. Either way the run walk's totals carry the direct
+// evaluation's bits: perturbations that keep the geometry and hours
+// (fab intensity, design power, node fab parameters), ones that move
+// them (wafer, wastage, iterations, verification share, analysis
+// factor, EDA productivity, areas), and area or volume changes to one
+// die, which split a run of identical dies. The bases cover distinct
+// dies (GA102, A15), monoliths (GA102, EMR) and runs of identical dies
+// (EPYC-8 with reused CCDs, and with the NRE extension, its CCDs
+// designed or split between reused and designed).
 func TestParamPlanTabulatedStepsParity(t *testing.T) {
 	d := db()
 	edaDB, err := d.Clone(func(n *tech.Node) { n.EDAProductivity = tech.Clamp(n.EDAProductivity*0.9, 0.05, 1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	epyc, err := testcases.EPYC(d, 8)
+	nodeDB, err := d.Clone(func(n *tech.Node) {
+		n.DefectDensity = tech.Clamp(n.DefectDensity*1.2, 0.07, 0.3)
+		n.EquipEfficiency *= 0.9
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bases := map[string]*core.System{
-		"ga102":    testcases.GA102(d, 7, 14, 10, false),
-		"monolith": testcases.GA102(d, 10, 10, 10, true),
-		"epyc8":    epyc,
+		"ga102":           testcases.GA102(d, 7, 14, 10, false),
+		"a15":             testcases.A15(d, 7, 14, 10, false),
+		"monolith":        testcases.GA102(d, 10, 10, 10, true),
+		"emr-monolith":    testcases.EMR(d, 10, true),
+		"epyc8":           epyc8(t, d),
+		"epyc8-nre":       epyc8NRE(t, d, 0),
+		"epyc8-nre-split": epyc8NRE(t, d, 3),
 	}
 	for name, base := range bases {
 		plan, err := CompileParams(base, d)
@@ -176,6 +188,18 @@ func TestParamPlanTabulatedStepsParity(t *testing.T) {
 			{"verif-share", edit(func(s *core.System) { s.Design.VerifShare = 0.7 }), d, DirtyDesign},
 			{"analyze", edit(func(s *core.System) { s.Design.AnalyzeFactor = 0.4 }), d, DirtyDesign},
 			{"eda", base, edaDB, DirtyNodes | DirtyDesign},
+			{"nodes", base, nodeDB, DirtyNodes},
+			{"sample", edit(func(s *core.System) {
+				s.Mfg.CarbonIntensity *= 0.9
+				s.Design.PowerW *= 0.8
+			}), nodeDB, DirtyNodes | DirtyMfg | DirtyDesign},
+			{"one-area", edit(func(s *core.System) { s.Chiplets[len(s.Chiplets)/2].Transistors *= 1.15 }), d, DirtyAreas},
+			{"one-area-wafer", edit(func(s *core.System) {
+				s.Chiplets[len(s.Chiplets)/2].Transistors *= 0.85
+				s.Mfg.Wafer = wafer.Wafer{DiameterMM: 300}
+			}), d, DirtyAreas | DirtyMfg},
+			{"one-volume", edit(func(s *core.System) { s.Chiplets[len(s.Chiplets)/2].ManufacturedParts = 30_000 }), d, DirtyVolume},
+			{"system-volume", edit(func(s *core.System) { s.SystemVolume = 250_000 }), d, DirtyVolume},
 			{"areas", edit(func(s *core.System) {
 				for i := range s.Chiplets {
 					s.Chiplets[i].Transistors *= 1.2

@@ -265,34 +265,52 @@ func TestEstimatorResultIsReused(t *testing.T) {
 	}
 }
 
-// EstimateRouting must reproduce the communication fields of a full
-// Estimate bit-for-bit for every architecture — it is the seam compiled
-// parameter plans use to refresh the node-dependent slice of a tabulated
-// packaging result.
-func TestEstimateRoutingMatchesEstimate(t *testing.T) {
+// A RoutingTable must reproduce the communication fields of a full
+// Estimate bit for bit for every architecture, on the tabulated nodes
+// and on copies whose fab parameters moved — it is the seam compiled
+// parameter plans use to refresh the node-dependent slice of a
+// tabulated packaging result. The set holds a run of three chiplets on
+// one node, so the table folds a shared endpoint per member.
+func TestRoutingTableMatchesEstimate(t *testing.T) {
 	db := tech.Default()
-	chiplets := []Chiplet{
-		{Name: "a", AreaMM2: 120, Node: db.MustGet(7)},
-		{Name: "b", AreaMM2: 60, Node: db.MustGet(14)},
-		{Name: "c", AreaMM2: 30, Node: db.MustGet(10)},
+	perturbed, err := db.Clone(func(n *tech.Node) {
+		n.DefectDensity = tech.Clamp(n.DefectDensity*1.3, 0.07, 0.3)
+		n.EPA = tech.Clamp(n.EPA*0.8, 0.8, 3.5)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := func(d *tech.DB) []Chiplet {
+		return []Chiplet{
+			{Name: "a", AreaMM2: 120, Node: d.MustGet(7)},
+			{Name: "b0", AreaMM2: 60, Node: d.MustGet(14)},
+			{Name: "b1", AreaMM2: 60, Node: d.MustGet(14)},
+			{Name: "b2", AreaMM2: 60, Node: d.MustGet(14)},
+			{Name: "c", AreaMM2: 30, Node: d.MustGet(10)},
+			{Name: "d", AreaMM2: 45, Node: d.MustGet(7)},
+		}
 	}
 	for _, arch := range Architectures {
 		p := DefaultParams(arch)
-		full, err := Estimate(chiplets, p)
+		table, err := NewRoutingTable(on(db), p)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}
-		r, err := EstimateRouting(chiplets, p)
-		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
-		}
-		if math.Float64bits(r.RoutingKg) != math.Float64bits(full.RoutingKg) ||
-			math.Float64bits(r.RouterAreaPerChipletMM2) != math.Float64bits(full.RouterAreaPerChipletMM2) ||
-			math.Float64bits(r.RouterTotalPowerW) != math.Float64bits(full.RouterTotalPowerW) {
-			t.Errorf("%v: routing slice diverges from full estimate:\nfull %+v\ngot  %+v", arch, full, r)
+		for name, d := range map[string]*tech.DB{"base": db, "perturbed": perturbed} {
+			chiplets := on(d)
+			full, err := Estimate(chiplets, p)
+			if err != nil {
+				t.Fatalf("%v %s: %v", arch, name, err)
+			}
+			r := table.Routing(chiplets)
+			if math.Float64bits(r.RoutingKg) != math.Float64bits(full.RoutingKg) ||
+				math.Float64bits(r.RouterAreaPerChipletMM2) != math.Float64bits(full.RouterAreaPerChipletMM2) ||
+				math.Float64bits(r.RouterTotalPowerW) != math.Float64bits(full.RouterTotalPowerW) {
+				t.Errorf("%v %s: routing slice diverges from full estimate:\nfull %+v\ngot  %+v", arch, name, full, r)
+			}
 		}
 	}
-	if _, err := EstimateRouting(nil, DefaultParams(RDLFanout)); err == nil {
+	if _, err := NewRoutingTable(nil, DefaultParams(RDLFanout)); err == nil {
 		t.Error("empty chiplet set should fail")
 	}
 }

@@ -390,28 +390,96 @@ type Routing struct {
 	RouterTotalPowerW float64
 }
 
-// EstimateRouting computes only the communication terms of Estimate for
-// the chiplet set — bit-identical to the corresponding fields of the full
-// estimate, with no floorplanning and no package-carbon work. Compiled
-// parameter plans use it to refresh the node-dependent slice of a
-// tabulated packaging result when only tech-node parameters (defect
-// density, EPA, ...) were perturbed: the floorplan and package carbon
-// depend on areas and the packaging node alone and stay valid. Like
-// Estimator.Routing it does not validate p: the caller passes
-// parameters that passed Params.Validate (a plan's validated base
-// packaging), and a perturbation that moves them re-runs Estimate.
-func EstimateRouting(chiplets []Chiplet, p Params) (Routing, error) {
-	if len(chiplets) == 0 {
-		return Routing{}, fmt.Errorf("pkgcarbon: no chiplets")
-	}
-	return routing(chiplets, &p, nil)
+// RoutingTable is the communication slice of Estimate compiled for one
+// chiplet set: each run of consecutive chiplets on one node keeps its
+// router or PHY area and router power, which read only the node's size,
+// density and supply voltage, so Routing re-runs just the per-node
+// carbon step. Compiled parameter plans use it to refresh the
+// node-dependent slice of a tabulated packaging result when only
+// tech-node fab parameters (defect density, EPA, ...) were perturbed:
+// the floorplan and package carbon depend on areas and the packaging
+// node alone and stay valid.
+type RoutingTable struct {
+	p    Params
+	runs []commRun
+	n    int
 }
 
-// Routing is EstimateRouting under the estimator's parameters, folded
-// through the estimator's communication caches: the routing terms of
-// the chiplet set, bit-identical to the corresponding fields of
-// Estimate. It skips Estimate's input checks, so chiplets must be a set
-// Estimate accepts (non-empty, positive areas, non-nil nodes). Compiled
+// commRun is a run of consecutive chiplets on one node and the area and
+// power of each member's communication endpoint.
+type commRun struct {
+	first, count    int
+	areaMM2, powerW float64
+}
+
+// NewRoutingTable tabulates the communication endpoints of chiplets
+// under p. It does not validate p: the caller passes parameters that
+// passed Params.Validate (a plan's validated base packaging), and a
+// perturbation that moves them re-runs Estimate.
+func NewRoutingTable(chiplets []Chiplet, p Params) (*RoutingTable, error) {
+	if len(chiplets) == 0 {
+		return nil, fmt.Errorf("pkgcarbon: no chiplets")
+	}
+	t := &RoutingTable{p: p, n: len(chiplets)}
+	switch p.Arch {
+	case ActiveInterposer:
+		// Every endpoint sits in the interposer's own node.
+		a, w, err := endpoint(p.PackagingNode, &t.p, true)
+		if err != nil {
+			return nil, err
+		}
+		t.runs = []commRun{{count: t.n, areaMM2: a, powerW: w}}
+		return t, nil
+	case RDLFanout, SiliconBridge, PassiveInterposer, ThreeD:
+	default:
+		return nil, fmt.Errorf("pkgcarbon: unknown architecture %v", p.Arch)
+	}
+	fullRouter := p.Arch == PassiveInterposer || p.Arch == ThreeD
+	for i, c := range chiplets {
+		if i > 0 && c.Node == chiplets[i-1].Node {
+			t.runs[len(t.runs)-1].count++
+			continue
+		}
+		a, w, err := endpoint(c.Node, &t.p, fullRouter)
+		if err != nil {
+			return nil, err
+		}
+		t.runs = append(t.runs, commRun{first: i, count: 1, areaMM2: a, powerW: w})
+	}
+	return t, nil
+}
+
+// Routing returns the routing terms of Estimate(chiplets, p), bit for
+// bit, for a chiplet set laid out as the table's: the same areas and
+// node runs, on nodes whose fab parameters may differ from the
+// tabulated ones but whose sizes, densities and supply voltages do not.
+func (t *RoutingTable) Routing(chiplets []Chiplet) Routing {
+	if t.p.Arch == ActiveInterposer {
+		r := &t.runs[0]
+		n := float64(t.n)
+		kg := chipletLogicCarbon(t.p.PackagingNode, r.areaMM2, t.p.CarbonIntensity)
+		return Routing{RoutingKg: n * kg, RouterTotalPowerW: n * r.powerW}
+	}
+	// The sums add each member's terms in chiplet order, as commFold
+	// does; PHY runs carry zero power, so RDL and bridge packages keep
+	// a zero router power.
+	var kgSum, areaSum, powerSum float64
+	for _, r := range t.runs {
+		kg := chipletLogicCarbon(chiplets[r.first].Node, r.areaMM2, t.p.CarbonIntensity)
+		for range r.count {
+			kgSum += kg
+			areaSum += r.areaMM2
+			powerSum += r.powerW
+		}
+	}
+	return Routing{RoutingKg: kgSum, RouterAreaPerChipletMM2: areaSum / float64(t.n), RouterTotalPowerW: powerSum}
+}
+
+// Routing folds the routing terms of the chiplet set under the
+// estimator's parameters through its communication caches,
+// bit-identical to the corresponding fields of Estimate. It skips
+// Estimate's input checks, so chiplets must be a set Estimate accepts
+// (non-empty, positive areas, non-nil nodes). Compiled
 // sweeps use it on points whose package carbon, area and assembly yield
 // they already know from an earlier point with the same areas: only the
 // routing fold depends on which chiplet sits in which node.
@@ -906,28 +974,34 @@ func commFor(sc *scratch, n *tech.Node, p *Params, fullRouter bool) (commCell, e
 			return cc, nil
 		}
 	}
-	var cc commCell
-	if fullRouter {
-		a, err := noc.AreaMM2(p.Router, n)
-		if err != nil {
-			return commCell{}, err
-		}
-		w, err := noc.PowerW(p.Router, n, p.RouterPower)
-		if err != nil {
-			return commCell{}, err
-		}
-		cc = commCell{areaMM2: a, kg: chipletLogicCarbon(n, a, p.CarbonIntensity), powerW: w}
-	} else {
-		a, err := noc.PHYAreaMM2(p.Router, n)
-		if err != nil {
-			return commCell{}, err
-		}
-		cc = commCell{areaMM2: a, kg: chipletLogicCarbon(n, a, p.CarbonIntensity)}
+	a, w, err := endpoint(n, p, fullRouter)
+	if err != nil {
+		return commCell{}, err
 	}
+	cc := commCell{areaMM2: a, kg: chipletLogicCarbon(n, a, p.CarbonIntensity), powerW: w}
 	if sc != nil {
 		sc.comm[n] = cc
 	}
 	return cc, nil
+}
+
+// endpoint returns the silicon area and power of one communication
+// endpoint in node n: a complete NoC router (interposer/3D
+// architectures) or only a PHY IP, whose power is folded into the
+// system power elsewhere. It reads only the node's size, density and
+// supply voltage.
+func endpoint(n *tech.Node, p *Params, fullRouter bool) (areaMM2, powerW float64, err error) {
+	if !fullRouter {
+		a, err := noc.PHYAreaMM2(p.Router, n)
+		return a, 0, err
+	}
+	if areaMM2, err = noc.AreaMM2(p.Router, n); err != nil {
+		return 0, 0, err
+	}
+	if powerW, err = noc.PowerW(p.Router, n, p.RouterPower); err != nil {
+		return 0, 0, err
+	}
+	return areaMM2, powerW, nil
 }
 
 // chipletLogicCarbon is the Eq. (6) CFPA (without wastage) applied to a

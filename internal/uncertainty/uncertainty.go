@@ -8,15 +8,18 @@
 // of a single point.
 //
 // Sampling runs on a compiled parameter plan (kernel.ParamPlan): the
-// base system is tabulated once, each worker perturbs a private sandbox
-// copy of the tech database per sample (no per-sample clone or
-// re-validation), and only the sub-models the sampled parameters reach —
-// die manufacturing, design carbon, the packaging communication cells —
-// are recomputed; the floorplan and package carbon are served from the
-// tabulation. Every sample draws from its own seed-derived RNG stream,
-// so the distribution is bit-identical at any worker count and to the
-// per-evaluation reference path (RunReference), which the randomized
-// parity test enforces.
+// base system is tabulated once, per run of identical chiplets, and each
+// worker perturbs a private sandbox copy of the tech database per sample
+// (no per-sample clone or re-validation). A sample walks the plan's runs
+// and re-runs only the carbon steps the sampled parameters reach: die
+// manufacturing on the tabulated wafer geometry, design carbon on the
+// tabulated design hours, and the packaging communication cells on the
+// tabulated router/PHY endpoints. The floorplan and package carbon are
+// served from the tabulation, and every die yield takes the closed-form
+// α = 3 path of yieldmodel.DieAlpha. Every sample draws from its own
+// seed-derived RNG stream, so the distribution is bit-identical at any
+// worker count and to the per-evaluation reference path (RunReference),
+// which the randomized parity test enforces.
 package uncertainty
 
 import (

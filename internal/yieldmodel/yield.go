@@ -34,7 +34,28 @@ func DieAlpha(areaMM2, defectDensity, alpha float64) float64 {
 		panic(fmt.Sprintf("yieldmodel: clustering parameter must be positive, got %g", alpha))
 	}
 	areaCM2 := areaMM2 / 100
-	return math.Pow(1+areaCM2*defectDensity/alpha, -alpha)
+	return powNeg(1+areaCM2*defectDensity/alpha, alpha)
+}
+
+// cubeCutoff bounds the bases powNeg raises to -3 in closed form.
+const cubeCutoff = 1e100
+
+// powNeg returns math.Pow(b, -alpha) for a base b >= 1. At Table I's
+// alpha = 3 it returns 1/(b*(b*b)), which carries Pow's bits while
+// b < cubeCutoff: Go's pure-Go Pow (every port but s390x) takes its
+// integer-exponent path for y = -3. It splits b = m * 2^e with Frexp,
+// forms m*(m*m) by repeated squaring with the exponent tracked apart,
+// and returns Ldexp(1/(m*(m*m)), -3e). Scaling by a power of two is
+// exact while a value stays normal, so b*(b*b) rounds exactly as
+// m*(m*m) does and its reciprocal exactly as 1/(m*(m*m)). Below the
+// cutoff b^3 and 1/b^3 are both normal, so the two forms agree bit for
+// bit. Larger, infinite or NaN bases and every other alpha take
+// math.Pow.
+func powNeg(b, alpha float64) float64 {
+	if alpha == 3 && b < cubeCutoff {
+		return 1 / (b * (b * b))
+	}
+	return math.Pow(b, -alpha)
 }
 
 // Layered returns the yield of a structure patterned with n independent

@@ -1,7 +1,9 @@
 package yieldmodel
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -152,4 +154,41 @@ func TestBondYieldFromPitch(t *testing.T) {
 		}
 	}()
 	BondYieldFromPitch(0)
+}
+
+// At alpha = 3 the yield takes a closed form instead of math.Pow; it
+// must carry Pow's exact bits: over random Table I dies, over random
+// base bit patterns in [1, cutoff) and past it, at b = 1 and around the
+// cutoff, and for every other alpha.
+func TestDieAlphaCubeMatchesPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	same := func(label string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %v (%#x), math.Pow %v (%#x)", label, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for i := 0; i < 200_000; i++ {
+		area := rng.Float64() * 2000 // mm^2, past the largest reticle
+		d0 := 0.07 + rng.Float64()*(0.3-0.07)
+		same(fmt.Sprintf("Die(%v, %v)", area, d0), Die(area, d0), math.Pow(1+area/100*d0/3, -3))
+	}
+	// Above the cutoff 1/b^3 leaves the normal range, where the closed
+	// form's rounding parts from Pow's: the bases there must take Pow.
+	for _, span := range [][2]float64{{1, cubeCutoff}, {cubeCutoff, 1e104}} {
+		lo, hi := math.Float64bits(span[0]), math.Float64bits(span[1])
+		for i := 0; i < 200_000; i++ {
+			b := math.Float64frombits(lo + rng.Uint64()%(hi-lo))
+			same(fmt.Sprintf("b = %v", b), powNeg(b, 3), math.Pow(b, -3))
+		}
+	}
+	below := math.Nextafter(cubeCutoff, 0)
+	for _, b := range []float64{1, math.Nextafter(1, 2), below, cubeCutoff, math.Nextafter(cubeCutoff, math.Inf(1)), 1e300, math.Inf(1), math.NaN()} {
+		same(fmt.Sprintf("b = %v", b), powNeg(b, 3), math.Pow(b, -3))
+	}
+	for _, alpha := range []float64{0.5, 1, 2, 2.999999, 3.000001, 4, 1e7} {
+		for _, b := range []float64{1, 1.0625, 1.37, 12.5, below} {
+			same(fmt.Sprintf("alpha %v, b = %v", alpha, b), powNeg(b, alpha), math.Pow(b, -alpha))
+		}
+	}
 }
